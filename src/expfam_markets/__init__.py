@@ -37,7 +37,6 @@ from .harness import (
     SimConfig,
     SimReport,
     TradeEvent,
-    TraderSpec,
     emit_report,
     replay,
     run_simulation,
@@ -82,7 +81,6 @@ __all__ = [
     "TradeEvent",
     "TradeRecord",
     "TraderProfile",
-    "TraderSpec",
     "UnsupportedError",
     "VonMisesFisher3",
     "WeibullMoment",

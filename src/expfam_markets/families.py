@@ -17,14 +17,14 @@ Registered families and their id strings:
 
 * ``categorical:K``     -- outcomes ``{1..K}``, indicator statistic,
   counting base measure, ``T = logsumexp``.
-* ``exponential-rate``  -- outcomes ``[0, inf)``, statistic ``x``, Lebesgue
-  base measure, ``T(theta) = -log(-theta)`` on ``theta < 0``.
+* ``exponential-rate``  -- ``weibull-moment:1`` under its own id: outcomes
+  ``[0, inf)``, statistic ``x``, Lebesgue base measure, ``T(theta) =
+  -log(-theta)`` on ``theta < 0``.
 * ``weibull-moment:k``  -- outcomes ``[0, inf)``, statistic ``x**k``.  With
   base measure ``x**(k-1) dx`` the substitution ``u = x**k`` gives
   ``integral exp(theta*x**k) x**(k-1) dx = 1/(k*(-theta))``, so
   ``T(theta) = -log(-theta) - log(k)`` on ``theta < 0`` and the mean
-  parameter is the k-th raw moment ``E[x**k] = -1/theta``.  At ``k = 1``
-  this is exactly ``exponential-rate``.
+  parameter is the k-th raw moment ``E[x**k] = -1/theta``.
 * ``gaussian-moments``  -- outcomes over the reals, statistic ``(x, x**2)``,
   Lebesgue base measure.  ``T(theta) = -theta1**2/(4*theta2)
   - 0.5*log(-2*theta2) + 0.5*log(2*pi)`` on ``theta2 < 0``; the additive
@@ -255,52 +255,6 @@ class Categorical(ExpFamily):
         return int(drawn) if size is None else drawn.astype(int)
 
 
-class ExponentialRate(ExpFamily):
-    """Nonnegative outcomes with statistic ``x``; ``T(theta) = -log(-theta)``.
-
-    The mean parameter is the distribution's mean ``-1/theta`` and the
-    domain requires strictly negative ``theta``.
-    """
-
-    outcome_space = "nonneg-reals"
-    base_measure = "lebesgue-nonneg"
-    dim = 1
-
-    @property
-    def id(self) -> str:
-        return "exponential-rate"
-
-    def _natural_interior(self, theta, margin) -> bool:
-        return bool(theta[0] <= -margin)
-
-    def _mean_interior(self, mu, margin) -> bool:
-        return bool(mu[0] >= margin)
-
-    def check_outcome(self, x):
-        xf = float(x)
-        if not math.isfinite(xf) or xf < 0.0:
-            raise DomainError(f"{self.id}: outcome must be a nonnegative real, got {x!r}")
-        return xf
-
-    def _log_partition(self, theta) -> float:
-        return -math.log(-theta[0])
-
-    def _mean(self, theta) -> np.ndarray:
-        return np.array([-1.0 / theta[0]])
-
-    def _natural(self, mu) -> np.ndarray:
-        return np.array([-1.0 / mu[0]])
-
-    def _statistic(self, x) -> np.ndarray:
-        return np.array([x])
-
-    def _sample(self, theta, rng, size):
-        rate = -theta[0]
-        u = rng.random() if size is None else rng.random(size)
-        drawn = -np.log1p(-u) / rate
-        return float(drawn) if size is None else drawn
-
-
 class WeibullMoment(ExpFamily):
     """Nonnegative outcomes with statistic ``x**k`` and base measure ``x**(k-1) dx``.
 
@@ -314,7 +268,7 @@ class WeibullMoment(ExpFamily):
     base_measure = "lebesgue-nonneg"
     dim = 1
 
-    def __init__(self, k: float):
+    def __init__(self, k: float = 1.0):
         k = float(k)
         if not (math.isfinite(k) and k > 0):
             raise DomainError(f"weibull-moment order must be positive, got {k}")
@@ -353,6 +307,18 @@ class WeibullMoment(ExpFamily):
         u = rng.random() if size is None else rng.random(size)
         drawn = (-np.log1p(-u) / rate) ** (1.0 / self.k)
         return float(drawn) if size is None else drawn
+
+
+class ExponentialRate(WeibullMoment):
+    """``weibull-moment:1`` under its own id: statistic ``x``, ``T(theta) = -log(-theta)``.
+
+    The mean parameter is the distribution's mean ``-1/theta``; outcomes are
+    exponential with rate ``-theta``.
+    """
+
+    @property
+    def id(self) -> str:
+        return "exponential-rate"
 
 
 class GaussianMoments(ExpFamily):

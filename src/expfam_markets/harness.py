@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
 from .families import ExpFamily, VonMisesFisher3, family_from_id
-from .market import TRADE_MARGIN, Market, TradeRecord, payoff
+from .market import TRADE_MARGIN, Market, TradeRecord, log_loss, payoff
 from .scoring import moments_from_mean_variance
 from .traders import (
     TraderProfile,
@@ -101,19 +101,6 @@ def parse_belief_theta(family: ExpFamily, value, where: str) -> np.ndarray:
 
 
 @dataclass
-class TraderSpec:
-    """One configured trader: behavior model plus profile parameters."""
-
-    id: str
-    model: str
-    belief_theta: np.ndarray | None = None
-    risk_aversion: float = 0.0
-    budget: float | None = None
-    sample_mean: np.ndarray | None = None
-    sample_size: float = 1.0
-
-
-@dataclass
 class SimConfig:
     """Validated simulation configuration."""
 
@@ -121,7 +108,7 @@ class SimConfig:
     theta0: np.ndarray
     rounds: int
     true_theta: np.ndarray
-    traders: list[TraderSpec]
+    traders: list[TraderProfile]
     seed: int | None = None
     inv_liquidity: float = 1.0
     arrival: str = "round-robin"
@@ -211,7 +198,9 @@ class SimConfig:
                 sample_mean, sample_size = None, 1.0
                 if model == "budget-limited" and lam != 1.0:
                     raise ConfigError(f"{where}: budget-limited traders require inv_liquidity == 1")
-            traders.append(TraderSpec(
+                if model == "risk-neutral":
+                    risk_aversion = 0.0
+            traders.append(TraderProfile(
                 id=tid, model=model, belief_theta=belief,
                 risk_aversion=risk_aversion, budget=budget,
                 sample_mean=sample_mean, sample_size=sample_size,
@@ -326,47 +315,12 @@ class SimReport:
 # Simulation
 # ----------------------------------------------------------------------
 
-class _TraderState:
-    """Running account for one trader.
-
-    Both the budget and the cumulative impact accumulate the same
-    per-trade changes sequentially, so the budget floor argument (cost
-    capped at the budget, payoff nonnegative for pure purchases) holds in
-    float arithmetic, not just in exact arithmetic.
-    """
-
-    def __init__(self, spec: TraderSpec):
-        self.spec = spec
-        self.pnl = 0.0  # cumulative payoff - cost, in budget units
-        self.budget = spec.budget  # None means unlimited
-
-
-def _schedule(config: SimConfig, round_index: int) -> list[TraderSpec]:
-    by_id = {tr.id: tr for tr in config.traders}
-    if config.arrival == "round-robin":
-        return [config.traders[(round_index - 1) % len(config.traders)]]
-    return [by_id[tid] for tid in config.sequence]
-
-
-def _compute_trade(market: Market, state: _TraderState) -> np.ndarray:
-    spec = state.spec
-    if spec.model == "risk-neutral":
-        return spec.belief_theta / market.inv_liquidity - market.theta
-    if spec.model == "bayesian":
-        return bayesian_market_trade(market, spec.sample_mean, spec.sample_size)
-    if spec.model == "budget-limited":
-        # Securities with signed payoffs can leave a budget underwater;
-        # such a trader can still afford (only) zero-or-negative-cost moves.
-        budget = None if state.budget is None else max(0.0, state.budget)
-    else:
-        budget = None
-    profile = TraderProfile(
-        id=spec.id, belief_theta=spec.belief_theta,
-        risk_aversion=spec.risk_aversion, budget=budget,
-    )
-    if spec.model == "exp-utility":
-        return exp_utility_trade(market, profile)
-    return budget_limited_trade(market, profile)
+def _decide(market: Market, trader: TraderProfile) -> np.ndarray:
+    if trader.model == "bayesian":
+        return bayesian_market_trade(market, trader.sample_mean, trader.sample_size)
+    if trader.model == "budget-limited":
+        return budget_limited_trade(market, trader)
+    return exp_utility_trade(market, trader)  # risk-neutral has risk_aversion 0
 
 
 def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimReport:
@@ -381,7 +335,15 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     family = config.family
     market = Market(family, config.theta0, config.inv_liquidity, log_path=trade_log_path)
     rng = np.random.default_rng(config.seed)
-    states = {tr.id: _TraderState(tr) for tr in config.traders}
+    # Per-run copies hold the running budget and cash (cumulative payoff -
+    # cost), so a config can be rerun.  Both add the same per-trade changes
+    # in order, so the budget floor holds in float arithmetic too.
+    traders = [replace(tr, cash=0.0) for tr in config.traders]
+    if config.arrival == "round-robin":
+        turns = [[tr] for tr in traders]
+    else:
+        by_id = {tr.id: tr for tr in traders}
+        turns = [[by_id[tid] for tid in config.sequence]]
     events: list[TradeEvent] = []
     track_loss = config.inv_liquidity == 1.0
     total_log_loss = 0.0 if track_loss else None
@@ -391,12 +353,11 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
         try:
             if config.state_reset and round_index > 1:
                 market.reset_theta(config.theta0)
-            staged: list[tuple[_TraderState, TradeRecord]] = []
-            for spec in _schedule(config, round_index):
-                state = states[spec.id]
-                delta = _compute_trade(market, state)
-                record = market.execute(delta, trader_id=spec.id, round_index=round_index)
-                staged.append((state, record))
+            staged: list[tuple[TraderProfile, TradeRecord]] = []
+            for trader in turns[(round_index - 1) % len(turns)]:
+                delta = _decide(market, trader)
+                record = market.execute(delta, trader_id=trader.id, round_index=round_index)
+                staged.append((trader, record))
             outcome = family.sample(config.true_theta, rng)
         except (DomainError, ConvergenceError) as exc:
             valid, error = False, f"round {round_index}: {exc}"
@@ -406,26 +367,25 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
         # change and the trade's myopic impact on the market's log loss.
         settled = []
         phi = family.statistic(outcome)
-        for state, record in staged:
-            pay = payoff(family, record.delta, outcome)
-            change = pay - record.cost
-            state.pnl += change
-            if state.budget is not None:
-                state.budget += change
+        for trader, record in staged:
+            change = payoff(family, record.delta, outcome) - record.cost
+            trader.cash += change
+            if trader.budget is not None:
+                trader.budget += change
             if track_loss:
-                loss_before = family.log_partition(record.theta_before) - float(np.dot(record.theta_before, phi))
-                loss_after = family.log_partition(record.theta_after) - float(np.dot(record.theta_after, phi))
+                loss_before = log_loss(family, record.theta_before, phi)
+                loss_after = log_loss(family, record.theta_after, phi)
             else:
                 loss_before = loss_after = None
-            settled.append((state, record, change, loss_before, loss_after))
+            settled.append((trader, record, change, loss_before, loss_after))
         if track_loss:
             total_log_loss += market.log_loss(outcome)
 
-        budgets = {tr.id: states[tr.id].budget for tr in config.traders}
-        for state, record, change, loss_before, loss_after in settled:
+        budgets = {tr.id: tr.budget for tr in traders}
+        for trader, record, change, loss_before, loss_after in settled:
             events.append(TradeEvent(
                 round_index=round_index,
-                trader_id=state.spec.id,
+                trader_id=trader.id,
                 delta=[float(v) for v in record.delta],
                 cost=record.cost,
                 outcome=outcome,
@@ -438,8 +398,8 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     aggregates = {
         "completed_rounds": events[-1].round_index if events else 0,
         "total_log_loss": total_log_loss,
-        "per_trader_impact": {tr.id: states[tr.id].pnl for tr in config.traders},
-        "final_budgets": {tr.id: states[tr.id].budget for tr in config.traders},
+        "per_trader_impact": {tr.id: tr.cash for tr in traders},
+        "final_budgets": {tr.id: tr.budget for tr in traders},
         "final_theta": [float(v) for v in market.theta],
         "final_prices": [float(v) for v in market.prices()],
         "revenue": market.revenue,

@@ -45,6 +45,11 @@ def payoff(family: ExpFamily, delta, x) -> float:
     return float(np.dot(delta, family.statistic(x)))
 
 
+def log_loss(family: ExpFamily, theta, phi) -> float:
+    """Log loss ``T(theta) - <theta, phi>`` of an outcome with statistic ``phi``."""
+    return family.log_partition(theta) - float(np.dot(theta, phi))
+
+
 @dataclass
 class TradeRecord:
     """One executed trade: portfolio, cost, and the states it bridged."""
@@ -107,7 +112,6 @@ class Market:
         self.n_trades = int(n_trades)
         self.revenue = float(revenue)
         self.log_path = log_path
-        self.trades: list[TradeRecord] = []
 
     # ------------------------------------------------------------------
     # Read-only views
@@ -149,8 +153,7 @@ class Market:
         """
         if self.inv_liquidity != 1.0:
             raise DomainError("log_loss requires inv_liquidity == 1")
-        phi = self.family.statistic(x)
-        return self.family.log_partition(self.theta) - float(np.dot(self.theta, phi))
+        return log_loss(self.family, self.theta, self.family.statistic(x))
 
     def state_dict(self) -> dict:
         """JSON-ready snapshot of the persistent market state."""
@@ -198,7 +201,6 @@ class Market:
         self.theta = record.theta_after
         self.n_trades += 1
         self.revenue += cost
-        self.trades.append(record)
         if self.log_path is not None:
             with open(self.log_path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")

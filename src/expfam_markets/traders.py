@@ -40,42 +40,48 @@ is pure given (market, profile) snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log
 
 import numpy as np
 
 from .errors import DomainError
 from .families import Categorical, ExpFamily, as_params
-from .market import Market, TradeRecord
+from .market import Market, TradeRecord, log_loss
 
 
 @dataclass
 class TraderProfile:
-    """A trader's belief, risk posture, and running account.
+    """A trader's behavior model, belief, risk posture, and running account.
 
-    ``budget=None`` means unlimited.  ``holdings`` accumulates unsettled
-    purchases (used to form the effective belief on market re-entry);
-    ``cash`` is the cumulative net cash flow from trades and settlements.
+    A ``bayesian`` trader has no ``belief_theta``; it trades on the mean
+    ``sample_mean`` of its ``sample_size`` points.  ``budget=None`` means
+    unlimited.  ``holdings`` accumulates unsettled purchases (used to form
+    the effective belief on market re-entry); ``cash`` is the cumulative
+    net cash flow from trades and settlements.
     """
 
     id: str
-    belief_theta: np.ndarray
+    belief_theta: np.ndarray | None
     risk_aversion: float = 0.0
     budget: float | None = None
-    holdings: np.ndarray = field(default=None)  # type: ignore[assignment]
+    holdings: np.ndarray | None = None
     cash: float = 0.0
+    model: str = "exp-utility"
+    sample_mean: np.ndarray | None = None
+    sample_size: float = 1.0
 
     def __post_init__(self):
-        self.belief_theta = np.atleast_1d(np.asarray(self.belief_theta, dtype=float))
-        if self.risk_aversion < 0.0:
+        if self.belief_theta is not None:
+            self.belief_theta = np.atleast_1d(np.asarray(self.belief_theta, dtype=float))
+        if not self.risk_aversion >= 0.0:
             raise DomainError(f"risk_aversion must be nonnegative, got {self.risk_aversion}")
-        if self.budget is not None and self.budget < 0.0:
+        if self.budget is not None and not self.budget >= 0.0:
             raise DomainError(f"budget must be nonnegative, got {self.budget}")
-        if self.holdings is None:
-            self.holdings = np.zeros_like(self.belief_theta)
-        else:
+        if self.holdings is not None:
             self.holdings = np.atleast_1d(np.asarray(self.holdings, dtype=float))
+        elif self.belief_theta is not None:
+            self.holdings = np.zeros_like(self.belief_theta)
 
 
 @dataclass
@@ -100,10 +106,10 @@ def risk_neutral_trade(market: Market, belief_mu) -> np.ndarray:
     """Portfolio moving prices to ``belief_mu``: buy to the belief's shares.
 
     With inverse liquidity ``lam`` the target share vector is the belief's
-    natural parameter divided by ``lam``.
+    natural parameter divided by ``lam``: the exponential-utility trade at
+    zero risk aversion.
     """
-    target = market.family.natural_from_mean(belief_mu) / market.inv_liquidity
-    return target - market.theta
+    return _exp_utility_move(market, market.family.natural_from_mean(belief_mu), 0.0)
 
 
 def bayes_update(prior: ConjugatePriorState, sample_mean, sample_size: float) -> ConjugatePriorState:
@@ -180,9 +186,11 @@ def exp_utility_trade(market: Market, trader: TraderProfile) -> np.ndarray:
     is the risk-neutral trade; growing ``a`` shrinks the move toward the
     current state.
     """
-    fam = market.family
-    a = trader.risk_aversion
-    theta_hat = fam.check_natural(trader.belief_theta)
+    theta_hat = market.family.check_natural(trader.belief_theta)
+    return _exp_utility_move(market, theta_hat, trader.risk_aversion)
+
+
+def _exp_utility_move(market: Market, theta_hat: np.ndarray, a: float) -> np.ndarray:
     lam = market.inv_liquidity
     return (theta_hat - lam * market.theta) / (lam + a)
 
@@ -201,23 +209,16 @@ def effective_belief(family: ExpFamily, trader: TraderProfile) -> np.ndarray:
 def _unconstrained_move(market: Market, trader: TraderProfile) -> np.ndarray:
     """The move the trader would make with no budget in the way.
 
-    The target state is the belief, or the exponential-utility compromise
-    when ``risk_aversion > 0``.  For the categorical family the move is
+    This is the exponential-utility trade (the move to the belief when
+    ``risk_aversion = 0``).  For the categorical family the move is
     shifted along the all-ones gauge direction so its smallest component is
     exactly zero: the shifted move reaches an equivalent representation of
     the same target distribution, but is a pure purchase -- it costs at
     least zero and pays at least zero at every outcome, which is what lets
     a budget cap keep the trader's budget from ever going negative.
     """
-    fam = market.family
-    theta_hat = fam.check_natural(trader.belief_theta)
-    a = trader.risk_aversion
-    if a > 0.0:
-        target = (theta_hat + a * market.theta) / (1.0 + a)
-    else:
-        target = theta_hat
-    move = target - market.theta
-    if isinstance(fam, Categorical):
+    move = exp_utility_trade(market, trader)
+    if isinstance(market.family, Categorical):
         move = move - np.min(move)
     return move
 
@@ -226,7 +227,8 @@ def budget_limited_trade(market: Market, trader: TraderProfile) -> np.ndarray:
     """Largest affordable fraction of the trader's desired move.
 
     With desired move ``move`` (see ``_unconstrained_move``) and budget
-    ``alpha``, the trade is ``f * move`` with
+    ``alpha`` (zero when underwater: such a trader can still afford
+    zero-or-negative-cost moves), the trade is ``f * move`` with
 
         f = 1                     if quoting the full move costs <= alpha
         f = alpha / move_cost     otherwise.
@@ -240,7 +242,7 @@ def budget_limited_trade(market: Market, trader: TraderProfile) -> np.ndarray:
         raise DomainError("budget_limited_trade requires inv_liquidity == 1")
     move = _unconstrained_move(market, trader)
     move_cost = market.quote(move)
-    alpha = trader.budget
+    alpha = None if trader.budget is None else max(0.0, trader.budget)
     if alpha is None or move_cost <= alpha:
         return move
     if alpha == 0.0:
@@ -264,11 +266,8 @@ def myopic_impact(market: Market, record: TradeRecord, x) -> float:
     """
     if market.inv_liquidity != 1.0:
         raise DomainError("myopic_impact requires inv_liquidity == 1")
-    fam = market.family
-    phi = fam.statistic(x)
-    loss_before = fam.log_partition(record.theta_before) - float(np.dot(record.theta_before, phi))
-    loss_after = fam.log_partition(record.theta_after) - float(np.dot(record.theta_after, phi))
-    return loss_before - loss_after
+    phi = market.family.statistic(x)
+    return log_loss(market.family, record.theta_before, phi) - log_loss(market.family, record.theta_after, phi)
 
 
 def _centered(family: ExpFamily, vec: np.ndarray) -> np.ndarray:

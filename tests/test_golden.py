@@ -117,9 +117,9 @@ GOLDEN_DIGESTS = {
         "trade_log": None,
     },
     "budget-limited-risk-averse": {
-        "json": "aa0e6670f4fba41884c8149b8927b62c92dfc3178966d4d59a0ed6b94243dda7",
-        "csv": "f3fd604b833bcec48a2086b9dc86f1f96db611f2b27060f15f7f22736a866aea",
-        "trade_log": "6f9ee003fff5e03557038a09aa5eabbe8d75a78870a31dbb508e43c1ee3515a7",
+        "json": "2b4cc99689ecc71705a59cbca84076ac3bdc9fe85e41ba6359dc79774b2f5a04",
+        "csv": "d50033ada74164f089a071a7c27b6a4150008a865e090c3906b67e6e6dcae2d7",
+        "trade_log": "199d053e5ea68795177c44d9734a6f1819d620b14eeb9f284f650c3bf97e7c49",
     },
     "categorical-fixed-sequence": {
         "json": "17cbc3c4bf3ea5c9e9d2598f75a4861e39123f7a78c9da70675c4368c22e1619",
@@ -132,9 +132,9 @@ GOLDEN_DIGESTS = {
         "trade_log": "87351f1eea93041f8fcc85ab8f5dd40c1aa4207ed9e4ff84067bff7c56d9c195",
     },
     "gaussian-inv-liquidity": {
-        "json": "d7f04a33a0031f25a71b06d362c1d1960efd40688212016748552f713478d309",
-        "csv": "3948093371f31fd60b15d27f86759a0616d2e70137cc24f045fae1a190afbb55",
-        "trade_log": "cef17081eb3da48d20338dae3687abb88512fbfd2348da1549c554e4aedb0494",
+        "json": "e447370cc162a358adc354713cfbbe68c993d7257648d508fd7ff5c389e0d265",
+        "csv": "9032d17a49d1a1bdaee66fe4ca3d81bf44e6f23c578aaa26d8a8f4f8a2e126e3",
+        "trade_log": "8d408d60407c1dd5cf246974b3236eba780c2b4d230ed34a9f6ed7f4d04f0f34",
     },
     "weibull-round-robin": {
         "json": "9dc28984138d4386a6df370b2fe9d715a2e728e5e2fae4a5978e25b2d23416cb",

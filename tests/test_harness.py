@@ -79,6 +79,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             SimConfig.from_dict(base_config(**corrupt))
 
+    def test_risk_neutral_ignores_risk_aversion(self):
+        cfg = base_config(traders=[{"id": "alice", "model": "risk-neutral", "risk_aversion": 3.0,
+                                    "belief": {"probs": [0.7, 0.3]}}])
+        config = SimConfig.from_dict(cfg)
+        assert config.traders[0].risk_aversion == 0.0
+        plain = SimConfig.from_dict(base_config())
+        assert run_simulation(config).to_json() == run_simulation(plain).to_json()
+
     def test_missing_key_rejected(self):
         cfg = base_config()
         del cfg["theta0"]
@@ -217,6 +225,14 @@ class TestDeterminismAndReset:
         a = run_simulation(SimConfig.from_dict(cfg)).to_json()
         b = run_simulation(SimConfig.from_dict(cfg)).to_json()
         assert a == b
+
+    def test_rerunning_one_config_is_byte_identical(self):
+        config = SimConfig.from_dict(base_config(rounds=25, traders=[
+            {"id": "a", "model": "budget-limited", "budget": 0.5, "belief": {"probs": [0.7, 0.3]}},
+        ]))
+        first = run_simulation(config).to_json()
+        assert (config.traders[0].budget, config.traders[0].cash) == (0.5, 0.0)
+        assert run_simulation(config).to_json() == first
 
     def test_different_seeds_differ(self):
         a = run_simulation(SimConfig.from_dict(base_config(rounds=25, seed=1))).to_json()

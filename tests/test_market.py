@@ -137,11 +137,11 @@ class TestExecute:
     def test_failed_execute_leaves_state_unchanged(self):
         market = Market(EXPO, -1.0)
         market.execute(0.25)
-        before = (market.theta.copy(), market.n_trades, market.revenue, len(market.trades))
+        before = (market.theta.copy(), market.n_trades, market.revenue)
         with pytest.raises(DomainError):
             market.execute(5.0)
         assert np.array_equal(market.theta, before[0])
-        assert (market.n_trades, market.revenue, len(market.trades)) == before[1:]
+        assert (market.n_trades, market.revenue) == before[1:]
 
     def test_revenue_is_sum_of_costs(self):
         rng = np.random.default_rng(11)
