@@ -64,6 +64,14 @@ def _parse_json_value(text: str, what: str):
         raise ConfigError(f"{what}: invalid JSON {text!r} ({exc})") from exc
 
 
+def _parse_delta(text: str) -> np.ndarray:
+    value = _parse_json_value(text, "--delta")
+    try:
+        return np.atleast_1d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"--delta: not a numeric vector: {text!r}") from exc
+
+
 def _cmd_score(args) -> int:
     try:
         family = family_from_id(args.family)
@@ -80,15 +88,13 @@ def _cmd_score(args) -> int:
 
 def _cmd_quote(args) -> int:
     market = load_state(args.market)
-    delta = np.atleast_1d(np.asarray(_parse_json_value(args.delta, "--delta"), dtype=float))
-    print(repr(market.quote(delta)))
+    print(repr(market.quote(_parse_delta(args.delta))))
     return 0
 
 
 def _cmd_trade(args) -> int:
     market = load_state(args.market, log_path=args.log)
-    delta = np.atleast_1d(np.asarray(_parse_json_value(args.delta, "--delta"), dtype=float))
-    record = market.execute(delta, trader_id=args.trader)
+    record = market.execute(_parse_delta(args.delta), trader_id=args.trader)
     save_state(market, args.market)
     print(json.dumps(record.to_dict(), sort_keys=True))
     return 0

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,6 +54,13 @@ TRADER_MODELS = ("risk-neutral", "bayesian", "exp-utility", "budget-limited")
 # ----------------------------------------------------------------------
 # Configuration
 # ----------------------------------------------------------------------
+
+def _number(value, where: str) -> float:
+    """A finite JSON number as a float; raises ConfigError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
 
 def parse_mean_params(family: ExpFamily, value, where: str) -> np.ndarray:
     """Parse a family-appropriate mean description into a raw mean vector.
@@ -79,7 +87,9 @@ def parse_mean_params(family: ExpFamily, value, where: str) -> np.ndarray:
         else:
             mean = np.atleast_1d(np.asarray(value, dtype=float))
         return family.check_mean(mean, margin=0.0)
-    except (DomainError, TypeError, KeyError) as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -96,7 +106,9 @@ def parse_belief_theta(family: ExpFamily, value, where: str) -> np.ndarray:
         if isinstance(value, dict):
             return family.natural_from_mean(parse_mean_params(family, value, where))
         return family.check_natural(value)
-    except (DomainError, TypeError) as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -129,7 +141,7 @@ class SimConfig:
         if isinstance(family, VonMisesFisher3):
             raise ConfigError("vmf3 outcomes cannot be sampled; simulation unsupported")
 
-        lam = float(raw.get("inv_liquidity", 1.0))
+        lam = _number(raw.get("inv_liquidity", 1.0), "inv_liquidity")
         if not lam > 0.0:
             raise ConfigError(f"inv_liquidity must be positive, got {lam}")
 
@@ -139,16 +151,20 @@ class SimConfig:
             true_theta = family.check_natural(raw["true_theta"])
         except KeyError as exc:
             raise ConfigError(f"config is missing {exc}") from exc
-        except DomainError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
         rounds = raw.get("rounds")
-        if not isinstance(rounds, int) or rounds < 1:
+        if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 1:
             raise ConfigError(f"rounds must be a positive integer, got {rounds!r}")
 
         seed = raw.get("seed")
-        if seed is not None and not isinstance(seed, int):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+
+        state_reset = raw.get("state_reset", False)
+        if not isinstance(state_reset, bool):
+            raise ConfigError(f"state_reset must be true or false, got {state_reset!r}")
 
         arrival = raw.get("arrival", "round-robin")
         if arrival not in ("round-robin", "fixed-sequence"):
@@ -172,12 +188,12 @@ class SimConfig:
             model = td.get("model")
             if model not in TRADER_MODELS:
                 raise ConfigError(f"{where}: model must be one of {TRADER_MODELS}, got {model!r}")
-            risk_aversion = float(td.get("risk_aversion", 0.0))
+            risk_aversion = _number(td.get("risk_aversion", 0.0), f"{where}: risk_aversion")
             if risk_aversion < 0.0:
                 raise ConfigError(f"{where}: risk_aversion must be nonnegative")
             budget = td.get("budget")
             if budget is not None:
-                budget = float(budget)
+                budget = _number(budget, f"{where}: budget")
                 if budget < 0.0:
                     raise ConfigError(f"{where}: budget must be nonnegative")
             belief = None
@@ -186,7 +202,7 @@ class SimConfig:
                 if not isinstance(sample, dict) or "mean" not in sample:
                     raise ConfigError(f"{where}: bayesian trader needs sample: {{mean, size}}")
                 sample_mean = parse_mean_params(family, sample["mean"], f"{where}.sample.mean")
-                sample_size = float(sample.get("size", 1.0))
+                sample_size = _number(sample.get("size", 1.0), f"{where}: sample size")
                 if not sample_size > 0.0:
                     raise ConfigError(f"{where}: sample size must be positive")
                 if lam != 1.0:
@@ -207,6 +223,8 @@ class SimConfig:
             ))
 
         sequence = raw.get("sequence", [tr.id for tr in traders])
+        if not isinstance(sequence, list) or not all(isinstance(tid, str) for tid in sequence):
+            raise ConfigError(f"sequence must be a list of trader ids, got {sequence!r}")
         if arrival == "fixed-sequence":
             unknown = [tid for tid in sequence if tid not in seen]
             if unknown:
@@ -217,7 +235,7 @@ class SimConfig:
         return cls(
             family=family, theta0=theta0, rounds=rounds, true_theta=true_theta,
             traders=traders, seed=seed, inv_liquidity=lam, arrival=arrival,
-            sequence=list(sequence), state_reset=bool(raw.get("state_reset", False)),
+            sequence=list(sequence), state_reset=state_reset,
         )
 
 

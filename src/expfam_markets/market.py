@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CorruptLogError, DomainError
 from .families import ExpFamily, as_params, family_from_id
 
 TRADE_MARGIN = 1e-9
@@ -240,11 +240,15 @@ def load_state(path: str, log_path: str | None = None) -> Market:
 
 
 def read_trade_log(path: str) -> list[TradeRecord]:
-    """Parse a JSON-lines trade log."""
+    """Parse a JSON-lines trade log; raises CorruptLogError at an unreadable line."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 records.append(TradeRecord.from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CorruptLogError(line_number, f"unreadable record ({type(exc).__name__}: {exc})") from exc
     return records

@@ -316,5 +316,6 @@ def expected_profit_bound(market: Market, trader: TraderProfile, delta) -> tuple
     divergence_end = fam.bregman_divergence(theta + delta, theta_hat)
     expected_profit = divergence_start - divergence_end
     bound = fraction * divergence_start
-    assert expected_profit >= bound - 1e-9 and bound >= -1e-12
+    if not (expected_profit >= bound - 1e-9 and bound >= -1e-12):
+        raise DomainError(f"expected profit {expected_profit} violates its lower bound {bound}")
     return expected_profit, bound

@@ -8,11 +8,13 @@ implementations are checked against an independent path.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import expfam_markets
 from expfam_markets.families import (
     Categorical,
     ExpFamily,
@@ -32,6 +34,12 @@ ALL_FAMILY_IDS = (
 )
 
 SAMPLEABLE_FAMILY_IDS = tuple(fid for fid in ALL_FAMILY_IDS if fid != "vmf3")
+
+
+def subprocess_env() -> dict:
+    """Environment for a child Python that imports this same package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(expfam_markets.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 @pytest.fixture(params=ALL_FAMILY_IDS)

@@ -2,10 +2,13 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import subprocess_env
 from expfam_markets import Market, family_from_id, save_state
 from expfam_markets.cli import SEED_ENV_VAR, main
 
@@ -90,6 +93,13 @@ class TestQuoteAndTrade:
         with open(log) as fh:
             assert len(fh.read().splitlines()) == 1
 
+    def test_non_numeric_delta_is_config_error(self, tmp_path, capsys):
+        path = self.setup_state(tmp_path)
+        before = open(path).read()
+        assert main(["trade", "--market", path, "--delta", '[1, "x"]']) == 2
+        assert main(["quote", "--market", path, "--delta", '{"a": 1}']) == 2
+        assert open(path).read() == before
+
     def test_failed_trade_leaves_state_file(self, tmp_path, capsys):
         path = self.setup_state(tmp_path)
         before = open(path).read()
@@ -148,6 +158,16 @@ class TestSimulate:
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 2
 
+    def test_bad_config_value_exits_2_without_traceback(self, tmp_path):
+        path = write_json(tmp_path / "sim.json", sim_config(seed=-1))
+        proc = subprocess.run(
+            [sys.executable, "-m", "expfam_markets.cli", "simulate", "--config", path,
+             "--out", str(tmp_path / "r.json")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_aborted_run_writes_partial_report_and_exits_3(self, tmp_path, capsys):
         cfg = sim_config()
         cfg["traders"] = [
@@ -188,6 +208,20 @@ class TestReplayCommand:
                             Market(family_from_id("categorical:2"), [0.0, 0.0]).state_dict())
         assert main(["replay", "--log", log, "--state0", state0]) == 3
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_line", ["{not json", '{"round": 1, "trader_id": "a"}'])
+    def test_unreadable_log_line_exit_code(self, tmp_path, capsys, bad_line):
+        cfg = write_json(tmp_path / "sim.json", sim_config())
+        log = str(tmp_path / "trades.jsonl")
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.json"), "--trade-log", log])
+        lines = open(log).read().splitlines()
+        lines[1] = bad_line
+        open(log, "w").write("\n".join(lines) + "\n")
+        state0 = write_json(tmp_path / "s0.json",
+                            Market(family_from_id("categorical:2"), [0.0, 0.0]).state_dict())
+        capsys.readouterr()
+        assert main(["replay", "--log", log, "--state0", state0]) == 3
+        assert "trade log line 2" in capsys.readouterr().err
 
 
 class TestEquilibriumCommand:

@@ -74,6 +74,23 @@ class TestConfigParsing:
         {"inv_liquidity": 0.0},
         {"traders": [{"id": "a", "model": "risk-neutral",
                       "belief": {"probs": [0.7, 0.3]}, "budget": -1.0}]},
+        {"seed": -1},
+        {"inv_liquidity": "x"},
+        {"traders": [{"id": "a", "model": "exp-utility", "risk_aversion": "abc",
+                      "belief": {"probs": [0.7, 0.3]}}]},
+        {"traders": [{"id": "a", "model": "budget-limited", "budget": "x",
+                      "belief": {"probs": [0.7, 0.3]}}]},
+        {"traders": [{"id": "a", "model": "risk-neutral", "belief": {"probs": "ab"}}]},
+        {"traders": [{"id": "a", "model": "exp-utility", "risk_aversion": math.nan,
+                      "belief": {"probs": [0.7, 0.3]}}]},
+        {"traders": [{"id": "a", "model": "budget-limited", "budget": math.nan,
+                      "belief": {"probs": [0.7, 0.3]}}]},
+        {"rounds": True},
+        {"sequence": "a"},
+        {"state_reset": "false"},
+        {"theta0": "x"},
+        {"traders": [{"id": "b", "model": "bayesian",
+                      "sample": {"mean": {"probs": [0.7, 0.3]}, "size": "x"}}]},
     ])
     def test_invalid_configs_rejected(self, corrupt):
         with pytest.raises(ConfigError):

@@ -1,11 +1,14 @@
 """Trader-model contracts: optimal trades, Bayesian updates, budgets, impacts."""
 
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from conftest import random_natural
+from conftest import random_natural, subprocess_env
 from expfam_markets import (
     ConjugatePriorState,
     DomainError,
@@ -507,3 +510,25 @@ class TestExpectedProfitBound:
         delta = budget_limited_trade(market, trader)
         profit, bound = expected_profit_bound(market, trader, delta)
         assert profit >= bound >= 0.0
+
+    def test_bound_violation_raises_under_python_optimize(self):
+        # The bound check guards results, so it must survive ``python -O``,
+        # which strips asserts.  A patched divergence forces a violation.
+        code = textwrap.dedent("""
+            import numpy as np
+            from expfam_markets import DomainError, Market, TraderProfile, expected_profit_bound
+            from expfam_markets.families import ExponentialRate
+            divergences = iter([1.0, 5.0])
+            ExponentialRate.bregman_divergence = lambda self, a, b: next(divergences)
+            market = Market(ExponentialRate(), -1.0)
+            trader = TraderProfile(id="t", belief_theta=-0.5)
+            print("debug", __debug__)
+            try:
+                expected_profit_bound(market, trader, np.array([0.25]))
+            except DomainError:
+                print("DomainError")
+        """)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=subprocess_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["debug", "False", "DomainError"]
