@@ -77,8 +77,6 @@ class ExpFamily(ABC):
     """
 
     dim: int
-    outcome_space: str
-    base_measure: str
 
     @property
     @abstractmethod
@@ -204,9 +202,6 @@ class Categorical(ExpFamily):
     to zero.
     """
 
-    outcome_space = "finite"
-    base_measure = "counting"
-
     def __init__(self, k: int):
         k = int(k)
         if k < 2:
@@ -264,8 +259,6 @@ class WeibullMoment(ExpFamily):
     shape ``k`` and scale ``(-1/theta)**(1/k)``.
     """
 
-    outcome_space = "nonneg-reals"
-    base_measure = "lebesgue-nonneg"
     dim = 1
 
     def __init__(self, k: float = 1.0):
@@ -328,8 +321,6 @@ class GaussianMoments(ExpFamily):
     realizable set requires positive variance ``mu2 - mu1**2 > 0``.
     """
 
-    outcome_space = "reals"
-    base_measure = "lebesgue-reals"
     dim = 2
 
     @property
@@ -410,8 +401,6 @@ class VonMisesFisher3(ExpFamily):
     supported.
     """
 
-    outcome_space = "unit-sphere-in-3d"
-    base_measure = "sphere-surface"
     dim = 3
 
     _SERIES_CUTOFF = 1e-4

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
 from .families import ExpFamily, VonMisesFisher3, family_from_id
-from .market import TRADE_MARGIN, Market, TradeRecord, log_loss, payoff
+from .market import TRADE_MARGIN, Market, TradeRecord, log_loss
 from .scoring import moments_from_mean_variance
 from .traders import (
     TraderProfile,
@@ -384,9 +384,9 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
         # Settle: each trade's payoff minus cost is the trader's budget
         # change and the trade's myopic impact on the market's log loss.
         settled = []
-        phi = family.statistic(outcome)
+        phi = family._statistic(outcome)  # the sampler's own outcome needs no check
         for trader, record in staged:
-            change = payoff(family, record.delta, outcome) - record.cost
+            change = float(np.dot(record.delta, phi)) - record.cost
             trader.cash += change
             if trader.budget is not None:
                 trader.budget += change
@@ -397,7 +397,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                 loss_before = loss_after = None
             settled.append((trader, record, change, loss_before, loss_after))
         if track_loss:
-            total_log_loss += market.log_loss(outcome)
+            total_log_loss += log_loss(family, market.theta, phi)
 
         budgets = {tr.id: tr.budget for tr in traders}
         for trader, record, change, loss_before, loss_after in settled:
@@ -441,9 +441,9 @@ def replay(records: list[TradeRecord], state0: Market | dict) -> Market:
     Every record's pre-trade state must match the running state exactly
     (a jump back to the initial share vector is accepted, covering
     state-reset simulations), its post-trade state must equal ``before +
-    delta``, and its cost must equal the recomputed quote bit-for-bit.
-    Returns the reconstructed market; raises CorruptLogError at the first
-    offending record.
+    delta``, and its cost must equal the cost of re-executing it bit for
+    bit.  Returns the reconstructed market; raises CorruptLogError at the
+    first offending record.
     """
     if isinstance(state0, Market):
         state0 = state0.state_dict()
@@ -458,12 +458,11 @@ def replay(records: list[TradeRecord], state0: Market | dict) -> Market:
         if not np.array_equal(record.theta_after, record.theta_before + record.delta):
             raise CorruptLogError(line, "post-trade state does not equal pre-trade state plus delta")
         try:
-            expected_cost = market.quote(record.delta)
+            cost = market.execute(record.delta, trader_id=record.trader_id, round_index=record.round_index).cost
         except DomainError as exc:
             raise CorruptLogError(line, f"recorded trade is not executable: {exc}") from exc
-        if expected_cost != record.cost:
-            raise CorruptLogError(line, f"recorded cost {record.cost!r} != recomputed {expected_cost!r}")
-        market.execute(record.delta, trader_id=record.trader_id, round_index=record.round_index)
+        if cost != record.cost:
+            raise CorruptLogError(line, f"recorded cost {record.cost!r} != recomputed {cost!r}")
     return market
 
 

@@ -17,7 +17,9 @@ The share vector must stay strictly inside the cost function's domain.  In
 exact arithmetic the blow-up of ``C`` at the boundary self-enforces this
 (no finite-budget trader buys an infinite-cost portfolio), but in floating
 point we reject trades that move ``lam * theta`` within ``1e-9`` of the
-boundary outright.
+boundary outright.  Only ``Market.__init__``, ``execute`` and ``reset_theta``
+store the share vector, and each checks it, so pricing and settlement
+evaluate the family kernels on it unchecked.
 
 One market instance is single-writer: ``execute`` requires exclusive
 access, while ``quote``/``prices``/``log_loss`` are read-only and may run
@@ -45,9 +47,9 @@ def payoff(family: ExpFamily, delta, x) -> float:
     return float(np.dot(delta, family.statistic(x)))
 
 
-def log_loss(family: ExpFamily, theta, phi) -> float:
-    """Log loss ``T(theta) - <theta, phi>`` of an outcome with statistic ``phi``."""
-    return family.log_partition(theta) - float(np.dot(theta, phi))
+def log_loss(family: ExpFamily, theta: np.ndarray, phi: np.ndarray) -> float:
+    """Log loss ``T(theta) - <theta, phi>`` at an interior (unchecked) ``theta``, statistic ``phi``."""
+    return float(family._log_partition(theta)) - float(np.dot(theta, phi))
 
 
 @dataclass
@@ -125,7 +127,7 @@ class Market:
 
     def prices(self) -> np.ndarray:
         """Instantaneous security prices: the mean parameters at ``lam * theta``."""
-        return self.family.mean_from_natural(self.inv_liquidity * self.theta)
+        return self.family._mean(self.inv_liquidity * self.theta)
 
     def quote(self, delta) -> float:
         """Cost of buying ``delta`` now, without trading.
@@ -138,11 +140,7 @@ class Market:
         target = self.theta + delta
         lam = self.inv_liquidity
         self.family.check_natural(lam * target, margin=TRADE_MARGIN)
-        return self.family.log_partition(lam * target) / lam - self.family.log_partition(lam * self.theta) / lam
-
-    def payoff(self, delta, x) -> float:
-        """Payout of ``delta`` at outcome ``x``."""
-        return payoff(self.family, delta, x)
+        return float(self.family._log_partition(lam * target) / lam - self.family._log_partition(lam * self.theta) / lam)
 
     def log_loss(self, x) -> float:
         """Prediction loss ``C(theta) - <theta, phi(x)>`` of the current state.

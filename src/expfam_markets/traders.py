@@ -266,8 +266,10 @@ def myopic_impact(market: Market, record: TradeRecord, x) -> float:
     """
     if market.inv_liquidity != 1.0:
         raise DomainError("myopic_impact requires inv_liquidity == 1")
-    phi = market.family.statistic(x)
-    return log_loss(market.family, record.theta_before, phi) - log_loss(market.family, record.theta_after, phi)
+    fam = market.family
+    before, after = fam.check_natural(record.theta_before), fam.check_natural(record.theta_after)
+    phi = fam.statistic(x)
+    return log_loss(fam, before, phi) - log_loss(fam, after, phi)
 
 
 def _centered(family: ExpFamily, vec: np.ndarray) -> np.ndarray:

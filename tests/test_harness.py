@@ -13,6 +13,7 @@ from expfam_markets import (
     Market,
     SimConfig,
     SimReport,
+    TradeRecord,
     emit_report,
     family_from_id,
     read_trade_log,
@@ -325,6 +326,15 @@ class TestReplay:
         with pytest.raises(CorruptLogError) as err:
             replay(records, state0)
         assert err.value.line_number == 4
+
+    def test_unexecutable_record_detected(self):
+        fam = family_from_id("exponential-rate")
+        good = Market(fam, -1.0).execute(-0.5, round_index=1)
+        # Consistent states, but the move leaves the domain theta < 0.
+        bad = TradeRecord(2, "b", np.array([2.0]), 0.0, good.theta_after, good.theta_after + 2.0)
+        with pytest.raises(CorruptLogError, match="not executable") as err:
+            replay([good, bad], Market(fam, -1.0))
+        assert err.value.line_number == 2
 
 
 class TestEmitReport:

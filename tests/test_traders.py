@@ -403,6 +403,14 @@ class TestMyopicImpact:
         expected = math.log(2.0) - (math.log(math.e + 1.0) - 1.0)
         assert myopic_impact(market, record, 1) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("field", ["theta_before", "theta_after"])
+    def test_record_outside_domain_rejected(self, field):
+        market = Market(EXPO, -1.0)
+        record = market.execute(-0.5)
+        setattr(record, field, np.array([0.5]))
+        with pytest.raises(DomainError):
+            myopic_impact(market, record, 1.0)
+
     def test_equals_payoff_minus_cost(self, family):
         if family.id == "vmf3":
             pytest.skip("no outcome sampler for vmf3")
