@@ -46,6 +46,7 @@ sampling uses a caller-owned ``numpy.random.Generator``.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -66,6 +67,13 @@ def as_params(value, dim: int, name: str = "params") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite, got {arr}")
     return arr
+
+
+def _real_outcome(family: "ExpFamily", x) -> float:
+    """``x`` as a float if it is a real number (not a bool); else DomainError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise DomainError(f"{family.id}: outcome must be a real number, got {x!r}")
+    return float(x)
 
 
 class ExpFamily(ABC):
@@ -220,10 +228,10 @@ class Categorical(ExpFamily):
         return bool(np.all(mu >= margin) and abs(float(np.sum(mu)) - 1.0) <= 1e-9)
 
     def check_outcome(self, x):
-        xi = int(x)
-        if xi != x or not (1 <= xi <= self.k):
+        xf = _real_outcome(self, x)
+        if not (xf.is_integer() and 1 <= xf <= self.k):
             raise DomainError(f"{self.id}: outcome must be an integer in 1..{self.k}, got {x!r}")
-        return xi
+        return int(xf)
 
     def _log_partition(self, theta) -> float:
         m = float(np.max(theta))
@@ -278,7 +286,7 @@ class WeibullMoment(ExpFamily):
         return bool(mu[0] >= margin)
 
     def check_outcome(self, x):
-        xf = float(x)
+        xf = _real_outcome(self, x)
         if not math.isfinite(xf) or xf < 0.0:
             raise DomainError(f"{self.id}: outcome must be a nonnegative real, got {x!r}")
         return xf
@@ -334,7 +342,7 @@ class GaussianMoments(ExpFamily):
         return bool(mu[1] - mu[0] ** 2 >= margin)
 
     def check_outcome(self, x):
-        xf = float(x)
+        xf = _real_outcome(self, x)
         if not math.isfinite(xf):
             raise DomainError(f"{self.id}: outcome must be a finite real, got {x!r}")
         return xf
@@ -416,8 +424,11 @@ class VonMisesFisher3(ExpFamily):
         return bool(float(np.linalg.norm(mu)) <= 1.0 - margin)
 
     def check_outcome(self, x):
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (3,) or not np.all(np.isfinite(arr)):
+        values = x.tolist() if isinstance(x, np.ndarray) else x
+        if not isinstance(values, (list, tuple)) or len(values) != 3:
+            raise DomainError(f"{self.id}: outcome must be a finite 3-vector, got {x!r}")
+        arr = np.array([_real_outcome(self, v) for v in values])
+        if not np.all(np.isfinite(arr)):
             raise DomainError(f"{self.id}: outcome must be a finite 3-vector, got {x!r}")
         if abs(float(np.linalg.norm(arr)) - 1.0) > 1e-8:
             raise DomainError(f"{self.id}: outcome must lie on the unit sphere, got norm {np.linalg.norm(arr)}")

@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import csv
 import json
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
 from .families import ExpFamily, VonMisesFisher3, family_from_id
-from .market import TRADE_MARGIN, Market, TradeRecord, log_loss
+from .market import TRADE_MARGIN, Market, TradeRecord, _number, log_loss
 from .scoring import moments_from_mean_variance
 from .traders import (
     TraderProfile,
@@ -54,13 +53,6 @@ TRADER_MODELS = ("risk-neutral", "bayesian", "exp-utility", "budget-limited")
 # ----------------------------------------------------------------------
 # Configuration
 # ----------------------------------------------------------------------
-
-def _number(value, where: str) -> float:
-    """A finite JSON number as a float; raises ConfigError for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
-
 
 def parse_mean_params(family: ExpFamily, value, where: str) -> np.ndarray:
     """Parse a family-appropriate mean description into a raw mean vector.

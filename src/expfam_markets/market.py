@@ -30,15 +30,23 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptLogError, DomainError
+from .errors import ConfigError, CorruptLogError, DomainError
 from .families import ExpFamily, as_params, family_from_id
 
 TRADE_MARGIN = 1e-9
+
+
+def _number(value, where: str) -> float:
+    """A finite JSON number as a float; raises ConfigError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def payoff(family: ExpFamily, delta, x) -> float:
@@ -165,12 +173,27 @@ class Market:
 
     @classmethod
     def from_state_dict(cls, d: dict, log_path: str | None = None) -> "Market":
+        """Rebuild a market from a ``state_dict`` snapshot read from outside.
+
+        Raises ConfigError when the snapshot is not an object, lacks
+        ``family`` or ``theta``, or holds a non-numeric value; an unknown
+        family or an out-of-domain share vector raises DomainError.
+        """
+        if not isinstance(d, dict):
+            raise ConfigError(f"market state must be an object, got {type(d).__name__}")
+        for key in ("family", "theta"):
+            if key not in d:
+                raise ConfigError(f"market state is missing {key!r}")
+        theta = d["theta"] if isinstance(d["theta"], list) else [d["theta"]]
+        n_trades = d.get("n_trades", 0)
+        if isinstance(n_trades, bool) or not isinstance(n_trades, int):
+            raise ConfigError(f"market state n_trades must be an integer, got {n_trades!r}")
         return cls(
             family=family_from_id(d["family"]),
-            theta0=np.asarray(d["theta"], dtype=float),
-            inv_liquidity=float(d.get("inv_liquidity", 1.0)),
-            n_trades=int(d.get("n_trades", 0)),
-            revenue=float(d.get("revenue", 0.0)),
+            theta0=np.array([_number(v, "market state theta entry") for v in theta]),
+            inv_liquidity=_number(d.get("inv_liquidity", 1.0), "market state inv_liquidity"),
+            n_trades=n_trades,
+            revenue=_number(d.get("revenue", 0.0), "market state revenue"),
             log_path=log_path,
         )
 
@@ -232,9 +255,13 @@ def save_state(market: Market, path: str) -> None:
 
 
 def load_state(path: str, log_path: str | None = None) -> Market:
-    """Load a market from a JSON state file."""
+    """Load a market from a JSON state file; raises ConfigError when it is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
-        return Market.from_state_dict(json.load(fh), log_path=log_path)
+        try:
+            state = json.load(fh)
+        except ValueError as exc:  # invalid JSON or undecodable bytes
+            raise ConfigError(f"state {path}: invalid JSON ({exc})") from exc
+    return Market.from_state_dict(state, log_path=log_path)
 
 
 def read_trade_log(path: str) -> list[TradeRecord]:

@@ -60,6 +60,18 @@ class TestScore:
     def test_bad_report_json_is_config_error(self, capsys):
         assert main(["score", "--family", "exponential-rate", "--report", "oops", "--outcome", "1"]) == 2
 
+    @pytest.mark.parametrize("family,report,outcome", [
+        *[(fid, report, outcome)
+          for fid, report in [("categorical:2", "[0.5, 0.5]"), ("exponential-rate", "2.0"),
+                              ("gaussian-moments", '{"mean": 0.0, "variance": 1.0}')]
+          for outcome in ['"x"', "null", "[1]", "true", '"2.0"']],
+        *[("vmf3", "[0.0, 0.0, 0.5]", outcome)
+          for outcome in ['"x"', "null", "1.0", '["a", 0, 0]', '["1", "0", "0"]', "[true, false, false]"]],
+    ])
+    def test_non_numeric_outcome_is_domain_error(self, capsys, family, report, outcome):
+        assert main(["score", "--family", family, "--report", report, "--outcome", outcome]) == 3
+        assert "outcome" in capsys.readouterr().err
+
 
 class TestQuoteAndTrade:
     def setup_state(self, tmp_path):
@@ -99,6 +111,42 @@ class TestQuoteAndTrade:
         assert main(["trade", "--market", path, "--delta", '[1, "x"]']) == 2
         assert main(["quote", "--market", path, "--delta", '{"a": 1}']) == 2
         assert open(path).read() == before
+
+    @pytest.mark.parametrize("command", ["quote", "trade"])
+    @pytest.mark.parametrize("content", [
+        '{"theta": [0.0, 0.0]}',
+        '{"family": "categorical:2"}',
+        '{"family": "categorical:2", "theta": ["a", 0.0]}',
+        '{"family": "categorical:2", "theta": [0.0, 0.0], "n_trades": "x"}',
+        '{"family": "categorical:2", "theta": [0.0, 0.0], "inv_liquidity": "1"}',
+        '{"family": "categorical:2", "theta": [0.0, 0.0], "revenue": null}',
+        "[0.0, 0.0]",
+        "{not json",
+    ])
+    def test_malformed_state_file_is_config_error(self, tmp_path, capsys, command, content):
+        path = tmp_path / "state.json"
+        path.write_text(content)
+        assert main([command, "--market", str(path), "--delta", "[0.1, 0.0]"]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert path.read_text() == content
+
+    @pytest.mark.parametrize("content", [
+        '{"family": "zeta", "theta": [0.0]}',
+        '{"family": "exponential-rate", "theta": [1.0]}',
+    ])
+    def test_state_outside_domain_is_domain_error(self, tmp_path, capsys, content):
+        path = tmp_path / "state.json"
+        path.write_text(content)
+        assert main(["quote", "--market", str(path), "--delta", "0.1"]) == 3
+
+    def test_malformed_state_file_exits_2_without_traceback(self, tmp_path):
+        path = write_json(tmp_path / "state.json", {"theta": [0.0, 0.0]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "expfam_markets.cli", "quote", "--market", path, "--delta", "[0.1, 0.0]"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_failed_trade_leaves_state_file(self, tmp_path, capsys):
         path = self.setup_state(tmp_path)
@@ -208,6 +256,13 @@ class TestReplayCommand:
                             Market(family_from_id("categorical:2"), [0.0, 0.0]).state_dict())
         assert main(["replay", "--log", log, "--state0", state0]) == 3
         assert "line 3" in capsys.readouterr().err
+
+    def test_malformed_state0_is_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "sim.json", sim_config())
+        log = str(tmp_path / "trades.jsonl")
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.json"), "--trade-log", log])
+        state0 = write_json(tmp_path / "s0.json", {"family": "categorical:2"})
+        assert main(["replay", "--log", log, "--state0", state0]) == 2
 
     @pytest.mark.parametrize("bad_line", ["{not json", '{"round": 1, "trader_id": "a"}'])
     def test_unreadable_log_line_exit_code(self, tmp_path, capsys, bad_line):

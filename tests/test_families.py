@@ -221,6 +221,14 @@ class TestDensities:
         with pytest.raises(DomainError):
             vmf.log_density([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
 
+    def test_numpy_scalar_outcomes_accepted(self):
+        cat = family_from_id("categorical:3")
+        assert cat.check_outcome(np.int64(2)) == 2 and type(cat.check_outcome(np.float64(3.0))) is int
+        assert family_from_id("exponential-rate").check_outcome(np.float32(0.5)) == 0.5
+        assert family_from_id("gaussian-moments").check_outcome(np.int32(-1)) == -1.0
+        outcome = family_from_id("vmf3").check_outcome(np.array([0.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(outcome, [0.0, 0.0, 1.0])
+
 
 class TestBregman:
     def test_exponential_worked_value(self):
