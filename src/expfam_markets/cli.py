@@ -42,19 +42,10 @@ from .harness import (
     replay,
     run_simulation,
 )
-from .market import load_state, read_trade_log, save_state
+from .market import _number, load_state, read_json, read_trade_log, save_state
 from .scoring import log_score
 
 SEED_ENV_VAR = "EXPFAM_MARKETS_SEED"
-
-
-def _load_json_file(path: str, what: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path}: invalid JSON ({exc})") from exc
 
 
 def _parse_json_value(text: str, what: str):
@@ -113,8 +104,9 @@ def _resolve_seed(args, raw_config: dict) -> int | None:
 
 
 def _cmd_simulate(args) -> int:
-    raw = _load_json_file(args.config, "config")
-    raw["seed"] = _resolve_seed(args, raw)
+    raw = read_json(args.config, "config")
+    if isinstance(raw, dict):  # anything else is rejected by SimConfig.from_dict
+        raw["seed"] = _resolve_seed(args, raw)
     config = SimConfig.from_dict(raw)
     report = run_simulation(config, trade_log_path=args.trade_log)
     emit_report(report, "json", args.out)
@@ -127,24 +119,25 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_replay(args) -> int:
     records = read_trade_log(args.log)
-    state0 = _load_json_file(args.state0, "state")
+    state0 = read_json(args.state0, "state")
     market = replay(records, state0)
     print(json.dumps(market.state_dict(), sort_keys=True))
     return 0
 
 
 def _cmd_equilibrium(args) -> int:
-    raw = _load_json_file(args.problem, "problem")
+    raw = read_json(args.problem, "problem")
     try:
         family = family_from_id(raw["family"])
         theta0 = raw["theta0"]
         traders = raw["traders"]
         beliefs = [parse_belief_theta(family, td["belief"] if "belief" in td else td,
                                       f"traders[{i}]") for i, td in enumerate(traders)]
-        aversions = [float(td["risk_aversion"]) for td in traders]
+        aversions = [_number(td["risk_aversion"], f"traders[{i}]: risk_aversion")
+                     for i, td in enumerate(traders)]
         problem = EquilibriumProblem(family=family, theta0=theta0,
                                      beliefs=beliefs, risk_aversions=aversions)
-    except (KeyError, TypeError, DomainError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers DomainError and ConfigError
         raise ConfigError(f"problem {args.problem}: {exc}") from exc
     result = best_response_dynamics(problem)
     theta_eq, _ = closed_form_equilibrium(problem)

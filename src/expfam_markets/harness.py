@@ -243,9 +243,9 @@ CSV_COLUMNS = (
 
 @dataclass
 class TradeEvent:
-    """One executed-and-settled trade, as reported."""
+    """One executed-and-settled trade, as reported; the field names are the report keys."""
 
-    round_index: int
+    round: int
     trader_id: str
     delta: list[float]
     cost: float
@@ -255,34 +255,12 @@ class TradeEvent:
     myopic_impact: float
     trader_budgets: dict[str, float | None]
 
-    def to_dict(self) -> dict:
-        return {
-            "round": self.round_index,
-            "trader_id": self.trader_id,
-            "delta": self.delta,
-            "cost": self.cost,
-            "outcome": self.outcome,
-            "log_loss_before": self.log_loss_before,
-            "log_loss_after": self.log_loss_after,
-            "myopic_impact": self.myopic_impact,
-            "trader_budgets": self.trader_budgets,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TradeEvent":
-        return cls(
-            round_index=d["round"], trader_id=d["trader_id"], delta=d["delta"],
-            cost=d["cost"], outcome=d["outcome"],
-            log_loss_before=d["log_loss_before"], log_loss_after=d["log_loss_after"],
-            myopic_impact=d["myopic_impact"], trader_budgets=d["trader_budgets"],
-        )
-
 
 @dataclass
 class SimReport:
-    """Per-event records plus run-level aggregates."""
+    """Per-event records plus run-level aggregates; the field names are the report keys."""
 
-    family_id: str
+    family: str
     seed: int
     rounds: int
     inv_liquidity: float
@@ -294,28 +272,11 @@ class SimReport:
     aggregates: dict
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family_id,
-            "seed": self.seed,
-            "rounds": self.rounds,
-            "inv_liquidity": self.inv_liquidity,
-            "arrival": self.arrival,
-            "state_reset": self.state_reset,
-            "valid": self.valid,
-            "error": self.error,
-            "events": [ev.to_dict() for ev in self.events],
-            "aggregates": self.aggregates,
-        }
+        return {**vars(self), "events": [vars(ev) for ev in self.events]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimReport":
-        return cls(
-            family_id=d["family"], seed=d["seed"], rounds=d["rounds"],
-            inv_liquidity=d["inv_liquidity"], arrival=d["arrival"],
-            state_reset=d["state_reset"], valid=d["valid"], error=d["error"],
-            events=[TradeEvent.from_dict(ev) for ev in d["events"]],
-            aggregates=d["aggregates"],
-        )
+        return cls(**{**d, "events": [TradeEvent(**ev) for ev in d["events"]]})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -394,7 +355,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
         budgets = {tr.id: tr.budget for tr in traders}
         for trader, record, change, loss_before, loss_after in settled:
             events.append(TradeEvent(
-                round_index=round_index,
+                round=round_index,
                 trader_id=trader.id,
                 delta=[float(v) for v in record.delta],
                 cost=record.cost,
@@ -406,7 +367,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
             ))
 
     aggregates = {
-        "completed_rounds": events[-1].round_index if events else 0,
+        "completed_rounds": events[-1].round if events else 0,
         "total_log_loss": total_log_loss,
         "per_trader_impact": {tr.id: tr.cash for tr in traders},
         "final_budgets": {tr.id: tr.budget for tr in traders},
@@ -416,7 +377,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
         "n_trades": market.n_trades,
     }
     return SimReport(
-        family_id=family.id, seed=config.seed, rounds=config.rounds,
+        family=family.id, seed=config.seed, rounds=config.rounds,
         inv_liquidity=config.inv_liquidity, arrival=config.arrival,
         state_reset=config.state_reset, valid=valid, error=error,
         events=events, aggregates=aggregates,
@@ -450,7 +411,7 @@ def replay(records: list[TradeRecord], state0: Market | dict) -> Market:
         if not np.array_equal(record.theta_after, record.theta_before + record.delta):
             raise CorruptLogError(line, "post-trade state does not equal pre-trade state plus delta")
         try:
-            cost = market.execute(record.delta, trader_id=record.trader_id, round_index=record.round_index).cost
+            cost = market.execute(record.delta, trader_id=record.trader_id, round_index=record.round).cost
         except DomainError as exc:
             raise CorruptLogError(line, f"recorded trade is not executable: {exc}") from exc
         if cost != record.cost:
@@ -478,7 +439,7 @@ def emit_report(report: SimReport, fmt: str, path: str) -> None:
         for ev in report.events:
             own_budget = ev.trader_budgets.get(ev.trader_id)
             writer.writerow([
-                ev.round_index,
+                ev.round,
                 ev.trader_id,
                 ";".join(repr(float(v)) for v in ev.delta),
                 repr(float(ev.cost)),

@@ -62,9 +62,9 @@ def log_loss(family: ExpFamily, theta: np.ndarray, phi: np.ndarray) -> float:
 
 @dataclass
 class TradeRecord:
-    """One executed trade: portfolio, cost, and the states it bridged."""
+    """One executed trade: portfolio, cost, and the states it bridged; the field names are the trade-log keys."""
 
-    round_index: int
+    round: int
     trader_id: str
     delta: np.ndarray
     cost: float
@@ -72,19 +72,13 @@ class TradeRecord:
     theta_after: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "round": self.round_index,
-            "trader_id": self.trader_id,
-            "delta": [float(v) for v in self.delta],
-            "cost": self.cost,
-            "theta_before": [float(v) for v in self.theta_before],
-            "theta_after": [float(v) for v in self.theta_after],
-        }
+        return {**vars(self), "delta": self.delta.tolist(),
+                "theta_before": self.theta_before.tolist(), "theta_after": self.theta_after.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TradeRecord":
         return cls(
-            round_index=int(d["round"]),
+            round=int(d["round"]),
             trader_id=str(d["trader_id"]),
             delta=np.asarray(d["delta"], dtype=float),
             cost=float(d["cost"]),
@@ -212,7 +206,7 @@ class Market:
         if round_index is None:
             round_index = self.n_trades
         record = TradeRecord(
-            round_index=int(round_index),
+            round=int(round_index),
             trader_id=trader_id,
             delta=delta,
             cost=cost,
@@ -254,14 +248,18 @@ def save_state(market: Market, path: str) -> None:
         raise
 
 
-def load_state(path: str, log_path: str | None = None) -> Market:
-    """Load a market from a JSON state file; raises ConfigError when it is malformed."""
+def read_json(path: str, what: str):
+    """Parse a JSON file; invalid JSON or undecodable bytes raise ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            state = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:  # invalid JSON or undecodable bytes
-            raise ConfigError(f"state {path}: invalid JSON ({exc})") from exc
-    return Market.from_state_dict(state, log_path=log_path)
+            raise ConfigError(f"{what} {path}: invalid JSON ({exc})") from exc
+
+
+def load_state(path: str, log_path: str | None = None) -> Market:
+    """Load a market from a JSON state file; raises ConfigError when it is malformed."""
+    return Market.from_state_dict(read_json(path, "state"), log_path=log_path)
 
 
 def read_trade_log(path: str) -> list[TradeRecord]:

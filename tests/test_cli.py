@@ -302,3 +302,35 @@ class TestEquilibriumCommand:
             "traders": [{"belief": {"theta": [-2.0]}, "risk_aversion": 0.0}],
         })
         assert main(["equilibrium", "--problem", problem]) == 2
+
+    @pytest.mark.parametrize("problem", [
+        {"theta0": [0.0, 0.0], "risk_aversion": "x"},
+        {"theta0": "abc", "risk_aversion": 1.0},
+        {"theta0": [0.0, 0.0], "risk_aversion": True},
+    ], ids=["string-risk-aversion", "string-theta0", "boolean-risk-aversion"])
+    def test_bad_problem_value_is_config_error(self, tmp_path, capsys, problem):
+        path = write_json(tmp_path / "problem.json", {
+            "family": "categorical:2",
+            "theta0": problem["theta0"],
+            "traders": [{"belief": {"theta": [1.0, 0.0]}, "risk_aversion": problem["risk_aversion"]}],
+        })
+        assert main(["equilibrium", "--problem", path]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[1, 2]", b'"abc"'],
+                         ids=["utf16-bom", "json-list", "json-string"])
+@pytest.mark.parametrize("command", ["simulate", "equilibrium", "replay", "quote"])
+def test_unusable_json_file_is_config_error(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    log = tmp_path / "trades.jsonl"
+    log.write_text("")
+    argv = {
+        "simulate": ["simulate", "--config", str(path), "--out", str(tmp_path / "r.json")],
+        "equilibrium": ["equilibrium", "--problem", str(path)],
+        "replay": ["replay", "--log", str(log), "--state0", str(path)],
+        "quote": ["quote", "--market", str(path), "--delta", "[0.1, 0.0]"],
+    }[command]
+    assert main(argv) == 2
+    assert "config error:" in capsys.readouterr().err

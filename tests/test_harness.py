@@ -20,7 +20,7 @@ from expfam_markets import (
     replay,
     run_simulation,
 )
-from expfam_markets.harness import TradeEvent, parse_belief_theta
+from expfam_markets.harness import parse_belief_theta
 
 
 def base_config(**overrides) -> dict:
@@ -338,8 +338,19 @@ class TestReplay:
 
 
 class TestEmitReport:
-    def test_json_round_trip_is_lossless(self, tmp_path):
-        report = run_simulation(SimConfig.from_dict(base_config(rounds=8)))
+    @pytest.mark.parametrize("config", [
+        base_config(rounds=8),
+        # Float outcomes, and budgets that are both a float and None.
+        base_config(family="gaussian-moments", theta0=[0.0, -0.5], true_theta=[1.0, -0.5],
+                    rounds=6, traders=[
+                        {"id": "b", "model": "budget-limited", "budget": 0.5,
+                         "belief": {"mean": 1.0, "variance": 1.0}},
+                        {"id": "u", "model": "exp-utility", "risk_aversion": 0.5,
+                         "belief": {"mean": -1.0, "variance": 2.0}},
+                    ]),
+    ], ids=["categorical", "gaussian-budgets"])
+    def test_json_round_trip_is_lossless(self, tmp_path, config):
+        report = run_simulation(SimConfig.from_dict(config))
         path = str(tmp_path / "report.json")
         emit_report(report, "json", path)
         with open(path) as fh:
@@ -374,7 +385,7 @@ class TestEmitReport:
 
     def test_empty_report_gives_header_only_csv(self, tmp_path):
         report = SimReport(
-            family_id="categorical:2", seed=0, rounds=0, inv_liquidity=1.0,
+            family="categorical:2", seed=0, rounds=0, inv_liquidity=1.0,
             arrival="round-robin", state_reset=False, valid=True, error=None,
             events=[], aggregates={},
         )
@@ -388,11 +399,3 @@ class TestEmitReport:
         report = run_simulation(SimConfig.from_dict(base_config(rounds=1)))
         with pytest.raises(ConfigError):
             emit_report(report, "yaml", str(tmp_path / "x"))
-
-    def test_event_round_trip(self):
-        event = TradeEvent(
-            round_index=1, trader_id="a", delta=[0.1, -0.1], cost=0.05, outcome=2,
-            log_loss_before=0.7, log_loss_after=0.6, myopic_impact=0.1,
-            trader_budgets={"a": None, "b": 0.5},
-        )
-        assert TradeEvent.from_dict(event.to_dict()) == event
