@@ -334,37 +334,25 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
             valid, error = False, f"round {round_index}: {exc}"
             break
 
-        # Settle: each trade's payoff minus cost is the trader's budget
-        # change and the trade's myopic impact on the market's log loss.
-        settled = []
+        # Settle along the price path (first theta_before, then each theta_after): a
+        # trade's payoff minus cost is its trader's budget change and its log-loss drop.
         phi = family._statistic(outcome)  # the sampler's own outcome needs no check
-        for trader, record in staged:
+        path = [staged[0][1].theta_before] + [record.theta_after for _, record in staged]
+        losses = [log_loss(family, theta, phi) for theta in path] if track_loss else [None] * len(path)
+        budgets: dict[str, float | None] = {}  # the round's one snapshot, filled once it settles
+        for i, (trader, record) in enumerate(staged):
             change = float(np.dot(record.delta, phi)) - record.cost
             trader.cash += change
             if trader.budget is not None:
                 trader.budget += change
-            if track_loss:
-                loss_before = log_loss(family, record.theta_before, phi)
-                loss_after = log_loss(family, record.theta_after, phi)
-            else:
-                loss_before = loss_after = None
-            settled.append((trader, record, change, loss_before, loss_after))
-        if track_loss:
-            total_log_loss += log_loss(family, market.theta, phi)
-
-        budgets = {tr.id: tr.budget for tr in traders}
-        for trader, record, change, loss_before, loss_after in settled:
             events.append(TradeEvent(
-                round=round_index,
-                trader_id=trader.id,
-                delta=[float(v) for v in record.delta],
-                cost=record.cost,
-                outcome=outcome,
-                log_loss_before=loss_before,
-                log_loss_after=loss_after,
-                myopic_impact=change,
-                trader_budgets=dict(budgets),
+                round=round_index, trader_id=trader.id, delta=record.delta.tolist(),
+                cost=record.cost, outcome=outcome, log_loss_before=losses[i],
+                log_loss_after=losses[i + 1], myopic_impact=change, trader_budgets=budgets,
             ))
+        budgets.update((tr.id, tr.budget) for tr in traders)
+        if track_loss:
+            total_log_loss += losses[-1]
 
     aggregates = {
         "completed_rounds": events[-1].round if events else 0,

@@ -16,6 +16,7 @@ from expfam_markets import (
     TradeRecord,
     emit_report,
     family_from_id,
+    harness,
     read_trade_log,
     replay,
     run_simulation,
@@ -199,6 +200,36 @@ class TestAccounting:
         assert report.aggregates["final_budgets"]["informed"] is None
         data = json.loads(report.to_json())
         assert data["aggregates"]["final_budgets"]["informed"] is None
+
+    def test_settlement_evaluates_one_log_loss_per_path_state(self, monkeypatch):
+        calls = []
+
+        def counting_log_loss(family, theta, phi):
+            calls.append(theta)
+            return log_loss(family, theta, phi)
+
+        log_loss = harness.log_loss
+        monkeypatch.setattr(harness, "log_loss", counting_log_loss)
+        rounds, k = 40, 3
+        report = run_simulation(SimConfig.from_dict(base_config(
+            rounds=rounds, arrival="fixed-sequence", traders=[
+                {"id": "informed", "model": "exp-utility", "risk_aversion": 0.5,
+                 "belief": {"probs": [0.65, 0.35]}},
+                {"id": "noisy", "model": "budget-limited", "budget": 0.8,
+                 "belief": {"probs": [0.2, 0.8]}},
+                {"id": "contrarian", "model": "risk-neutral", "belief": {"probs": [0.4, 0.6]}},
+            ])))
+        assert report.valid and len(report.events) == rounds * k
+        assert len(calls) == (k + 1) * rounds
+        last_after = 0.0
+        for r in range(rounds):
+            round_events = report.events[r * k:(r + 1) * k]
+            for prev, ev in zip(round_events, round_events[1:]):
+                assert ev.log_loss_before == prev.log_loss_after
+                assert ev.trader_budgets == prev.trader_budgets
+            last_after += round_events[-1].log_loss_after
+        assert report.aggregates["total_log_loss"] == last_after
+        assert report.events[-1].trader_budgets == report.aggregates["final_budgets"]
 
     def test_liquidity_disables_log_loss_tracking(self):
         cfg = base_config(inv_liquidity=2.0, rounds=3, traders=[
