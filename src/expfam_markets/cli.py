@@ -24,8 +24,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .equilibrium import (
     EquilibriumProblem,
     best_response_dynamics,
@@ -42,7 +40,7 @@ from .harness import (
     replay,
     run_simulation,
 )
-from .market import _number, load_state, read_json, read_trade_log, save_state
+from .market import _number, _numbers, load_state, read_json, read_trade_log, save_state
 from .scoring import log_score
 
 SEED_ENV_VAR = "EXPFAM_MARKETS_SEED"
@@ -53,14 +51,6 @@ def _parse_json_value(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what}: invalid JSON {text!r} ({exc})") from exc
-
-
-def _parse_delta(text: str) -> np.ndarray:
-    value = _parse_json_value(text, "--delta")
-    try:
-        return np.atleast_1d(np.asarray(value, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"--delta: not a numeric vector: {text!r}") from exc
 
 
 def _cmd_score(args) -> int:
@@ -79,13 +69,14 @@ def _cmd_score(args) -> int:
 
 def _cmd_quote(args) -> int:
     market = load_state(args.market)
-    print(repr(market.quote(_parse_delta(args.delta))))
+    print(repr(market.quote(_numbers(_parse_json_value(args.delta, "--delta"), "--delta"))))
     return 0
 
 
 def _cmd_trade(args) -> int:
     market = load_state(args.market, log_path=args.log)
-    record = market.execute(_parse_delta(args.delta), trader_id=args.trader)
+    delta = _numbers(_parse_json_value(args.delta, "--delta"), "--delta")
+    record = market.execute(delta, trader_id=args.trader)
     save_state(market, args.market)
     print(json.dumps(record.to_dict(), sort_keys=True))
     return 0
@@ -129,7 +120,7 @@ def _cmd_equilibrium(args) -> int:
     raw = read_json(args.problem, "problem")
     try:
         family = family_from_id(raw["family"])
-        theta0 = raw["theta0"]
+        theta0 = _numbers(raw["theta0"], "theta0")
         traders = raw["traders"]
         beliefs = [parse_belief_theta(family, td["belief"] if "belief" in td else td,
                                       f"traders[{i}]") for i, td in enumerate(traders)]

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
 from .families import ExpFamily, VonMisesFisher3, family_from_id
-from .market import TRADE_MARGIN, Market, TradeRecord, _number, log_loss
+from .market import TRADE_MARGIN, Market, TradeRecord, _number, _numbers, log_loss
 from .scoring import moments_from_mean_variance
 from .traders import (
     TraderProfile,
@@ -67,17 +67,18 @@ def parse_mean_params(family: ExpFamily, value, where: str) -> np.ndarray:
     try:
         if isinstance(value, dict):
             if "probs" in value:
-                mean = np.asarray(value["probs"], dtype=float)
+                mean = _numbers(value["probs"], f"{where}.probs")
             elif "variance" in value:
-                mean = moments_from_mean_variance(value["mean"], value["variance"])
+                mean = moments_from_mean_variance(_number(value["mean"], f"{where}.mean"),
+                                                  _number(value["variance"], f"{where}.variance"))
             elif "moment" in value:
-                mean = np.atleast_1d(np.asarray(value["moment"], dtype=float))
+                mean = _numbers(value["moment"], f"{where}.moment")
             elif "mean" in value:
-                mean = np.atleast_1d(np.asarray(value["mean"], dtype=float))
+                mean = _numbers(value["mean"], f"{where}.mean")
             else:
                 raise ConfigError(f"{where}: unrecognized mean description {value!r}")
         else:
-            mean = np.atleast_1d(np.asarray(value, dtype=float))
+            mean = _numbers(value, where)
         return family.check_mean(mean, margin=0.0)
     except ConfigError:
         raise
@@ -94,10 +95,10 @@ def parse_belief_theta(family: ExpFamily, value, where: str) -> np.ndarray:
     """
     try:
         if isinstance(value, dict) and "theta" in value:
-            return family.check_natural(value["theta"])
+            return family.check_natural(_numbers(value["theta"], f"{where}.theta"))
         if isinstance(value, dict):
             return family.natural_from_mean(parse_mean_params(family, value, where))
-        return family.check_natural(value)
+        return family.check_natural(_numbers(value, where))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -138,9 +139,9 @@ class SimConfig:
             raise ConfigError(f"inv_liquidity must be positive, got {lam}")
 
         try:
-            theta0 = np.atleast_1d(np.asarray(raw["theta0"], dtype=float))
+            theta0 = _numbers(raw["theta0"], "theta0")
             family.check_natural(lam * theta0, margin=TRADE_MARGIN)
-            true_theta = family.check_natural(raw["true_theta"])
+            true_theta = family.check_natural(_numbers(raw["true_theta"], "true_theta"))
         except KeyError as exc:
             raise ConfigError(f"config is missing {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -239,6 +240,7 @@ CSV_COLUMNS = (
     "round", "trader_id", "delta", "cost", "outcome",
     "log_loss_before", "log_loss_after", "myopic_impact", "budget_after",
 )
+_REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 @dataclass
@@ -279,7 +281,7 @@ class SimReport:
         return cls(**{**d, "events": [TradeEvent(**ev) for ev in d["events"]]})
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _REPORT_ENCODER.encode(self.to_dict()) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +419,8 @@ def emit_report(report: SimReport, fmt: str, path: str) -> None:
     """
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+            fh.writelines(_REPORT_ENCODER.iterencode(report.to_dict()))  # streamed, never held whole
+            fh.write("\n")
         return
     if fmt != "csv":
         raise ConfigError(f"unknown report format {fmt!r}; use 'json' or 'csv'")

@@ -49,6 +49,14 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _numbers(value, where: str) -> np.ndarray:
+    """A JSON number or list of JSON numbers as a float vector; raises ConfigError for anything else."""
+    if not isinstance(value, list):
+        return np.array([_number(value, where)])
+    where = f"{where} entry"
+    return np.array([_number(v, where) for v in value])
+
+
 def payoff(family: ExpFamily, delta, x) -> float:
     """Payout of portfolio ``delta`` at outcome ``x``: ``<delta, phi(x)>``."""
     delta = as_params(delta, family.dim, "delta")
@@ -77,14 +85,17 @@ class TradeRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TradeRecord":
-        return cls(
-            round=int(d["round"]),
-            trader_id=str(d["trader_id"]),
-            delta=np.asarray(d["delta"], dtype=float),
-            cost=float(d["cost"]),
-            theta_before=np.asarray(d["theta_before"], dtype=float),
-            theta_after=np.asarray(d["theta_after"], dtype=float),
-        )
+        """Read a trade-log record; a value of the wrong JSON type raises ConfigError."""
+        if isinstance(d["round"], bool) or not isinstance(d["round"], int):
+            raise ConfigError(f"round must be an integer, got {d['round']!r}")
+        if not isinstance(d["trader_id"], str):
+            raise ConfigError(f"trader_id must be a string, got {d['trader_id']!r}")
+        vectors = {}
+        for key in ("delta", "theta_before", "theta_after"):
+            if not isinstance(d[key], list):
+                raise ConfigError(f"{key} must be a list of numbers, got {d[key]!r}")
+            vectors[key] = _numbers(d[key], key)
+        return cls(round=d["round"], trader_id=d["trader_id"], cost=_number(d["cost"], "cost"), **vectors)
 
 
 class Market:
@@ -178,13 +189,12 @@ class Market:
         for key in ("family", "theta"):
             if key not in d:
                 raise ConfigError(f"market state is missing {key!r}")
-        theta = d["theta"] if isinstance(d["theta"], list) else [d["theta"]]
         n_trades = d.get("n_trades", 0)
         if isinstance(n_trades, bool) or not isinstance(n_trades, int):
             raise ConfigError(f"market state n_trades must be an integer, got {n_trades!r}")
         return cls(
             family=family_from_id(d["family"]),
-            theta0=np.array([_number(v, "market state theta entry") for v in theta]),
+            theta0=_numbers(d["theta"], "market state theta"),
             inv_liquidity=_number(d.get("inv_liquidity", 1.0), "market state inv_liquidity"),
             n_trades=n_trades,
             revenue=_number(d.get("revenue", 0.0), "market state revenue"),

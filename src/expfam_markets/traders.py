@@ -234,9 +234,13 @@ def budget_limited_trade(market: Market, trader: TraderProfile) -> np.ndarray:
         f = alpha / move_cost     otherwise.
 
     Convexity of the cost along the segment keeps the quoted cost of the
-    scaled move at or below ``alpha``; in the rare ulp-scale corner where
-    rounding leaves the quote a hair over, the fraction is halved until the
-    cap holds in float comparison.  Requires unit inverse liquidity.
+    scaled move at or below ``alpha`` in exact arithmetic; when rounding
+    leaves the quote a hair over, the fraction is halved until the cap holds
+    in float comparison.  That is common once the budget is at rounding-noise
+    scale: in the 10,000-round ``sim-long`` benchmark run it first falls to
+    2e-15 in round 76 and is at or below that in 92% of all rounds, and
+    2,950 of the 10,000 calls halve at least once (4,918 of the run's 54,905
+    quotes).  Requires unit inverse liquidity.
     """
     if market.inv_liquidity != 1.0:
         raise DomainError("budget_limited_trade requires inv_liquidity == 1")

@@ -57,6 +57,17 @@ class TestScore:
     def test_unknown_family_is_config_error(self, capsys):
         assert main(["score", "--family", "zeta", "--report", "1", "--outcome", "1"]) == 2
 
+    @pytest.mark.parametrize("family,report", [
+        ("categorical:2", '["0.5", "0.5"]'),
+        ("categorical:2", '{"probs": [true, false]}'),
+        ("exponential-rate", '"2.0"'),
+        ("exponential-rate", '{"mean": [true]}'),
+        ("gaussian-moments", '{"mean": "0.0", "variance": 1.0}'),
+    ])
+    def test_report_entries_must_be_json_numbers(self, capsys, family, report):
+        assert main(["score", "--family", family, "--report", report, "--outcome", "1"]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_bad_report_json_is_config_error(self, capsys):
         assert main(["score", "--family", "exponential-rate", "--report", "oops", "--outcome", "1"]) == 2
 
@@ -112,6 +123,19 @@ class TestQuoteAndTrade:
         assert main(["quote", "--market", path, "--delta", '{"a": 1}']) == 2
         assert open(path).read() == before
 
+    @pytest.mark.parametrize("argv", [
+        ["trade", "--delta", '["0.5", true]'],
+        ["trade", "--delta", '"0.5"'],
+        ["quote", "--delta", "[true]"],
+        ["quote", "--delta", "[[0.5]]"],
+    ])
+    def test_delta_entries_must_be_json_numbers(self, tmp_path, capsys, argv):
+        path = self.setup_state(tmp_path)
+        before = open(path).read()
+        assert main([*argv, "--market", path]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert open(path).read() == before
+
     @pytest.mark.parametrize("command", ["quote", "trade"])
     @pytest.mark.parametrize("content", [
         '{"theta": [0.0, 0.0]}',
@@ -120,6 +144,8 @@ class TestQuoteAndTrade:
         '{"family": "categorical:2", "theta": [0.0, 0.0], "n_trades": "x"}',
         '{"family": "categorical:2", "theta": [0.0, 0.0], "inv_liquidity": "1"}',
         '{"family": "categorical:2", "theta": [0.0, 0.0], "revenue": null}',
+        '{"family": "categorical:2", "theta": [true, 0.0]}',
+        '{"family": "categorical:2", "theta": "0.0"}',
         "[0.0, 0.0]",
         "{not json",
     ])
@@ -307,12 +333,17 @@ class TestEquilibriumCommand:
         {"theta0": [0.0, 0.0], "risk_aversion": "x"},
         {"theta0": "abc", "risk_aversion": 1.0},
         {"theta0": [0.0, 0.0], "risk_aversion": True},
-    ], ids=["string-risk-aversion", "string-theta0", "boolean-risk-aversion"])
+        {"theta0": ["0", 0.0], "risk_aversion": 1.0},
+        {"theta0": [0.0, 0.0], "risk_aversion": 1.0, "belief": {"theta": ["1.0", 0.0]}},
+        {"theta0": [0.0, 0.0], "risk_aversion": 1.0, "belief": {"probs": ["0.7", 0.3]}},
+    ], ids=["string-risk-aversion", "string-theta0", "boolean-risk-aversion",
+            "string-theta0-entry", "string-belief-theta-entry", "string-belief-probs-entry"])
     def test_bad_problem_value_is_config_error(self, tmp_path, capsys, problem):
         path = write_json(tmp_path / "problem.json", {
             "family": "categorical:2",
             "theta0": problem["theta0"],
-            "traders": [{"belief": {"theta": [1.0, 0.0]}, "risk_aversion": problem["risk_aversion"]}],
+            "traders": [{"belief": problem.get("belief", {"theta": [1.0, 0.0]}),
+                         "risk_aversion": problem["risk_aversion"]}],
         })
         assert main(["equilibrium", "--problem", path]) == 2
         assert "config error:" in capsys.readouterr().err

@@ -93,6 +93,22 @@ class TestConfigParsing:
         {"theta0": "x"},
         {"traders": [{"id": "b", "model": "bayesian",
                       "sample": {"mean": {"probs": [0.7, 0.3]}, "size": "x"}}]},
+        {"theta0": ["0", True]},
+        {"true_theta": ["0.6", -0.6]},
+        {"traders": [{"id": "a", "model": "risk-neutral", "belief": {"probs": ["0.7", 0.3]}}]},
+        {"traders": [{"id": "a", "model": "risk-neutral", "belief": {"theta": [True, 0.0]}}]},
+        {"traders": [{"id": "a", "model": "risk-neutral", "belief": ["1.0", 0.0]}]},
+        {"traders": [{"id": "b", "model": "bayesian",
+                      "sample": {"mean": {"probs": ["0.7", 0.3]}, "size": 1.0}}]},
+        {"traders": [{"id": "b", "model": "bayesian", "sample": {"mean": ["0.7", 0.3], "size": 1.0}}]},
+        {"family": "gaussian-moments", "theta0": [0.0, -0.5], "true_theta": [0.0, -0.5],
+         "traders": [{"id": "a", "model": "risk-neutral", "belief": {"mean": "0.0", "variance": 1.0}}]},
+        {"family": "gaussian-moments", "theta0": [0.0, -0.5], "true_theta": [0.0, -0.5],
+         "traders": [{"id": "a", "model": "risk-neutral", "belief": {"mean": 0.0, "variance": True}}]},
+        {"family": "exponential-rate", "theta0": [-1.0], "true_theta": [-1.0],
+         "traders": [{"id": "a", "model": "risk-neutral", "belief": {"mean": "0.5"}}]},
+        {"family": "weibull-moment:2", "theta0": [-1.0], "true_theta": [-1.0],
+         "traders": [{"id": "a", "model": "risk-neutral", "belief": {"moment": [True]}}]},
     ])
     def test_invalid_configs_rejected(self, corrupt):
         with pytest.raises(ConfigError):
@@ -203,12 +219,12 @@ class TestAccounting:
 
     def test_settlement_evaluates_one_log_loss_per_path_state(self, monkeypatch):
         calls = []
+        real_log_loss = harness.log_loss
 
         def counting_log_loss(family, theta, phi):
             calls.append(theta)
-            return log_loss(family, theta, phi)
+            return real_log_loss(family, theta, phi)
 
-        log_loss = harness.log_loss
         monkeypatch.setattr(harness, "log_loss", counting_log_loss)
         rounds, k = 40, 3
         report = run_simulation(SimConfig.from_dict(base_config(
@@ -357,6 +373,23 @@ class TestReplay:
         with pytest.raises(CorruptLogError) as err:
             replay(records, state0)
         assert err.value.line_number == 4
+
+    @pytest.mark.parametrize("field,value", [
+        ("round", 2.9), ("round", True), ("round", "2"),
+        ("trader_id", None), ("trader_id", 7),
+        ("cost", "0.1"), ("cost", None), ("cost", math.inf), ("cost", math.nan),
+        ("delta", ["0.0", "0.25"]), ("delta", [True, 0.25]), ("delta", 0.25),
+        ("theta_before", [None, 0.0]), ("theta_after", "[0.0, 0.25]"), ("theta_after", [[0.0, 0.25]]),
+    ])
+    def test_mistyped_record_field_is_corrupt(self, tmp_path, field, value):
+        market = Market(family_from_id("categorical:2"), [0.0, 0.0])
+        lines = [market.execute([0.25, 0.0], "a", 1).to_dict(),
+                 {**market.execute([0.0, 0.25], "b", 2).to_dict(), field: value}]
+        log = tmp_path / "trades.jsonl"
+        log.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(CorruptLogError) as err:
+            read_trade_log(str(log))
+        assert err.value.line_number == 2
 
     def test_unexecutable_record_detected(self):
         fam = family_from_id("exponential-rate")
