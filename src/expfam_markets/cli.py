@@ -74,11 +74,14 @@ def _cmd_quote(args) -> int:
 
 
 def _cmd_trade(args) -> int:
-    market = load_state(args.market, log_path=args.log)
+    market = load_state(args.market)
     delta = _numbers(_parse_json_value(args.delta, "--delta"), "--delta")
-    record = market.execute(delta, trader_id=args.trader)
+    line = market.execute(delta, trader_id=args.trader).to_json()
+    if args.log is not None:
+        with open(args.log, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
     save_state(market, args.market)
-    print(json.dumps(record.to_dict(), sort_keys=True))
+    print(line)
     return 0
 
 

@@ -69,6 +69,14 @@ def as_params(value, dim: int, name: str = "params") -> np.ndarray:
     return arr
 
 
+def _sum(values: list[float]) -> float:
+    """Left-to-right float sum: the same bits on every machine (``sum`` compensates from Python 3.12)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _real_outcome(family: "ExpFamily", x) -> float:
     """``x`` as a float if it is a real number (not a bool); else DomainError."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
@@ -234,16 +242,21 @@ class Categorical(ExpFamily):
         return int(xf)
 
     def _log_partition(self, theta) -> float:
-        m = float(np.max(theta))
-        return m + math.log(float(np.sum(np.exp(theta - m))))
+        values = theta.tolist()
+        m = max(values)
+        return m + math.log(_sum([math.exp(v - m) for v in values]))
 
     def _mean(self, theta) -> np.ndarray:
-        e = np.exp(theta - np.max(theta))
-        return e / np.sum(e)
+        values = theta.tolist()
+        m = max(values)
+        e = [math.exp(v - m) for v in values]
+        total = _sum(e)
+        return np.array([v / total for v in e])
 
     def _natural(self, mu) -> np.ndarray:
-        theta = np.log(mu)
-        return theta - np.mean(theta)
+        logs = [math.log(v) for v in mu.tolist()]
+        mean = _sum(logs) / len(logs)
+        return np.array([v - mean for v in logs])
 
     def _statistic(self, x) -> np.ndarray:
         phi = np.zeros(self.k)
@@ -304,10 +317,10 @@ class WeibullMoment(ExpFamily):
         return np.array([x**self.k])
 
     def _sample(self, theta, rng, size):
-        rate = -theta[0]
-        u = rng.random() if size is None else rng.random(size)
-        drawn = (-np.log1p(-u) / rate) ** (1.0 / self.k)
-        return float(drawn) if size is None else drawn
+        rate = -float(theta[0])
+        if size is None:
+            return (-math.log1p(-rng.random()) / rate) ** (1.0 / self.k)
+        return (-np.log1p(-rng.random(size)) / rate) ** (1.0 / self.k)
 
 
 class ExponentialRate(WeibullMoment):

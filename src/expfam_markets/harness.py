@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
 from .families import ExpFamily, VonMisesFisher3, family_from_id
-from .market import TRADE_MARGIN, Market, TradeRecord, _number, _numbers, log_loss
+from .market import TRADE_MARGIN, Market, TradeRecord, _dot, _number, _numbers, log_loss
 from .scoring import moments_from_mean_variance
 from .traders import (
     TraderProfile,
@@ -302,11 +303,16 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     Deterministic given the config seed: reruns produce byte-identical
     reports.  A round-level domain violation stops the run and returns the
     partial report with ``valid=False`` and the error message attached.
+
+    With ``trade_log_path`` the run owns one handle on its JSON-lines trade
+    log: opened (truncating an older file) at the first trade, flushed after
+    every record and closed when the run ends.  The log holds exactly this
+    run's records, so a run that aborts before its first trade leaves no file.
     """
     if config.seed is None:
         raise ConfigError("simulation requires a seed (config, env, or flag)")
     family = config.family
-    market = Market(family, config.theta0, config.inv_liquidity, log_path=trade_log_path)
+    market = Market(family, config.theta0, config.inv_liquidity)
     rng = np.random.default_rng(config.seed)
     # Per-run copies hold the running budget and cash (cumulative payoff -
     # cost), so a config can be rerun.  Both add the same per-trade changes
@@ -322,39 +328,51 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     total_log_loss = 0.0 if track_loss else None
     valid, error = True, None
 
-    for round_index in range(1, config.rounds + 1):
-        try:
-            if config.state_reset and round_index > 1:
-                market.reset_theta(config.theta0)
-            staged: list[tuple[TraderProfile, TradeRecord]] = []
-            for trader in turns[(round_index - 1) % len(turns)]:
-                delta = _decide(market, trader)
-                record = market.execute(delta, trader_id=trader.id, round_index=round_index)
-                staged.append((trader, record))
-            outcome = family.sample(config.true_theta, rng)
-        except (DomainError, ConvergenceError) as exc:
-            valid, error = False, f"round {round_index}: {exc}"
-            break
+    log = None
+    try:
+        for round_index in range(1, config.rounds + 1):
+            try:
+                if config.state_reset and round_index > 1:
+                    market.reset_theta(config.theta0)
+                staged: list[tuple[TraderProfile, TradeRecord]] = []
+                for trader in turns[(round_index - 1) % len(turns)]:
+                    delta = _decide(market, trader)
+                    record = market.execute(delta, trader_id=trader.id, round_index=round_index)
+                    if trade_log_path is not None:
+                        if log is None:
+                            log = open(trade_log_path, "w", encoding="utf-8")
+                        log.write(record.to_json() + "\n")
+                        log.flush()
+                    staged.append((trader, record))
+                outcome = family.sample(config.true_theta, rng)
+            except (DomainError, ConvergenceError) as exc:
+                valid, error = False, f"round {round_index}: {exc}"
+                break
 
-        # Settle along the price path (first theta_before, then each theta_after): a
-        # trade's payoff minus cost is its trader's budget change and its log-loss drop.
-        phi = family._statistic(outcome)  # the sampler's own outcome needs no check
-        path = [staged[0][1].theta_before] + [record.theta_after for _, record in staged]
-        losses = [log_loss(family, theta, phi) for theta in path] if track_loss else [None] * len(path)
-        budgets: dict[str, float | None] = {}  # the round's one snapshot, filled once it settles
-        for i, (trader, record) in enumerate(staged):
-            change = float(np.dot(record.delta, phi)) - record.cost
-            trader.cash += change
-            if trader.budget is not None:
-                trader.budget += change
-            events.append(TradeEvent(
-                round=round_index, trader_id=trader.id, delta=record.delta.tolist(),
-                cost=record.cost, outcome=outcome, log_loss_before=losses[i],
-                log_loss_after=losses[i + 1], myopic_impact=change, trader_budgets=budgets,
-            ))
-        budgets.update((tr.id, tr.budget) for tr in traders)
-        if track_loss:
-            total_log_loss += losses[-1]
+            # Settle along the price path (first theta_before, then each theta_after): a
+            # trade's payoff minus cost is its trader's budget change and its log-loss drop.
+            phi = family._statistic(outcome)  # the sampler's own outcome needs no check
+            path = [staged[0][1].theta_before] + [record.theta_after for _, record in staged]
+            losses = [log_loss(family, theta, phi) for theta in path] if track_loss else [None] * len(path)
+            budgets: dict[str, float | None] = {}  # the round's one snapshot, filled once it settles
+            for i, (trader, record) in enumerate(staged):
+                change = _dot(record.delta, phi) - record.cost
+                trader.cash += change
+                if trader.budget is not None:
+                    trader.budget += change
+                events.append(TradeEvent(
+                    round=round_index, trader_id=trader.id, delta=record.delta.tolist(),
+                    cost=record.cost, outcome=outcome, log_loss_before=losses[i],
+                    log_loss_after=losses[i + 1], myopic_impact=change, trader_budgets=budgets,
+                ))
+            budgets.update((tr.id, tr.budget) for tr in traders)
+            if track_loss:
+                total_log_loss += losses[-1]
+    finally:
+        if log is not None:
+            log.close()
+        elif trade_log_path is not None and os.path.isfile(trade_log_path):
+            os.remove(trade_log_path)  # no trade, so no log: not even an older run's
 
     aggregates = {
         "completed_rounds": events[-1].round if events else 0,

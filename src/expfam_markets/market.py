@@ -19,7 +19,10 @@ exact arithmetic the blow-up of ``C`` at the boundary self-enforces this
 point we reject trades that move ``lam * theta`` within ``1e-9`` of the
 boundary outright.  Only ``Market.__init__``, ``execute`` and ``reset_theta``
 store the share vector, and each checks it, so pricing and settlement
-evaluate the family kernels on it unchecked.
+evaluate the family kernels on it unchecked.  The same three writers keep
+``C(theta)`` cached, so a quote evaluates the log partition once, at the
+target; ``execute`` checks ``delta`` once and stores its quote's target
+cost as the new cache.
 
 One market instance is single-writer: ``execute`` requires exclusive
 access, while ``quote``/``prices``/``log_loss`` are read-only and may run
@@ -29,6 +32,7 @@ concurrently between writes.  Distinct instances are independent.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import tempfile
@@ -57,15 +61,19 @@ def _numbers(value, where: str) -> np.ndarray:
     return np.array([_number(v, where) for v in value])
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``<a, b>`` as the correctly rounded sum of the products: the same bits on every machine."""
+    return math.fsum([x * y for x, y in zip(a.tolist(), b.tolist())])
+
+
 def payoff(family: ExpFamily, delta, x) -> float:
     """Payout of portfolio ``delta`` at outcome ``x``: ``<delta, phi(x)>``."""
-    delta = as_params(delta, family.dim, "delta")
-    return float(np.dot(delta, family.statistic(x)))
+    return _dot(as_params(delta, family.dim, "delta"), family.statistic(x))
 
 
 def log_loss(family: ExpFamily, theta: np.ndarray, phi: np.ndarray) -> float:
     """Log loss ``T(theta) - <theta, phi>`` at an interior (unchecked) ``theta``, statistic ``phi``."""
-    return float(family._log_partition(theta)) - float(np.dot(theta, phi))
+    return float(family._log_partition(theta)) - _dot(theta, phi)
 
 
 @dataclass
@@ -82,6 +90,10 @@ class TradeRecord:
     def to_dict(self) -> dict:
         return {**vars(self), "delta": self.delta.tolist(),
                 "theta_before": self.theta_before.tolist(), "theta_after": self.theta_after.tolist()}
+
+    def to_json(self) -> str:
+        """The record as one trade-log line, without its newline."""
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TradeRecord":
@@ -110,12 +122,14 @@ class Market:
             weigh the prices as a phantom sample).
         revenue: Cash collected so far; stays equal to the sum of executed
             trade costs.
-        log_path: Optional JSON-lines trade log, appended and flushed on
-            every execute for replay-based auditing.
+
+    The market writes no trade log: whoever executes the trades owns the
+    log (``run_simulation`` one handle per run, the ``trade`` command one
+    append per invocation) and writes ``TradeRecord.to_json`` lines.
     """
 
     def __init__(self, family: ExpFamily, theta0, inv_liquidity: float = 1.0,
-                 n_trades: int = 0, revenue: float = 0.0, log_path: str | None = None):
+                 n_trades: int = 0, revenue: float = 0.0):
         self.family = family
         lam = float(inv_liquidity)
         if not lam > 0.0:
@@ -124,9 +138,9 @@ class Market:
         theta0 = as_params(theta0, family.dim, "theta0")
         family.check_natural(lam * theta0, margin=TRADE_MARGIN)
         self.theta = theta0
+        self._cost = self._cost_at(theta0)
         self.n_trades = int(n_trades)
         self.revenue = float(revenue)
-        self.log_path = log_path
 
     # ------------------------------------------------------------------
     # Read-only views
@@ -134,9 +148,16 @@ class Market:
 
     def cost(self, theta=None) -> float:
         """Liquidity-adjusted cost ``(1/lam) T(lam * theta)`` (default: current state)."""
-        theta = self.theta if theta is None else as_params(theta, self.family.dim, "theta")
+        if theta is None:
+            return self._cost
+        theta = as_params(theta, self.family.dim, "theta")
         lam = self.inv_liquidity
         return self.family.log_partition(lam * theta) / lam
+
+    def _cost_at(self, theta: np.ndarray) -> float:
+        """``(1/lam) T(lam * theta)`` at a checked ``theta``."""
+        lam = self.inv_liquidity
+        return float(self.family._log_partition(lam * theta) / lam)
 
     def prices(self) -> np.ndarray:
         """Instantaneous security prices: the mean parameters at ``lam * theta``."""
@@ -149,11 +170,14 @@ class Market:
         of (or within ``1e-9`` of) the cost function's domain -- such trades
         are impossible at any price.
         """
-        delta = as_params(delta, self.family.dim, "delta")
+        return self._quote(as_params(delta, self.family.dim, "delta"))[0]
+
+    def _quote(self, delta: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """Cost of a checked ``delta``, with the target share vector and its cost ``C(target)``."""
         target = self.theta + delta
-        lam = self.inv_liquidity
-        self.family.check_natural(lam * target, margin=TRADE_MARGIN)
-        return float(self.family._log_partition(lam * target) / lam - self.family._log_partition(lam * self.theta) / lam)
+        self.family.check_natural(self.inv_liquidity * target, margin=TRADE_MARGIN)
+        target_cost = self._cost_at(target)
+        return target_cost - self._cost, target, target_cost
 
     def log_loss(self, x) -> float:
         """Prediction loss ``C(theta) - <theta, phi(x)>`` of the current state.
@@ -177,7 +201,7 @@ class Market:
         }
 
     @classmethod
-    def from_state_dict(cls, d: dict, log_path: str | None = None) -> "Market":
+    def from_state_dict(cls, d: dict) -> "Market":
         """Rebuild a market from a ``state_dict`` snapshot read from outside.
 
         Raises ConfigError when the snapshot is not an object, lacks
@@ -198,7 +222,6 @@ class Market:
             inv_liquidity=_number(d.get("inv_liquidity", 1.0), "market state inv_liquidity"),
             n_trades=n_trades,
             revenue=_number(d.get("revenue", 0.0), "market state revenue"),
-            log_path=log_path,
         )
 
     # ------------------------------------------------------------------
@@ -206,13 +229,13 @@ class Market:
     # ------------------------------------------------------------------
 
     def execute(self, delta, trader_id: str = "", round_index: int | None = None) -> TradeRecord:
-        """Buy ``delta``, updating shares, counter, revenue, and the trade log.
+        """Buy ``delta``, updating shares, ``C(theta)``, counter and revenue.
 
         The state is untouched when the quote fails.  ``round_index``
         defaults to the pre-trade trade count.
         """
         delta = as_params(delta, self.family.dim, "delta")
-        cost = self.quote(delta)
+        cost, target, target_cost = self._quote(delta)
         if round_index is None:
             round_index = self.n_trades
         record = TradeRecord(
@@ -221,15 +244,12 @@ class Market:
             delta=delta,
             cost=cost,
             theta_before=self.theta,
-            theta_after=self.theta + delta,
+            theta_after=target,
         )
-        self.theta = record.theta_after
+        self.theta = target
+        self._cost = target_cost
         self.n_trades += 1
         self.revenue += cost
-        if self.log_path is not None:
-            with open(self.log_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-                fh.flush()
         return record
 
     def reset_theta(self, theta0) -> None:
@@ -237,6 +257,7 @@ class Market:
         theta0 = as_params(theta0, self.family.dim, "theta0")
         self.family.check_natural(self.inv_liquidity * theta0, margin=TRADE_MARGIN)
         self.theta = theta0
+        self._cost = self._cost_at(theta0)
 
 
 # ----------------------------------------------------------------------
@@ -267,9 +288,9 @@ def read_json(path: str, what: str):
             raise ConfigError(f"{what} {path}: invalid JSON ({exc})") from exc
 
 
-def load_state(path: str, log_path: str | None = None) -> Market:
+def load_state(path: str) -> Market:
     """Load a market from a JSON state file; raises ConfigError when it is malformed."""
-    return Market.from_state_dict(read_json(path, "state"), log_path=log_path)
+    return Market.from_state_dict(read_json(path, "state"))
 
 
 def read_trade_log(path: str) -> list[TradeRecord]:

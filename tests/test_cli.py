@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import subprocess_env
-from expfam_markets import Market, family_from_id, save_state
+from expfam_markets import Market, family_from_id, read_trade_log, save_state
 from expfam_markets.cli import SEED_ENV_VAR, main
 
 
@@ -115,6 +115,17 @@ class TestQuoteAndTrade:
         assert state["n_trades"] == 1
         with open(log) as fh:
             assert len(fh.read().splitlines()) == 1
+
+    def test_trade_log_appended_and_flushed_per_trade(self, tmp_path, capsys):
+        path = self.setup_state(tmp_path)
+        log = str(tmp_path / "trades.jsonl")
+        assert main(["trade", "--market", path, "--delta", "-0.5", "--trader", "a", "--log", log]) == 0
+        assert len(read_trade_log(log)) == 1
+        assert main(["trade", "--market", path, "--delta", "-0.25", "--trader", "b", "--log", log]) == 0
+        records = read_trade_log(log)
+        assert [r.trader_id for r in records] == ["a", "b"]
+        np.testing.assert_array_equal(records[0].theta_after, records[1].theta_before)
+        assert capsys.readouterr().out.splitlines() == [r.to_json() for r in records]
 
     def test_non_numeric_delta_is_config_error(self, tmp_path, capsys):
         path = self.setup_state(tmp_path)
@@ -252,6 +263,20 @@ class TestSimulate:
         assert main(["simulate", "--config", path, "--out", out]) == 3
         report = json.load(open(out))
         assert report["valid"] is False
+
+
+    def test_rerun_truncates_the_trade_log(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "sim.json", sim_config())
+        log = str(tmp_path / "trades.jsonl")
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "r.json"), "--trade-log", log]
+        assert main(argv) == 0
+        first = open(log, "rb").read()
+        assert main(argv) == 0
+        assert open(log, "rb").read() == first
+        state0 = write_json(tmp_path / "s0.json", Market(family_from_id("categorical:2"), [0.0, 0.0]).state_dict())
+        capsys.readouterr()
+        assert main(["replay", "--log", log, "--state0", state0]) == 0
+        assert json.loads(capsys.readouterr().out)["n_trades"] == json.load(open(tmp_path / "r.json"))["aggregates"]["n_trades"] == 6
 
 
 class TestReplayCommand:

@@ -12,19 +12,32 @@ Together the configs cover every sampleable family, both arrival modes,
 ``valid=false`` (its trade log is never created, pinned as ``None``) and a
 budget-limited trader with positive risk aversion.
 
-Run this file as a script to print the digests of the current code::
+Run this file as a script to print the digests of the current code, or
+with ``--json`` the digests and reports as one JSON object::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [--json]
+
+The cross-dispatch tests run that script in child processes under
+environment variables that switch numpy's SIMD loops, OpenBLAS's kernel and
+glibc's libm variant.  The first two must not move a byte.  glibc's non-FMA
+libm still rounds some ``exp``/``log``/``log1p``/``pow`` results
+differently, so under it each report field is compared with the in-process
+run against a stated bound in ulps.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 
+from conftest import subprocess_env
 from expfam_markets import SimConfig, emit_report, run_simulation
 
 GOLDEN_CONFIGS = {
@@ -122,25 +135,40 @@ GOLDEN_DIGESTS = {
         "trade_log": "199d053e5ea68795177c44d9734a6f1819d620b14eeb9f284f650c3bf97e7c49",
     },
     "categorical-fixed-sequence": {
-        "json": "17cbc3c4bf3ea5c9e9d2598f75a4861e39123f7a78c9da70675c4368c22e1619",
-        "csv": "5fa1867c06e9c56ea8f79b6064a9446c8e34d27e626001f6f1d1f9198686c059",
-        "trade_log": "7d17e21978bc777d7a273e4667296508b82aea4e0708a453bdcbbec9891a4950",
+        "json": "dfbe8214573155e8ea1d99553a44fc7fa44eb04fdeee31c4217bd6e84af17503",
+        "csv": "0b20f6d0ed6e45c854e1594d463097de902ececb27dedf79d5bca152a189e8b2",
+        "trade_log": "f363b2e4d20dc37ffbb06dd13f1b38d94d8c30d65401b1c9a2733aa9e89d1a9c",
     },
     "exponential-rate-state-reset": {
-        "json": "395314656a48ed7bb75a994a9b961fcdfbb8b4a6cbada6c4a42c5b07d590adb3",
-        "csv": "9742ee06a18c92b9133f2da71d3f515fb53d7861bdd65815d308f238727dd632",
-        "trade_log": "87351f1eea93041f8fcc85ab8f5dd40c1aa4207ed9e4ff84067bff7c56d9c195",
+        "json": "e7d0b1e9116f763460980a0981be8fc96f7fbd48e9a7d5df5adc812819c58728",
+        "csv": "453f69283e7e44ba9bec7c732b6021434ed1a4de2818179d09e022cc95e9ca1d",
+        "trade_log": "6108fd6ba9126a25a56bbd8aa1f93d66acd3404f9c1530d4a44564abe2a86b0f",
     },
     "gaussian-inv-liquidity": {
-        "json": "e447370cc162a358adc354713cfbbe68c993d7257648d508fd7ff5c389e0d265",
-        "csv": "9032d17a49d1a1bdaee66fe4ca3d81bf44e6f23c578aaa26d8a8f4f8a2e126e3",
+        "json": "3368136277ff778e0c3f80ed5ff769b097f18eac1ddfbe3377eaff129127daf1",
+        "csv": "003e1bef041df75f7a39c8b34aadbfc32fb3771505ee18c2c1a4669a8bfce74b",
         "trade_log": "8d408d60407c1dd5cf246974b3236eba780c2b4d230ed34a9f6ed7f4d04f0f34",
     },
     "weibull-round-robin": {
-        "json": "9dc28984138d4386a6df370b2fe9d715a2e728e5e2fae4a5978e25b2d23416cb",
-        "csv": "22b25feb7428edef0ee1c9c5084a0e66c207c8c67781dfdd31dd96982b021409",
+        "json": "05082a0b775e56ada44251015416623fa817c73be343cf0b522ac904ca084a7b",
+        "csv": "e428c2ec7cea9ba813b6c77715cb5a7f36d84dd78c6106831e9d692567dc87a3",
         "trade_log": "1ef949c2af3c8b708d63a9b6eda783574b7a0cac35a9e55e759315cee26c8d55",
     },
+}
+
+
+# Environment variables that switch a dispatch path, set only in a child's environment.
+DISPATCH_VARIANTS = {
+    "numpy-without-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+}
+LIBM_VARIANT = {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-FMA4,-AVX"}
+
+# Largest difference under LIBM_VARIANT, per report field, in ulps of the
+# field's own magnitude; every field not listed must be bit-identical.
+LIBM_ULP_BOUNDS = {
+    "categorical-fixed-sequence": {"events.delta": 2048},
+    "weibull-round-robin": {"events.log_loss_before": 1, "events.myopic_impact": 1},
 }
 
 
@@ -151,25 +179,83 @@ def _sha256(path: str) -> str | None:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def run_digests(name: str, directory: str) -> dict[str, str | None]:
-    """Run one golden config and return the sha256 of its three output files."""
+def run_golden(name: str, directory: str) -> tuple[dict[str, str | None], dict]:
+    """Run one golden config; return the sha256 of its three output files and the report."""
     paths = {kind: os.path.join(directory, f"{name}.{kind}")
              for kind in ("json", "csv", "trade_log")}
     report = run_simulation(SimConfig.from_dict(GOLDEN_CONFIGS[name]), trade_log_path=paths["trade_log"])
     emit_report(report, "json", paths["json"])
     emit_report(report, "csv", paths["csv"])
-    return {kind: _sha256(path) for kind, path in paths.items()}
+    return {kind: _sha256(path) for kind, path in paths.items()}, report.to_dict()
+
+
+def ulp_differences(a, b, field: str = "", out: dict | None = None) -> dict[str, float]:
+    """Largest ``|a - b|`` in ulps of ``max(|a|, |b|)`` per field of two equal-shaped reports.
+
+    Field names have at most two parts (``events.delta``, ``aggregates.final_theta``):
+    list indices and deeper dict keys such as trader ids fold into them.  Any
+    difference in a value that is not a finite float counts as infinite.
+    """
+    out = {} if out is None else out
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            ulp_differences(a[key], b[key], field if "." in field else f"{field}.{key}".lstrip("."), out)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            ulp_differences(x, y, field, out)
+    elif isinstance(a, float) and isinstance(b, float) and math.isfinite(a) and math.isfinite(b):
+        ulps = 0.0 if a == b else abs(a - b) / math.ulp(max(abs(a), abs(b)))
+        out[field] = max(out.get(field, 0.0), ulps)
+    else:
+        out[field] = max(out.get(field, 0.0), 0.0 if a == b else math.inf)
+    return out
+
+
+def run_golden_child(env: dict) -> dict:
+    """Digests and reports of every golden config from a child process with ``env`` added."""
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--json"], capture_output=True,
+                          text=True, env={**subprocess_env(), **env}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
 def test_outputs_match_golden_digests(name, tmp_path):
-    assert run_digests(name, str(tmp_path)) == GOLDEN_DIGESTS[name]
+    assert run_golden(name, str(tmp_path))[0] == GOLDEN_DIGESTS[name]
 
 
-if __name__ == "__main__":
+@pytest.mark.parametrize("variant", sorted(DISPATCH_VARIANTS))
+def test_digests_hold_across_dispatch_paths(variant):
+    child = run_golden_child(DISPATCH_VARIANTS[variant])
+    assert {name: out["digests"] for name, out in child.items()} == GOLDEN_DIGESTS
+
+
+def test_libm_variant_stays_within_stated_ulps(tmp_path):
+    child = run_golden_child(LIBM_VARIANT)
+    assert sorted(child) == sorted(GOLDEN_CONFIGS)
+    for name in sorted(GOLDEN_CONFIGS):
+        differences = ulp_differences(run_golden(name, str(tmp_path))[1], child[name]["report"])
+        bounds = LIBM_ULP_BOUNDS.get(name, {})
+        beyond = {field: ulps for field, ulps in differences.items() if ulps > bounds.get(field, 0)}
+        assert beyond == {}, f"{name}: fields beyond their bound under {LIBM_VARIANT}"
+
+
+def _print_digests() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for golden_name in sorted(GOLDEN_CONFIGS):
             print(f'    "{golden_name}": {{')
-            for kind, digest in run_digests(golden_name, tmp).items():
+            for kind, digest in run_golden(golden_name, tmp)[0].items():
                 print(f'        "{kind}": ' + ("None" if digest is None else f'"{digest}"') + ",")
             print("    },")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--json"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs = {}
+            for golden_name in sorted(GOLDEN_CONFIGS):
+                digests, report = run_golden(golden_name, tmp)
+                outputs[golden_name] = {"digests": digests, "report": report}
+        print(json.dumps(outputs))
+    else:
+        _print_digests()

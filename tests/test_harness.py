@@ -3,9 +3,14 @@ replay, and report emission."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+from conftest import subprocess_env
 
 from expfam_markets import (
     ConfigError,
@@ -323,6 +328,80 @@ class TestDeterminismAndReset:
         run_simulation(SimConfig.from_dict(cfg), trade_log_path=log)
         records = read_trade_log(log)
         np.testing.assert_array_equal(records[1].theta_before, records[0].theta_after)
+
+
+def aborts_in_round_2() -> dict:
+    """A config whose second trader's move lands within the trading margin of the boundary."""
+    return base_config(family="exponential-rate", theta0=[-1.0], true_theta=[-0.8], rounds=3, traders=[
+        {"id": "a", "model": "risk-neutral", "belief": {"theta": [-0.5]}},
+        {"id": "edge", "model": "risk-neutral", "belief": {"theta": [-1e-10]}},
+    ])
+
+
+class TestTradeLog:
+    def test_each_record_is_in_the_log_right_after_its_execute(self, tmp_path, monkeypatch):
+        log = str(tmp_path / "trades.jsonl")
+        executed = []
+        real_execute = Market.execute
+
+        def logged_so_far():
+            return [r.to_json() for r in read_trade_log(log)] if os.path.exists(log) else []
+
+        def execute(market, *args, **kwargs):
+            assert logged_so_far() == [r.to_json() for r in executed]
+            executed.append(real_execute(market, *args, **kwargs))
+            return executed[-1]
+
+        monkeypatch.setattr(Market, "execute", execute)
+        cfg = base_config(rounds=6, arrival="fixed-sequence", sequence=["a", "b"], traders=[
+            {"id": "a", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.7, 0.3]}},
+            {"id": "b", "model": "budget-limited", "budget": 0.4, "belief": {"probs": [0.2, 0.8]}},
+        ])
+        run_simulation(SimConfig.from_dict(cfg), trade_log_path=log)
+        assert len(executed) == 12
+        assert logged_so_far() == [r.to_json() for r in executed]
+
+    def test_rerun_replaces_the_log(self, tmp_path):
+        log = str(tmp_path / "trades.jsonl")
+        config = SimConfig.from_dict(base_config(rounds=7))
+        run_simulation(config, trade_log_path=log)
+        first = open(log, "rb").read()
+        run_simulation(config, trade_log_path=log)
+        assert open(log, "rb").read() == first
+        assert len(read_trade_log(log)) == 7
+
+    @pytest.mark.parametrize("stale", [False, True])
+    def test_run_without_a_trade_leaves_no_log(self, tmp_path, stale):
+        log = tmp_path / "trades.jsonl"
+        if stale:
+            log.write_text("an older run's log\n")
+        cfg = base_config(rounds=2, traders=[
+            {"id": "b", "model": "bayesian", "sample": {"mean": {"probs": [1.0, 0.0]}, "size": 1}},
+        ])
+        report = run_simulation(SimConfig.from_dict(cfg), trade_log_path=str(log))
+        assert (report.valid, report.aggregates["n_trades"]) == (False, 0)
+        assert not log.exists()
+
+    def test_aborted_run_logs_its_trades(self, tmp_path):
+        log = str(tmp_path / "trades.jsonl")
+        report = run_simulation(SimConfig.from_dict(aborts_in_round_2()), trade_log_path=log)
+        assert not report.valid and "round 2" in report.error
+        assert [r.trader_id for r in read_trade_log(log)] == ["a"]
+
+    def test_runs_leave_no_open_handle(self, tmp_path):
+        code = (
+            "import gc, json, sys\n"
+            "from expfam_markets import SimConfig, run_simulation\n"
+            "for name, raw in json.loads(sys.argv[1]).items():\n"
+            "    report = run_simulation(SimConfig.from_dict(raw), trade_log_path=name + '.jsonl')\n"
+            "    print(name, report.valid, report.aggregates['n_trades'])\n"
+            "gc.collect()\n"
+        )
+        configs = {"completed": base_config(rounds=5), "aborted": aborts_in_round_2()}
+        proc = subprocess.run([sys.executable, "-W", "error::ResourceWarning", "-c", code, json.dumps(configs)],
+                              capture_output=True, text=True, cwd=tmp_path, env=subprocess_env(), timeout=120)
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == ["completed True 5", "aborted False 1"]
 
 
 class TestReplay:

@@ -7,14 +7,14 @@ import os
 import numpy as np
 import pytest
 
-from conftest import central_diff_grad, kl_quadrature, random_natural
+from conftest import SAMPLEABLE_FAMILY_IDS, central_diff_grad, kl_quadrature, random_natural
 from expfam_markets import (
+    Categorical,
     DomainError,
     Market,
     family_from_id,
     load_state,
     payoff,
-    read_trade_log,
     save_state,
 )
 
@@ -165,6 +165,50 @@ class TestExecute:
             assert total == pytest.approx(single, abs=1e-10), f"{family.id}: {k}-step split"
 
 
+class TestCostCache:
+    """``quote`` reads ``C(theta)`` from the cache that the writers of ``theta`` keep."""
+
+    LAM = 0.75
+
+    @staticmethod
+    def assert_quotes_uncached(market, rng):
+        fam, lam, theta = market.family, market.inv_liquidity, market.theta
+        for _ in range(10):
+            # A step toward a random interior state stays interior.
+            delta = rng.uniform(0.0, 1.0) * (random_natural(fam, rng) / lam - theta)
+            uncached = float(fam._log_partition(lam * (theta + delta)) / lam - fam._log_partition(lam * theta) / lam)
+            assert market.quote(delta).hex() == uncached.hex()
+
+    @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
+    def test_quote_equals_uncached_after_every_writer(self, family_id):
+        fam = family_from_id(family_id)
+        rng = np.random.default_rng(19)
+        market = Market(fam, random_natural(fam, rng) / self.LAM, inv_liquidity=self.LAM)
+        self.assert_quotes_uncached(market, rng)
+        for _ in range(5):
+            market.execute(0.5 * (random_natural(fam, rng) / self.LAM - market.theta))
+            self.assert_quotes_uncached(market, rng)
+        market.reset_theta(random_natural(fam, rng) / self.LAM)
+        self.assert_quotes_uncached(market, rng)
+        self.assert_quotes_uncached(Market.from_state_dict(market.state_dict()), rng)
+
+    @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
+    def test_failed_execute_keeps_the_cache(self, family_id):
+        fam = family_from_id(family_id)
+        rng = np.random.default_rng(23)
+        market = Market(fam, random_natural(fam, rng) / 2.0, inv_liquidity=2.0)
+        market.execute(0.5 * (random_natural(fam, rng) / 2.0 - market.theta))
+        cost = market.cost()
+        escapes = [np.full(fam.dim, 1e308)]  # 2 * (theta + delta) overflows
+        if not isinstance(fam, Categorical):
+            escapes.append(np.full(fam.dim, 10.0))  # past the boundary theta < 0 (gaussian: theta2 < 0)
+        for delta in escapes:
+            with pytest.raises(DomainError), np.errstate(over="ignore"):
+                market.execute(delta)
+            assert market.cost() == cost
+            self.assert_quotes_uncached(market, rng)
+
+
 class TestPayoff:
     def test_indicator_security(self):
         fam = family_from_id("categorical:2")
@@ -251,16 +295,6 @@ class TestPersistence:
             raw = json.load(fh)
         assert set(raw) == {"family", "theta", "inv_liquidity", "n_trades", "revenue"}
         assert raw["family"] == "exponential-rate"
-
-    def test_trade_log_appended_and_flushed_per_trade(self, tmp_path):
-        log = str(tmp_path / "trades.jsonl")
-        market = Market(EXPO, -1.0, log_path=log)
-        market.execute(-0.5, trader_id="a")
-        assert len(read_trade_log(log)) == 1  # flushed immediately
-        market.execute(-0.25, trader_id="b")
-        records = read_trade_log(log)
-        assert [r.trader_id for r in records] == ["a", "b"]
-        np.testing.assert_array_equal(records[0].theta_after, records[1].theta_before)
 
     def test_init_rejects_boundary_state(self):
         with pytest.raises(DomainError):
