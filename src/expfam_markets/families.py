@@ -64,7 +64,7 @@ def as_params(value, dim: int, name: str = "params") -> np.ndarray:
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.ndim != 1 or arr.shape[0] != dim:
         raise DomainError(f"{name} must be a vector of length {dim}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():  # the method skips np.all's Python-level dispatch
         raise DomainError(f"{name} must be finite, got {arr}")
     return arr
 
@@ -233,7 +233,7 @@ class Categorical(ExpFamily):
         return True  # T is finite on all of R^K
 
     def _mean_interior(self, mu, margin) -> bool:
-        return bool(np.all(mu >= margin) and abs(float(np.sum(mu)) - 1.0) <= 1e-9)
+        return bool((mu >= margin).all() and abs(float(np.sum(mu)) - 1.0) <= 1e-9)
 
     def check_outcome(self, x):
         xf = _real_outcome(self, x)

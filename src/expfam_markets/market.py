@@ -123,9 +123,7 @@ class Market:
         revenue: Cash collected so far; stays equal to the sum of executed
             trade costs.
 
-    The market writes no trade log: whoever executes the trades owns the
-    log (``run_simulation`` one handle per run, the ``trade`` command one
-    append per invocation) and writes ``TradeRecord.to_json`` lines.
+    The market writes no trade log; the caller of ``execute`` owns it.
     """
 
     def __init__(self, family: ExpFamily, theta0, inv_liquidity: float = 1.0,
@@ -148,9 +146,7 @@ class Market:
 
     def cost(self, theta=None) -> float:
         """Liquidity-adjusted cost ``(1/lam) T(lam * theta)`` (default: current state)."""
-        if theta is None:
-            return self._cost
-        theta = as_params(theta, self.family.dim, "theta")
+        theta = self.theta if theta is None else as_params(theta, self.family.dim, "theta")
         lam = self.inv_liquidity
         return self.family.log_partition(lam * theta) / lam
 
