@@ -267,16 +267,16 @@ class TestSimulate:
 
     def test_rerun_truncates_the_trade_log(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sim.json", sim_config())
-        log = str(tmp_path / "trades.jsonl")
-        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "r.json"), "--trade-log", log]
+        log, out = tmp_path / "trades.jsonl", tmp_path / "r.json"
+        argv = ["simulate", "--config", cfg, "--out", str(out), "--trade-log", str(log)]
         assert main(argv) == 0
-        first = open(log, "rb").read()
+        first = log.read_bytes()
         assert main(argv) == 0
-        assert open(log, "rb").read() == first
+        assert log.read_bytes() == first
         state0 = write_json(tmp_path / "s0.json", Market(family_from_id("categorical:2"), [0.0, 0.0]).state_dict())
         capsys.readouterr()
-        assert main(["replay", "--log", log, "--state0", state0]) == 0
-        assert json.loads(capsys.readouterr().out)["n_trades"] == json.load(open(tmp_path / "r.json"))["aggregates"]["n_trades"] == 6
+        assert main(["replay", "--log", str(log), "--state0", state0]) == 0
+        assert json.loads(capsys.readouterr().out)["n_trades"] == json.loads(out.read_text())["aggregates"]["n_trades"] == 6
 
 
 class TestReplayCommand:

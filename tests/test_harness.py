@@ -362,13 +362,13 @@ class TestTradeLog:
         assert logged_so_far() == [r.to_json() for r in executed]
 
     def test_rerun_replaces_the_log(self, tmp_path):
-        log = str(tmp_path / "trades.jsonl")
+        log = tmp_path / "trades.jsonl"
         config = SimConfig.from_dict(base_config(rounds=7))
-        run_simulation(config, trade_log_path=log)
-        first = open(log, "rb").read()
-        run_simulation(config, trade_log_path=log)
-        assert open(log, "rb").read() == first
-        assert len(read_trade_log(log)) == 7
+        run_simulation(config, trade_log_path=str(log))
+        first = log.read_bytes()
+        run_simulation(config, trade_log_path=str(log))
+        assert log.read_bytes() == first
+        assert len(read_trade_log(str(log))) == 7
 
     @pytest.mark.parametrize("stale", [False, True])
     def test_run_without_a_trade_leaves_no_log(self, tmp_path, stale):
