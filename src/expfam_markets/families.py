@@ -318,9 +318,9 @@ class WeibullMoment(ExpFamily):
 
     def _sample(self, theta, rng, size):
         rate = -float(theta[0])
-        if size is None:
-            return (-math.log1p(-rng.random()) / rate) ** (1.0 / self.k)
-        return (-np.log1p(-rng.random(size)) / rate) ** (1.0 / self.k)
+        power = 1.0 / self.k
+        draws = [(-math.log1p(-u) / rate) ** power for u in np.atleast_1d(rng.random(size)).tolist()]
+        return draws[0] if size is None else np.array(draws)
 
 
 class ExponentialRate(WeibullMoment):

@@ -146,9 +146,11 @@ class Market:
 
     def cost(self, theta=None) -> float:
         """Liquidity-adjusted cost ``(1/lam) T(lam * theta)`` (default: current state)."""
-        theta = self.theta if theta is None else as_params(theta, self.family.dim, "theta")
-        lam = self.inv_liquidity
-        return self.family.log_partition(lam * theta) / lam
+        if theta is None:
+            return self._cost
+        theta = as_params(theta, self.family.dim, "theta")
+        self.family.check_natural(self.inv_liquidity * theta)
+        return self._cost_at(theta)
 
     def _cost_at(self, theta: np.ndarray) -> float:
         """``(1/lam) T(lam * theta)`` at a checked ``theta``."""

@@ -360,6 +360,17 @@ class TestSampling:
         b = fam.sample(-1.0, np.random.default_rng(61), size=10)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("family_id, theta", [
+        ("exponential-rate", -1.5), ("weibull-moment:2", -0.5), ("categorical:3", [0.2, -0.1, 0.4]),
+        ("gaussian-moments", [1.0, -0.5]),
+    ])
+    def test_array_draw_equals_scalar_draws(self, family_id, theta):
+        fam = family_from_id(family_id)
+        batch = fam.sample(theta, np.random.default_rng(67), size=2_000)
+        rng = np.random.default_rng(67)
+        one_by_one = [fam.sample(theta, rng) for _ in range(2_000)]
+        assert [float(v).hex() for v in batch] == [float(v).hex() for v in one_by_one]
+
     def test_vmf3_sampling_unsupported(self):
         fam = family_from_id("vmf3")
         with pytest.raises(UnsupportedError):

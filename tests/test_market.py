@@ -178,6 +178,7 @@ class TestCostCache:
             delta = rng.uniform(0.0, 1.0) * (random_natural(fam, rng) / lam - theta)
             uncached = float(fam._log_partition(lam * (theta + delta)) / lam - fam._log_partition(lam * theta) / lam)
             assert market.quote(delta).hex() == uncached.hex()
+        assert market.cost().hex() == float(fam._log_partition(lam * theta) / lam).hex()
 
     @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
     def test_quote_equals_uncached_after_every_writer(self, family_id):
