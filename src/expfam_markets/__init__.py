@@ -41,33 +41,27 @@ from .harness import (
     replay,
     run_simulation,
 )
-from .market import Market, TradeRecord, load_state, payoff, read_trade_log, save_state
+from .market import Market, TradeRecord, load_state, read_trade_log, save_state
 from .scoring import (
     expected_score,
     log_score,
-    mean_variance_from_moments,
     moments_from_mean_variance,
     score_regret,
 )
 from .traders import (
-    ConjugatePriorState,
     TraderProfile,
-    bayes_update,
     bayesian_market_trade,
     budget_limited_trade,
     certainty_equivalent,
     effective_belief,
     exp_utility_trade,
     expected_profit_bound,
-    myopic_impact,
-    risk_neutral_trade,
 )
 
 __all__ = [
     "BestResponseResult",
     "Categorical",
     "ConfigError",
-    "ConjugatePriorState",
     "ConvergenceError",
     "CorruptLogError",
     "DomainError",
@@ -84,7 +78,6 @@ __all__ = [
     "UnsupportedError",
     "VonMisesFisher3",
     "WeibullMoment",
-    "bayes_update",
     "bayesian_market_trade",
     "best_response_dynamics",
     "budget_limited_trade",
@@ -99,14 +92,10 @@ __all__ = [
     "load_state",
     "log_score",
     "log_utility",
-    "mean_variance_from_moments",
     "moments_from_mean_variance",
-    "myopic_impact",
-    "payoff",
     "potential",
     "read_trade_log",
     "replay",
-    "risk_neutral_trade",
     "run_simulation",
     "save_state",
     "score_regret",

@@ -77,6 +77,11 @@ def _sum(values: list[float]) -> float:
     return total
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``<a, b>`` as the correctly rounded sum of the products: the same bits on every machine."""
+    return math.fsum([x * y for x, y in zip(a.tolist(), b.tolist())])
+
+
 def _real_outcome(family: "ExpFamily", x) -> float:
     """``x`` as a float if it is a real number (not a bool); else DomainError."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
@@ -180,7 +185,7 @@ class ExpFamily(ABC):
         """Log density ``<theta, phi(x)> - T(theta)`` w.r.t. the base measure."""
         theta = self.check_natural(theta)
         phi = self.statistic(x)
-        return float(np.dot(theta, phi) - self._log_partition(theta))
+        return _dot(theta, phi) - self._log_partition(theta)
 
     def bregman_divergence(self, theta_a, theta_b) -> float:
         """``T(a) - T(b) - <a - b, grad T(b)>``; nonnegative, zero iff equal.
@@ -190,11 +195,8 @@ class ExpFamily(ABC):
         """
         theta_a = self.check_natural(theta_a)
         theta_b = self.check_natural(theta_b)
-        return float(
-            self._log_partition(theta_a)
-            - self._log_partition(theta_b)
-            - np.dot(theta_a - theta_b, self._mean(theta_b))
-        )
+        return (self._log_partition(theta_a) - self._log_partition(theta_b)
+                - _dot(theta_a - theta_b, self._mean(theta_b)))
 
     def sample(self, theta, rng: np.random.Generator, size: int | None = None):
         """Draw outcomes from the member at ``theta`` using a caller-owned rng.
@@ -361,7 +363,7 @@ class GaussianMoments(ExpFamily):
         return xf
 
     def _log_partition(self, theta) -> float:
-        t1, t2 = theta
+        t1, t2 = theta.tolist()  # Python floats: an overflow gives inf, not a RuntimeWarning
         return -(t1 * t1) / (4.0 * t2) - 0.5 * math.log(-2.0 * t2) + 0.5 * _LOG_TWO_PI
 
     def _mean(self, theta) -> np.ndarray:

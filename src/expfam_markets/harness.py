@@ -38,8 +38,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
-from .families import ExpFamily, VonMisesFisher3, family_from_id
-from .market import TRADE_MARGIN, Market, TradeRecord, _dot, _number, _numbers, log_loss
+from .families import ExpFamily, VonMisesFisher3, _dot, family_from_id
+from .market import TRADE_MARGIN, Market, TradeRecord, _number, _numbers, log_loss
 from .scoring import moments_from_mean_variance
 from .traders import (
     TraderProfile,
@@ -277,10 +277,6 @@ class SimReport:
     def to_dict(self) -> dict:
         return {**vars(self), "events": [vars(ev) for ev in self.events]}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimReport":
-        return cls(**{**d, "events": [TradeEvent(**ev) for ev in d["events"]]})
-
     def to_json(self) -> str:
         return _REPORT_ENCODER.encode(self.to_dict()) + "\n"
 
@@ -396,7 +392,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
 # Replay and report emission
 # ----------------------------------------------------------------------
 
-def replay(records: list[TradeRecord], state0: Market | dict) -> Market:
+def replay(records: list[TradeRecord], state0: dict) -> Market:
     """Re-execute a trade log against an initial state, verifying each record.
 
     Every record's pre-trade state must match the running state exactly
@@ -404,10 +400,8 @@ def replay(records: list[TradeRecord], state0: Market | dict) -> Market:
     state-reset simulations), its post-trade state must equal ``before +
     delta``, and its cost must equal the cost of re-executing it bit for
     bit.  Returns the reconstructed market; raises CorruptLogError at the
-    first offending record.
+    first offending record.  ``state0`` is a ``Market.state_dict`` snapshot.
     """
-    if isinstance(state0, Market):
-        state0 = state0.state_dict()
     market = Market.from_state_dict(state0)
     theta_init = market.theta.copy()
     for line, record in enumerate(records, 1):

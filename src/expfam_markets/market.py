@@ -17,12 +17,12 @@ The share vector must stay strictly inside the cost function's domain.  In
 exact arithmetic the blow-up of ``C`` at the boundary self-enforces this
 (no finite-budget trader buys an infinite-cost portfolio), but in floating
 point we reject trades that move ``lam * theta`` within ``1e-9`` of the
-boundary outright.  Only ``Market.__init__``, ``execute`` and ``reset_theta``
-store the share vector, and each checks it, so pricing and settlement
-evaluate the family kernels on it unchecked.  The same three writers keep
-``C(theta)`` cached, so a quote evaluates the log partition once, at the
-target; ``execute`` checks ``delta`` once and stores its quote's target
-cost as the new cache.
+boundary outright, and any state whose cost overflows.  Only
+``Market.__init__``, ``execute`` and ``reset_theta`` store the share vector,
+and each checks it, so pricing and settlement evaluate the family kernels
+on it unchecked.  The same three writers keep ``C(theta)`` cached, so a
+quote evaluates the log partition once, at the target; ``execute`` checks
+``delta`` once and stores its quote's target cost as the new cache.
 
 One market instance is single-writer: ``execute`` requires exclusive
 access, while ``quote``/``prices``/``log_loss`` are read-only and may run
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CorruptLogError, DomainError
-from .families import ExpFamily, as_params, family_from_id
+from .families import ExpFamily, _dot, as_params, family_from_id
 
 TRADE_MARGIN = 1e-9
 
@@ -59,16 +59,6 @@ def _numbers(value, where: str) -> np.ndarray:
         return np.array([_number(value, where)])
     where = f"{where} entry"
     return np.array([_number(v, where) for v in value])
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """``<a, b>`` as the correctly rounded sum of the products: the same bits on every machine."""
-    return math.fsum([x * y for x, y in zip(a.tolist(), b.tolist())])
-
-
-def payoff(family: ExpFamily, delta, x) -> float:
-    """Payout of portfolio ``delta`` at outcome ``x``: ``<delta, phi(x)>``."""
-    return _dot(as_params(delta, family.dim, "delta"), family.statistic(x))
 
 
 def log_loss(family: ExpFamily, theta: np.ndarray, phi: np.ndarray) -> float:
@@ -144,18 +134,17 @@ class Market:
     # Read-only views
     # ------------------------------------------------------------------
 
-    def cost(self, theta=None) -> float:
-        """Liquidity-adjusted cost ``(1/lam) T(lam * theta)`` (default: current state)."""
-        if theta is None:
-            return self._cost
-        theta = as_params(theta, self.family.dim, "theta")
-        self.family.check_natural(self.inv_liquidity * theta)
-        return self._cost_at(theta)
+    def cost(self) -> float:
+        """Liquidity-adjusted cost ``(1/lam) T(lam * theta)`` of the current state."""
+        return self._cost
 
     def _cost_at(self, theta: np.ndarray) -> float:
-        """``(1/lam) T(lam * theta)`` at a checked ``theta``."""
+        """``(1/lam) T(lam * theta)`` at a checked ``theta``; DomainError when it is not finite."""
         lam = self.inv_liquidity
-        return float(self.family._log_partition(lam * theta) / lam)
+        cost = float(self.family._log_partition(lam * theta) / lam)
+        if not math.isfinite(cost):
+            raise DomainError(f"cost is not finite at share vector {theta}")
+        return cost
 
     def prices(self) -> np.ndarray:
         """Instantaneous security prices: the mean parameters at ``lam * theta``."""
@@ -254,8 +243,8 @@ class Market:
         """Reset the share vector (a fresh market instance); counters persist."""
         theta0 = as_params(theta0, self.family.dim, "theta0")
         self.family.check_natural(self.inv_liquidity * theta0, margin=TRADE_MARGIN)
+        self._cost = self._cost_at(theta0)  # first, so a refused state changes nothing
         self.theta = theta0
-        self._cost = self._cost_at(theta0)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .families import ExpFamily
+from .families import ExpFamily, _dot
 
 
 def log_score(family: ExpFamily, report_mu, x) -> float:
@@ -44,7 +44,7 @@ def expected_score(family: ExpFamily, report_mu, belief_mu) -> float:
     """
     theta_hat = family.natural_from_mean(report_mu)
     belief = family.check_mean(belief_mu, margin=0.0)
-    return float(np.dot(theta_hat, belief) - family.log_partition(theta_hat))
+    return _dot(theta_hat, belief) - family.log_partition(theta_hat)
 
 
 def score_regret(family: ExpFamily, belief_mu, report_mu) -> float:
@@ -64,13 +64,3 @@ def moments_from_mean_variance(mean: float, variance: float) -> np.ndarray:
     if variance <= 0.0:
         raise DomainError(f"variance must be positive, got {variance}")
     return np.array([mean, mean * mean + variance])
-
-
-def mean_variance_from_moments(mu) -> tuple[float, float]:
-    """Convert raw moments ``(m1, m2)`` back to (mean, variance)."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if mu.shape != (2,):
-        raise DomainError(f"expected two raw moments, got {mu!r}")
-    mean = float(mu[0])
-    variance = float(mu[1]) - mean * mean
-    return mean, variance

@@ -3,8 +3,9 @@
 Four behaviors are covered, all stated as the portfolio ``delta`` a trader
 buys given the market state and its own profile:
 
-* risk-neutral -- buy until prices equal the belief mean, i.e. move the
-  (liquidity-scaled) share vector to the belief's natural parameter;
+* risk-neutral -- the exponential-utility trade at ``a = 0``: buy until
+  prices equal the belief mean, i.e. move the (liquidity-scaled) share
+  vector to the belief's natural parameter;
 * conjugate-Bayesian -- treat current prices as a phantom sample whose size
   is the posted trade count, form the posterior mean with one's own sample,
   and trade risk-neutrally to it;
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import DomainError
 from .families import Categorical, ExpFamily, as_params
-from .market import Market, TradeRecord, log_loss
+from .market import Market
 
 
 @dataclass
@@ -84,70 +85,26 @@ class TraderProfile:
             self.holdings = np.zeros_like(self.belief_theta)
 
 
-@dataclass
-class ConjugatePriorState:
-    """Phantom sample summarizing a conjugate prior: mean and pseudo-count.
-
-    The phantom mean must be a realizable statistic expectation; the count
-    is any positive real (fractional counts arise when prices stand in for
-    several earlier trades of a common sample size).
-    """
-
-    phantom_mean: np.ndarray
-    phantom_count: float
-
-    def __post_init__(self):
-        self.phantom_mean = np.atleast_1d(np.asarray(self.phantom_mean, dtype=float))
-        if not self.phantom_count > 0.0:
-            raise DomainError(f"phantom_count must be positive, got {self.phantom_count}")
-
-
-def risk_neutral_trade(market: Market, belief_mu) -> np.ndarray:
-    """Portfolio moving prices to ``belief_mu``: buy to the belief's shares.
-
-    With inverse liquidity ``lam`` the target share vector is the belief's
-    natural parameter divided by ``lam``: the exponential-utility trade at
-    zero risk aversion.
-    """
-    return _exp_utility_move(market, market.family.natural_from_mean(belief_mu), 0.0)
-
-
-def bayes_update(prior: ConjugatePriorState, sample_mean, sample_size: float) -> ConjugatePriorState:
-    """Posterior phantom sample after observing ``sample_size`` points with ``sample_mean``.
-
-    The posterior mean is the count-weighted average of the prior and
-    empirical means; counts add.
-    """
-    sample_mean = np.atleast_1d(np.asarray(sample_mean, dtype=float))
-    if not float(sample_size) > 0.0:
-        raise DomainError(f"sample_size must be positive, got {sample_size}")
-    if sample_mean.shape != prior.phantom_mean.shape:
-        raise DomainError("sample_mean and phantom_mean must have matching shapes")
-    n, m = prior.phantom_count, float(sample_size)
-    posterior_mean = (n * prior.phantom_mean + m * sample_mean) / (n + m)
-    return ConjugatePriorState(phantom_mean=posterior_mean, phantom_count=n + m)
-
-
 def bayesian_market_trade(market: Market, sample_mean, sample_size: float) -> np.ndarray:
     """Trade of a conjugate-prior trader who reads prices as a phantom sample.
 
     With ``n`` prior trades posted, each of the trader's own sample size
-    ``m``, the prior is (prices, n*m) and the posterior mean reduces to
-    ``(n * prices + sample_mean) / (n + 1)``; the trader moves prices there.
-    The first trader (``n == 0``) moves prices to its own sample mean.
-    Sample means may lie on the boundary of the realizable set; the posterior
-    must be interior (it always is once ``n >= 1``).
+    ``m``, the prior is (prices, n*m) and the posterior mean is the
+    count-weighted average ``(n*m * prices + m * sample_mean) / (n*m + m)``;
+    the trader moves prices there (the exponential-utility move at zero
+    risk aversion).  The first trader (``n == 0``) moves prices to its own
+    sample mean.  Sample means may lie on the boundary of the realizable
+    set; the posterior must be interior (it always is once ``n >= 1``).
     """
     if market.inv_liquidity != 1.0:
         raise DomainError("bayesian_market_trade requires inv_liquidity == 1")
-    mu_hat = market.family.check_mean(sample_mean, margin=0.0)
-    n = market.n_trades
-    if n == 0:
-        target_mean = mu_hat
-    else:
-        prior = ConjugatePriorState(phantom_mean=market.prices(), phantom_count=n * float(sample_size))
-        target_mean = bayes_update(prior, mu_hat, sample_size).phantom_mean
-    return risk_neutral_trade(market, target_mean)
+    if not float(sample_size) > 0.0:
+        raise DomainError(f"sample_size must be positive, got {sample_size}")
+    fam = market.family
+    mu_hat = fam.check_mean(sample_mean, margin=0.0)
+    n, m = market.n_trades, float(sample_size)
+    target = mu_hat if n == 0 else (n * m * market.prices() + m * mu_hat) / (n * m + m)
+    return _exp_utility_move(market, fam.natural_from_mean(target), 0.0)
 
 
 def certainty_equivalent(market: Market, trader: TraderProfile, delta) -> float:
@@ -169,8 +126,7 @@ def certainty_equivalent(market: Market, trader: TraderProfile, delta) -> float:
     theta_hat = fam.check_natural(trader.belief_theta)
     delta = as_params(delta, fam.dim, "delta")
     belief_term = fam.log_partition(theta_hat - a * delta) - fam.log_partition(theta_hat)
-    cost_term = market.cost(market.theta + delta) - market.cost()
-    return log(a) - belief_term - a * cost_term
+    return log(a) - belief_term - a * market.quote(delta)
 
 
 def exp_utility_trade(market: Market, trader: TraderProfile) -> np.ndarray:
@@ -259,21 +215,6 @@ def budget_limited_trade(market: Market, trader: TraderProfile) -> np.ndarray:
         fraction *= 0.5
         delta = fraction * move
     return 0.0 * move
-
-
-def myopic_impact(market: Market, record: TradeRecord, x) -> float:
-    """One trade's reduction of the market's log loss at outcome ``x``.
-
-    ``L(theta_before, x) - L(theta_after, x)``, which equals the trader's
-    realized budget change (payoff minus cost) for that trade.  Requires
-    unit inverse liquidity, where the log loss is defined.
-    """
-    if market.inv_liquidity != 1.0:
-        raise DomainError("myopic_impact requires inv_liquidity == 1")
-    fam = market.family
-    before, after = fam.check_natural(record.theta_before), fam.check_natural(record.theta_after)
-    phi = fam.statistic(x)
-    return log_loss(fam, before, phi) - log_loss(fam, after, phi)
 
 
 def _centered(family: ExpFamily, vec: np.ndarray) -> np.ndarray:

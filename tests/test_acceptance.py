@@ -168,10 +168,7 @@ def test_criterion_4_kl_profit_identity():
                 theta_prime = random_natural(fam, rng)
                 market = Market(fam, theta)
                 mu_prime = fam.mean_from_natural(theta_prime)
-                profit = (
-                    float(np.dot(theta_prime - theta, mu_prime))
-                    - market.cost(theta_prime) + market.cost()
-                )
+                profit = float(np.dot(theta_prime - theta, mu_prime)) - market.quote(theta_prime - theta)
                 divergence = fam.bregman_divergence(theta, theta_prime)
                 assert abs(profit - divergence) <= PROFIT_DIVERGENCE_ATOL
                 assert abs(profit - kl_quadrature(fam, theta_prime, theta)) <= KL_QUADRATURE_ATOL
@@ -423,7 +420,7 @@ def test_criterion_10_determinism_and_replay(tmp_path):
             assert report_a.to_json() == report_b.to_json()
             assert report_a.valid, f"simulation {index} aborted: {report_a.error}"
 
-            state0 = Market(config.family, config.theta0, config.inv_liquidity)
+            state0 = Market(config.family, config.theta0, config.inv_liquidity).state_dict()
             rebuilt = replay(read_trade_log(log_path), state0)
             assert rebuilt.state_dict()["theta"] == report_a.aggregates["final_theta"]
             assert rebuilt.n_trades == report_a.aggregates["n_trades"]

@@ -191,6 +191,25 @@ class TestQuoteAndTrade:
         assert main(["trade", "--market", path, "--delta", "5.0"]) == 3
         assert open(path).read() == before
 
+    @pytest.mark.parametrize("command,theta,delta", [
+        ("quote", [1e200, -1.0], "[0, 0]"),
+        ("trade", [1e200, -1.0], "[0, 0]"),
+        ("trade", [1.0, -1.0], "[1e200, 0]"),
+    ])
+    def test_overflowing_cost_is_domain_error(self, tmp_path, command, theta, delta):
+        # theta1**2 / (4 * -theta2) overflows: the state or the target has no finite cost.
+        path = write_json(tmp_path / "state.json", {"family": "gaussian-moments", "theta": theta})
+        before = open(path, "rb").read()
+        log = tmp_path / "trades.jsonl"
+        argv = [command, "--market", path, "--delta", delta] + (["--log", str(log)] if command == "trade" else [])
+        proc = subprocess.run([sys.executable, "-m", "expfam_markets.cli", *argv],
+                              capture_output=True, text=True, env=subprocess_env(), timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: cost is not finite") and len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
+        assert open(path, "rb").read() == before
+        assert not log.exists()
+
 
 class TestSimulate:
     def test_writes_reports(self, tmp_path, capsys):

@@ -13,16 +13,18 @@ Together the configs cover every sampleable family, both arrival modes,
 budget-limited trader with positive risk aversion.
 
 Run this file as a script to print the digests of the current code, or
-with ``--json`` the digests and reports as one JSON object::
+with ``--json`` the digests and reports, plus the bits of the functions
+behind the ``score`` command on seeded draws, as one JSON object::
 
     PYTHONPATH=src python tests/test_golden.py [--json]
 
 The cross-dispatch tests run that script in child processes under
 environment variables that switch numpy's SIMD loops, OpenBLAS's kernel and
-glibc's libm variant.  The first two must not move a byte.  glibc's non-FMA
-libm still rounds some ``exp``/``log``/``log1p``/``pow`` results
-differently, so under it each report field is compared with the in-process
-run against a stated bound in ulps.
+glibc's libm variant.  The first two must not move a byte of the reports,
+the logs or the score bits.  glibc's non-FMA libm still rounds some
+``exp``/``log``/``log1p``/``pow`` results differently, so under it each
+report field is compared with the in-process run against a stated bound in
+ulps.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
-from conftest import subprocess_env
-from expfam_markets import SimConfig, emit_report, run_simulation
+from conftest import SAMPLEABLE_FAMILY_IDS, random_natural, subprocess_env
+from expfam_markets import SimConfig, emit_report, expected_score, family_from_id, run_simulation
 
 GOLDEN_CONFIGS = {
     "categorical-fixed-sequence": {
@@ -189,6 +192,21 @@ def run_golden(name: str, directory: str) -> tuple[dict[str, str | None], dict]:
     return {kind: _sha256(path) for kind, path in paths.items()}, report.to_dict()
 
 
+def score_bits() -> dict[str, list[str]]:
+    """``float.hex`` of ``log_density``, ``bregman_divergence`` and ``expected_score`` on 500 seeded draws per family."""
+    rng = np.random.default_rng(5)
+    out = {"log_density": [], "bregman_divergence": [], "expected_score": []}
+    for family_id in SAMPLEABLE_FAMILY_IDS:
+        fam = family_from_id(family_id)
+        for _ in range(500):
+            theta, other = random_natural(fam, rng), random_natural(fam, rng)
+            out["log_density"].append(fam.log_density(theta, fam.sample(other, rng)).hex())
+            out["bregman_divergence"].append(fam.bregman_divergence(theta, other).hex())
+            mu, belief = fam.mean_from_natural(theta), fam.mean_from_natural(other)
+            out["expected_score"].append(expected_score(fam, mu, belief).hex())
+    return out
+
+
 def ulp_differences(a, b, field: str = "", out: dict | None = None) -> dict[str, float]:
     """Largest ``|a - b|`` in ulps of ``max(|a|, |b|)`` per field of two equal-shaped reports.
 
@@ -212,7 +230,7 @@ def ulp_differences(a, b, field: str = "", out: dict | None = None) -> dict[str,
 
 
 def run_golden_child(env: dict) -> dict:
-    """Digests and reports of every golden config from a child process with ``env`` added."""
+    """Digests and reports of every golden config, and the score bits, from a child process with ``env`` added."""
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--json"], capture_output=True,
                           text=True, env={**subprocess_env(), **env}, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -227,11 +245,12 @@ def test_outputs_match_golden_digests(name, tmp_path):
 @pytest.mark.parametrize("variant", sorted(DISPATCH_VARIANTS))
 def test_digests_hold_across_dispatch_paths(variant):
     child = run_golden_child(DISPATCH_VARIANTS[variant])
-    assert {name: out["digests"] for name, out in child.items()} == GOLDEN_DIGESTS
+    assert {name: out["digests"] for name, out in child["goldens"].items()} == GOLDEN_DIGESTS
+    assert child["scores"] == score_bits()
 
 
 def test_libm_variant_stays_within_stated_ulps(tmp_path):
-    child = run_golden_child(LIBM_VARIANT)
+    child = run_golden_child(LIBM_VARIANT)["goldens"]
     assert sorted(child) == sorted(GOLDEN_CONFIGS)
     for name in sorted(GOLDEN_CONFIGS):
         differences = ulp_differences(run_golden(name, str(tmp_path))[1], child[name]["report"])
@@ -256,6 +275,6 @@ if __name__ == "__main__":
             for golden_name in sorted(GOLDEN_CONFIGS):
                 digests, report = run_golden(golden_name, tmp)
                 outputs[golden_name] = {"digests": digests, "report": report}
-        print(json.dumps(outputs))
+        print(json.dumps({"goldens": outputs, "scores": score_bits()}))
     else:
         _print_digests()

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import subprocess_env
+from conftest import SAMPLEABLE_FAMILY_IDS, random_natural, subprocess_env
 
 from expfam_markets import (
     ConfigError,
@@ -198,12 +198,40 @@ class TestAccounting:
         impacts = sum(ev.myopic_impact for ev in report.events)
         assert payoffs - report.aggregates["revenue"] == pytest.approx(impacts, abs=1e-9)
 
-    def test_myopic_impact_equals_log_loss_drop(self):
-        report = self.make_report()
-        for ev in report.events:
+    @staticmethod
+    def family_report(family_id):
+        """Every trader model trading each round on one family, from seeded interior parameters."""
+        fam = family_from_id(family_id)
+        rng = np.random.default_rng(43)
+
+        def theta():
+            return random_natural(fam, rng).tolist()
+
+        report = run_simulation(SimConfig.from_dict(base_config(
+            family=family_id, theta0=theta(), true_theta=theta(), rounds=20, arrival="fixed-sequence",
+            traders=[
+                {"id": "eu", "model": "exp-utility", "risk_aversion": 0.5, "belief": {"theta": theta()}},
+                {"id": "rn", "model": "risk-neutral", "belief": {"theta": theta()}},
+                {"id": "bl", "model": "budget-limited", "budget": 0.8, "belief": {"theta": theta()}},
+                {"id": "by", "model": "bayesian",
+                 "sample": {"mean": fam.mean_from_natural(theta()).tolist(), "size": 2.0}},
+            ])))
+        assert report.valid and len(report.events) == 80
+        return report
+
+    @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
+    def test_myopic_impact_equals_log_loss_drop(self, family_id):
+        for ev in self.family_report(family_id).events:
             assert ev.myopic_impact == pytest.approx(
                 ev.log_loss_before - ev.log_loss_after, abs=1e-10
             )
+
+    @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
+    def test_myopic_impact_is_payoff_minus_cost(self, family_id):
+        fam = family_from_id(family_id)
+        for ev in self.family_report(family_id).events:
+            payoff = float(np.dot(ev.delta, fam.statistic(ev.outcome)))
+            assert ev.myopic_impact == pytest.approx(payoff - ev.cost, abs=1e-10)
 
     def test_impact_totals_reconcile_with_budgets(self):
         report = self.make_report()
@@ -420,7 +448,7 @@ class TestReplay:
 
     def test_empty_log_returns_initial_state(self):
         market = Market(family_from_id("exponential-rate"), -1.0)
-        rebuilt = replay([], market)
+        rebuilt = replay([], market.state_dict())
         assert rebuilt.state_dict() == market.state_dict()
 
     def test_replay_reconstructs_final_state_bitwise(self, tmp_path):
@@ -476,7 +504,7 @@ class TestReplay:
         # Consistent states, but the move leaves the domain theta < 0.
         bad = TradeRecord(2, "b", np.array([2.0]), 0.0, good.theta_after, good.theta_after + 2.0)
         with pytest.raises(CorruptLogError, match="not executable") as err:
-            replay([good, bad], Market(fam, -1.0))
+            replay([good, bad], Market(fam, -1.0).state_dict())
         assert err.value.line_number == 2
 
 
@@ -497,9 +525,9 @@ class TestEmitReport:
         path = str(tmp_path / "report.json")
         emit_report(report, "json", path)
         with open(path) as fh:
-            parsed = SimReport.from_dict(json.load(fh))
-        assert parsed == report
-        assert parsed.to_json() == report.to_json()
+            parsed = json.load(fh)
+        assert parsed == report.to_dict()
+        assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == report.to_json()
 
     def test_csv_cells_are_plain_decimals(self, tmp_path):
         cfg = base_config(family="gaussian-moments", theta0=[0.0, -0.5],

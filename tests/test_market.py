@@ -14,7 +14,6 @@ from expfam_markets import (
     Market,
     family_from_id,
     load_state,
-    payoff,
     save_state,
 )
 
@@ -35,8 +34,8 @@ class TestCost:
         assert market.cost() == pytest.approx(math.log(2.0), abs=1e-14)
 
     def test_cost_at_alternative_state(self):
-        market = Market(EXPO, -1.0)
-        assert market.cost(-2.0) == pytest.approx(-math.log(2.0), abs=1e-12)
+        market = Market(EXPO, -2.0)
+        assert market.cost() == pytest.approx(-math.log(2.0), abs=1e-12)
 
 
 class TestPrices:
@@ -60,7 +59,8 @@ class TestPrices:
             lam = 2.0
             theta = random_natural(family, rng) / lam
         market = Market(family, theta, inv_liquidity=lam)
-        numeric = central_diff_grad(market.cost, np.asarray(theta, dtype=float))
+        numeric = central_diff_grad(lambda t: Market(family, t, inv_liquidity=lam).cost(),
+                                    np.asarray(theta, dtype=float))
         np.testing.assert_allclose(market.prices(), numeric, rtol=1e-6, atol=1e-8)
 
     def test_price_coherence_exact(self, family):
@@ -131,7 +131,7 @@ class TestExecute:
         target = random_natural(family, rng)
         market = Market(family, theta)
         record = market.execute(target - theta)
-        recomputed = market.cost(record.theta_after) - market.cost(record.theta_before)
+        recomputed = Market(family, record.theta_after).cost() - Market(family, record.theta_before).cost()
         assert record.cost == pytest.approx(recomputed, abs=1e-12)
 
     def test_failed_execute_leaves_state_unchanged(self):
@@ -209,23 +209,16 @@ class TestCostCache:
             assert market.cost() == cost
             self.assert_quotes_uncached(market, rng)
 
-
-class TestPayoff:
-    def test_indicator_security(self):
-        fam = family_from_id("categorical:2")
-        assert payoff(fam, [1.0, 0.0], 1) == 1.0
-        assert payoff(fam, [1.0, 0.0], 2) == 0.0
-
-    def test_linear_security(self):
-        assert payoff(EXPO, 2.0, 3.0) == 6.0
-
-    def test_moment_securities(self):
+    def test_overflowing_cost_rejected_by_every_writer(self):
         fam = family_from_id("gaussian-moments")
-        assert payoff(fam, [1.0, 1.0], 2.0) == 6.0
-
-    def test_bad_outcome_rejected(self):
-        with pytest.raises(DomainError):
-            payoff(EXPO, 1.0, -2.0)
+        with pytest.raises(DomainError, match="not finite"):
+            Market(fam, [1e200, -1.0])
+        market = Market(fam, [1.0, -1.0])
+        cost = market.cost()
+        for write in (market.quote, market.execute, lambda delta: market.reset_theta(market.theta + delta)):
+            with pytest.raises(DomainError, match="not finite"):
+                write([1e200, 0.0])
+            assert market.theta.tolist() == [1.0, -1.0] and market.cost() == cost
 
 
 class TestLogLoss:
@@ -264,7 +257,7 @@ class TestRiskNeutralProfitIdentity:
             theta_prime = random_natural(family, rng)
             market = Market(family, theta)
             mu_prime = family.mean_from_natural(theta_prime)
-            profit = float(np.dot(theta_prime - theta, mu_prime)) - market.cost(theta_prime) + market.cost()
+            profit = float(np.dot(theta_prime - theta, mu_prime)) - market.quote(theta_prime - theta)
             assert profit == pytest.approx(family.bregman_divergence(theta, theta_prime), abs=1e-10)
 
     def test_expected_profit_equals_numeric_kl(self):
@@ -274,7 +267,7 @@ class TestRiskNeutralProfitIdentity:
             theta_prime = random_natural(EXPO, rng)
             market = Market(EXPO, theta)
             mu_prime = EXPO.mean_from_natural(theta_prime)
-            profit = float(np.dot(theta_prime - theta, mu_prime)) - market.cost(theta_prime) + market.cost()
+            profit = float(np.dot(theta_prime - theta, mu_prime)) - market.quote(theta_prime - theta)
             assert profit == pytest.approx(kl_quadrature(EXPO, theta_prime, theta), abs=1e-4)
 
 

@@ -10,11 +10,9 @@ import pytest
 
 from conftest import random_natural, subprocess_env
 from expfam_markets import (
-    ConjugatePriorState,
     DomainError,
     Market,
     TraderProfile,
-    bayes_update,
     bayesian_market_trade,
     budget_limited_trade,
     certainty_equivalent,
@@ -22,9 +20,6 @@ from expfam_markets import (
     exp_utility_trade,
     expected_profit_bound,
     family_from_id,
-    myopic_impact,
-    payoff,
-    risk_neutral_trade,
 )
 
 EXPO = family_from_id("exponential-rate")
@@ -34,6 +29,16 @@ CAT2 = family_from_id("categorical:2")
 def make_trader(belief, a=0.0, budget=None, holdings=None, tid="t"):
     return TraderProfile(id=tid, belief_theta=belief, risk_aversion=a,
                          budget=budget, holdings=holdings)
+
+
+def risk_neutral_trade(market, belief_mu):
+    """The exponential-utility trade at zero risk aversion toward the belief mean ``belief_mu``."""
+    return exp_utility_trade(market, make_trader(market.family.natural_from_mean(belief_mu)))
+
+
+def payoff(family, delta, x):
+    """``<delta, phi(x)>``: what portfolio ``delta`` pays at outcome ``x``."""
+    return float(np.dot(delta, family.statistic(x)))
 
 
 class TestRiskNeutralTrade:
@@ -65,37 +70,44 @@ class TestRiskNeutralTrade:
 
 
 class TestBayesUpdate:
+    """The conjugate update ``(N*prices + m*mean) / (N + m)`` that ``bayesian_market_trade`` moves prices to."""
+
+    @staticmethod
+    def posterior_prices(market, sample_mean, sample_size):
+        market.execute(bayesian_market_trade(market, sample_mean, sample_size))
+        return market.prices()
+
     def test_worked_arithmetic(self):
-        prior = ConjugatePriorState(phantom_mean=2.0, phantom_count=3.0)
-        post = bayes_update(prior, 6.0, 1.0)
-        assert post.phantom_mean[0] == pytest.approx(3.0)
-        assert post.phantom_count == pytest.approx(4.0)
+        # Prices 2 with phantom count 3 * 1; one point at 6 gives (3*2 + 6) / 4.
+        market = Market(EXPO, -0.5, n_trades=3)
+        assert self.posterior_prices(market, 6.0, 1.0)[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_agreeing_sample_leaves_mean(self):
-        prior = ConjugatePriorState(phantom_mean=[0.3, 0.7], phantom_count=5.0)
-        post = bayes_update(prior, [0.3, 0.7], 2.5)
-        np.testing.assert_allclose(post.phantom_mean, [0.3, 0.7])
-        assert post.phantom_count == pytest.approx(7.5)
+        market = Market(CAT2, CAT2.natural_from_mean([0.3, 0.7]), n_trades=2)
+        delta = bayesian_market_trade(market, [0.3, 0.7], 2.5)
+        np.testing.assert_allclose(delta, [0.0, 0.0], atol=1e-12)
 
     def test_matches_beta_bernoulli_posterior(self):
-        # Success-probability mean 1/2 with pseudo-count 2 is a Beta(1, 1)
-        # prior; two observed successes give posterior mean (1+2)/(2+2).
-        prior = ConjugatePriorState(phantom_mean=0.5, phantom_count=2.0)
-        post = bayes_update(prior, 1.0, 2.0)
+        # Uniform prices with phantom count 1 * 2 are a Beta(1, 1) prior on
+        # the first outcome; two observed firsts give posterior mean (1+2)/(2+2).
+        market = Market(CAT2, [0.0, 0.0], n_trades=1)
+        prices = self.posterior_prices(market, [1.0, 0.0], 2.0)
         alpha, beta = 1.0, 1.0
-        assert post.phantom_mean[0] == pytest.approx((alpha + 2.0) / (alpha + beta + 2.0))
-        assert post.phantom_mean[0] == pytest.approx(0.75)
+        assert prices[0] == pytest.approx((alpha + 2.0) / (alpha + beta + 2.0), abs=1e-12)
+        assert prices[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_fractional_counts_allowed(self):
-        prior = ConjugatePriorState(phantom_mean=1.0, phantom_count=0.5)
-        post = bayes_update(prior, 2.0, 0.25)
-        assert post.phantom_mean[0] == pytest.approx((0.5 * 1.0 + 0.25 * 2.0) / 0.75)
+        # Phantom count 2 * 0.25 = 0.5 at price 1, one quarter-point at 2.
+        market = Market(EXPO, -1.0, n_trades=2)
+        prices = self.posterior_prices(market, 2.0, 0.25)
+        assert prices[0] == pytest.approx((0.5 * 1.0 + 0.25 * 2.0) / 0.75, abs=1e-12)
 
-    def test_bad_sizes_rejected(self):
+    @pytest.mark.parametrize("n_trades", [0, 3])
+    @pytest.mark.parametrize("size", [0.0, -1.0, math.nan])
+    def test_bad_sizes_rejected(self, n_trades, size):
+        market = Market(EXPO, -1.0, n_trades=n_trades)
         with pytest.raises(DomainError):
-            ConjugatePriorState(phantom_mean=1.0, phantom_count=0.0)
-        with pytest.raises(DomainError):
-            bayes_update(ConjugatePriorState(1.0, 1.0), 1.0, 0.0)
+            bayesian_market_trade(market, 1.0, size)
 
 
 class TestBayesianMarketTrade:
@@ -187,13 +199,6 @@ class TestExpUtilityTrade:
         market = Market(EXPO, -1.0)
         delta = exp_utility_trade(market, make_trader(-3.0, a=1e-8))
         assert abs((market.theta + delta)[0] - (-3.0)) < 1e-6
-
-    def test_zero_aversion_is_risk_neutral_trade(self):
-        market = Market(EXPO, -1.0, inv_liquidity=2.0)
-        belief_theta = np.array([-3.0])
-        delta_util = exp_utility_trade(market, make_trader(belief_theta, a=0.0))
-        delta_rn = risk_neutral_trade(market, EXPO.mean_from_natural(belief_theta))
-        np.testing.assert_allclose(delta_util, delta_rn, atol=1e-12)
 
     def test_optimality_against_grid(self):
         rng = np.random.default_rng(11)
@@ -392,36 +397,28 @@ class TestBudgetLimitedTrade:
 
 
 class TestMyopicImpact:
+    """A trade's drop in the market's log loss equals its payoff minus its cost.
+
+    The per-family form of this identity is pinned on the simulation's own
+    settle step in ``test_harness.py::TestAccounting``.
+    """
+
+    @staticmethod
+    def execute_with_impact(market, delta, x):
+        before = market.log_loss(x)
+        record = market.execute(delta)
+        return before - market.log_loss(x), record
+
     def test_null_trade(self):
         market = Market(CAT2, [0.0, 0.0])
-        record = market.execute([0.0, 0.0])
-        assert myopic_impact(market, record, 1) == 0.0
+        assert self.execute_with_impact(market, [0.0, 0.0], 1)[0] == 0.0
 
     def test_worked_categorical_value(self):
         market = Market(CAT2, [0.0, 0.0])
-        record = market.execute([1.0, 0.0])
+        impact, record = self.execute_with_impact(market, [1.0, 0.0], 1)
         expected = math.log(2.0) - (math.log(math.e + 1.0) - 1.0)
-        assert myopic_impact(market, record, 1) == pytest.approx(expected, abs=1e-12)
-
-    @pytest.mark.parametrize("field", ["theta_before", "theta_after"])
-    def test_record_outside_domain_rejected(self, field):
-        market = Market(EXPO, -1.0)
-        record = market.execute(-0.5)
-        setattr(record, field, np.array([0.5]))
-        with pytest.raises(DomainError):
-            myopic_impact(market, record, 1.0)
-
-    def test_equals_payoff_minus_cost(self, family):
-        if family.id == "vmf3":
-            pytest.skip("no outcome sampler for vmf3")
-        rng = np.random.default_rng(37)
-        for _ in range(20):
-            theta = random_natural(family, rng)
-            market = Market(family, theta)
-            record = market.execute(0.3 * (random_natural(family, rng) - theta))
-            x = family.sample(random_natural(family, rng), rng)
-            impact = myopic_impact(market, record, x)
-            assert impact == pytest.approx(payoff(family, record.delta, x) - record.cost, abs=1e-10)
+        assert impact == pytest.approx(expected, abs=1e-12)
+        assert impact == pytest.approx(payoff(CAT2, record.delta, 1) - record.cost, abs=1e-12)
 
     def test_impacts_telescope_to_budget_change(self):
         rng = np.random.default_rng(41)
@@ -431,19 +428,12 @@ class TestMyopicImpact:
         impacts = []
         for _ in range(50):
             trader = make_trader(random_natural(CAT2, rng), budget=budget)
-            record = market.execute(budget_limited_trade(market, trader))
             x = CAT2.sample([0.4, -0.4], rng)
-            change = payoff(CAT2, record.delta, x) - record.cost
-            impacts.append(myopic_impact(market, record, x))
-            budget += change
+            impact, record = self.execute_with_impact(market, budget_limited_trade(market, trader), x)
+            impacts.append(impact)
+            budget += payoff(CAT2, record.delta, x) - record.cost
         assert sum(impacts) == pytest.approx(budget - budget0, abs=1e-9)
         assert sum(impacts) >= -budget0 - 1e-9
-
-    def test_requires_unit_inverse_liquidity(self):
-        market = Market(CAT2, [0.0, 0.0], inv_liquidity=2.0)
-        record = market.execute([0.1, 0.0])
-        with pytest.raises(DomainError):
-            myopic_impact(market, record, 1)
 
 
 class TestExpectedProfitBound:
