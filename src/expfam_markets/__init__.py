@@ -9,96 +9,33 @@ a closed-form multi-trader equilibrium with a best-response checker, and a
 deterministic simulation harness.
 """
 
-from .equilibrium import (
-    BestResponseResult,
-    EquilibriumProblem,
-    best_response_dynamics,
-    closed_form_equilibrium,
-    log_utility,
-    potential,
-)
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    CorruptLogError,
-    DomainError,
-    UnsupportedError,
-)
-from .families import (
-    Categorical,
-    ExpFamily,
-    ExponentialRate,
-    GaussianMoments,
-    VonMisesFisher3,
-    WeibullMoment,
-    family_from_id,
-)
-from .harness import (
-    SimConfig,
-    SimReport,
-    TradeEvent,
-    emit_report,
-    replay,
-    run_simulation,
-)
-from .market import Market, TradeRecord, load_state, read_trade_log, save_state
-from .scoring import (
-    expected_score,
-    log_score,
-    moments_from_mean_variance,
-    score_regret,
-)
-from .traders import (
-    TraderProfile,
-    bayesian_market_trade,
-    budget_limited_trade,
-    certainty_equivalent,
-    effective_belief,
-    exp_utility_trade,
-    expected_profit_bound,
-)
+from importlib import import_module
 
-__all__ = [
-    "BestResponseResult",
-    "Categorical",
-    "ConfigError",
-    "ConvergenceError",
-    "CorruptLogError",
-    "DomainError",
-    "EquilibriumProblem",
-    "ExpFamily",
-    "ExponentialRate",
-    "GaussianMoments",
-    "Market",
-    "SimConfig",
-    "SimReport",
-    "TradeEvent",
-    "TradeRecord",
-    "TraderProfile",
-    "UnsupportedError",
-    "VonMisesFisher3",
-    "WeibullMoment",
-    "bayesian_market_trade",
-    "best_response_dynamics",
-    "budget_limited_trade",
-    "certainty_equivalent",
-    "closed_form_equilibrium",
-    "effective_belief",
-    "emit_report",
-    "exp_utility_trade",
-    "expected_profit_bound",
-    "expected_score",
-    "family_from_id",
-    "load_state",
-    "log_score",
-    "log_utility",
-    "moments_from_mean_variance",
-    "potential",
-    "read_trade_log",
-    "replay",
-    "run_simulation",
-    "save_state",
-    "score_regret",
-]
+_EXPORTS = {
+    "equilibrium": ("BestResponseResult", "EquilibriumProblem", "best_response_dynamics",
+                    "closed_form_equilibrium", "log_utility", "potential"),
+    "errors": ("ConfigError", "ConvergenceError", "CorruptLogError", "DomainError", "UnsupportedError"),
+    "families": ("Categorical", "ExpFamily", "ExponentialRate", "GaussianMoments", "VonMisesFisher3",
+                 "WeibullMoment", "family_from_id"),
+    "harness": ("SimConfig", "SimReport", "TradeEvent", "emit_report", "replay", "run_simulation"),
+    "market": ("Market", "TradeRecord", "load_state", "read_trade_log", "save_state"),
+    "scoring": ("expected_score", "log_score", "moments_from_mean_variance", "score_regret"),
+    "traders": ("TraderProfile", "bayesian_market_trade", "budget_limited_trade", "certainty_equivalent",
+                "effective_belief", "exp_utility_trade", "expected_profit_bound"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import an exported name's module on first use (PEP 562), so ``import expfam_markets`` stays cheap."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"

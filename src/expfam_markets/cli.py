@@ -15,6 +15,10 @@ invalid config), 3 domain or convergence error, 4 I/O error.  The
 ``EXPFAM_MARKETS_SEED`` environment variable supplies a default simulation
 seed; an explicit ``--seed`` flag wins over it, and both win over the
 config file.
+
+``quote`` and ``trade`` import neither numpy nor the modules that need it:
+the harness, equilibrium and scoring modules load inside the commands that
+use them.
 """
 
 from __future__ import annotations
@@ -24,24 +28,9 @@ import json
 import os
 import sys
 
-from .equilibrium import (
-    EquilibriumProblem,
-    best_response_dynamics,
-    closed_form_equilibrium,
-    potential,
-)
 from .errors import ConfigError, ConvergenceError, DomainError
 from .families import GaussianMoments, family_from_id
-from .harness import (
-    SimConfig,
-    emit_report,
-    parse_belief_theta,
-    parse_mean_params,
-    replay,
-    run_simulation,
-)
 from .market import _number, _numbers, load_state, read_json, read_trade_log, save_state
-from .scoring import log_score
 
 SEED_ENV_VAR = "EXPFAM_MARKETS_SEED"
 
@@ -54,6 +43,9 @@ def _parse_json_value(text: str, what: str):
 
 
 def _cmd_score(args) -> int:
+    from .harness import parse_mean_params
+    from .scoring import log_score
+
     try:
         family = family_from_id(args.family)
     except DomainError as exc:
@@ -98,6 +90,8 @@ def _resolve_seed(args, raw_config: dict) -> int | None:
 
 
 def _cmd_simulate(args) -> int:
+    from .harness import SimConfig, emit_report, run_simulation
+
     raw = read_json(args.config, "config")
     if isinstance(raw, dict):  # anything else is rejected by SimConfig.from_dict
         raw["seed"] = _resolve_seed(args, raw)
@@ -112,6 +106,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from .harness import replay
+
     records = read_trade_log(args.log)
     state0 = read_json(args.state0, "state")
     market = replay(records, state0)
@@ -120,6 +116,9 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
+    from .equilibrium import EquilibriumProblem, best_response_dynamics, closed_form_equilibrium, potential
+    from .harness import parse_belief_theta
+
     raw = read_json(args.problem, "problem")
     try:
         family = family_from_id(raw["family"])

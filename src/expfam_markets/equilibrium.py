@@ -61,10 +61,10 @@ class EquilibriumProblem:
 
     def __post_init__(self):
         fam = self.family
-        self.theta0 = fam.check_natural(self.theta0)
+        self.theta0 = np.asarray(fam.check_natural(self.theta0))
         if len(self.beliefs) != len(self.risk_aversions):
             raise DomainError("beliefs and risk_aversions must have equal length")
-        self.beliefs = [fam.check_natural(b) for b in self.beliefs]
+        self.beliefs = [np.asarray(fam.check_natural(b)) for b in self.beliefs]
         self.risk_aversions = [float(a) for a in self.risk_aversions]
         for a in self.risk_aversions:
             if not a > 0.0:
@@ -76,7 +76,7 @@ class EquilibriumProblem:
 
 
 def _check_allocation(problem: EquilibriumProblem, deltas) -> list[np.ndarray]:
-    deltas = [as_params(d, problem.family.dim, f"delta[{i}]") for i, d in enumerate(deltas)]
+    deltas = [np.asarray(as_params(d, problem.family.dim, f"delta[{i}]")) for i, d in enumerate(deltas)]
     if len(deltas) != problem.n_traders:
         raise DomainError(f"expected {problem.n_traders} allocations, got {len(deltas)}")
     return deltas

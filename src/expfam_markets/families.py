@@ -35,12 +35,13 @@ Registered families and their id strings:
   ``k = |theta|``, evaluated by a series for small ``k``.  Sampling is not
   supported.
 
-All parameters are 1-D float64 arrays (scalars are accepted for
-one-dimensional families).  Parameters within ``1e-12`` of a domain
-boundary are rejected: ``T`` blows up at the boundary, so values there are
-numerically meaningless.  Family objects are immutable after construction
-and every operation is a pure function, safe to share across threads; random
-sampling uses a caller-owned ``numpy.random.Generator``.
+All parameters are ``array('d')`` float64 vectors (scalars are accepted
+for one-dimensional families), so the scalar path imports no numpy.
+Parameters within ``1e-12`` of a domain boundary are rejected: ``T`` blows
+up at the boundary, so values there are numerically meaningless.  Family
+objects are immutable after construction and every operation is a pure
+function, safe to share across threads; random sampling uses a caller-owned
+``numpy.random.Generator``.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ from __future__ import annotations
 import math
 import numbers
 from abc import ABC, abstractmethod
-
-import numpy as np
+from array import array
+from bisect import bisect_right
+from itertools import accumulate
 
 from .errors import ConvergenceError, DomainError, UnsupportedError
 
@@ -59,14 +61,37 @@ _LOG_TWO_PI = math.log(2.0 * math.pi)
 _LOG_FOUR_PI = math.log(4.0 * math.pi)
 
 
-def as_params(value, dim: int, name: str = "params") -> np.ndarray:
-    """Coerce a scalar or sequence to a finite float vector of length ``dim``."""
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.ndim != 1 or arr.shape[0] != dim:
-        raise DomainError(f"{name} must be a vector of length {dim}, got shape {arr.shape}")
-    if not np.isfinite(arr).all():  # the method skips np.all's Python-level dispatch
-        raise DomainError(f"{name} must be finite, got {arr}")
-    return arr
+def _vector(value) -> array:
+    """A scalar or a flat sequence of reals as a float vector; TypeError for anything else."""
+    try:
+        return array("d", value)
+    except TypeError:  # a scalar, or a nested or non-numeric sequence
+        return array("d", (value,))
+
+
+def as_params(value, dim: int, name: str = "params") -> array:
+    """Coerce a scalar or a flat sequence of reals to a finite float vector of length ``dim``."""
+    try:
+        vec = _vector(value)
+    except TypeError as exc:
+        raise DomainError(f"{name} must be a flat vector of {dim} reals, got {value!r}") from exc
+    if len(vec) != dim:
+        raise DomainError(f"{name} must be a vector of length {dim}, got length {len(vec)}")
+    if not all(map(math.isfinite, vec)):
+        raise DomainError(f"{name} must be finite, got {_shown(vec)}")
+    return vec
+
+
+def _shown(vec) -> str:
+    """A vector as numpy prints it: an aborted run's report carries the message, so its bytes stay put."""
+    import numpy as np  # error path only
+
+    return str(np.asarray(vec))
+
+
+def _scaled(c: float, vec) -> array:
+    """``c * vec`` elementwise: each product rounds as numpy's scalar-times-array did."""
+    return array("d", [c * v for v in vec])
 
 
 def _sum(values: list[float]) -> float:
@@ -77,9 +102,14 @@ def _sum(values: list[float]) -> float:
     return total
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
+def _dot(a, b) -> float:
     """``<a, b>`` as the correctly rounded sum of the products: the same bits on every machine."""
-    return math.fsum([x * y for x, y in zip(a.tolist(), b.tolist())])
+    return math.fsum([x * y for x, y in zip(a, b)])
+
+
+def _draws(method, size):
+    """One draw of a ``Generator`` method as a one-item list, or ``size`` draws as a list."""
+    return [method()] if size is None else method(size).tolist()
 
 
 def _real_outcome(family: "ExpFamily", x) -> float:
@@ -111,22 +141,22 @@ class ExpFamily(ABC):
     # Domain checks
     # ------------------------------------------------------------------
 
-    def check_natural(self, theta, margin: float = BOUNDARY_MARGIN) -> np.ndarray:
+    def check_natural(self, theta, margin: float = BOUNDARY_MARGIN) -> array:
         """Validate a natural parameter, returning it as a float vector."""
         theta = as_params(theta, self.dim, "theta")
         if not self._natural_interior(theta, margin):
             raise DomainError(
-                f"{self.id}: natural parameter {theta} outside the domain "
+                f"{self.id}: natural parameter {_shown(theta)} outside the domain "
                 f"(or within {margin:g} of its boundary)"
             )
         return theta
 
-    def check_mean(self, mu, margin: float = BOUNDARY_MARGIN) -> np.ndarray:
+    def check_mean(self, mu, margin: float = BOUNDARY_MARGIN) -> array:
         """Validate a mean parameter.  ``margin=0`` admits the closure."""
         mu = as_params(mu, self.dim, "mu")
         if not self._mean_interior(mu, margin):
             raise DomainError(
-                f"{self.id}: mean parameter {mu} outside the realizable set "
+                f"{self.id}: mean parameter {_shown(mu)} outside the realizable set "
                 f"(or within {margin:g} of its boundary)"
             )
         return mu
@@ -140,10 +170,10 @@ class ExpFamily(ABC):
         return self._natural_interior(theta, margin)
 
     @abstractmethod
-    def _natural_interior(self, theta: np.ndarray, margin: float) -> bool: ...
+    def _natural_interior(self, theta: array, margin: float) -> bool: ...
 
     @abstractmethod
-    def _mean_interior(self, mu: np.ndarray, margin: float) -> bool: ...
+    def _mean_interior(self, mu: array, margin: float) -> bool: ...
 
     @abstractmethod
     def check_outcome(self, x):
@@ -155,31 +185,31 @@ class ExpFamily(ABC):
 
     def log_partition(self, theta) -> float:
         """Evaluate ``T(theta)``, the log normalizer of the family."""
-        return float(self._log_partition(self.check_natural(theta)))
+        return self._log_partition(self.check_natural(theta))
 
-    def mean_from_natural(self, theta) -> np.ndarray:
+    def mean_from_natural(self, theta) -> array:
         """Gradient map: expected statistic of the member with parameter ``theta``."""
         return self._mean(self.check_natural(theta))
 
-    def natural_from_mean(self, mu) -> np.ndarray:
+    def natural_from_mean(self, mu) -> array:
         """Inverse gradient map: the natural parameter whose mean is ``mu``."""
         return self._natural(self.check_mean(mu))
 
     @abstractmethod
-    def _log_partition(self, theta: np.ndarray) -> float: ...
+    def _log_partition(self, theta: array) -> float: ...
 
     @abstractmethod
-    def _mean(self, theta: np.ndarray) -> np.ndarray: ...
+    def _mean(self, theta: array) -> array: ...
 
     @abstractmethod
-    def _natural(self, mu: np.ndarray) -> np.ndarray: ...
+    def _natural(self, mu: array) -> array: ...
 
-    def statistic(self, x) -> np.ndarray:
+    def statistic(self, x) -> array:
         """Evaluate the statistic ``phi`` at a validated outcome."""
         return self._statistic(self.check_outcome(x))
 
     @abstractmethod
-    def _statistic(self, x) -> np.ndarray: ...
+    def _statistic(self, x) -> array: ...
 
     def log_density(self, theta, x) -> float:
         """Log density ``<theta, phi(x)> - T(theta)`` w.r.t. the base measure."""
@@ -196,18 +226,23 @@ class ExpFamily(ABC):
         theta_a = self.check_natural(theta_a)
         theta_b = self.check_natural(theta_b)
         return (self._log_partition(theta_a) - self._log_partition(theta_b)
-                - _dot(theta_a - theta_b, self._mean(theta_b)))
+                - _dot([a - b for a, b in zip(theta_a, theta_b)], self._mean(theta_b)))
 
-    def sample(self, theta, rng: np.random.Generator, size: int | None = None):
-        """Draw outcomes from the member at ``theta`` using a caller-owned rng.
+    def sample(self, theta, rng, size: int | None = None):
+        """Draw outcomes from the member at ``theta`` using a caller-owned ``numpy.random.Generator``.
 
-        Returns a single outcome when ``size`` is None, else an array of
+        Returns a single outcome when ``size`` is None, else an ndarray of
         ``size`` outcomes.  Draws are deterministic given the generator state.
         """
-        theta = self.check_natural(theta)
-        return self._sample(theta, rng, size)
+        draws = self._sample(self.check_natural(theta), rng, size)
+        if size is None:
+            return draws[0]
+        import numpy as np  # only a batch needs numpy; the caller's rng has loaded it already
 
-    def _sample(self, theta: np.ndarray, rng: np.random.Generator, size):
+        return np.array(draws)
+
+    def _sample(self, theta: array, rng, size) -> list:
+        """The draws as a list: one item when ``size`` is None."""
         raise UnsupportedError(f"{self.id}: sampling is not supported")
 
 
@@ -235,7 +270,7 @@ class Categorical(ExpFamily):
         return True  # T is finite on all of R^K
 
     def _mean_interior(self, mu, margin) -> bool:
-        return bool((mu >= margin).all() and abs(float(np.sum(mu)) - 1.0) <= 1e-9)
+        return all(v >= margin for v in mu) and abs(_sum(mu) - 1.0) <= 1e-9
 
     def check_outcome(self, x):
         xf = _real_outcome(self, x)
@@ -244,33 +279,29 @@ class Categorical(ExpFamily):
         return int(xf)
 
     def _log_partition(self, theta) -> float:
-        values = theta.tolist()
-        m = max(values)
-        return m + math.log(_sum([math.exp(v - m) for v in values]))
+        m = max(theta)
+        return m + math.log(_sum([math.exp(v - m) for v in theta]))
 
-    def _mean(self, theta) -> np.ndarray:
-        values = theta.tolist()
-        m = max(values)
-        e = [math.exp(v - m) for v in values]
+    def _mean(self, theta) -> array:
+        m = max(theta)
+        e = [math.exp(v - m) for v in theta]
         total = _sum(e)
-        return np.array([v / total for v in e])
+        return array("d", [v / total for v in e])
 
-    def _natural(self, mu) -> np.ndarray:
-        logs = [math.log(v) for v in mu.tolist()]
+    def _natural(self, mu) -> array:
+        logs = [math.log(v) for v in mu]
         mean = _sum(logs) / len(logs)
-        return np.array([v - mean for v in logs])
+        return array("d", [v - mean for v in logs])
 
-    def _statistic(self, x) -> np.ndarray:
-        phi = np.zeros(self.k)
+    def _statistic(self, x) -> array:
+        phi = array("d", (0.0,)) * self.k
         phi[x - 1] = 1.0
         return phi
 
     def _sample(self, theta, rng, size):
-        cdf = np.cumsum(self._mean(theta))
-        u = rng.random() if size is None else rng.random(size)
-        drawn = np.searchsorted(cdf, u, side="right") + 1
-        drawn = np.minimum(drawn, self.k)  # guard cumulative rounding at 1.0
-        return int(drawn) if size is None else drawn.astype(int)
+        cdf = list(accumulate(self._mean(theta)))  # left to right, as numpy's cumsum
+        # Searching only the first k-1 bounds caps the outcome at k if the sum rounds below 1.
+        return [bisect_right(cdf, u, 0, self.k - 1) + 1 for u in _draws(rng.random, size)]
 
 
 class WeibullMoment(ExpFamily):
@@ -295,10 +326,10 @@ class WeibullMoment(ExpFamily):
         return f"weibull-moment:{self.k:g}"
 
     def _natural_interior(self, theta, margin) -> bool:
-        return bool(theta[0] <= -margin)
+        return theta[0] <= -margin
 
     def _mean_interior(self, mu, margin) -> bool:
-        return bool(mu[0] >= margin)
+        return mu[0] >= margin
 
     def check_outcome(self, x):
         xf = _real_outcome(self, x)
@@ -309,20 +340,22 @@ class WeibullMoment(ExpFamily):
     def _log_partition(self, theta) -> float:
         return -math.log(-theta[0]) - math.log(self.k)
 
-    def _mean(self, theta) -> np.ndarray:
-        return np.array([-1.0 / theta[0]])
+    def _mean(self, theta) -> array:
+        return array("d", (-1.0 / theta[0],))
 
-    def _natural(self, mu) -> np.ndarray:
-        return np.array([-1.0 / mu[0]])
+    def _natural(self, mu) -> array:
+        return array("d", (-1.0 / mu[0],))
 
-    def _statistic(self, x) -> np.ndarray:
-        return np.array([x**self.k])
+    def _statistic(self, x) -> array:
+        try:
+            return array("d", (x**self.k,))
+        except OverflowError:  # float ** raises where numpy and x*x give inf
+            return array("d", (math.inf,))
 
     def _sample(self, theta, rng, size):
-        rate = -float(theta[0])
+        rate = -theta[0]
         power = 1.0 / self.k
-        draws = [(-math.log1p(-u) / rate) ** power for u in np.atleast_1d(rng.random(size)).tolist()]
-        return draws[0] if size is None else np.array(draws)
+        return [(-math.log1p(-u) / rate) ** power for u in _draws(rng.random, size)]
 
 
 class ExponentialRate(WeibullMoment):
@@ -351,10 +384,11 @@ class GaussianMoments(ExpFamily):
         return "gaussian-moments"
 
     def _natural_interior(self, theta, margin) -> bool:
-        return bool(theta[1] <= -margin)
+        # Prices (m, m**2 + v) that overflow are as meaningless as a theta at the boundary.
+        return theta[1] <= -margin and theta[1] < 0.0 and all(map(math.isfinite, self._mean(theta)))
 
     def _mean_interior(self, mu, margin) -> bool:
-        return bool(mu[1] - mu[0] ** 2 >= margin)
+        return mu[1] - mu[0] ** 2 >= margin
 
     def check_outcome(self, x):
         xf = _real_outcome(self, x)
@@ -363,29 +397,26 @@ class GaussianMoments(ExpFamily):
         return xf
 
     def _log_partition(self, theta) -> float:
-        t1, t2 = theta.tolist()  # Python floats: an overflow gives inf, not a RuntimeWarning
+        t1, t2 = theta  # Python floats: an overflow gives inf, not a RuntimeWarning
         return -(t1 * t1) / (4.0 * t2) - 0.5 * math.log(-2.0 * t2) + 0.5 * _LOG_TWO_PI
 
-    def _mean(self, theta) -> np.ndarray:
+    def _mean(self, theta) -> array:
         t1, t2 = theta
         m = -t1 / (2.0 * t2)
-        return np.array([m, m * m - 1.0 / (2.0 * t2)])
+        return array("d", (m, m * m - 1.0 / (2.0 * t2)))
 
-    def _natural(self, mu) -> np.ndarray:
+    def _natural(self, mu) -> array:
         m, m2 = mu
         v = m2 - m * m
-        return np.array([m / v, -0.5 / v])
+        return array("d", (m / v, -0.5 / v))
 
-    def _statistic(self, x) -> np.ndarray:
-        return np.array([x, x * x])
+    def _statistic(self, x) -> array:
+        return array("d", (x, x * x))
 
     def _sample(self, theta, rng, size):
-        mu = self._mean(theta)
-        m = mu[0]
-        sd = math.sqrt(mu[1] - m * m)
-        z = rng.standard_normal() if size is None else rng.standard_normal(size)
-        drawn = m + sd * z
-        return float(drawn) if size is None else drawn
+        m, m2 = self._mean(theta)
+        sd = math.sqrt(m2 - m * m)
+        return [m + sd * z for z in _draws(rng.standard_normal, size)]
 
 
 def _vmf_mean_ratio(kappa: float) -> float:
@@ -436,45 +467,44 @@ class VonMisesFisher3(ExpFamily):
         return True  # T is finite on all of R^3
 
     def _mean_interior(self, mu, margin) -> bool:
-        return bool(float(np.linalg.norm(mu)) <= 1.0 - margin)
+        return math.hypot(*mu) <= 1.0 - margin
 
     def check_outcome(self, x):
-        values = x.tolist() if isinstance(x, np.ndarray) else x
+        values = x.tolist() if hasattr(x, "tolist") else x  # an ndarray or array('d')
         if not isinstance(values, (list, tuple)) or len(values) != 3:
             raise DomainError(f"{self.id}: outcome must be a finite 3-vector, got {x!r}")
-        arr = np.array([_real_outcome(self, v) for v in values])
-        if not np.all(np.isfinite(arr)):
+        vec = array("d", [_real_outcome(self, v) for v in values])
+        if not all(map(math.isfinite, vec)):
             raise DomainError(f"{self.id}: outcome must be a finite 3-vector, got {x!r}")
-        if abs(float(np.linalg.norm(arr)) - 1.0) > 1e-8:
-            raise DomainError(f"{self.id}: outcome must lie on the unit sphere, got norm {np.linalg.norm(arr)}")
-        return arr
+        if abs(math.hypot(*vec) - 1.0) > 1e-8:
+            raise DomainError(f"{self.id}: outcome must lie on the unit sphere, got norm {math.hypot(*vec)}")
+        return vec
 
     def _log_partition(self, theta) -> float:
-        kappa = float(np.linalg.norm(theta))
+        kappa = math.hypot(*theta)
         if kappa < self._SERIES_CUTOFF:
             k2 = kappa * kappa
             return _LOG_FOUR_PI + k2 / 6.0 - k2 * k2 / 180.0
         # log(sinh k) = k + log1p(-exp(-2k)) - log 2, overflow-safe
         return _LOG_FOUR_PI + kappa + math.log1p(-math.exp(-2.0 * kappa)) - math.log(2.0) - math.log(kappa)
 
-    def _mean(self, theta) -> np.ndarray:
-        kappa = float(np.linalg.norm(theta))
-        return theta * _vmf_mean_ratio(kappa)
+    def _mean(self, theta) -> array:
+        return _scaled(_vmf_mean_ratio(math.hypot(*theta)), theta)
 
-    def _natural(self, mu) -> np.ndarray:
-        r = float(np.linalg.norm(mu))
+    def _natural(self, mu) -> array:
+        r = math.hypot(*mu)
         if r == 0.0:
-            return np.zeros(3)
+            return array("d", (0.0, 0.0, 0.0))
         kappa = _invert_monotone(
             _vmf_mean_resultant,
             _vmf_mean_resultant_deriv,
             target=r,
             x0=r * (3.0 - r * r) / (1.0 - r * r),
         )
-        return mu * (kappa / r)
+        return _scaled(kappa / r, mu)
 
-    def _statistic(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float)
+    def _statistic(self, x) -> array:
+        return array("d", x)
 
 
 def _invert_monotone(func, deriv, target: float, x0: float,

@@ -33,12 +33,11 @@ from __future__ import annotations
 import csv
 import json
 import os
+from array import array
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
-from .families import ExpFamily, VonMisesFisher3, _dot, family_from_id
+from .families import ExpFamily, VonMisesFisher3, _dot, _scaled, _shown, family_from_id
 from .market import TRADE_MARGIN, Market, TradeRecord, _number, _numbers, log_loss
 from .scoring import moments_from_mean_variance
 from .traders import (
@@ -55,7 +54,7 @@ TRADER_MODELS = ("risk-neutral", "bayesian", "exp-utility", "budget-limited")
 # Configuration
 # ----------------------------------------------------------------------
 
-def parse_mean_params(family: ExpFamily, value, where: str) -> np.ndarray:
+def parse_mean_params(family: ExpFamily, value, where: str) -> array:
     """Parse a family-appropriate mean description into a raw mean vector.
 
     Accepts a raw vector (or scalar for one-dimensional families), a
@@ -87,7 +86,7 @@ def parse_mean_params(family: ExpFamily, value, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def parse_belief_theta(family: ExpFamily, value, where: str) -> np.ndarray:
+def parse_belief_theta(family: ExpFamily, value, where: str) -> array:
     """Parse a belief into natural parameters.
 
     Accepts ``{"theta": [...]}`` directly, or any mean description
@@ -111,9 +110,9 @@ class SimConfig:
     """Validated simulation configuration."""
 
     family: ExpFamily
-    theta0: np.ndarray
+    theta0: array
     rounds: int
-    true_theta: np.ndarray
+    true_theta: array
     traders: list[TraderProfile]
     seed: int | None = None
     inv_liquidity: float = 1.0
@@ -141,7 +140,7 @@ class SimConfig:
 
         try:
             theta0 = _numbers(raw["theta0"], "theta0")
-            family.check_natural(lam * theta0, margin=TRADE_MARGIN)
+            family.check_natural(_scaled(lam, theta0), margin=TRADE_MARGIN)
             true_theta = family.check_natural(_numbers(raw["true_theta"], "true_theta"))
         except KeyError as exc:
             raise ConfigError(f"config is missing {exc}") from exc
@@ -285,7 +284,7 @@ class SimReport:
 # Simulation
 # ----------------------------------------------------------------------
 
-def _decide(market: Market, trader: TraderProfile) -> np.ndarray:
+def _decide(market: Market, trader: TraderProfile) -> array:
     if trader.model == "bayesian":
         return bayesian_market_trade(market, trader.sample_mean, trader.sample_size)
     if trader.model == "budget-limited":
@@ -305,6 +304,8 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     every record and closed when the run ends.  The log holds exactly this
     run's records, so a run that aborts before its first trade leaves no file.
     """
+    import numpy as np  # for the outcome Generator only, so quote and trade never load it
+
     if config.seed is None:
         raise ConfigError("simulation requires a seed (config, env, or flag)")
     family = config.family
@@ -375,8 +376,8 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
         "total_log_loss": total_log_loss,
         "per_trader_impact": {tr.id: tr.cash for tr in traders},
         "final_budgets": {tr.id: tr.budget for tr in traders},
-        "final_theta": [float(v) for v in market.theta],
-        "final_prices": [float(v) for v in market.prices()],
+        "final_theta": market.theta.tolist(),
+        "final_prices": market.prices().tolist(),
         "revenue": market.revenue,
         "n_trades": market.n_trades,
     }
@@ -403,14 +404,15 @@ def replay(records: list[TradeRecord], state0: dict) -> Market:
     first offending record.  ``state0`` is a ``Market.state_dict`` snapshot.
     """
     market = Market.from_state_dict(state0)
-    theta_init = market.theta.copy()
+    theta_init = market.theta  # never written in place: every writer stores a new vector
     for line, record in enumerate(records, 1):
-        if not np.array_equal(record.theta_before, market.theta):
-            if np.array_equal(record.theta_before, theta_init):
+        if record.theta_before != market.theta:
+            if record.theta_before == theta_init:
                 market.reset_theta(theta_init)
             else:
-                raise CorruptLogError(line, f"pre-trade state {record.theta_before} does not match {market.theta}")
-        if not np.array_equal(record.theta_after, record.theta_before + record.delta):
+                raise CorruptLogError(line, f"pre-trade state {_shown(record.theta_before)} "
+                                      f"does not match {_shown(market.theta)}")
+        if record.theta_after != array("d", [b + d for b, d in zip(record.theta_before, record.delta)]):
             raise CorruptLogError(line, "post-trade state does not equal pre-trade state plus delta")
         try:
             cost = market.execute(record.delta, trader_id=record.trader_id, round_index=record.round).cost

@@ -36,12 +36,11 @@ import math
 import os
 import sys
 import tempfile
+from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, CorruptLogError, DomainError
-from .families import ExpFamily, _dot, as_params, family_from_id
+from .families import ExpFamily, _dot, _scaled, _shown, as_params, family_from_id
 
 TRADE_MARGIN = 1e-9
 
@@ -53,17 +52,17 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-def _numbers(value, where: str) -> np.ndarray:
+def _numbers(value, where: str) -> array:
     """A JSON number or list of JSON numbers as a float vector; raises ConfigError for anything else."""
     if not isinstance(value, list):
-        return np.array([_number(value, where)])
+        return array("d", (_number(value, where),))
     where = f"{where} entry"
-    return np.array([_number(v, where) for v in value])
+    return array("d", [_number(v, where) for v in value])
 
 
-def log_loss(family: ExpFamily, theta: np.ndarray, phi: np.ndarray) -> float:
+def log_loss(family: ExpFamily, theta: array, phi: array) -> float:
     """Log loss ``T(theta) - <theta, phi>`` at an interior (unchecked) ``theta``, statistic ``phi``."""
-    return float(family._log_partition(theta)) - _dot(theta, phi)
+    return family._log_partition(theta) - _dot(theta, phi)
 
 
 @dataclass
@@ -72,10 +71,10 @@ class TradeRecord:
 
     round: int
     trader_id: str
-    delta: np.ndarray
+    delta: array
     cost: float
-    theta_before: np.ndarray
-    theta_after: np.ndarray
+    theta_before: array
+    theta_after: array
 
     def to_dict(self) -> dict:
         return {**vars(self), "delta": self.delta.tolist(),
@@ -124,7 +123,7 @@ class Market:
             raise DomainError(f"inv_liquidity must be positive, got {inv_liquidity}")
         self.inv_liquidity = lam
         theta0 = as_params(theta0, family.dim, "theta0")
-        family.check_natural(lam * theta0, margin=TRADE_MARGIN)
+        family.check_natural(_scaled(lam, theta0), margin=TRADE_MARGIN)
         self.theta = theta0
         self._cost = self._cost_at(theta0)
         self.n_trades = int(n_trades)
@@ -138,17 +137,17 @@ class Market:
         """Liquidity-adjusted cost ``(1/lam) T(lam * theta)`` of the current state."""
         return self._cost
 
-    def _cost_at(self, theta: np.ndarray) -> float:
+    def _cost_at(self, theta: array) -> float:
         """``(1/lam) T(lam * theta)`` at a checked ``theta``; DomainError when it is not finite."""
         lam = self.inv_liquidity
-        cost = float(self.family._log_partition(lam * theta) / lam)
+        cost = self.family._log_partition(_scaled(lam, theta)) / lam
         if not math.isfinite(cost):
-            raise DomainError(f"cost is not finite at share vector {theta}")
+            raise DomainError(f"cost is not finite at share vector {_shown(theta)}")
         return cost
 
-    def prices(self) -> np.ndarray:
+    def prices(self) -> array:
         """Instantaneous security prices: the mean parameters at ``lam * theta``."""
-        return self.family._mean(self.inv_liquidity * self.theta)
+        return self.family._mean(_scaled(self.inv_liquidity, self.theta))
 
     def quote(self, delta) -> float:
         """Cost of buying ``delta`` now, without trading.
@@ -159,10 +158,10 @@ class Market:
         """
         return self._quote(as_params(delta, self.family.dim, "delta"))[0]
 
-    def _quote(self, delta: np.ndarray) -> tuple[float, np.ndarray, float]:
+    def _quote(self, delta: array) -> tuple[float, array, float]:
         """Cost of a checked ``delta``, with the target share vector and its cost ``C(target)``."""
-        target = self.theta + delta
-        self.family.check_natural(self.inv_liquidity * target, margin=TRADE_MARGIN)
+        target = array("d", [t + d for t, d in zip(self.theta, delta)])
+        self.family.check_natural(_scaled(self.inv_liquidity, target), margin=TRADE_MARGIN)
         target_cost = self._cost_at(target)
         return target_cost - self._cost, target, target_cost
 
@@ -181,7 +180,7 @@ class Market:
         """JSON-ready snapshot of the persistent market state."""
         return {
             "family": self.family.id,
-            "theta": [float(v) for v in self.theta],
+            "theta": self.theta.tolist(),
             "inv_liquidity": self.inv_liquidity,
             "n_trades": self.n_trades,
             "revenue": self.revenue,
@@ -242,7 +241,7 @@ class Market:
     def reset_theta(self, theta0) -> None:
         """Reset the share vector (a fresh market instance); counters persist."""
         theta0 = as_params(theta0, self.family.dim, "theta0")
-        self.family.check_natural(self.inv_liquidity * theta0, margin=TRADE_MARGIN)
+        self.family.check_natural(_scaled(self.inv_liquidity, theta0), margin=TRADE_MARGIN)
         self._cost = self._cost_at(theta0)  # first, so a refused state changes nothing
         self.theta = theta0
 

@@ -18,7 +18,7 @@ properness.  For ``gaussian-moments`` the external convention is a
 
 from __future__ import annotations
 
-import numpy as np
+from array import array
 
 from .errors import DomainError
 from .families import ExpFamily, _dot
@@ -57,10 +57,10 @@ def score_regret(family: ExpFamily, belief_mu, report_mu) -> float:
     return expected_score(family, belief_mu, belief_mu) - expected_score(family, report_mu, belief_mu)
 
 
-def moments_from_mean_variance(mean: float, variance: float) -> np.ndarray:
+def moments_from_mean_variance(mean: float, variance: float) -> array:
     """Convert a (mean, variance) report to raw moments ``(m, m**2 + v)``."""
     mean = float(mean)
     variance = float(variance)
     if variance <= 0.0:
         raise DomainError(f"variance must be positive, got {variance}")
-    return np.array([mean, mean * mean + variance])
+    return array("d", (mean, mean * mean + variance))

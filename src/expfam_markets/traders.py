@@ -41,13 +41,12 @@ is pure given (market, profile) snapshots.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import log
 
-import numpy as np
-
 from .errors import DomainError
-from .families import Categorical, ExpFamily, as_params
+from .families import Categorical, ExpFamily, _scaled, _vector, as_params
 from .market import Market
 
 
@@ -63,29 +62,29 @@ class TraderProfile:
     """
 
     id: str
-    belief_theta: np.ndarray | None
+    belief_theta: array | None
     risk_aversion: float = 0.0
     budget: float | None = None
-    holdings: np.ndarray | None = None
+    holdings: array | None = None
     cash: float = 0.0
     model: str = "exp-utility"
-    sample_mean: np.ndarray | None = None
+    sample_mean: array | None = None
     sample_size: float = 1.0
 
     def __post_init__(self):
         if self.belief_theta is not None:
-            self.belief_theta = np.atleast_1d(np.asarray(self.belief_theta, dtype=float))
+            self.belief_theta = _vector(self.belief_theta)
         if not self.risk_aversion >= 0.0:
             raise DomainError(f"risk_aversion must be nonnegative, got {self.risk_aversion}")
         if self.budget is not None and not self.budget >= 0.0:
             raise DomainError(f"budget must be nonnegative, got {self.budget}")
         if self.holdings is not None:
-            self.holdings = np.atleast_1d(np.asarray(self.holdings, dtype=float))
+            self.holdings = _vector(self.holdings)
         elif self.belief_theta is not None:
-            self.holdings = np.zeros_like(self.belief_theta)
+            self.holdings = array("d", (0.0,)) * len(self.belief_theta)
 
 
-def bayesian_market_trade(market: Market, sample_mean, sample_size: float) -> np.ndarray:
+def bayesian_market_trade(market: Market, sample_mean, sample_size: float) -> array:
     """Trade of a conjugate-prior trader who reads prices as a phantom sample.
 
     With ``n`` prior trades posted, each of the trader's own sample size
@@ -103,7 +102,11 @@ def bayesian_market_trade(market: Market, sample_mean, sample_size: float) -> np
     fam = market.family
     mu_hat = fam.check_mean(sample_mean, margin=0.0)
     n, m = market.n_trades, float(sample_size)
-    target = mu_hat if n == 0 else (n * m * market.prices() + m * mu_hat) / (n * m + m)
+    if n == 0:
+        target = mu_hat
+    else:
+        weight = n * m
+        target = [(weight * p + m * h) / (weight + m) for p, h in zip(market.prices(), mu_hat)]
     return _exp_utility_move(market, fam.natural_from_mean(target), 0.0)
 
 
@@ -125,11 +128,12 @@ def certainty_equivalent(market: Market, trader: TraderProfile, delta) -> float:
         raise DomainError("certainty_equivalent requires positive risk aversion")
     theta_hat = fam.check_natural(trader.belief_theta)
     delta = as_params(delta, fam.dim, "delta")
-    belief_term = fam.log_partition(theta_hat - a * delta) - fam.log_partition(theta_hat)
+    shifted = [h - a * d for h, d in zip(theta_hat, delta)]
+    belief_term = fam.log_partition(shifted) - fam.log_partition(theta_hat)
     return log(a) - belief_term - a * market.quote(delta)
 
 
-def exp_utility_trade(market: Market, trader: TraderProfile) -> np.ndarray:
+def exp_utility_trade(market: Market, trader: TraderProfile) -> array:
     """Optimal trade of an exponential-utility trader.
 
     Solves the first-order condition ``grad T(theta_hat - a*delta) =
@@ -146,23 +150,23 @@ def exp_utility_trade(market: Market, trader: TraderProfile) -> np.ndarray:
     return _exp_utility_move(market, theta_hat, trader.risk_aversion)
 
 
-def _exp_utility_move(market: Market, theta_hat: np.ndarray, a: float) -> np.ndarray:
+def _exp_utility_move(market: Market, theta_hat: array, a: float) -> array:
     lam = market.inv_liquidity
-    return (theta_hat - lam * market.theta) / (lam + a)
+    return array("d", [(h - lam * t) / (lam + a) for h, t in zip(theta_hat, market.theta)])
 
 
-def effective_belief(family: ExpFamily, trader: TraderProfile) -> np.ndarray:
+def effective_belief(family: ExpFamily, trader: TraderProfile) -> array:
     """Belief shifted by existing holdings: ``theta_hat - a * holdings``.
 
     A trader re-entering the market behaves exactly like a fresh trader
     holding this belief and no position.  Risk-neutral traders (``a = 0``)
     are unaffected by exposure.
     """
-    shifted = trader.belief_theta - trader.risk_aversion * trader.holdings
-    return family.check_natural(shifted)
+    a = trader.risk_aversion
+    return family.check_natural([b - a * h for b, h in zip(trader.belief_theta, trader.holdings)])
 
 
-def _unconstrained_move(market: Market, trader: TraderProfile) -> np.ndarray:
+def _unconstrained_move(market: Market, trader: TraderProfile) -> array:
     """The move the trader would make with no budget in the way.
 
     This is the exponential-utility trade (the move to the belief when
@@ -175,11 +179,12 @@ def _unconstrained_move(market: Market, trader: TraderProfile) -> np.ndarray:
     """
     move = exp_utility_trade(market, trader)
     if isinstance(market.family, Categorical):
-        move = move - np.min(move)
+        low = min(move)
+        move = array("d", [v - low for v in move])
     return move
 
 
-def budget_limited_trade(market: Market, trader: TraderProfile) -> np.ndarray:
+def budget_limited_trade(market: Market, trader: TraderProfile) -> array:
     """Largest affordable fraction of the trader's desired move.
 
     With desired move ``move`` (see ``_unconstrained_move``) and budget
@@ -206,22 +211,22 @@ def budget_limited_trade(market: Market, trader: TraderProfile) -> np.ndarray:
     if alpha is None or move_cost <= alpha:
         return move
     if alpha == 0.0:
-        return 0.0 * move
+        return _scaled(0.0, move)
     fraction = alpha / move_cost
-    delta = fraction * move
+    delta = _scaled(fraction, move)
     for _ in range(100):
         if market.quote(delta) <= alpha:
             return delta
         fraction *= 0.5
-        delta = fraction * move
-    return 0.0 * move
+        delta = _scaled(fraction, move)
+    return _scaled(0.0, move)
 
 
-def _centered(family: ExpFamily, vec: np.ndarray) -> np.ndarray:
+def _centered(family: ExpFamily, vec):
     # For categorical, directions along the all-ones vector are gauge; the
     # trade fraction lives in the complement.
     if isinstance(family, Categorical):
-        return vec - np.mean(vec)
+        return vec - vec.mean()
     return vec
 
 
@@ -238,12 +243,14 @@ def expected_profit_bound(market: Market, trader: TraderProfile, delta) -> tuple
     categorical family: on it modulo the all-ones gauge direction, which
     changes neither term).  Requires unit inverse liquidity.
     """
+    import numpy as np  # off the trade path: the segment test is linear algebra
+
     if market.inv_liquidity != 1.0:
         raise DomainError("expected_profit_bound requires inv_liquidity == 1")
     fam = market.family
-    theta = market.theta
-    theta_hat = fam.check_natural(trader.belief_theta)
-    delta = as_params(delta, fam.dim, "delta")
+    theta = np.asarray(market.theta)
+    theta_hat = np.asarray(fam.check_natural(trader.belief_theta))
+    delta = np.asarray(as_params(delta, fam.dim, "delta"))
 
     direction = _centered(fam, theta_hat - theta)
     move = _centered(fam, delta)

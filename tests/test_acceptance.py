@@ -192,7 +192,7 @@ def test_criterion_5_exponential_utility_optimality():
             theta = random_natural(fam, rng) / lam
             market = Market(fam, theta, inv_liquidity=lam)
             trader = TraderProfile(id="t", belief_theta=random_natural(fam, rng), risk_aversion=a)
-            delta_star = exp_utility_trade(market, trader)
+            delta_star = np.asarray(exp_utility_trade(market, trader))
 
             # first-order condition: belief-side and market-side price match
             lhs = fam.mean_from_natural(trader.belief_theta - a * delta_star)
@@ -238,7 +238,7 @@ def test_criterion_6_repeated_entry_equivalence():
             market_b = Market(fam, theta0)
             market_b.execute(rec1.delta)
             market_b.execute(shove)
-            fresh = TraderProfile(id="fresh", belief_theta=belief - a * rec1.delta, risk_aversion=a)
+            fresh = TraderProfile(id="fresh", belief_theta=belief - a * np.asarray(rec1.delta), risk_aversion=a)
             market_b.execute(exp_utility_trade(market_b, fresh))
 
             np.testing.assert_allclose(market_a.theta, market_b.theta, rtol=0, atol=REENTRY_ATOL)

@@ -54,6 +54,11 @@ class TestScore:
         out = capsys.readouterr().out.strip()
         assert float(out) == pytest.approx(math.log(0.75), abs=1e-12)
 
+    def test_overflowing_weibull_statistic_scores_minus_inf(self, capsys):
+        # 1e200**2 overflows: the statistic is inf, as gaussian-moments' x*x is, not an OverflowError.
+        assert main(["score", "--family", "weibull-moment:2", "--report", "1", "--outcome", "1e200"]) == 0
+        assert capsys.readouterr().out == "-inf\n"
+
     def test_unknown_family_is_config_error(self, capsys):
         assert main(["score", "--family", "zeta", "--report", "1", "--outcome", "1"]) == 2
 
@@ -99,6 +104,36 @@ class TestQuoteAndTrade:
     def test_quote_domain_error_exit_code(self, tmp_path, capsys):
         path = self.setup_state(tmp_path)
         assert main(["quote", "--market", path, "--delta", "2.0"]) == 3
+
+    @pytest.mark.parametrize("family,theta,delta", [
+        ("categorical:3", [0.0, 0.25, -0.5], "[0.1, -0.2, 0.3]"),
+        ("gaussian-moments", [0.5, -0.75], "[-0.25, 0.125]"),
+        ("weibull-moment:2", [-1.5], "0.5"),
+    ])
+    def test_quote_and_trade_import_no_numpy(self, tmp_path, capsys, family, theta, delta):
+        # A fresh interpreter runs quote, then trade --log, through main; so does this process,
+        # where numpy is loaded. Both print the same lines and write the same state and log bytes.
+        outputs = {}
+        for where in ("fresh", "here"):
+            (tmp_path / where).mkdir()
+            state = write_json(tmp_path / where / "state.json", {"family": family, "theta": theta})
+            log = tmp_path / where / "trades.jsonl"
+            argvs = [["quote", "--market", state, "--delta", delta],
+                     ["trade", "--market", state, "--delta", delta, "--trader", "t", "--log", str(log)]]
+            if where == "fresh":
+                code = ("import json, sys\nfrom expfam_markets.cli import main\n"
+                        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                        "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))")
+                proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+                                      text=True, env=subprocess_env(), timeout=120, check=True)
+                *lines, summary = proc.stdout.splitlines()
+                assert json.loads(summary) == {"codes": [0, 0], "numpy": False}
+            else:
+                assert [main(argv) for argv in argvs] == [0, 0]
+                lines = capsys.readouterr().out.splitlines()
+            with open(state, "rb") as fh:
+                outputs[where] = (lines, fh.read(), log.read_bytes())
+        assert outputs["fresh"] == outputs["here"]
 
     def test_quote_missing_state_file_is_io_error(self, tmp_path, capsys):
         assert main(["quote", "--market", str(tmp_path / "nope.json"), "--delta", "0.1"]) == 4
@@ -191,13 +226,18 @@ class TestQuoteAndTrade:
         assert main(["trade", "--market", path, "--delta", "5.0"]) == 3
         assert open(path).read() == before
 
-    @pytest.mark.parametrize("command,theta,delta", [
-        ("quote", [1e200, -1.0], "[0, 0]"),
-        ("trade", [1e200, -1.0], "[0, 0]"),
-        ("trade", [1.0, -1.0], "[1e200, 0]"),
+    @pytest.mark.parametrize("command,theta,delta,message", [
+        # theta1**2 / (4 * -theta2) overflows but the prices do not: the state or the target has no finite cost.
+        ("quote", [1e200, -1e100], "[0, 0]", "cost is not finite"),
+        ("trade", [1e200, -1e100], "[0, 0]", "cost is not finite"),
+        ("trade", [1.0, -1e100], "[1e200, 0]", "cost is not finite"),
+        # The price m**2 + v overflows, whether the cost does ([1e200, -1]) or not ([2e147, -1e-9]).
+        ("quote", [2e147, -1e-9], "[0, 0]", "gaussian-moments: natural parameter"),
+        ("quote", [1e200, -1.0], "[0, 0]", "gaussian-moments: natural parameter"),
+        ("trade", [1e200, -1.0], "[0, 0]", "gaussian-moments: natural parameter"),
+        ("trade", [1.0, -1.0], "[1e200, 0]", "gaussian-moments: natural parameter"),
     ])
-    def test_overflowing_cost_is_domain_error(self, tmp_path, command, theta, delta):
-        # theta1**2 / (4 * -theta2) overflows: the state or the target has no finite cost.
+    def test_overflowing_cost_is_domain_error(self, tmp_path, command, theta, delta, message):
         path = write_json(tmp_path / "state.json", {"family": "gaussian-moments", "theta": theta})
         before = open(path, "rb").read()
         log = tmp_path / "trades.jsonl"
@@ -205,7 +245,7 @@ class TestQuoteAndTrade:
         proc = subprocess.run([sys.executable, "-m", "expfam_markets.cli", *argv],
                               capture_output=True, text=True, env=subprocess_env(), timeout=120)
         assert proc.returncode == 3
-        assert proc.stderr.startswith("error: cost is not finite") and len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"error: {message}") and len(proc.stderr.splitlines()) == 1
         assert proc.stdout == ""
         assert open(path, "rb").read() == before
         assert not log.exists()
@@ -256,6 +296,14 @@ class TestSimulate:
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sim.json", {"family": "categorical:2"})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_overflowing_prices_in_config_exit_2(self, tmp_path, capsys):
+        # A finite cost (1e303) whose price m**2 + v overflows: final_prices would read inf.
+        raw = {**sim_config(), "family": "gaussian-moments", "theta0": [2e147, -1e-9], "true_theta": [0.0, -0.5],
+               "traders": [{"id": "a", "model": "risk-neutral", "belief": {"mean": 0.0, "variance": 1.0}}]}
+        cfg = write_json(tmp_path / "sim.json", raw)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+        assert "outside the domain" in capsys.readouterr().err
 
     def test_malformed_json_exit_code(self, tmp_path, capsys):
         path = tmp_path / "sim.json"

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 
 import numpy as np
 import pytest
@@ -302,7 +303,7 @@ class TestBayesianAggregation:
         report = run_simulation(SimConfig.from_dict(cfg))
         fam = family_from_id("categorical:2")
         # independent recursion: prices_{t+1} = (t*prices_t + sample_t)/(t+1)
-        prices = fam.mean_from_natural(np.array([0.0, 0.0]))
+        prices = np.asarray(fam.mean_from_natural(np.array([0.0, 0.0])))
         for t, m in enumerate(sample_means):
             prices = (t * prices + np.asarray(m)) / (t + 1)
         np.testing.assert_allclose(report.aggregates["final_prices"], prices, atol=1e-12)
@@ -475,8 +476,8 @@ class TestReplay:
     def test_perturbed_state_detected(self, tmp_path):
         _, log, state0 = self.run_with_log(tmp_path)
         records = read_trade_log(log)
-        records[3].theta_before = records[3].theta_before + 1e-9
-        records[3].theta_after = records[3].theta_after + 1e-9
+        records[3].theta_before = array("d", np.asarray(records[3].theta_before) + 1e-9)
+        records[3].theta_after = array("d", np.asarray(records[3].theta_after) + 1e-9)
         with pytest.raises(CorruptLogError) as err:
             replay(records, state0)
         assert err.value.line_number == 4
@@ -502,7 +503,7 @@ class TestReplay:
         fam = family_from_id("exponential-rate")
         good = Market(fam, -1.0).execute(-0.5, round_index=1)
         # Consistent states, but the move leaves the domain theta < 0.
-        bad = TradeRecord(2, "b", np.array([2.0]), 0.0, good.theta_after, good.theta_after + 2.0)
+        bad = TradeRecord(2, "b", array("d", [2.0]), 0.0, good.theta_after, array("d", np.asarray(good.theta_after) + 2.0))
         with pytest.raises(CorruptLogError, match="not executable") as err:
             replay([good, bad], Market(fam, -1.0).state_dict())
         assert err.value.line_number == 2

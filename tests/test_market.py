@@ -68,13 +68,13 @@ class TestPrices:
         lam = 2.0
         theta = random_natural(family, rng) / lam
         market = Market(family, theta, inv_liquidity=lam)
-        np.testing.assert_array_equal(market.prices(), family.mean_from_natural(lam * market.theta))
+        np.testing.assert_array_equal(market.prices(), family.mean_from_natural(lam * np.asarray(market.theta)))
 
     def test_categorical_prices_form_distribution(self):
         rng = np.random.default_rng(5)
         fam = family_from_id("categorical:4")
         market = Market(fam, random_natural(fam, rng))
-        prices = market.prices()
+        prices = np.asarray(market.prices())
         assert np.all(prices >= 0)
         assert float(np.sum(prices)) == pytest.approx(1.0, abs=1e-12)
 
@@ -137,7 +137,7 @@ class TestExecute:
     def test_failed_execute_leaves_state_unchanged(self):
         market = Market(EXPO, -1.0)
         market.execute(0.25)
-        before = (market.theta.copy(), market.n_trades, market.revenue)
+        before = (np.asarray(market.theta).copy(), market.n_trades, market.revenue)
         with pytest.raises(DomainError):
             market.execute(5.0)
         assert np.array_equal(market.theta, before[0])
@@ -172,7 +172,7 @@ class TestCostCache:
 
     @staticmethod
     def assert_quotes_uncached(market, rng):
-        fam, lam, theta = market.family, market.inv_liquidity, market.theta
+        fam, lam, theta = market.family, market.inv_liquidity, np.asarray(market.theta)
         for _ in range(10):
             # A step toward a random interior state stays interior.
             delta = rng.uniform(0.0, 1.0) * (random_natural(fam, rng) / lam - theta)
@@ -210,15 +210,33 @@ class TestCostCache:
             self.assert_quotes_uncached(market, rng)
 
     def test_overflowing_cost_rejected_by_every_writer(self):
+        # theta1**2 overflows, the prices (m = 5e99) do not.
         fam = family_from_id("gaussian-moments")
         with pytest.raises(DomainError, match="not finite"):
-            Market(fam, [1e200, -1.0])
-        market = Market(fam, [1.0, -1.0])
+            Market(fam, [1e200, -1e100])
+        market = Market(fam, [1.0, -1e100])
         cost = market.cost()
-        for write in (market.quote, market.execute, lambda delta: market.reset_theta(market.theta + delta)):
+        for write in (market.quote, market.execute,
+                      lambda delta: market.reset_theta(np.asarray(market.theta) + delta)):
             with pytest.raises(DomainError, match="not finite"):
                 write([1e200, 0.0])
-            assert market.theta.tolist() == [1.0, -1.0] and market.cost() == cost
+            assert market.theta.tolist() == [1.0, -1e100] and market.cost() == cost
+
+    @pytest.mark.parametrize("theta", [[2e147, -1e-9], [1e200, -1.0]])
+    def test_overflowing_prices_rejected_by_every_writer(self, theta):
+        # At [2e147, -1e-9] the cost is 1e303, but the price m**2 + v = 1e312 is not finite;
+        # such a state used to pass, and run_simulation wrote inf into final_prices.
+        fam = family_from_id("gaussian-moments")
+        with pytest.raises(DomainError, match="outside the domain"):
+            Market(fam, theta)
+        start = [1.0, theta[1]]
+        market = Market(fam, start)
+        cost = market.cost()
+        for write in (market.quote, market.execute,
+                      lambda delta: market.reset_theta(np.asarray(market.theta) + delta)):
+            with pytest.raises(DomainError, match="outside the domain"):
+                write([theta[0] - 1.0, 0.0])
+            assert market.theta.tolist() == start and market.cost() == cost
 
 
 class TestLogLoss:

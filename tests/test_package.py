@@ -1,16 +1,11 @@
-"""The package's public surface: ``__all__`` lists exactly what ``__init__`` imports."""
+"""The package's public surface: every ``__all__`` name resolves, lazily, to its module's own object."""
 
-import ast
+import importlib
+import subprocess
+import sys
 
 import expfam_markets
-
-
-def imported_names() -> list[str]:
-    """Every name bound by a ``from ... import`` statement in the package's ``__init__``."""
-    with open(expfam_markets.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    return [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
-            for alias in node.names]
+from conftest import subprocess_env
 
 
 def test_star_import_binds_every_listed_name():
@@ -19,6 +14,20 @@ def test_star_import_binds_every_listed_name():
     assert set(expfam_markets.__all__) <= set(namespace)
 
 
-def test_all_equals_the_imported_names():
+def test_every_listed_name_is_its_modules_object():
     assert len(set(expfam_markets.__all__)) == len(expfam_markets.__all__)
-    assert sorted(expfam_markets.__all__) == sorted(imported_names())
+    for name in expfam_markets.__all__:
+        value = getattr(expfam_markets, name)
+        assert value.__module__.startswith("expfam_markets.")
+        assert getattr(importlib.import_module(value.__module__), name) is value
+
+
+def test_unknown_name_raises_attribute_error():
+    assert not hasattr(expfam_markets, "no_such_name")
+
+
+def test_import_loads_no_submodule():
+    code = "import sys, expfam_markets; print(sorted(m for m in sys.modules if m.startswith('expfam_markets.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=subprocess_env(), timeout=120, check=True)
+    assert proc.stdout == "[]\n"

@@ -100,8 +100,8 @@ class TestExpectedScore:
         rng = np.random.default_rng(3)
         for _ in range(20):
             report = random_mean(family, rng)
-            mu_a = random_mean(family, rng)
-            mu_b = random_mean(family, rng)
+            mu_a = np.asarray(random_mean(family, rng))
+            mu_b = np.asarray(random_mean(family, rng))
             t = rng.uniform(0.0, 1.0)
             blended = expected_score(family, report, t * mu_a + (1 - t) * mu_b)
             parts = t * expected_score(family, report, mu_a) + (1 - t) * expected_score(family, report, mu_b)

@@ -187,18 +187,18 @@ class TestExpUtilityTrade:
     def test_equal_weight_average(self):
         market = Market(EXPO, -1.0)
         delta = exp_utility_trade(market, make_trader(-3.0, a=1.0))
-        assert (market.theta + delta)[0] == pytest.approx(-2.0, abs=1e-12)
+        assert (np.asarray(market.theta) + delta)[0] == pytest.approx(-2.0, abs=1e-12)
 
     def test_liquidity_weighted_average(self):
         market = Market(EXPO, -1.0, inv_liquidity=2.0)
         delta = exp_utility_trade(market, make_trader(-3.0, a=1.0))
         # target shares -1.5; final state (2*(-1.5) + 1*(-1)) / 3
-        assert (market.theta + delta)[0] == pytest.approx(-4.0 / 3.0, abs=1e-12)
+        assert (np.asarray(market.theta) + delta)[0] == pytest.approx(-4.0 / 3.0, abs=1e-12)
 
     def test_risk_neutral_limit(self):
         market = Market(EXPO, -1.0)
         delta = exp_utility_trade(market, make_trader(-3.0, a=1e-8))
-        assert abs((market.theta + delta)[0] - (-3.0)) < 1e-6
+        assert abs((np.asarray(market.theta) + delta)[0] - (-3.0)) < 1e-6
 
     def test_optimality_against_grid(self):
         rng = np.random.default_rng(11)
@@ -211,7 +211,7 @@ class TestExpUtilityTrade:
             theta = random_natural(fam, rng) / lam
             market = Market(fam, theta, inv_liquidity=lam)
             trader = make_trader(random_natural(fam, rng), a=a)
-            delta_star = exp_utility_trade(market, trader)
+            delta_star = np.asarray(exp_utility_trade(market, trader))
             ce_star = certainty_equivalent(market, trader, delta_star)
             span = 0.5 * (1.0 + float(np.linalg.norm(delta_star)))
             for candidate in _grid_around(fam, delta_star, span, 1000, rng):
@@ -232,15 +232,15 @@ class TestExpUtilityTrade:
             market = Market(family, theta)
             trader = make_trader(random_natural(family, rng), a=a)
             delta = exp_utility_trade(market, trader)
-            lhs = family.mean_from_natural(trader.belief_theta - a * delta)
-            rhs = family.mean_from_natural(market.theta + delta)
+            lhs = family.mean_from_natural(np.asarray(trader.belief_theta) - a * np.asarray(delta))
+            rhs = family.mean_from_natural(np.asarray(market.theta) + delta)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-8, atol=1e-10)
 
     def test_sequential_traders_form_weighted_moving_average(self):
         rng = np.random.default_rng(17)
         a = 0.8
         market = Market(EXPO, -1.0)
-        expected = market.theta.copy()
+        expected = np.asarray(market.theta).copy()
         for _ in range(6):
             belief = random_natural(EXPO, rng)
             market.execute(exp_utility_trade(market, make_trader(belief, a=a)))
@@ -323,13 +323,13 @@ class TestBudgetLimitedTrade:
     def test_unlimited_budget_reaches_belief(self):
         market = Market(EXPO, -1.0)
         delta = budget_limited_trade(market, make_trader(-0.5, budget=None))
-        assert (market.theta + delta)[0] == pytest.approx(-0.5, abs=1e-12)
+        assert (np.asarray(market.theta) + delta)[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_worked_half_fraction(self):
         market = Market(EXPO, -1.0)
         alpha = math.log(2.0) / 2.0
         delta = budget_limited_trade(market, make_trader(-0.5, budget=alpha))
-        assert (market.theta + delta)[0] == pytest.approx(-0.75, abs=1e-12)
+        assert (np.asarray(market.theta) + delta)[0] == pytest.approx(-0.75, abs=1e-12)
         cost = market.quote(delta)
         assert cost == pytest.approx(-math.log(0.75), abs=1e-12)
         assert cost <= alpha + 1e-12
@@ -343,7 +343,7 @@ class TestBudgetLimitedTrade:
         # Moving toward lower cost is affordable at any budget.
         market = Market(EXPO, -0.5)
         delta = budget_limited_trade(market, make_trader(-2.0, budget=0.0))
-        assert (market.theta + delta)[0] == pytest.approx(-2.0, abs=1e-12)
+        assert (np.asarray(market.theta) + delta)[0] == pytest.approx(-2.0, abs=1e-12)
 
     def test_budget_feasibility_random(self):
         rng = np.random.default_rng(23)
@@ -359,7 +359,7 @@ class TestBudgetLimitedTrade:
     def test_risk_averse_target_is_utility_compromise(self):
         market = Market(EXPO, -1.0)
         delta = budget_limited_trade(market, make_trader(-3.0, a=1.0, budget=None))
-        assert (market.theta + delta)[0] == pytest.approx(-2.0, abs=1e-12)
+        assert (np.asarray(market.theta) + delta)[0] == pytest.approx(-2.0, abs=1e-12)
 
     def test_categorical_trades_are_pure_purchases(self):
         rng = np.random.default_rng(29)
@@ -368,7 +368,7 @@ class TestBudgetLimitedTrade:
             market = Market(fam, random_natural(fam, rng))
             trader = make_trader(random_natural(fam, rng), budget=rng.uniform(0.0, 1.0))
             delta = budget_limited_trade(market, trader)
-            assert np.all(delta >= -1e-12)
+            assert np.all(np.asarray(delta) >= -1e-12)
             cost = market.quote(delta)
             assert cost >= -1e-12
             assert cost <= trader.budget + 1e-12
