@@ -78,15 +78,8 @@ def as_params(value, dim: int, name: str = "params") -> array:
     if len(vec) != dim:
         raise DomainError(f"{name} must be a vector of length {dim}, got length {len(vec)}")
     if not all(map(math.isfinite, vec)):
-        raise DomainError(f"{name} must be finite, got {_shown(vec)}")
+        raise DomainError(f"{name} must be finite, got {vec.tolist()}")
     return vec
-
-
-def _shown(vec) -> str:
-    """A vector as numpy prints it: an aborted run's report carries the message, so its bytes stay put."""
-    import numpy as np  # error path only
-
-    return str(np.asarray(vec))
 
 
 def _scaled(c: float, vec) -> array:
@@ -146,7 +139,7 @@ class ExpFamily(ABC):
         theta = as_params(theta, self.dim, "theta")
         if not self._natural_interior(theta, margin):
             raise DomainError(
-                f"{self.id}: natural parameter {_shown(theta)} outside the domain "
+                f"{self.id}: natural parameter {theta.tolist()} outside the domain "
                 f"(or within {margin:g} of its boundary)"
             )
         return theta
@@ -156,7 +149,7 @@ class ExpFamily(ABC):
         mu = as_params(mu, self.dim, "mu")
         if not self._mean_interior(mu, margin):
             raise DomainError(
-                f"{self.id}: mean parameter {_shown(mu)} outside the realizable set "
+                f"{self.id}: mean parameter {mu.tolist()} outside the realizable set "
                 f"(or within {margin:g} of its boundary)"
             )
         return mu
@@ -355,7 +348,10 @@ class WeibullMoment(ExpFamily):
     def _sample(self, theta, rng, size):
         rate = -theta[0]
         power = 1.0 / self.k
-        return [(-math.log1p(-u) / rate) ** power for u in _draws(rng.random, size)]
+        try:
+            return [(-math.log1p(-u) / rate) ** power for u in _draws(rng.random, size)]
+        except OverflowError as exc:  # a draw beyond the largest float: no outcome can be reported
+            raise DomainError(f"{self.id}: a draw at theta {theta.tolist()} overflows") from exc
 
 
 class ExponentialRate(WeibullMoment):
@@ -420,10 +416,17 @@ class GaussianMoments(ExpFamily):
 
 
 def _vmf_mean_ratio(kappa: float) -> float:
-    """``(coth(k) - 1/k) / k``, the factor mapping theta to its mean."""
-    if kappa < 1e-2:
+    """``(coth(k) - 1/k) / k``, the factor mapping theta to its mean.
+
+    Below ``k = 2`` the difference cancels, so it is Lambert's continued
+    fraction ``1/(3 + k**2/(5 + k**2/(7 + ...)))``, cut after 14 levels.
+    """
+    if kappa < 2.0:
         k2 = kappa * kappa
-        return 1.0 / 3.0 - k2 / 45.0 + 2.0 * k2 * k2 / 945.0 - k2 * k2 * k2 / 4725.0
+        tail = 29.0
+        for n in range(27, 1, -2):
+            tail = n + k2 / tail
+        return 1.0 / tail
     return (1.0 / math.tanh(kappa) - 1.0 / kappa) / kappa
 
 

@@ -37,8 +37,8 @@ from array import array
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
-from .families import ExpFamily, VonMisesFisher3, _dot, _scaled, _shown, family_from_id
-from .market import TRADE_MARGIN, Market, TradeRecord, _number, _numbers, log_loss
+from .families import ExpFamily, VonMisesFisher3, _dot, family_from_id
+from .market import Market, TradeRecord, _number, _numbers, log_loss
 from .scoring import moments_from_mean_variance
 from .traders import (
     TraderProfile,
@@ -135,12 +135,8 @@ class SimConfig:
             raise ConfigError("vmf3 outcomes cannot be sampled; simulation unsupported")
 
         lam = _number(raw.get("inv_liquidity", 1.0), "inv_liquidity")
-        if not lam > 0.0:
-            raise ConfigError(f"inv_liquidity must be positive, got {lam}")
-
         try:
-            theta0 = _numbers(raw["theta0"], "theta0")
-            family.check_natural(_scaled(lam, theta0), margin=TRADE_MARGIN)
+            theta0 = Market(family, _numbers(raw["theta0"], "theta0"), lam).theta  # the checks run_simulation's market makes
             true_theta = family.check_natural(_numbers(raw["true_theta"], "true_theta"))
         except KeyError as exc:
             raise ConfigError(f"config is missing {exc}") from exc
@@ -410,8 +406,8 @@ def replay(records: list[TradeRecord], state0: dict) -> Market:
             if record.theta_before == theta_init:
                 market.reset_theta(theta_init)
             else:
-                raise CorruptLogError(line, f"pre-trade state {_shown(record.theta_before)} "
-                                      f"does not match {_shown(market.theta)}")
+                raise CorruptLogError(line, f"pre-trade state {record.theta_before.tolist()} "
+                                      f"does not match {market.theta.tolist()}")
         if record.theta_after != array("d", [b + d for b, d in zip(record.theta_before, record.delta)]):
             raise CorruptLogError(line, "post-trade state does not equal pre-trade state plus delta")
         try:

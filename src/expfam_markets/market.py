@@ -40,7 +40,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import ConfigError, CorruptLogError, DomainError
-from .families import ExpFamily, _dot, _scaled, _shown, as_params, family_from_id
+from .families import ExpFamily, _dot, _scaled, as_params, family_from_id
 
 TRADE_MARGIN = 1e-9
 
@@ -142,7 +142,7 @@ class Market:
         lam = self.inv_liquidity
         cost = self.family._log_partition(_scaled(lam, theta)) / lam
         if not math.isfinite(cost):
-            raise DomainError(f"cost is not finite at share vector {_shown(theta)}")
+            raise DomainError(f"cost is not finite at share vector {theta.tolist()}")
         return cost
 
     def prices(self) -> array:

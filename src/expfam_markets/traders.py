@@ -43,10 +43,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from math import log
+from math import hypot, log
 
 from .errors import DomainError
-from .families import Categorical, ExpFamily, _scaled, _vector, as_params
+from .families import Categorical, ExpFamily, _dot, _scaled, _sum, _vector, as_params
 from .market import Market
 
 
@@ -226,7 +226,8 @@ def _centered(family: ExpFamily, vec):
     # For categorical, directions along the all-ones vector are gauge; the
     # trade fraction lives in the complement.
     if isinstance(family, Categorical):
-        return vec - vec.mean()
+        mean = _sum(vec) / len(vec)
+        return [v - mean for v in vec]
     return vec
 
 
@@ -243,31 +244,26 @@ def expected_profit_bound(market: Market, trader: TraderProfile, delta) -> tuple
     categorical family: on it modulo the all-ones gauge direction, which
     changes neither term).  Requires unit inverse liquidity.
     """
-    import numpy as np  # off the trade path: the segment test is linear algebra
-
     if market.inv_liquidity != 1.0:
         raise DomainError("expected_profit_bound requires inv_liquidity == 1")
     fam = market.family
-    theta = np.asarray(market.theta)
-    theta_hat = np.asarray(fam.check_natural(trader.belief_theta))
-    delta = np.asarray(as_params(delta, fam.dim, "delta"))
+    theta = market.theta
+    theta_hat = fam.check_natural(trader.belief_theta)
+    delta = as_params(delta, fam.dim, "delta")
 
-    direction = _centered(fam, theta_hat - theta)
+    direction = _centered(fam, [h - t for h, t in zip(theta_hat, theta)])
     move = _centered(fam, delta)
-    norm2 = float(np.dot(direction, direction))
-    scale = max(1.0, float(np.linalg.norm(direction)))
-    if norm2 == 0.0:
-        fraction = 0.0
-    else:
-        fraction = float(np.dot(move, direction)) / norm2
-    if float(np.linalg.norm(move - fraction * direction)) > 1e-9 * scale:
+    norm2 = _dot(direction, direction)
+    scale = max(1.0, hypot(*direction))
+    fraction = 0.0 if norm2 == 0.0 else _dot(move, direction) / norm2
+    if hypot(*[m - fraction * d for m, d in zip(move, direction)]) > 1e-9 * scale:
         raise DomainError("delta is not a move along the segment toward the belief")
     if not -1e-12 <= fraction <= 1.0 + 1e-12:
         raise DomainError(f"segment fraction {fraction} outside [0, 1]")
     fraction = min(max(fraction, 0.0), 1.0)
 
     divergence_start = fam.bregman_divergence(theta, theta_hat)
-    divergence_end = fam.bregman_divergence(theta + delta, theta_hat)
+    divergence_end = fam.bregman_divergence([t + d for t, d in zip(theta, delta)], theta_hat)
     expected_profit = divergence_start - divergence_end
     bound = fraction * divergence_start
     if not (expected_profit >= bound - 1e-9 and bound >= -1e-12):

@@ -105,21 +105,35 @@ class TestQuoteAndTrade:
         path = self.setup_state(tmp_path)
         assert main(["quote", "--market", path, "--delta", "2.0"]) == 3
 
+    # Per family: a delta that exits 3, and a score report and outcome that exit 0.
+    FAILING_DELTA_AND_SCORE = {
+        "categorical:3": ("[0.1, -0.2]", "[0.2, 0.3, 0.5]", "2"),
+        "gaussian-moments": ("[0.0, 1.0]", '{"mean": 0.5, "variance": 2.0}', "0.25"),
+        "weibull-moment:2": ("2.0", "1.5", "0.5"),
+    }
+
     @pytest.mark.parametrize("family,theta,delta", [
         ("categorical:3", [0.0, 0.25, -0.5], "[0.1, -0.2, 0.3]"),
         ("gaussian-moments", [0.5, -0.75], "[-0.25, 0.125]"),
         ("weibull-moment:2", [-1.5], "0.5"),
     ])
     def test_quote_and_trade_import_no_numpy(self, tmp_path, capsys, family, theta, delta):
-        # A fresh interpreter runs quote, then trade --log, through main; so does this process,
+        # A fresh interpreter runs quote, trade --log, their failures, a replay of the log against the
+        # traded state (its theta_before is wrong there) and score, through main; so does this process,
         # where numpy is loaded. Both print the same lines and write the same state and log bytes.
+        bad_delta, report, outcome = self.FAILING_DELTA_AND_SCORE[family]
         outputs = {}
         for where in ("fresh", "here"):
             (tmp_path / where).mkdir()
             state = write_json(tmp_path / where / "state.json", {"family": family, "theta": theta})
             log = tmp_path / where / "trades.jsonl"
             argvs = [["quote", "--market", state, "--delta", delta],
-                     ["trade", "--market", state, "--delta", delta, "--trader", "t", "--log", str(log)]]
+                     ["quote", "--market", state, "--delta", bad_delta],
+                     ["trade", "--market", state, "--delta", bad_delta],
+                     ["trade", "--market", state, "--delta", delta, "--trader", "t", "--log", str(log)],
+                     ["replay", "--log", str(log), "--state0", state],
+                     ["score", "--family", family, "--report", report, "--outcome", outcome],
+                     ["score", "--family", family, "--report", '["0.5"]', "--outcome", outcome]]
             if where == "fresh":
                 code = ("import json, sys\nfrom expfam_markets.cli import main\n"
                         "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
@@ -127,12 +141,15 @@ class TestQuoteAndTrade:
                 proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
                                       text=True, env=subprocess_env(), timeout=120, check=True)
                 *lines, summary = proc.stdout.splitlines()
-                assert json.loads(summary) == {"codes": [0, 0], "numpy": False}
+                assert json.loads(summary) == {"codes": [0, 3, 3, 0, 3, 0, 2], "numpy": False}
+                errors = proc.stderr.splitlines()
             else:
-                assert [main(argv) for argv in argvs] == [0, 0]
-                lines = capsys.readouterr().out.splitlines()
+                assert [main(argv) for argv in argvs] == [0, 3, 3, 0, 3, 0, 2]
+                captured = capsys.readouterr()
+                lines, errors = captured.out.splitlines(), captured.err.splitlines()
+            assert len(errors) == 4 and "pre-trade state" in errors[2]
             with open(state, "rb") as fh:
-                outputs[where] = (lines, fh.read(), log.read_bytes())
+                outputs[where] = (lines, errors, fh.read(), log.read_bytes())
         assert outputs["fresh"] == outputs["here"]
 
     def test_quote_missing_state_file_is_io_error(self, tmp_path, capsys):
@@ -331,6 +348,16 @@ class TestSimulate:
         report = json.load(open(out))
         assert report["valid"] is False
 
+    def test_overflowing_weibull_draw_aborts_and_exits_3(self, tmp_path, capsys):
+        # At order 0.001 a draw is E**1000 for an exponential E, which overflows once E exceeds about 2.03.
+        raw = {**sim_config(seed=3), "family": "weibull-moment:0.001", "theta0": [-1.0], "true_theta": [-0.1],
+               "traders": [{"id": "a", "model": "risk-neutral", "belief": {"theta": [-0.5]}}]}
+        path = write_json(tmp_path / "sim.json", raw)
+        out = tmp_path / "r.json"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 3
+        report = json.loads(out.read_text())
+        assert report["valid"] is False
+        assert report["error"] == "round 2: weibull-moment:0.001: a draw at theta [-0.1] overflows"
 
     def test_rerun_truncates_the_trade_log(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sim.json", sim_config())

@@ -415,6 +415,21 @@ class TestVmf3Inversion:
         mu = fam.mean_from_natural(theta)
         np.testing.assert_allclose(fam.natural_from_mean(mu), theta, rtol=1e-6, atol=1e-15)
 
+    def test_mean_ratio_within_4_ulps(self):
+        # (coth(k) - 1/k) / k against a 60-digit reference, on both sides of the k = 2 switch.
+        from decimal import Decimal, localcontext
+
+        from expfam_markets.families import _vmf_mean_ratio
+
+        kappas = [10.0 ** (e / 8.0) for e in range(-48, 15)] + [0.0101, 1.999999, 2.0, 60.0]
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for kappa in kappas:
+                k = Decimal(kappa)
+                e2k = (2 * k).exp()
+                reference = float(((e2k + 1) / (e2k - 1) - 1 / k) / k)
+                assert abs(_vmf_mean_ratio(kappa) - reference) <= 4 * math.ulp(reference), kappa
+
     def test_newton_cap_raises(self):
         from expfam_markets.families import (
             _invert_monotone,

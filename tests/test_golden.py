@@ -128,7 +128,7 @@ GOLDEN_CONFIGS = {
 
 GOLDEN_DIGESTS = {
     "bayesian-degenerate-abort": {
-        "json": "59b0665265d18fdf914ca0a1347105ac86f9aafdd5771431583685e23d6eb90e",
+        "json": "66d2a12c37e8c33a7bdc9884a7091009b0d1132c73952248037df447e8ecba35",
         "csv": "c16e429ab4c74165674c5f94981bd801a8c92cba37966207d0a7f5e5f20c95fe",
         "trade_log": None,
     },

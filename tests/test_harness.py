@@ -115,6 +115,9 @@ class TestConfigParsing:
          "traders": [{"id": "a", "model": "risk-neutral", "belief": {"mean": "0.5"}}]},
         {"family": "weibull-moment:2", "theta0": [-1.0], "true_theta": [-1.0],
          "traders": [{"id": "a", "model": "risk-neutral", "belief": {"moment": [True]}}]},
+        # Finite prices, but theta1**2 / (4 * -theta2) overflows: Market refuses the state, so the config does.
+        {"family": "gaussian-moments", "theta0": [1e200, -1e200], "true_theta": [0.0, -0.5],
+         "traders": [{"id": "a", "model": "risk-neutral", "belief": {"mean": 0.0, "variance": 1.0}}]},
     ])
     def test_invalid_configs_rejected(self, corrupt):
         with pytest.raises(ConfigError):

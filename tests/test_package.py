@@ -1,6 +1,8 @@
-"""The package's public surface: every ``__all__`` name resolves, lazily, to its module's own object."""
+"""The package's public surface: every ``__all__`` name resolves, lazily, to its module's own object; numpy loads at three sites."""
 
+import ast
 import importlib
+import os
 import subprocess
 import sys
 
@@ -31,3 +33,26 @@ def test_import_loads_no_submodule():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=subprocess_env(), timeout=120, check=True)
     assert proc.stdout == "[]\n"
+
+
+def _numpy_import_scopes(node, scope):
+    """The dotted scope (module, class, function) of every numpy import under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _numpy_import_scopes(child, f"{scope}.{child.name}")
+            continue
+        if (isinstance(child, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in child.names)
+                or isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "numpy"):
+            yield scope
+        yield from _numpy_import_scopes(child, scope)
+
+
+def test_numpy_is_imported_at_three_sites_only():
+    # The outcome Generator, a batch of draws and the equilibrium solver; all else runs on array('d') and math.
+    package = os.path.dirname(expfam_markets.__file__)
+    scopes = set()
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                scopes.update(_numpy_import_scopes(ast.parse(fh.read()), name[:-3]))
+    assert scopes == {"harness.run_simulation", "families.ExpFamily.sample", "equilibrium"}
