@@ -35,10 +35,11 @@ import json
 import os
 from array import array
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
 from .families import ExpFamily, VonMisesFisher3, _dot, family_from_id
-from .market import Market, TradeRecord, _number, _numbers, log_loss
+from .market import Market, TradeRecord, _json, _number, _numbers, log_loss
 from .scoring import moments_from_mean_variance
 from .traders import (
     TraderProfile,
@@ -273,7 +274,36 @@ class SimReport:
         return {**vars(self), "events": [vars(ev) for ev in self.events]}
 
     def to_json(self) -> str:
-        return _REPORT_ENCODER.encode(self.to_dict()) + "\n"
+        """The report's bytes: those of ``json.dumps(to_dict(), sort_keys=True, indent=2)`` and a newline."""
+        return "".join(_report_chunks(self)) + "\n"
+
+
+_EVENTS_KEY = '\n  "events": []'  # a newline and two spaces: only a top-level key can match
+_ITEM = ",\n        "  # between the items of an event's delta or trader_budgets
+_EVENT_JSON = ('\n    {\n      "cost": %s,\n      "delta": [\n        %s\n      ],\n      "log_loss_after": %s,'
+               '\n      "log_loss_before": %s,\n      "myopic_impact": %s,\n      "outcome": %s,\n      "round": %d,'
+               '\n      "trader_budgets": {\n        %s\n      },\n      "trader_id": %s\n    }')
+
+
+def _report_chunks(report: SimReport):
+    """The report's JSON in pieces: the stdlib encoder writes all but the events, spliced in by one template.
+
+    A round's shared ``trader_budgets`` is rendered once; ``delta`` and ``trader_budgets`` are never empty.
+    """
+    head, _, tail = _REPORT_ENCODER.encode({**vars(report), "events": []}).partition(_EVENTS_KEY)
+    if not report.events:
+        yield head + _EVENTS_KEY + tail
+        return
+    yield head + '\n  "events": ['
+    budgets = budgets_json = None
+    for i, ev in enumerate(report.events):
+        if ev.trader_budgets is not budgets:
+            budgets = ev.trader_budgets
+            budgets_json = _ITEM.join([f"{encode_basestring_ascii(k)}: {_json(v)}" for k, v in sorted(budgets.items())])
+        yield ("," if i else "") + _EVENT_JSON % (
+            _json(ev.cost), _ITEM.join(map(_json, ev.delta)), _json(ev.log_loss_after), _json(ev.log_loss_before),
+            _json(ev.myopic_impact), _json(ev.outcome), ev.round, budgets_json, encode_basestring_ascii(ev.trader_id))
+    yield "\n  ]" + tail
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +328,8 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     With ``trade_log_path`` the run owns one handle on its JSON-lines trade
     log: opened (truncating an older file) at the first trade, flushed after
     every record and closed when the run ends.  The log holds exactly this
-    run's records, so a run that aborts before its first trade leaves no file.
+    run's settled records: an aborting round's trades are taken back out of
+    it and out of the market, so a run with no settled trade leaves no file.
     """
     import numpy as np  # for the outcome Generator only, so quote and trade never load it
 
@@ -324,10 +355,11 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     log = None
     try:
         for round_index in range(1, config.rounds + 1):
+            settled = vars(market).copy()  # every Market write stores a new object, so this restores it
+            staged: list[tuple[TraderProfile, TradeRecord]] = []
             try:
                 if config.state_reset and round_index > 1:
                     market.reset_theta(config.theta0)
-                staged: list[tuple[TraderProfile, TradeRecord]] = []
                 for trader in turns[(round_index - 1) % len(turns)]:
                     delta = _decide(market, trader)
                     record = market.execute(delta, trader_id=trader.id, round_index=round_index)
@@ -340,6 +372,9 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                 outcome = family.sample(config.true_theta, rng)
             except (DomainError, ConvergenceError) as exc:
                 valid, error = False, f"round {round_index}: {exc}"
+                vars(market).update(settled)  # an unsettled trade leaves no trace in the report or the log
+                if staged and log is not None:
+                    log.truncate(log.tell() - sum(len(record.to_json()) + 1 for _, record in staged))
                 break
 
             # Settle along the price path (first theta_before, then each theta_after): a
@@ -364,8 +399,8 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     finally:
         if log is not None:
             log.close()
-        elif trade_log_path is not None and os.path.isfile(trade_log_path):
-            os.remove(trade_log_path)  # no trade, so no log: not even an older run's
+        if trade_log_path is not None and not market.n_trades and os.path.isfile(trade_log_path):
+            os.remove(trade_log_path)  # no settled trade, so no log: not even an older run's
 
     aggregates = {
         "completed_rounds": events[-1].round if events else 0,
@@ -429,7 +464,7 @@ def emit_report(report: SimReport, fmt: str, path: str) -> None:
     """
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(_REPORT_ENCODER.iterencode(report.to_dict()))  # streamed, never held whole
+            fh.writelines(_report_chunks(report))  # streamed, never held whole
             fh.write("\n")
         return
     if fmt != "csv":
@@ -442,11 +477,11 @@ def emit_report(report: SimReport, fmt: str, path: str) -> None:
             writer.writerow([
                 ev.round,
                 ev.trader_id,
-                ";".join(repr(float(v)) for v in ev.delta),
-                repr(float(ev.cost)),
-                ev.outcome if isinstance(ev.outcome, int) else repr(float(ev.outcome)),
-                "" if ev.log_loss_before is None else repr(float(ev.log_loss_before)),
-                "" if ev.log_loss_after is None else repr(float(ev.log_loss_after)),
-                repr(float(ev.myopic_impact)),
-                "" if own_budget is None else repr(float(own_budget)),
+                ";".join(map(float.__repr__, ev.delta)),
+                float.__repr__(ev.cost),
+                ev.outcome if isinstance(ev.outcome, int) else float.__repr__(ev.outcome),
+                "" if ev.log_loss_before is None else float.__repr__(ev.log_loss_before),
+                "" if ev.log_loss_after is None else float.__repr__(ev.log_loss_after),
+                float.__repr__(ev.myopic_impact),
+                "" if own_budget is None else float.__repr__(own_budget),
             ])

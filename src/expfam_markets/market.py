@@ -38,6 +38,7 @@ import sys
 import tempfile
 from array import array
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, CorruptLogError, DomainError
 from .families import ExpFamily, _dot, _scaled, as_params, family_from_id
@@ -58,6 +59,17 @@ def _numbers(value, where: str) -> array:
         return array("d", (_number(value, where),))
     where = f"{where} entry"
     return array("d", [_number(v, where) for v in value])
+
+
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null", "True": "true", "False": "false"}
+_RECORD_JSON = ('{"cost": %s, "delta": [%s], "round": %d, "theta_after": [%s], '
+                '"theta_before": [%s], "trader_id": %s}')
+
+
+def _json(value) -> str:
+    """A float, int, bool or None written exactly as ``json.dumps`` writes it: its repr, with six words renamed."""
+    text = repr(value)
+    return _JSON_WORDS.get(text, text)
 
 
 def log_loss(family: ExpFamily, theta: array, phi: array) -> float:
@@ -81,8 +93,10 @@ class TradeRecord:
                 "theta_before": self.theta_before.tolist(), "theta_after": self.theta_after.tolist()}
 
     def to_json(self) -> str:
-        """The record as one trade-log line, without its newline."""
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """The record as one trade-log line, without its newline: ``json.dumps(self.to_dict(), sort_keys=True)``."""
+        return _RECORD_JSON % (_json(self.cost), ", ".join(map(_json, self.delta)), self.round,
+                               ", ".join(map(_json, self.theta_after)), ", ".join(map(_json, self.theta_before)),
+                               encode_basestring_ascii(self.trader_id))
 
     @classmethod
     def from_dict(cls, d: dict) -> "TradeRecord":

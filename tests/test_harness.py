@@ -420,6 +420,36 @@ class TestTradeLog:
         assert not report.valid and "round 2" in report.error
         assert [r.trader_id for r in read_trade_log(log)] == ["a"]
 
+    @pytest.mark.parametrize("name", ["draw-overflows-after-a-trade", "second-trade-fails-in-round-1"])
+    def test_aborted_round_leaves_no_unsettled_trade(self, tmp_path, name):
+        if name == "draw-overflows-after-a-trade":  # round 2's trade executes, then its draw overflows
+            cfg = base_config(family="weibull-moment:0.001", theta0=[-1.0], true_theta=[-0.1], seed=3, rounds=3,
+                              state_reset=True, traders=[
+                                  {"id": "a", "model": "risk-neutral", "belief": {"theta": [-0.5]}},
+                                  {"id": "b", "model": "risk-neutral", "belief": {"theta": [-0.25]}}])
+        else:  # "a" trades, then "edge" moves to the domain boundary
+            cfg = {**aborts_in_round_2(), "arrival": "fixed-sequence", "sequence": ["a", "edge"]}
+        log = tmp_path / "trades.jsonl"
+        log.write_text("an older run's log\n")
+        config = SimConfig.from_dict(cfg)
+        report = run_simulation(config, trade_log_path=str(log))
+        assert not report.valid
+        events, agg = report.events, report.aggregates
+        assert [(ev.round, ev.trader_id) for ev in events] == ([(1, "a")] if name.startswith("draw") else [])
+        assert agg["n_trades"] == len(events)
+        assert agg["revenue"] == sum(ev.cost for ev in events)
+        if not events:
+            assert not log.exists()
+            assert agg["final_theta"] == config.theta0.tolist()
+            return
+        records = read_trade_log(str(log))
+        assert [(r.round, r.trader_id, r.cost, r.delta.tolist()) for r in records] == [
+            (ev.round, ev.trader_id, ev.cost, ev.delta) for ev in events]
+        assert agg["final_theta"] == records[-1].theta_after.tolist()
+        state0 = Market(config.family, config.theta0, config.inv_liquidity).state_dict()
+        assert replay(records, state0).state_dict() == {**state0, "theta": agg["final_theta"],
+                                                         "n_trades": agg["n_trades"], "revenue": agg["revenue"]}
+
     def test_runs_leave_no_open_handle(self, tmp_path):
         code = (
             "import gc, json, sys\n"

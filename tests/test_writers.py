@@ -1,0 +1,152 @@
+"""The report and trade-log writers against the stdlib encoders they replace.
+
+``SimReport.to_json`` and ``emit_report(..., "json")`` must write the bytes of
+``json.dumps(report.to_dict(), sort_keys=True, indent=2)`` plus a newline,
+``TradeRecord.to_json`` those of ``json.dumps(record.to_dict(),
+sort_keys=True)``, and each CSV cell ``repr(float(v))`` of its value.  The
+reports are built by hand, with no sampling, so the file needs only the
+standard library: it runs under pytest or as a script,
+
+    PYTHONPATH=src python tests/test_writers.py
+
+which is how the byte contract is checked on interpreters without numpy or
+pytest (json's encoder differs between Python versions).
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import math
+import os
+import tempfile
+from array import array
+
+from expfam_markets.harness import SimReport, TradeEvent, emit_report
+from expfam_markets.market import TradeRecord
+
+NAN, INF = math.nan, math.inf
+ODD_IDS = ("é", 'say "hi"', "back\\slash", "new\nline")
+
+
+def event(round_index=1, trader_id="a", delta=(0.25, -0.25), cost=0.1, outcome=1, log_loss_before=0.7,
+          log_loss_after=0.6, myopic_impact=0.05, trader_budgets=None) -> TradeEvent:
+    return TradeEvent(round=round_index, trader_id=trader_id, delta=list(delta), cost=cost, outcome=outcome,
+                      log_loss_before=log_loss_before, log_loss_after=log_loss_after,
+                      myopic_impact=myopic_impact,
+                      trader_budgets={"a": None, "b": 1.5} if trader_budgets is None else trader_budgets)
+
+
+def report(events, valid=True, error=None, inv_liquidity=1.0, **aggregates) -> SimReport:
+    budgets = events[-1].trader_budgets if events else {"a": None}
+    return SimReport(
+        family="categorical:2", seed=7, rounds=3, inv_liquidity=inv_liquidity, arrival="round-robin",
+        state_reset=False, valid=valid, error=error, events=events,
+        aggregates={"completed_rounds": events[-1].round if events else 0,
+                    "total_log_loss": 1.25 if inv_liquidity == 1.0 else None,
+                    "per_trader_impact": {tid: 0.125 for tid in budgets},
+                    "final_budgets": dict(budgets), "final_theta": [0.5, -0.5], "final_prices": [0.7, 0.3],
+                    "revenue": 0.1 * len(events), "n_trades": len(events), **aggregates},
+    )
+
+
+def shared_round(budgets: dict, *trader_ids) -> list[TradeEvent]:
+    """The events of one round, sharing one ``trader_budgets`` snapshot as a run's do."""
+    return [event(trader_id=tid, trader_budgets=budgets, cost=0.1 * (i + 1)) for i, tid in enumerate(trader_ids)]
+
+
+CASES = {
+    "zero-events": report([]),
+    "aborted-with-error": report([event()], valid=False,
+                                 error='round 2: a draw at theta [-0.1] overflows "é" \\ \n\t'),
+    "nonfinite-values": report([
+        event(log_loss_before=NAN, log_loss_after=INF, myopic_impact=-INF, outcome=INF,
+              trader_budgets={"a": NAN, "b": INF}),
+        event(round_index=2, log_loss_before=-INF, log_loss_after=NAN, myopic_impact=NAN, outcome=NAN,
+              trader_budgets={"a": -INF, "b": None}),
+        event(round_index=3, outcome=-INF, cost=INF, delta=(NAN, -INF)),
+    ], total_log_loss=NAN, revenue=INF),
+    "none-log-losses": report([event(log_loss_before=None, log_loss_after=None),
+                               event(round_index=2, log_loss_before=None, log_loss_after=None)],
+                              inv_liquidity=0.75),
+    "int-and-float-outcomes": report([event(outcome=2), event(round_index=2, outcome=0.5),
+                                      event(round_index=3, outcome=-1e-300), event(round_index=4, outcome=1e22)]),
+    "escaped-trader-ids": report(shared_round({tid: 0.5 for tid in ODD_IDS}, *ODD_IDS)),
+    "shared-and-equal-budgets": report(
+        shared_round({"a": 1.0, "b": None}, "a", "b")
+        + shared_round({"a": 1.0, "b": None}, "a", "b")  # equal content, a new snapshot
+        + [event(round_index=2, trader_budgets={"a": 0.1 + 0.2, "b": 5e-324})]),
+    "one-dimensional-delta": report([event(delta=(-1e-17,)), event(delta=(1.0000000000000002,))]),
+}
+
+RECORDS = {
+    "plain": TradeRecord(round=3, trader_id="a", delta=array("d", [0.25, -0.25]), cost=0.1,
+                         theta_before=array("d", [0.0, 0.0]), theta_after=array("d", [0.25, -0.25])),
+    "nonfinite": TradeRecord(round=0, trader_id="b", delta=array("d", [NAN, INF, -INF]), cost=-INF,
+                             theta_before=array("d", [1e308, -0.0, 5e-324]), theta_after=array("d", [INF, NAN, 1e-7])),
+    **{f"escaped-{i}": TradeRecord(round=10**12, trader_id=tid, delta=array("d", [1 / 3]), cost=NAN,
+                                   theta_before=array("d", [-1.0]), theta_after=array("d", [-2 / 3]))
+       for i, tid in enumerate(ODD_IDS)},
+}
+
+
+def stdlib_json(rep: SimReport) -> str:
+    return json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def old_csv(rep: SimReport) -> str:
+    """The CSV as it was written before the template writers: ``repr(float(v))`` per cell."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(("round", "trader_id", "delta", "cost", "outcome", "log_loss_before", "log_loss_after",
+                     "myopic_impact", "budget_after"))
+    for ev in rep.events:
+        own_budget = ev.trader_budgets.get(ev.trader_id)
+        writer.writerow([
+            ev.round, ev.trader_id, ";".join(repr(float(v)) for v in ev.delta), repr(float(ev.cost)),
+            ev.outcome if isinstance(ev.outcome, int) else repr(float(ev.outcome)),
+            "" if ev.log_loss_before is None else repr(float(ev.log_loss_before)),
+            "" if ev.log_loss_after is None else repr(float(ev.log_loss_after)),
+            repr(float(ev.myopic_impact)), "" if own_budget is None else repr(float(own_budget)),
+        ])
+    return out.getvalue()
+
+
+def emitted(rep: SimReport, fmt: str) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report." + fmt)
+        emit_report(rep, fmt, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def test_report_to_json_is_the_stdlib_encoding():
+    for name, rep in CASES.items():
+        assert rep.to_json() == stdlib_json(rep), name
+
+
+def test_emitted_json_file_is_the_stdlib_encoding():
+    for name, rep in CASES.items():
+        assert emitted(rep, "json") == stdlib_json(rep).encode("utf-8"), name
+
+
+def test_csv_cells_are_the_old_cells():
+    for name, rep in CASES.items():
+        assert emitted(rep, "csv") == old_csv(rep).encode("utf-8"), name
+
+
+def test_trade_record_to_json_is_the_stdlib_encoding():
+    for name, record in RECORDS.items():
+        assert record.to_json() == json.dumps(record.to_dict(), sort_keys=True), name
+
+
+if __name__ == "__main__":
+    import sys
+
+    tests = [(name, fn) for name, fn in sorted(globals().items()) if name.startswith("test_")]
+    for name, fn in tests:
+        fn()
+        print("passed", name)
+    print(f"python {sys.version.split()[0]}: {len(tests)} writer-contract tests passed "
+          f"({len(CASES)} reports, {len(RECORDS)} trade records)")
