@@ -373,7 +373,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
             except (DomainError, ConvergenceError) as exc:
                 valid, error = False, f"round {round_index}: {exc}"
                 vars(market).update(settled)  # an unsettled trade leaves no trace in the report or the log
-                if staged and log is not None:
+                if log is not None:
                     log.truncate(log.tell() - sum(len(record.to_json()) + 1 for _, record in staged))
                 break
 
