@@ -38,15 +38,12 @@ from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
-from .families import ExpFamily, VonMisesFisher3, _dot, family_from_id
-from .market import Market, TradeRecord, _json, _number, _numbers, log_loss
+from .families import ExpFamily, VonMisesFisher3, _dot, as_params, family_from_id
+from .market import Market, TradeRecord, _json, _number, _numbers
 from .scoring import moments_from_mean_variance
-from .traders import (
-    TraderProfile,
-    bayesian_market_trade,
-    budget_limited_trade,
-    exp_utility_trade,
-)
+from .traders import TraderProfile, _bayesian_move, _budget_limited_move, _exp_utility_move
+# The engine calls the moves; the public rules stay harness attributes, where the benchmark's tracer patches them.
+from .traders import bayesian_market_trade, budget_limited_trade, exp_utility_trade  # noqa: F401
 
 TRADER_MODELS = ("risk-neutral", "bayesian", "exp-utility", "budget-limited")
 
@@ -123,7 +120,7 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
-        """Build and validate a config from parsed JSON; raises ConfigError."""
+        """Build and validate a config from parsed JSON; raises ConfigError.  ``run_simulation`` trusts it."""
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be an object, got {type(raw).__name__}")
         try:
@@ -238,6 +235,7 @@ CSV_COLUMNS = (
     "log_loss_before", "log_loss_after", "myopic_impact", "budget_after",
 )
 _REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+_UNSET = object()  # starts a one-entry render cache: no value a writer renders is this object
 
 
 @dataclass
@@ -288,20 +286,23 @@ _EVENT_JSON = ('\n    {\n      "cost": %s,\n      "delta": [\n        %s\n      
 def _report_chunks(report: SimReport):
     """The report's JSON in pieces: the stdlib encoder writes all but the events, spliced in by one template.
 
-    A round's shared ``trader_budgets`` is rendered once; ``delta`` and ``trader_budgets`` are never empty.
+    A round's shared ``trader_budgets`` is rendered once, and so is a ``log_loss_before`` that is the
+    previous event's ``log_loss_after`` object; ``delta`` and ``trader_budgets`` are never empty.
     """
     head, _, tail = _REPORT_ENCODER.encode({**vars(report), "events": []}).partition(_EVENTS_KEY)
     if not report.events:
         yield head + _EVENTS_KEY + tail
         return
     yield head + '\n  "events": ['
-    budgets = budgets_json = None
+    budgets = budgets_json = after = after_json = _UNSET
     for i, ev in enumerate(report.events):
         if ev.trader_budgets is not budgets:
             budgets = ev.trader_budgets
             budgets_json = _ITEM.join([f"{encode_basestring_ascii(k)}: {_json(v)}" for k, v in sorted(budgets.items())])
+        before_json = after_json if ev.log_loss_before is after else _json(ev.log_loss_before)
+        after, after_json = ev.log_loss_after, _json(ev.log_loss_after)
         yield ("," if i else "") + _EVENT_JSON % (
-            _json(ev.cost), _ITEM.join(map(_json, ev.delta)), _json(ev.log_loss_after), _json(ev.log_loss_before),
+            _json(ev.cost), _ITEM.join(map(_json, ev.delta)), after_json, before_json,
             _json(ev.myopic_impact), _json(ev.outcome), ev.round, budgets_json, encode_basestring_ascii(ev.trader_id))
     yield "\n  ]" + tail
 
@@ -312,10 +313,10 @@ def _report_chunks(report: SimReport):
 
 def _decide(market: Market, trader: TraderProfile) -> array:
     if trader.model == "bayesian":
-        return bayesian_market_trade(market, trader.sample_mean, trader.sample_size)
+        return _bayesian_move(market, trader.sample_mean, trader.sample_size)
     if trader.model == "budget-limited":
-        return budget_limited_trade(market, trader)
-    return exp_utility_trade(market, trader)  # risk-neutral has risk_aversion 0
+        return _budget_limited_move(market, trader)
+    return _exp_utility_move(market, trader.belief_theta, trader.risk_aversion)  # risk-neutral has 0
 
 
 def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimReport:
@@ -330,6 +331,9 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     every record and closed when the run ends.  The log holds exactly this
     run's settled records: an aborting round's trades are taken back out of
     it and out of the market, so a run with no settled trade leaves no file.
+
+    ``config`` is trusted as ``SimConfig.from_dict`` validated it: the round
+    loop runs the unchecked cores and checks only the states trades reach.
     """
     import numpy as np  # for the outcome Generator only, so quote and trade never load it
 
@@ -337,6 +341,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
         raise ConfigError("simulation requires a seed (config, env, or flag)")
     family = config.family
     market = Market(family, config.theta0, config.inv_liquidity)
+    start = {"theta": market.theta, "_cost": market._cost}  # the checked state that state_reset restores
     rng = np.random.default_rng(config.seed)
     # Per-run copies hold the running budget and cash (cumulative payoff -
     # cost), so a config can be rerun.  Both add the same per-trade changes
@@ -352,24 +357,25 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     total_log_loss = 0.0 if track_loss else None
     valid, error = True, None
 
-    log = None
+    log, last_record = None, []  # the run's log handle and its last record's rendered theta_after
     try:
         for round_index in range(1, config.rounds + 1):
             settled = vars(market).copy()  # every Market write stores a new object, so this restores it
             staged: list[tuple[TraderProfile, TradeRecord]] = []
             try:
                 if config.state_reset and round_index > 1:
-                    market.reset_theta(config.theta0)
+                    vars(market).update(start)
+                path = [(market.theta, market._cost)]  # the round's price path, each state with C(theta)
                 for trader in turns[(round_index - 1) % len(turns)]:
-                    delta = _decide(market, trader)
-                    record = market.execute(delta, trader_id=trader.id, round_index=round_index)
+                    record = market._execute(_decide(market, trader), trader.id, round_index)
                     if trade_log_path is not None:
                         if log is None:
                             log = open(trade_log_path, "w", encoding="utf-8")
-                        log.write(record.to_json() + "\n")
+                        log.write(record.to_json(last_record) + "\n")
                         log.flush()
                     staged.append((trader, record))
-                outcome = family.sample(config.true_theta, rng)
+                    path.append((market.theta, market._cost))
+                outcome = family._sample(config.true_theta, rng, None)[0]
             except (DomainError, ConvergenceError) as exc:
                 valid, error = False, f"round {round_index}: {exc}"
                 vars(market).update(settled)  # an unsettled trade leaves no trace in the report or the log
@@ -377,11 +383,10 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                     log.truncate(log.tell() - sum(len(record.to_json()) + 1 for _, record in staged))
                 break
 
-            # Settle along the price path (first theta_before, then each theta_after): a
-            # trade's payoff minus cost is its trader's budget change and its log-loss drop.
+            # Settle along the price path: payoff minus cost is a trader's budget change and log-loss
+            # drop.  C(theta) is T(theta) bit for bit at unit liquidity, so each loss reads T from the cache.
             phi = family._statistic(outcome)  # the sampler's own outcome needs no check
-            path = [staged[0][1].theta_before] + [record.theta_after for _, record in staged]
-            losses = [log_loss(family, theta, phi) for theta in path] if track_loss else [None] * len(path)
+            losses = [cost - _dot(theta, phi) for theta, cost in path] if track_loss else [None] * len(path)
             budgets: dict[str, float | None] = {}  # the round's one snapshot, filled once it settles
             for i, (trader, record) in enumerate(staged):
                 change = _dot(record.delta, phi) - record.cost
@@ -435,18 +440,20 @@ def replay(records: list[TradeRecord], state0: dict) -> Market:
     first offending record.  ``state0`` is a ``Market.state_dict`` snapshot.
     """
     market = Market.from_state_dict(state0)
-    theta_init = market.theta  # never written in place: every writer stores a new vector
+    start = {"theta": market.theta, "_cost": market._cost}  # never written in place: every writer stores anew
     for line, record in enumerate(records, 1):
         if record.theta_before != market.theta:
-            if record.theta_before == theta_init:
-                market.reset_theta(theta_init)
+            if record.theta_before == start["theta"]:
+                vars(market).update(start)
             else:
                 raise CorruptLogError(line, f"pre-trade state {record.theta_before.tolist()} "
                                       f"does not match {market.theta.tolist()}")
         if record.theta_after != array("d", [b + d for b, d in zip(record.theta_before, record.delta)]):
             raise CorruptLogError(line, "post-trade state does not equal pre-trade state plus delta")
         try:
-            cost = market.execute(record.delta, trader_id=record.trader_id, round_index=record.round).cost
+            if len(record.delta) != market.family.dim:
+                as_params(record.delta, market.family.dim, "delta")  # raises its length message
+            cost = market._execute(record.delta, record.trader_id, record.round).cost
         except DomainError as exc:
             raise CorruptLogError(line, f"recorded trade is not executable: {exc}") from exc
         if cost != record.cost:
@@ -472,16 +479,23 @@ def emit_report(report: SimReport, fmt: str, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
+        after = after_cell = _UNSET  # a log_loss_before that is the previous log_loss_after reuses its cell
         for ev in report.events:
             own_budget = ev.trader_budgets.get(ev.trader_id)
+            before_cell = after_cell if ev.log_loss_before is after else _loss_cell(ev.log_loss_before)
+            after, after_cell = ev.log_loss_after, _loss_cell(ev.log_loss_after)
             writer.writerow([
                 ev.round,
                 ev.trader_id,
                 ";".join(map(float.__repr__, ev.delta)),
                 float.__repr__(ev.cost),
                 ev.outcome if isinstance(ev.outcome, int) else float.__repr__(ev.outcome),
-                "" if ev.log_loss_before is None else float.__repr__(ev.log_loss_before),
-                "" if ev.log_loss_after is None else float.__repr__(ev.log_loss_after),
+                before_cell,
+                after_cell,
                 float.__repr__(ev.myopic_impact),
                 "" if own_budget is None else float.__repr__(own_budget),
             ])
+
+
+def _loss_cell(loss: float | None) -> str:
+    return "" if loss is None else float.__repr__(loss)

@@ -17,12 +17,12 @@ The share vector must stay strictly inside the cost function's domain.  In
 exact arithmetic the blow-up of ``C`` at the boundary self-enforces this
 (no finite-budget trader buys an infinite-cost portfolio), but in floating
 point we reject trades that move ``lam * theta`` within ``1e-9`` of the
-boundary outright, and any state whose cost overflows.  Only
-``Market.__init__``, ``execute`` and ``reset_theta`` store the share vector,
-and each checks it, so pricing and settlement evaluate the family kernels
-on it unchecked.  The same three writers keep ``C(theta)`` cached, so a
-quote evaluates the log partition once, at the target; ``execute`` checks
-``delta`` once and stores its quote's target cost as the new cache.
+boundary outright, and any state whose cost overflows.  Every writer of
+the share vector (``__init__``, ``_execute``, ``reset_theta``) checks it in
+``_cost_at`` and caches ``C(theta)``, so pricing and settlement run the
+kernels unchecked and a quote evaluates the log partition once.  ``execute``
+and ``quote`` check ``delta`` and call the cores ``_execute`` and ``_quote``,
+which the engine and ``replay`` call directly on their own deltas.
 
 One market instance is single-writer: ``execute`` requires exclusive
 access, while ``quote``/``prices``/``log_loss`` are read-only and may run
@@ -92,10 +92,17 @@ class TradeRecord:
         return {**vars(self), "delta": self.delta.tolist(),
                 "theta_before": self.theta_before.tolist(), "theta_after": self.theta_after.tolist()}
 
-    def to_json(self) -> str:
-        """The record as one trade-log line, without its newline: ``json.dumps(self.to_dict(), sort_keys=True)``."""
-        return _RECORD_JSON % (_json(self.cost), ", ".join(map(_json, self.delta)), self.round,
-                               ", ".join(map(_json, self.theta_after)), ", ".join(map(_json, self.theta_before)),
+    def to_json(self, last: list | None = None) -> str:
+        """The record as one trade-log line, without its newline: ``json.dumps(self.to_dict(), sort_keys=True)``.
+
+        ``last`` is a log writer's ``[theta_after, its text]`` of the record before (empty at first): a
+        ``theta_before`` that is that object reuses the text, and ``last`` moves on to this record.
+        """
+        before = last[1] if last and self.theta_before is last[0] else ", ".join(map(_json, self.theta_before))
+        after = ", ".join(map(_json, self.theta_after))
+        if last is not None:
+            last[:] = self.theta_after, after
+        return _RECORD_JSON % (_json(self.cost), ", ".join(map(_json, self.delta)), self.round, after, before,
                                encode_basestring_ascii(self.trader_id))
 
     @classmethod
@@ -137,9 +144,8 @@ class Market:
             raise DomainError(f"inv_liquidity must be positive, got {inv_liquidity}")
         self.inv_liquidity = lam
         theta0 = as_params(theta0, family.dim, "theta0")
-        family.check_natural(_scaled(lam, theta0), margin=TRADE_MARGIN)
-        self.theta = theta0
         self._cost = self._cost_at(theta0)
+        self.theta = theta0
         self.n_trades = int(n_trades)
         self.revenue = float(revenue)
 
@@ -152,16 +158,19 @@ class Market:
         return self._cost
 
     def _cost_at(self, theta: array) -> float:
-        """``(1/lam) T(lam * theta)`` at a checked ``theta``; DomainError when it is not finite."""
+        """``(1/lam) T(lam * theta)``; DomainError unless ``lam * theta`` is finite and interior and the cost finite."""
         lam = self.inv_liquidity
-        cost = self.family._log_partition(_scaled(lam, theta)) / lam
+        scaled = theta if lam == 1.0 else _scaled(lam, theta)  # c * v is v bit for bit at c = 1
+        if not (all(map(math.isfinite, scaled)) and self.family._natural_interior(scaled, TRADE_MARGIN)):
+            self.family.check_natural(scaled, margin=TRADE_MARGIN)  # raises its message
+        cost = self.family._log_partition(scaled) / lam
         if not math.isfinite(cost):
             raise DomainError(f"cost is not finite at share vector {theta.tolist()}")
         return cost
 
     def prices(self) -> array:
         """Instantaneous security prices: the mean parameters at ``lam * theta``."""
-        return self.family._mean(_scaled(self.inv_liquidity, self.theta))
+        return self.family._mean(self.theta if self.inv_liquidity == 1.0 else _scaled(self.inv_liquidity, self.theta))
 
     def quote(self, delta) -> float:
         """Cost of buying ``delta`` now, without trading.
@@ -173,10 +182,13 @@ class Market:
         return self._quote(as_params(delta, self.family.dim, "delta"))[0]
 
     def _quote(self, delta: array) -> tuple[float, array, float]:
-        """Cost of a checked ``delta``, with the target share vector and its cost ``C(target)``."""
+        """Cost of a ``delta`` of the market's dimension, with the target share vector and its cost ``C(target)``."""
         target = array("d", [t + d for t, d in zip(self.theta, delta)])
-        self.family.check_natural(_scaled(self.inv_liquidity, target), margin=TRADE_MARGIN)
-        target_cost = self._cost_at(target)
+        try:
+            target_cost = self._cost_at(target)
+        except DomainError:
+            as_params(delta, self.family.dim, "delta")  # a non-finite delta is refused as itself
+            raise
         return target_cost - self._cost, target, target_cost
 
     def log_loss(self, x) -> float:
@@ -235,17 +247,13 @@ class Market:
         defaults to the pre-trade trade count.
         """
         delta = as_params(delta, self.family.dim, "delta")
+        return self._execute(delta, trader_id, self.n_trades if round_index is None else int(round_index))
+
+    def _execute(self, delta: array, trader_id: str, round_index: int) -> TradeRecord:
+        """``execute`` without its check of ``delta``, which must have the market's dimension."""
         cost, target, target_cost = self._quote(delta)
-        if round_index is None:
-            round_index = self.n_trades
-        record = TradeRecord(
-            round=int(round_index),
-            trader_id=trader_id,
-            delta=delta,
-            cost=cost,
-            theta_before=self.theta,
-            theta_after=target,
-        )
+        record = TradeRecord(round=round_index, trader_id=trader_id, delta=delta, cost=cost,
+                             theta_before=self.theta, theta_after=target)
         self.theta = target
         self._cost = target_cost
         self.n_trades += 1
@@ -255,7 +263,6 @@ class Market:
     def reset_theta(self, theta0) -> None:
         """Reset the share vector (a fresh market instance); counters persist."""
         theta0 = as_params(theta0, self.family.dim, "theta0")
-        self.family.check_natural(_scaled(self.inv_liquidity, theta0), margin=TRADE_MARGIN)
         self._cost = self._cost_at(theta0)  # first, so a refused state changes nothing
         self.theta = theta0
 

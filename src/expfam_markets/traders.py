@@ -36,7 +36,8 @@ is what makes the budget a hard ceiling on the damage an ill-informed
 trader can do.
 
 Profiles are plain data owned by the simulation driver; every function here
-is pure given (market, profile) snapshots.
+is pure given (market, profile) snapshots.  Each public trade rule is its
+checks plus one call to its ``_*_move``, which the engine calls directly.
 """
 
 from __future__ import annotations
@@ -99,15 +100,17 @@ def bayesian_market_trade(market: Market, sample_mean, sample_size: float) -> ar
         raise DomainError("bayesian_market_trade requires inv_liquidity == 1")
     if not float(sample_size) > 0.0:
         raise DomainError(f"sample_size must be positive, got {sample_size}")
-    fam = market.family
-    mu_hat = fam.check_mean(sample_mean, margin=0.0)
-    n, m = market.n_trades, float(sample_size)
+    return _bayesian_move(market, market.family.check_mean(sample_mean, margin=0.0), float(sample_size))
+
+
+def _bayesian_move(market: Market, mu_hat: array, m: float) -> array:
+    n = market.n_trades
     if n == 0:
         target = mu_hat
     else:
         weight = n * m
         target = [(weight * p + m * h) / (weight + m) for p, h in zip(market.prices(), mu_hat)]
-    return _exp_utility_move(market, fam.natural_from_mean(target), 0.0)
+    return _exp_utility_move(market, market.family.natural_from_mean(target), 0.0)  # a computed posterior: checked
 
 
 def certainty_equivalent(market: Market, trader: TraderProfile, delta) -> float:
@@ -177,7 +180,7 @@ def _unconstrained_move(market: Market, trader: TraderProfile) -> array:
     least zero and pays at least zero at every outcome, which is what lets
     a budget cap keep the trader's budget from ever going negative.
     """
-    move = exp_utility_trade(market, trader)
+    move = _exp_utility_move(market, trader.belief_theta, trader.risk_aversion)
     if isinstance(market.family, Categorical):
         low = min(move)
         move = array("d", [v - low for v in move])
@@ -205,8 +208,13 @@ def budget_limited_trade(market: Market, trader: TraderProfile) -> array:
     """
     if market.inv_liquidity != 1.0:
         raise DomainError("budget_limited_trade requires inv_liquidity == 1")
+    market.family.check_natural(trader.belief_theta)
+    return _budget_limited_move(market, trader)
+
+
+def _budget_limited_move(market: Market, trader: TraderProfile) -> array:
     move = _unconstrained_move(market, trader)
-    move_cost = market.quote(move)
+    move_cost = market._quote(move)[0]
     alpha = None if trader.budget is None else max(0.0, trader.budget)
     if alpha is None or move_cost <= alpha:
         return move
@@ -215,7 +223,7 @@ def budget_limited_trade(market: Market, trader: TraderProfile) -> array:
     fraction = alpha / move_cost
     delta = _scaled(fraction, move)
     for _ in range(100):
-        if market.quote(delta) <= alpha:
+        if market._quote(delta)[0] <= alpha:
             return delta
         fraction *= 0.5
         delta = _scaled(fraction, move)

@@ -22,12 +22,14 @@ from expfam_markets import (
     TradeRecord,
     emit_report,
     family_from_id,
-    harness,
     read_trade_log,
     replay,
     run_simulation,
 )
+from expfam_markets import families, harness, market, traders
+from expfam_markets.families import Categorical, ExpFamily
 from expfam_markets.harness import parse_belief_theta
+from expfam_markets.market import log_loss
 
 
 def base_config(**overrides) -> dict:
@@ -254,16 +256,32 @@ class TestAccounting:
         data = json.loads(report.to_json())
         assert data["aggregates"]["final_budgets"]["informed"] is None
 
-    def test_settlement_evaluates_one_log_loss_per_path_state(self, monkeypatch):
-        calls = []
-        real_log_loss = harness.log_loss
+    def test_settlement_evaluates_one_log_loss_per_path_state(self, monkeypatch, tmp_path):
+        # Settlement runs from the round's statistic evaluation to the next quote; in it the
+        # log partition of each path state is read from the market's C(theta) cache.
+        settling, settled_partitions, rounds_settled = [False], [], []
+        real_statistic, real_log_partition, real_quote = (
+            Categorical._statistic, Categorical._log_partition, Market._quote)
 
-        def counting_log_loss(family, theta, phi):
-            calls.append(theta)
-            return real_log_loss(family, theta, phi)
+        def statistic(family, x):
+            settling[0] = True
+            rounds_settled.append(x)
+            return real_statistic(family, x)
 
-        monkeypatch.setattr(harness, "log_loss", counting_log_loss)
+        def log_partition(family, theta):
+            if settling[0]:
+                settled_partitions.append(theta)
+            return real_log_partition(family, theta)
+
+        def quote(market, delta):
+            settling[0] = False
+            return real_quote(market, delta)
+
+        monkeypatch.setattr(Categorical, "_statistic", statistic)
+        monkeypatch.setattr(Categorical, "_log_partition", log_partition)
+        monkeypatch.setattr(Market, "_quote", quote)
         rounds, k = 40, 3
+        log = str(tmp_path / "trades.jsonl")
         report = run_simulation(SimConfig.from_dict(base_config(
             rounds=rounds, arrival="fixed-sequence", traders=[
                 {"id": "informed", "model": "exp-utility", "risk_aversion": 0.5,
@@ -271,9 +289,14 @@ class TestAccounting:
                 {"id": "noisy", "model": "budget-limited", "budget": 0.8,
                  "belief": {"probs": [0.2, 0.8]}},
                 {"id": "contrarian", "model": "risk-neutral", "belief": {"probs": [0.4, 0.6]}},
-            ])))
+            ])), trade_log_path=log)
         assert report.valid and len(report.events) == rounds * k
-        assert len(calls) == (k + 1) * rounds
+        assert len(rounds_settled) == rounds and settled_partitions == []
+        family = family_from_id("categorical:2")
+        for ev, record in zip(report.events, read_trade_log(log), strict=True):
+            phi = family.statistic(ev.outcome)
+            assert ev.log_loss_before.hex() == log_loss(family, record.theta_before, phi).hex()
+            assert ev.log_loss_after.hex() == log_loss(family, record.theta_after, phi).hex()
         last_after = 0.0
         for r in range(rounds):
             round_events = report.events[r * k:(r + 1) * k]
@@ -362,6 +385,57 @@ class TestDeterminismAndReset:
         np.testing.assert_array_equal(records[1].theta_before, records[0].theta_after)
 
 
+class TestTrustedEngine:
+    """The round loop runs on what ``SimConfig.from_dict`` validated, so no input check repeats per round."""
+
+    @staticmethod
+    def all_models_config(rounds: int, state_reset: bool) -> dict:
+        return {
+            "family": "categorical:3", "theta0": [0.0, 0.0, 0.0], "true_theta": [0.3, -0.1, -0.2],
+            "rounds": rounds, "seed": 5, "arrival": "fixed-sequence", "state_reset": state_reset,
+            "traders": [
+                {"id": "rn", "model": "risk-neutral", "belief": {"probs": [0.5, 0.3, 0.2]}},
+                {"id": "eu", "model": "exp-utility", "risk_aversion": 0.7, "belief": {"probs": [0.2, 0.5, 0.3]}},
+                {"id": "bl", "model": "budget-limited", "budget": 0.5, "belief": {"probs": [0.3, 0.3, 0.4]}},
+                {"id": "by", "model": "bayesian", "sample": {"mean": {"probs": [0.4, 0.4, 0.2]}, "size": 3}},
+            ],
+        }
+
+    @pytest.mark.parametrize("state_reset", [False, True])
+    def test_checks_run_once_per_run_not_once_per_round(self, monkeypatch, state_reset):
+        counts = dict.fromkeys(("as_params", "check_natural", "check_mean"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (families, market, traders, harness):
+            monkeypatch.setattr(module, "as_params", counted("as_params", families.as_params))
+        for name in ("check_natural", "check_mean"):
+            monkeypatch.setattr(ExpFamily, name, counted(name, getattr(ExpFamily, name)))
+
+        def calls_at(rounds: int) -> dict:
+            counts.update(dict.fromkeys(counts, 0))
+            report = run_simulation(SimConfig.from_dict(self.all_models_config(rounds, state_reset)))
+            assert report.valid and len(report.events) == 4 * rounds
+            return dict(counts)
+
+        at_10, at_40 = calls_at(10), calls_at(40)
+        assert at_10["check_natural"] > 0 and at_40["check_natural"] == at_10["check_natural"]
+        for name in ("as_params", "check_mean"):  # the Bayesian posterior is computed, so it is checked
+            assert at_40[name] - at_10[name] <= 30, name
+
+    @pytest.mark.parametrize("model", ["risk-neutral", "budget-limited"])
+    def test_non_finite_move_is_refused_as_the_delta(self, model):
+        # belief - theta0 overflows, so the move is [inf, 0.0]: refused with the message the public
+        # execute and quote give it, not as the non-finite target it leads to.
+        report = run_simulation(SimConfig.from_dict(base_config(theta0=[-1e308, 0.0], traders=[
+            {"id": "t", "model": model, "budget": 1.0, "belief": {"theta": [1e308, 0.0]}}])))
+        assert (report.valid, report.error) == (False, "round 1: delta must be finite, got [inf, 0.0]")
+
+
 def aborts_in_round_2() -> dict:
     """A config whose second trader's move lands within the trading margin of the boundary."""
     return base_config(family="exponential-rate", theta0=[-1.0], true_theta=[-0.8], rounds=3, traders=[
@@ -374,7 +448,7 @@ class TestTradeLog:
     def test_each_record_is_in_the_log_right_after_its_execute(self, tmp_path, monkeypatch):
         log = str(tmp_path / "trades.jsonl")
         executed = []
-        real_execute = Market.execute
+        real_execute = Market._execute
 
         def logged_so_far():
             return [r.to_json() for r in read_trade_log(log)] if os.path.exists(log) else []
@@ -384,7 +458,7 @@ class TestTradeLog:
             executed.append(real_execute(market, *args, **kwargs))
             return executed[-1]
 
-        monkeypatch.setattr(Market, "execute", execute)
+        monkeypatch.setattr(Market, "_execute", execute)
         cfg = base_config(rounds=6, arrival="fixed-sequence", sequence=["a", "b"], traders=[
             {"id": "a", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.7, 0.3]}},
             {"id": "b", "model": "budget-limited", "budget": 0.4, "belief": {"probs": [0.2, 0.8]}},
@@ -540,6 +614,16 @@ class TestReplay:
         with pytest.raises(CorruptLogError, match="not executable") as err:
             replay([good, bad], Market(fam, -1.0).state_dict())
         assert err.value.line_number == 2
+
+
+    @pytest.mark.parametrize("delta,theta_after", [([0.5, 0.5], [0.5, 0.5]), ([0.5] * 4, [0.5] * 3)])
+    def test_delta_of_the_wrong_length_is_unexecutable(self, delta, theta_after):
+        # theta_after is theta_before + delta over the shorter of the two, so only the length check stops it.
+        record = TradeRecord(1, "a", array("d", delta), 0.1, array("d", [0.0] * 3), array("d", theta_after))
+        with pytest.raises(CorruptLogError) as err:
+            replay([record], Market(family_from_id("categorical:3"), [0.0] * 3).state_dict())
+        assert str(err.value) == ("trade log line 1: recorded trade is not executable: "
+                                  f"delta must be a vector of length 3, got length {len(delta)}")
 
 
 class TestEmitReport:

@@ -16,6 +16,7 @@ from expfam_markets import (
     load_state,
     save_state,
 )
+from expfam_markets.families import as_params
 
 EXPO = family_from_id("exponential-rate")
 
@@ -221,6 +222,17 @@ class TestCostCache:
             with pytest.raises(DomainError, match="not finite"):
                 write([1e200, 0.0])
             assert market.theta.tolist() == [1.0, -1e100] and market.cost() == cost
+
+    def test_non_finite_target_with_finite_cost_is_refused_by_the_core_too(self):
+        # T([-inf, 0, 0]) is log 2, so only the finiteness test stops this target.
+        market = Market(family_from_id("categorical:3"), [-1e308, 0.0, 0.0])
+        state = (market.theta, market.cost(), market.n_trades, market.revenue)
+        delta = [-1e308, 0.0, 0.0]
+        for execute in (market.execute, lambda d: market._execute(as_params(d, 3), "t", 1)):
+            with pytest.raises(DomainError) as refused:
+                execute(delta)
+            assert str(refused.value) == "theta must be finite, got [-inf, 0.0, 0.0]"
+            assert (market.theta, market.cost(), market.n_trades, market.revenue) == state
 
     @pytest.mark.parametrize("theta", [[2e147, -1e-9], [1e200, -1.0]])
     def test_overflowing_prices_rejected_by_every_writer(self, theta):

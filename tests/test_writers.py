@@ -56,6 +56,13 @@ def shared_round(budgets: dict, *trader_ids) -> list[TradeEvent]:
     return [event(trader_id=tid, trader_budgets=budgets, cost=0.1 * (i + 1)) for i, tid in enumerate(trader_ids)]
 
 
+def chained_round(losses: list, round_index: int = 1) -> list[TradeEvent]:
+    """One round's events along its price path: each ``log_loss_before`` is the previous ``log_loss_after``."""
+    budgets = {"a": 0.5, "b": None}
+    return [event(round_index=round_index, log_loss_before=before, log_loss_after=after, trader_budgets=budgets)
+            for before, after in zip(losses, losses[1:])]
+
+
 CASES = {
     "zero-events": report([]),
     "aborted-with-error": report([event()], valid=False,
@@ -78,9 +85,20 @@ CASES = {
         + shared_round({"a": 1.0, "b": None}, "a", "b")  # equal content, a new snapshot
         + [event(round_index=2, trader_budgets={"a": 0.1 + 0.2, "b": 5e-324})]),
     "one-dimensional-delta": report([event(delta=(-1e-17,)), event(delta=(1.0000000000000002,))]),
+    "chained-log-losses": report(
+        chained_round([0.1 + 0.2, 1 / 3, NAN, -INF, 2 / 3])
+        + chained_round([0.6, 0.25, 1e-300], round_index=2)
+        + [event(round_index=3, log_loss_before=0.5, log_loss_after=None)]),
+    "chained-none-log-losses": report(chained_round([None] * 4) + chained_round([None] * 3, round_index=2),
+                                      inv_liquidity=0.75),
 }
 
+PATH = [array("d", [0.0, -0.0]), array("d", [0.25, 1e-300]), array("d", [NAN, -INF])]
+
 RECORDS = {
+    **{f"chained-{i}": TradeRecord(round=1, trader_id="a", delta=array("d", [0.5, 0.5]), cost=0.5,
+                                   theta_before=before, theta_after=after)  # each before is the last after
+       for i, (before, after) in enumerate(zip(PATH, PATH[1:]))},
     "plain": TradeRecord(round=3, trader_id="a", delta=array("d", [0.25, -0.25]), cost=0.1,
                          theta_before=array("d", [0.0, 0.0]), theta_after=array("d", [0.25, -0.25])),
     "nonfinite": TradeRecord(round=0, trader_id="b", delta=array("d", [NAN, INF, -INF]), cost=-INF,
@@ -137,8 +155,10 @@ def test_csv_cells_are_the_old_cells():
 
 
 def test_trade_record_to_json_is_the_stdlib_encoding():
+    last = []  # as a log writer passes it: a theta_before that is the last theta_after reuses its text
     for name, record in RECORDS.items():
-        assert record.to_json() == json.dumps(record.to_dict(), sort_keys=True), name
+        expected = json.dumps(record.to_dict(), sort_keys=True)
+        assert record.to_json() == expected and record.to_json(last) == expected, name
 
 
 if __name__ == "__main__":
