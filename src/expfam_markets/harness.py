@@ -89,14 +89,17 @@ def parse_belief_theta(family: ExpFamily, value, where: str) -> array:
 
     Accepts ``{"theta": [...]}`` directly, or any mean description
     understood by :func:`parse_mean_params` (converted through the inverse
-    gradient map, so it must be interior).
+    gradient map, so it must be interior).  Either way the natural parameter
+    is checked here, once: the trader moves of ``run_simulation`` trust it.
     """
     try:
         if isinstance(value, dict) and "theta" in value:
-            return family.check_natural(_numbers(value["theta"], f"{where}.theta"))
-        if isinstance(value, dict):
-            return family.natural_from_mean(parse_mean_params(family, value, where))
-        return family.check_natural(_numbers(value, where))
+            theta = _numbers(value["theta"], f"{where}.theta")
+        elif isinstance(value, dict):
+            theta = family.natural_from_mean(parse_mean_params(family, value, where))
+        else:
+            theta = _numbers(value, where)
+        return family.check_natural(theta)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -235,7 +238,6 @@ CSV_COLUMNS = (
     "log_loss_before", "log_loss_after", "myopic_impact", "budget_after",
 )
 _REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
-_UNSET = object()  # starts a one-entry render cache: no value a writer renders is this object
 
 
 @dataclass
@@ -286,23 +288,20 @@ _EVENT_JSON = ('\n    {\n      "cost": %s,\n      "delta": [\n        %s\n      
 def _report_chunks(report: SimReport):
     """The report's JSON in pieces: the stdlib encoder writes all but the events, spliced in by one template.
 
-    A round's shared ``trader_budgets`` is rendered once, and so is a ``log_loss_before`` that is the
-    previous event's ``log_loss_after`` object; ``delta`` and ``trader_budgets`` are never empty.
+    A round's shared ``trader_budgets`` is rendered once; ``delta`` and ``trader_budgets`` are never empty.
     """
     head, _, tail = _REPORT_ENCODER.encode({**vars(report), "events": []}).partition(_EVENTS_KEY)
     if not report.events:
         yield head + _EVENTS_KEY + tail
         return
     yield head + '\n  "events": ['
-    budgets = budgets_json = after = after_json = _UNSET
+    budgets = budgets_json = None
     for i, ev in enumerate(report.events):
         if ev.trader_budgets is not budgets:
             budgets = ev.trader_budgets
             budgets_json = _ITEM.join([f"{encode_basestring_ascii(k)}: {_json(v)}" for k, v in sorted(budgets.items())])
-        before_json = after_json if ev.log_loss_before is after else _json(ev.log_loss_before)
-        after, after_json = ev.log_loss_after, _json(ev.log_loss_after)
         yield ("," if i else "") + _EVENT_JSON % (
-            _json(ev.cost), _ITEM.join(map(_json, ev.delta)), after_json, before_json,
+            _json(ev.cost), _ITEM.join(map(_json, ev.delta)), _json(ev.log_loss_after), _json(ev.log_loss_before),
             _json(ev.myopic_impact), _json(ev.outcome), ev.round, budgets_json, encode_basestring_ascii(ev.trader_id))
     yield "\n  ]" + tail
 
@@ -341,7 +340,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
         raise ConfigError("simulation requires a seed (config, env, or flag)")
     family = config.family
     market = Market(family, config.theta0, config.inv_liquidity)
-    start = {"theta": market.theta, "_cost": market._cost}  # the checked state that state_reset restores
+    start = market.theta, market.cost()  # the checked state that state_reset restores
     rng = np.random.default_rng(config.seed)
     # Per-run copies hold the running budget and cash (cumulative payoff -
     # cost), so a config can be rerun.  Both add the same per-trade changes
@@ -357,24 +356,24 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     total_log_loss = 0.0 if track_loss else None
     valid, error = True, None
 
-    log, last_record = None, []  # the run's log handle and its last record's rendered theta_after
+    log = None
     try:
         for round_index in range(1, config.rounds + 1):
             settled = vars(market).copy()  # every Market write stores a new object, so this restores it
             staged: list[tuple[TraderProfile, TradeRecord]] = []
             try:
                 if config.state_reset and round_index > 1:
-                    vars(market).update(start)
-                path = [(market.theta, market._cost)]  # the round's price path, each state with C(theta)
+                    market._restore(*start)
+                path = [(market.theta, market.cost())]  # the round's price path, each state with C(theta)
                 for trader in turns[(round_index - 1) % len(turns)]:
                     record = market._execute(_decide(market, trader), trader.id, round_index)
                     if trade_log_path is not None:
                         if log is None:
                             log = open(trade_log_path, "w", encoding="utf-8")
-                        log.write(record.to_json(last_record) + "\n")
+                        log.write(record.to_json() + "\n")
                         log.flush()
                     staged.append((trader, record))
-                    path.append((market.theta, market._cost))
+                    path.append((market.theta, market.cost()))
                 outcome = family._sample(config.true_theta, rng, None)[0]
             except (DomainError, ConvergenceError) as exc:
                 valid, error = False, f"round {round_index}: {exc}"
@@ -440,11 +439,11 @@ def replay(records: list[TradeRecord], state0: dict) -> Market:
     first offending record.  ``state0`` is a ``Market.state_dict`` snapshot.
     """
     market = Market.from_state_dict(state0)
-    start = {"theta": market.theta, "_cost": market._cost}  # never written in place: every writer stores anew
+    start = market.theta, market.cost()  # never written in place: every writer stores anew
     for line, record in enumerate(records, 1):
         if record.theta_before != market.theta:
-            if record.theta_before == start["theta"]:
-                vars(market).update(start)
+            if record.theta_before == start[0]:
+                market._restore(*start)
             else:
                 raise CorruptLogError(line, f"pre-trade state {record.theta_before.tolist()} "
                                       f"does not match {market.theta.tolist()}")
@@ -479,23 +478,16 @@ def emit_report(report: SimReport, fmt: str, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        after = after_cell = _UNSET  # a log_loss_before that is the previous log_loss_after reuses its cell
         for ev in report.events:
             own_budget = ev.trader_budgets.get(ev.trader_id)
-            before_cell = after_cell if ev.log_loss_before is after else _loss_cell(ev.log_loss_before)
-            after, after_cell = ev.log_loss_after, _loss_cell(ev.log_loss_after)
             writer.writerow([
                 ev.round,
                 ev.trader_id,
                 ";".join(map(float.__repr__, ev.delta)),
                 float.__repr__(ev.cost),
                 ev.outcome if isinstance(ev.outcome, int) else float.__repr__(ev.outcome),
-                before_cell,
-                after_cell,
+                "" if ev.log_loss_before is None else float.__repr__(ev.log_loss_before),
+                "" if ev.log_loss_after is None else float.__repr__(ev.log_loss_after),
                 float.__repr__(ev.myopic_impact),
                 "" if own_budget is None else float.__repr__(own_budget),
             ])
-
-
-def _loss_cell(loss: float | None) -> str:
-    return "" if loss is None else float.__repr__(loss)

@@ -20,9 +20,10 @@ point we reject trades that move ``lam * theta`` within ``1e-9`` of the
 boundary outright, and any state whose cost overflows.  Every writer of
 the share vector (``__init__``, ``_execute``, ``reset_theta``) checks it in
 ``_cost_at`` and caches ``C(theta)``, so pricing and settlement run the
-kernels unchecked and a quote evaluates the log partition once.  ``execute``
-and ``quote`` check ``delta`` and call the cores ``_execute`` and ``_quote``,
-which the engine and ``replay`` call directly on their own deltas.
+kernels unchecked and a quote evaluates the log partition once; ``_restore``
+returns to a state already checked.  ``execute`` and ``quote`` check
+``delta`` and call the cores ``_execute`` and ``_quote``, which the engine
+and ``replay`` call directly on their own deltas.
 
 One market instance is single-writer: ``execute`` requires exclusive
 access, while ``quote``/``prices``/``log_loss`` are read-only and may run
@@ -92,17 +93,10 @@ class TradeRecord:
         return {**vars(self), "delta": self.delta.tolist(),
                 "theta_before": self.theta_before.tolist(), "theta_after": self.theta_after.tolist()}
 
-    def to_json(self, last: list | None = None) -> str:
-        """The record as one trade-log line, without its newline: ``json.dumps(self.to_dict(), sort_keys=True)``.
-
-        ``last`` is a log writer's ``[theta_after, its text]`` of the record before (empty at first): a
-        ``theta_before`` that is that object reuses the text, and ``last`` moves on to this record.
-        """
-        before = last[1] if last and self.theta_before is last[0] else ", ".join(map(_json, self.theta_before))
-        after = ", ".join(map(_json, self.theta_after))
-        if last is not None:
-            last[:] = self.theta_after, after
-        return _RECORD_JSON % (_json(self.cost), ", ".join(map(_json, self.delta)), self.round, after, before,
+    def to_json(self) -> str:
+        """The record as one trade-log line, without its newline: ``json.dumps(self.to_dict(), sort_keys=True)``."""
+        return _RECORD_JSON % (_json(self.cost), ", ".join(map(_json, self.delta)), self.round,
+                               ", ".join(map(_json, self.theta_after)), ", ".join(map(_json, self.theta_before)),
                                encode_basestring_ascii(self.trader_id))
 
     @classmethod
@@ -265,6 +259,10 @@ class Market:
         theta0 = as_params(theta0, self.family.dim, "theta0")
         self._cost = self._cost_at(theta0)  # first, so a refused state changes nothing
         self.theta = theta0
+
+    def _restore(self, theta: array, cost: float) -> None:
+        """``reset_theta`` to a state this market held, with its ``cost()``: unchecked, as no writer edits it in place."""
+        self.theta, self._cost = theta, cost
 
 
 # ----------------------------------------------------------------------

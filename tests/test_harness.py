@@ -4,6 +4,7 @@ replay, and report emission."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from array import array
@@ -153,6 +154,19 @@ class TestConfigParsing:
         config = SimConfig.from_dict(cfg)
         with pytest.raises(ConfigError):
             run_simulation(config)
+
+    @pytest.mark.parametrize("family, theta, belief, natural", [
+        ("exponential-rate", [-1.0], {"mean": 1e13}, "[-1e-13]"),
+        ("gaussian-moments", [0.0, -0.5], {"mean": 0.0, "variance": 1e13}, "[0.0, -5e-14]"),
+    ])
+    @pytest.mark.parametrize("model", ["exp-utility", "risk-neutral", "budget-limited"])
+    def test_belief_given_as_a_mean_is_checked_as_a_natural_parameter(self, family, theta, belief, natural, model):
+        # An interior mean can map within 1e-12 of the natural boundary; the run's moves trust the belief.
+        cfg = base_config(family=family, theta0=theta, true_theta=theta,
+                          traders=[{"id": "a", "model": model, "risk_aversion": 1.0, "belief": belief}])
+        message = f"traders[0].belief: {family}: natural parameter {natural} outside the domain (or within 1e-12 "
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SimConfig.from_dict(cfg)
 
 
 class TestSingleRound:
