@@ -18,7 +18,7 @@ _EXPORTS = {
     "families": ("Categorical", "ExpFamily", "ExponentialRate", "GaussianMoments", "VonMisesFisher3",
                  "WeibullMoment", "family_from_id"),
     "harness": ("SimConfig", "SimReport", "TradeEvent", "emit_report", "replay", "run_simulation"),
-    "market": ("Market", "TradeRecord", "load_state", "read_trade_log", "save_state"),
+    "market": ("Market", "TradeLog", "TradeRecord", "load_state", "read_trade_log", "save_state"),
     "scoring": ("expected_score", "log_score", "moments_from_mean_variance", "score_regret"),
     "traders": ("TraderProfile", "bayesian_market_trade", "budget_limited_trade", "certainty_equivalent",
                 "effective_belief", "exp_utility_trade", "expected_profit_bound"),

@@ -5,7 +5,9 @@ Subcommands:
 * ``score``       -- score a mean-parameter report against an outcome.
 * ``quote``       -- price a portfolio against a persisted market state.
 * ``trade``       -- execute a portfolio, atomically rewriting the state
-                     file and optionally appending to a trade log.
+                     file and optionally appending to a trade log (started
+                     with its header when new; one of another family or
+                     liquidity is refused).
 * ``simulate``    -- run a configured simulation and write reports.
 * ``replay``      -- verify a trade log against an initial state.
 * ``equilibrium`` -- solve a multi-trader equilibrium problem.
@@ -30,7 +32,7 @@ import sys
 
 from .errors import ConfigError, ConvergenceError, DomainError
 from .families import GaussianMoments, family_from_id
-from .market import _number, _numbers, load_state, read_json, read_trade_log, save_state
+from .market import _number, _numbers, append_record, load_state, log_header, read_json, read_trade_log, save_state
 
 SEED_ENV_VAR = "EXPFAM_MARKETS_SEED"
 
@@ -68,12 +70,12 @@ def _cmd_quote(args) -> int:
 def _cmd_trade(args) -> int:
     market = load_state(args.market)
     delta = _numbers(_parse_json_value(args.delta, "--delta"), "--delta")
-    line = market.execute(delta, trader_id=args.trader).to_json()
+    header = log_header(market)  # the pre-trade state: where a new log starts
+    record = market.execute(delta, trader_id=args.trader)
     if args.log is not None:
-        with open(args.log, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        append_record(args.log, header, record)
     save_state(market, args.market)
-    print(line)
+    print(record.to_json())
     return 0
 
 

@@ -39,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
 from .families import ExpFamily, VonMisesFisher3, _dot, as_params, family_from_id
-from .market import Market, TradeRecord, _json, _number, _numbers
+from .market import Market, TradeLog, TradeRecord, _json, _number, _numbers, check_header, log_header
 from .scoring import moments_from_mean_variance
 from .traders import TraderProfile, _bayesian_move, _budget_limited_move, _exp_utility_move
 # The engine calls the moves; the public rules stay harness attributes, where the benchmark's tracer patches them.
@@ -326,7 +326,8 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     partial report with ``valid=False`` and the error message attached.
 
     With ``trade_log_path`` the run owns one handle on its JSON-lines trade
-    log: opened (truncating an older file) at the first trade, flushed after
+    log: opened (truncating an older file) at the first trade, where it gets
+    its header (the run's first state and ``state_reset``), flushed after
     every record and closed when the run ends.  The log holds exactly this
     run's settled records: an aborting round's trades are taken back out of
     it and out of the market, so a run with no settled trade leaves no file.
@@ -341,6 +342,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     family = config.family
     market = Market(family, config.theta0, config.inv_liquidity)
     start = market.theta, market.cost()  # the checked state that state_reset restores
+    header = json.dumps(log_header(market, config.state_reset), sort_keys=True)
     rng = np.random.default_rng(config.seed)
     # Per-run copies hold the running budget and cash (cumulative payoff -
     # cost), so a config can be rerun.  Both add the same per-trade changes
@@ -370,6 +372,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                     if trade_log_path is not None:
                         if log is None:
                             log = open(trade_log_path, "w", encoding="utf-8")
+                            log.write(header + "\n")
                         log.write(record.to_json() + "\n")
                         log.flush()
                     staged.append((trader, record))
@@ -428,27 +431,34 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
 # Replay and report emission
 # ----------------------------------------------------------------------
 
-def replay(records: list[TradeRecord], state0: dict) -> Market:
+def replay(records: TradeLog, state0: dict) -> Market:
     """Re-execute a trade log against an initial state, verifying each record.
 
-    Every record's pre-trade state must match the running state exactly
-    (a jump back to the initial share vector is accepted, covering
-    state-reset simulations), its post-trade state must equal ``before +
-    delta``, and its cost must equal the cost of re-executing it bit for
-    bit.  Returns the reconstructed market; raises CorruptLogError at the
-    first offending record.  ``state0`` is a ``Market.state_dict`` snapshot.
+    The log's header must match ``state0`` (a ``Market.state_dict``
+    snapshot) in family, ``theta0`` and ``inv_liquidity``.  Each record's
+    round index must not decrease; when the header's ``state_reset`` is set,
+    the share vector returns to ``theta0`` wherever the round index goes up,
+    as in a state-reset simulation.  Each record's delta must be executable
+    from the running state, and its cost must equal the cost of re-executing
+    it bit for bit.  Returns the reconstructed market; raises
+    CorruptLogError at the file line of the first offending record (record
+    ``i`` is on line ``i + 2``), or at line 1 for a missing or mismatching
+    header.
     """
     market = Market.from_state_dict(state0)
+    header = getattr(records, "header", None)
+    if header is None:
+        raise CorruptLogError(1, "the log has no format-2 header")
+    check_header(header, log_header(market))
     start = market.theta, market.cost()  # never written in place: every writer stores anew
-    for line, record in enumerate(records, 1):
-        if record.theta_before != market.theta:
-            if record.theta_before == start[0]:
+    reset, last = header["state_reset"], None
+    for line, record in enumerate(records, 2):
+        if record.round != last:
+            if last is not None and record.round < last:
+                raise CorruptLogError(line, f"round {record.round} follows round {last}")
+            if reset:
                 market._restore(*start)
-            else:
-                raise CorruptLogError(line, f"pre-trade state {record.theta_before.tolist()} "
-                                      f"does not match {market.theta.tolist()}")
-        if record.theta_after != array("d", [b + d for b, d in zip(record.theta_before, record.delta)]):
-            raise CorruptLogError(line, "post-trade state does not equal pre-trade state plus delta")
+            last = record.round
         try:
             if len(record.delta) != market.family.dim:
                 as_params(record.delta, market.family.dim, "delta")  # raises its length message

@@ -63,8 +63,10 @@ def _numbers(value, where: str) -> array:
 
 
 _JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null", "True": "true", "False": "false"}
-_RECORD_JSON = ('{"cost": %s, "delta": [%s], "round": %d, "theta_after": [%s], '
-                '"theta_before": [%s], "trader_id": %s}')
+LOG_FORMAT = 2
+_HEADER_KEYS = frozenset(("family", "format", "inv_liquidity", "state_reset", "theta0"))
+_RECORD_KEYS = frozenset(("cost", "delta", "round", "trader_id"))
+_RECORD_JSON = '{"cost": %s, "delta": [%s], "round": %d, "trader_id": %s}'
 
 
 def _json(value) -> str:
@@ -80,38 +82,46 @@ def log_loss(family: ExpFamily, theta: array, phi: array) -> float:
 
 @dataclass
 class TradeRecord:
-    """One executed trade: portfolio, cost, and the states it bridged; the field names are the trade-log keys."""
+    """One executed trade: its round, trader, portfolio and cost; the field names are the trade-log record keys.
+
+    A record holds only what replay cannot derive: the states a trade bridges follow from the log
+    header's ``theta0`` and the deltas before it.
+    """
 
     round: int
     trader_id: str
     delta: array
     cost: float
-    theta_before: array
-    theta_after: array
 
     def to_dict(self) -> dict:
-        return {**vars(self), "delta": self.delta.tolist(),
-                "theta_before": self.theta_before.tolist(), "theta_after": self.theta_after.tolist()}
+        return {**vars(self), "delta": self.delta.tolist()}
 
     def to_json(self) -> str:
         """The record as one trade-log line, without its newline: ``json.dumps(self.to_dict(), sort_keys=True)``."""
         return _RECORD_JSON % (_json(self.cost), ", ".join(map(_json, self.delta)), self.round,
-                               ", ".join(map(_json, self.theta_after)), ", ".join(map(_json, self.theta_before)),
                                encode_basestring_ascii(self.trader_id))
 
     @classmethod
     def from_dict(cls, d: dict) -> "TradeRecord":
-        """Read a trade-log record; a value of the wrong JSON type raises ConfigError."""
-        if isinstance(d["round"], bool) or not isinstance(d["round"], int):
-            raise ConfigError(f"round must be an integer, got {d['round']!r}")
-        if not isinstance(d["trader_id"], str):
-            raise ConfigError(f"trader_id must be a string, got {d['trader_id']!r}")
-        vectors = {}
-        for key in ("delta", "theta_before", "theta_after"):
-            if not isinstance(d[key], list):
-                raise ConfigError(f"{key} must be a list of numbers, got {d[key]!r}")
-            vectors[key] = _numbers(d[key], key)
-        return cls(round=d["round"], trader_id=d["trader_id"], cost=_number(d["cost"], "cost"), **vectors)
+        """Read a trade-log record; a missing or unknown key or a value of the wrong JSON type raises ConfigError."""
+        if not isinstance(d, dict) or d.keys() != _RECORD_KEYS:
+            raise ConfigError(f"a record is an object with the keys {sorted(_RECORD_KEYS)}, got {d!r}")
+        round_index, trader_id, delta = d["round"], d["trader_id"], d["delta"]
+        if isinstance(round_index, bool) or not isinstance(round_index, int):
+            raise ConfigError(f"round must be an integer, got {round_index!r}")
+        if not isinstance(trader_id, str):
+            raise ConfigError(f"trader_id must be a string, got {trader_id!r}")
+        if not isinstance(delta, list):
+            raise ConfigError(f"delta must be a list of numbers, got {delta!r}")
+        return cls(round_index, trader_id, _numbers(delta, "delta"), _number(d["cost"], "cost"))
+
+
+class TradeLog(list):
+    """A trade log's records in file order, with its parsed header as ``header`` (None for an empty file)."""
+
+    def __init__(self, records=(), header: dict | None = None):
+        super().__init__(records)
+        self.header = header
 
 
 class Market:
@@ -246,8 +256,7 @@ class Market:
     def _execute(self, delta: array, trader_id: str, round_index: int) -> TradeRecord:
         """``execute`` without its check of ``delta``, which must have the market's dimension."""
         cost, target, target_cost = self._quote(delta)
-        record = TradeRecord(round=round_index, trader_id=trader_id, delta=delta, cost=cost,
-                             theta_before=self.theta, theta_after=target)
+        record = TradeRecord(round_index, trader_id, delta, cost)
         self.theta = target
         self._cost = target_cost
         self.n_trades += 1
@@ -298,16 +307,77 @@ def load_state(path: str) -> Market:
     return Market.from_state_dict(read_json(path, "state"))
 
 
-def read_trade_log(path: str) -> list[TradeRecord]:
-    """Parse a JSON-lines trade log; raises CorruptLogError at an unreadable line."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+# ----------------------------------------------------------------------
+# Trade log
+# ----------------------------------------------------------------------
+
+def log_header(market: Market, state_reset: bool = False) -> dict:
+    """The header of a trade log that starts at the market's current state; its line is ``json.dumps(.., sort_keys=True)``."""
+    return {"family": market.family.id, "format": LOG_FORMAT, "inv_liquidity": market.inv_liquidity,
+            "state_reset": state_reset, "theta0": market.theta.tolist()}
+
+
+def check_header(header: dict, expected: dict, keys=("family", "inv_liquidity", "theta0")) -> None:
+    """Raise CorruptLogError at line 1 unless ``header`` equals the ``log_header`` ``expected`` at each of ``keys``."""
+    for key in keys:
+        if header[key] != expected[key]:
+            raise CorruptLogError(1, f"header {key} {header[key]!r} does not match the market state's {expected[key]!r}")
+
+
+def _parse_header(line) -> dict:
+    """A trade log's first line (str or bytes) as a header; raises CorruptLogError at line 1."""
+    try:
+        header = json.loads(line)
+    except ValueError:  # invalid JSON or undecodable bytes
+        header = None
+    if not isinstance(header, dict) or header.get("format") != LOG_FORMAT:
+        raise CorruptLogError(1, f"not a format-{LOG_FORMAT} trade log header; a log of an older format has "
+                              f"none and is not read")
+    try:
+        if header.keys() != _HEADER_KEYS:
+            raise ConfigError(f"the keys must be {sorted(_HEADER_KEYS)}, got {sorted(header)}")
+        if not (isinstance(header["family"], str) and isinstance(header["state_reset"], bool)
+                and isinstance(header["theta0"], list)):
+            raise ConfigError("family must be a string, state_reset true or false and theta0 a list of numbers")
+        return {**header, "inv_liquidity": _number(header["inv_liquidity"], "inv_liquidity"),
+                "theta0": _numbers(header["theta0"], "theta0").tolist()}
+    except ConfigError as exc:
+        raise CorruptLogError(1, f"unreadable header ({exc})") from exc
+
+
+def read_trade_log(path: str) -> TradeLog:
+    """Parse a trade log: a format-2 header line, then one JSON record per line.
+
+    Raises CorruptLogError at the first unreadable line, a blank one
+    included, so record ``i`` is on line ``i + 2``.  An empty file reads as
+    a log with no header and no record, which ``replay`` rejects.
+    """
+    log = TradeLog()
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if not first:
+            return log
+        log.header = _parse_header(first)
+        from_dict = TradeRecord.from_dict
+        for line_number, line in enumerate(fh, 2):
             try:
-                records.append(TradeRecord.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorruptLogError(line_number, f"unreadable record ({type(exc).__name__}: {exc})") from exc
-    return records
+                log.append(from_dict(json.loads(line.decode())))
+            except ValueError as exc:  # ConfigError, invalid JSON and undecodable bytes alike
+                what = "blank line" if not line.strip() else f"unreadable record ({type(exc).__name__}: {exc})"
+                raise CorruptLogError(line_number, what) from exc
+    return log
+
+
+def append_record(path: str, header: dict, record: TradeRecord) -> None:
+    """Append one record to a trade log, writing ``header`` first when the file is new or empty.
+
+    Raises CorruptLogError, writing nothing, when the log's first line is
+    not a format-2 header for ``header``'s family and ``inv_liquidity``.
+    """
+    with open(path, "ab+") as fh:
+        fh.seek(0)
+        first = fh.readline()
+        if first:
+            check_header(_parse_header(first), header, ("family", "inv_liquidity"))
+        head = "" if first else json.dumps(header, sort_keys=True) + "\n"
+        fh.write(f"{head}{record.to_json()}\n".encode("utf-8"))

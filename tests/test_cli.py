@@ -119,7 +119,7 @@ class TestQuoteAndTrade:
     ])
     def test_quote_and_trade_import_no_numpy(self, tmp_path, capsys, family, theta, delta):
         # A fresh interpreter runs quote, trade --log, their failures, a replay of the log against the
-        # traded state (its theta_before is wrong there) and score, through main; so does this process,
+        # traded state (the log's header theta0 is not that state) and score, through main; so does this process,
         # where numpy is loaded. Both print the same lines and write the same state and log bytes.
         bad_delta, report, outcome = self.FAILING_DELTA_AND_SCORE[family]
         outputs = {}
@@ -147,7 +147,7 @@ class TestQuoteAndTrade:
                 assert [main(argv) for argv in argvs] == [0, 3, 3, 0, 3, 0, 2]
                 captured = capsys.readouterr()
                 lines, errors = captured.out.splitlines(), captured.err.splitlines()
-            assert len(errors) == 4 and "pre-trade state" in errors[2]
+            assert len(errors) == 4 and "header theta0" in errors[2]
             with open(state, "rb") as fh:
                 outputs[where] = (lines, errors, fh.read(), log.read_bytes())
         assert outputs["fresh"] == outputs["here"]
@@ -166,18 +166,40 @@ class TestQuoteAndTrade:
         assert state["theta"] == [-1.5]
         assert state["n_trades"] == 1
         with open(log) as fh:
-            assert len(fh.read().splitlines()) == 1
+            assert len(fh.read().splitlines()) == 2  # the header, then the record
 
-    def test_trade_log_appended_and_flushed_per_trade(self, tmp_path, capsys):
+    @pytest.mark.parametrize("existing", [None, ""])
+    def test_trade_log_appended_and_flushed_per_trade(self, tmp_path, capsys, existing):
         path = self.setup_state(tmp_path)
-        log = str(tmp_path / "trades.jsonl")
-        assert main(["trade", "--market", path, "--delta", "-0.5", "--trader", "a", "--log", log]) == 0
-        assert len(read_trade_log(log)) == 1
-        assert main(["trade", "--market", path, "--delta", "-0.25", "--trader", "b", "--log", log]) == 0
-        records = read_trade_log(log)
-        assert [r.trader_id for r in records] == ["a", "b"]
-        np.testing.assert_array_equal(records[0].theta_after, records[1].theta_before)
+        state0 = open(path).read()
+        log = tmp_path / "trades.jsonl"
+        if existing is not None:
+            log.write_text(existing)
+        assert main(["trade", "--market", path, "--delta", "-0.5", "--trader", "a", "--log", str(log)]) == 0
+        assert len(read_trade_log(str(log))) == 1
+        assert main(["trade", "--market", path, "--delta", "-0.25", "--trader", "b", "--log", str(log)]) == 0
+        records = read_trade_log(str(log))
+        assert [r.trader_id for r in records] == ["a", "b"] and [r.round for r in records] == [0, 1]
+        assert records.header == {"family": "exponential-rate", "format": 2, "inv_liquidity": 1.0,
+                                  "state_reset": False, "theta0": [-1.0]}  # the state before the first trade
         assert capsys.readouterr().out.splitlines() == [r.to_json() for r in records]
+        state0_path = write_json(tmp_path / "state0.json", json.loads(state0))
+        assert main(["replay", "--log", str(log), "--state0", state0_path]) == 0
+        assert json.loads(capsys.readouterr().out) == json.load(open(path))
+
+    @pytest.mark.parametrize("first_line", [
+        '{"cost": 0.1, "delta": [-0.5], "round": 0, "theta_after": [-1.5], "theta_before": [-1.0], "trader_id": "a"}',
+        '{"family": "weibull-moment:2", "format": 2, "inv_liquidity": 1.0, "state_reset": false, "theta0": [-1.0]}',
+        '{"family": "exponential-rate", "format": 2, "inv_liquidity": 0.5, "state_reset": false, "theta0": [-1.0]}',
+        "", "not json"], ids=["format-1-record", "other-family", "other-liquidity", "blank", "not-json"])
+    def test_trade_refuses_a_log_of_another_format_family_or_liquidity(self, tmp_path, capsys, first_line):
+        path = self.setup_state(tmp_path)
+        state = open(path, "rb").read()
+        log = tmp_path / "trades.jsonl"
+        log.write_text(first_line + "\n")
+        assert main(["trade", "--market", path, "--delta", "-0.5", "--trader", "a", "--log", str(log)]) == 3
+        assert "trade log line 1: " in capsys.readouterr().err
+        assert open(path, "rb").read() == state and log.read_text() == first_line + "\n"
 
     def test_non_numeric_delta_is_config_error(self, tmp_path, capsys):
         path = self.setup_state(tmp_path)
@@ -281,7 +303,7 @@ class TestSimulate:
         assert report["valid"] is True
         assert len(report["events"]) == 6
         assert len(open(csv_path).read().strip().splitlines()) == 7
-        assert len(open(log).read().splitlines()) == 6
+        assert len(open(log).read().splitlines()) == 7  # the header, then one line per event
 
     def test_byte_identical_reports_for_same_seed(self, tmp_path):
         cfg = write_json(tmp_path / "sim.json", sim_config())
@@ -401,6 +423,18 @@ class TestReplayCommand:
                             Market(family_from_id("categorical:2"), [0.0, 0.0]).state_dict())
         assert main(["replay", "--log", log, "--state0", state0]) == 3
         assert "line 3" in capsys.readouterr().err
+
+    def test_headerless_log_exits_3_naming_the_format(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "sim.json", sim_config())
+        log = tmp_path / "trades.jsonl"
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.json"), "--trade-log", str(log)])
+        log.write_text("".join(log.read_text().splitlines(keepends=True)[1:]))  # a log as written before format 2
+        state0 = write_json(tmp_path / "s0.json",
+                            Market(family_from_id("categorical:2"), [0.0, 0.0]).state_dict())
+        capsys.readouterr()
+        assert main(["replay", "--log", str(log), "--state0", state0]) == 3
+        assert capsys.readouterr().err == ("error: trade log line 1: not a format-2 trade log header; "
+                                           "a log of an older format has none and is not read\n")
 
     def test_malformed_state0_is_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sim.json", sim_config())

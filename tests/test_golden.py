@@ -135,27 +135,27 @@ GOLDEN_DIGESTS = {
     "budget-limited-risk-averse": {
         "json": "2b4cc99689ecc71705a59cbca84076ac3bdc9fe85e41ba6359dc79774b2f5a04",
         "csv": "d50033ada74164f089a071a7c27b6a4150008a865e090c3906b67e6e6dcae2d7",
-        "trade_log": "199d053e5ea68795177c44d9734a6f1819d620b14eeb9f284f650c3bf97e7c49",
+        "trade_log": "dce9b70f40be4d5bf0b40e591cdda444e891f1e4371f816bacf411693b59befa",
     },
     "categorical-fixed-sequence": {
         "json": "dfbe8214573155e8ea1d99553a44fc7fa44eb04fdeee31c4217bd6e84af17503",
         "csv": "0b20f6d0ed6e45c854e1594d463097de902ececb27dedf79d5bca152a189e8b2",
-        "trade_log": "f363b2e4d20dc37ffbb06dd13f1b38d94d8c30d65401b1c9a2733aa9e89d1a9c",
+        "trade_log": "2c45a686e63c8a022eda2663f282f2972c8250dafd3d7a039036f4db397fee4c",
     },
     "exponential-rate-state-reset": {
         "json": "e7d0b1e9116f763460980a0981be8fc96f7fbd48e9a7d5df5adc812819c58728",
         "csv": "453f69283e7e44ba9bec7c732b6021434ed1a4de2818179d09e022cc95e9ca1d",
-        "trade_log": "6108fd6ba9126a25a56bbd8aa1f93d66acd3404f9c1530d4a44564abe2a86b0f",
+        "trade_log": "fe69dec7926fab6e39819168fc1d23977a1812899a7001e9cafabb7a3e511d00",
     },
     "gaussian-inv-liquidity": {
         "json": "3368136277ff778e0c3f80ed5ff769b097f18eac1ddfbe3377eaff129127daf1",
         "csv": "003e1bef041df75f7a39c8b34aadbfc32fb3771505ee18c2c1a4669a8bfce74b",
-        "trade_log": "8d408d60407c1dd5cf246974b3236eba780c2b4d230ed34a9f6ed7f4d04f0f34",
+        "trade_log": "70a4bc766c16ce762756f116f04db90b9e44aaaaf97a819994e8a485004323c8",
     },
     "weibull-round-robin": {
         "json": "05082a0b775e56ada44251015416623fa817c73be343cf0b522ac904ca084a7b",
         "csv": "e428c2ec7cea9ba813b6c77715cb5a7f36d84dd78c6106831e9d692567dc87a3",
-        "trade_log": "1ef949c2af3c8b708d63a9b6eda783574b7a0cac35a9e55e759315cee26c8d55",
+        "trade_log": "3f26fdb15f10904c9b94f09efd0f2b60dc030cc79e8a0aee8673759b8e61b013",
     },
 }
 

@@ -20,6 +20,7 @@ from expfam_markets import (
     Market,
     SimConfig,
     SimReport,
+    TradeLog,
     TradeRecord,
     emit_report,
     family_from_id,
@@ -30,7 +31,7 @@ from expfam_markets import (
 from expfam_markets import families, harness, market, traders
 from expfam_markets.families import Categorical, ExpFamily
 from expfam_markets.harness import parse_belief_theta
-from expfam_markets.market import log_loss
+from expfam_markets.market import log_header, log_loss
 
 
 def base_config(**overrides) -> dict:
@@ -307,10 +308,12 @@ class TestAccounting:
         assert report.valid and len(report.events) == rounds * k
         assert len(rounds_settled) == rounds and settled_partitions == []
         family = family_from_id("categorical:2")
+        path_market = Market(family, [0.0, 0.0])  # walks the logged states
         for ev, record in zip(report.events, read_trade_log(log), strict=True):
             phi = family.statistic(ev.outcome)
-            assert ev.log_loss_before.hex() == log_loss(family, record.theta_before, phi).hex()
-            assert ev.log_loss_after.hex() == log_loss(family, record.theta_after, phi).hex()
+            assert ev.log_loss_before.hex() == log_loss(family, path_market.theta, phi).hex()
+            path_market.execute(record.delta)
+            assert ev.log_loss_after.hex() == log_loss(family, path_market.theta, phi).hex()
         last_after = 0.0
         for r in range(rounds):
             round_events = report.events[r * k:(r + 1) * k]
@@ -385,9 +388,9 @@ class TestDeterminismAndReset:
         ])
         run_simulation(SimConfig.from_dict(cfg), trade_log_path=log)
         records = read_trade_log(log)
-        assert len(records) == 4
-        for record in records:
-            np.testing.assert_array_equal(record.theta_before, [0.0, 0.0])
+        assert records.header["state_reset"] is True and [r.round for r in records] == [1, 2, 3, 4]
+        for record in records:  # every trade is priced at theta0
+            assert record.cost == Market(family_from_id("categorical:2"), [0.0, 0.0]).quote(record.delta)
 
     def test_carry_over_is_default(self, tmp_path):
         log = str(tmp_path / "trades.jsonl")
@@ -396,7 +399,10 @@ class TestDeterminismAndReset:
         ])
         run_simulation(SimConfig.from_dict(cfg), trade_log_path=log)
         records = read_trade_log(log)
-        np.testing.assert_array_equal(records[1].theta_before, records[0].theta_after)
+        assert records.header["state_reset"] is False
+        market = Market(family_from_id("categorical:2"), [0.0, 0.0])
+        market.execute(records[0].delta)
+        assert records[1].cost == market.quote(records[1].delta)  # priced where the first trade left it
 
 
 class TestTrustedEngine:
@@ -533,7 +539,6 @@ class TestTradeLog:
         records = read_trade_log(str(log))
         assert [(r.round, r.trader_id, r.cost, r.delta.tolist()) for r in records] == [
             (ev.round, ev.trader_id, ev.cost, ev.delta) for ev in events]
-        assert agg["final_theta"] == records[-1].theta_after.tolist()
         state0 = Market(config.family, config.theta0, config.inv_liquidity).state_dict()
         assert replay(records, state0).state_dict() == {**state0, "theta": agg["final_theta"],
                                                          "n_trades": agg["n_trades"], "revenue": agg["revenue"]}
@@ -568,9 +573,16 @@ class TestReplay:
         state0 = Market(config.family, config.theta0, config.inv_liquidity).state_dict()
         return report, log, state0
 
+    @staticmethod
+    def write_log(path, lines) -> str:
+        """A trade log of the given lines: dicts are written as ``json.dumps(..., sort_keys=True)``, strings as given."""
+        path.write_text("".join((line if isinstance(line, str) else json.dumps(line, sort_keys=True)) + "\n"
+                                for line in lines))
+        return str(path)
+
     def test_empty_log_returns_initial_state(self):
         market = Market(family_from_id("exponential-rate"), -1.0)
-        rebuilt = replay([], market.state_dict())
+        rebuilt = replay(TradeLog([], log_header(market)), market.state_dict())
         assert rebuilt.state_dict() == market.state_dict()
 
     def test_replay_reconstructs_final_state_bitwise(self, tmp_path):
@@ -592,15 +604,99 @@ class TestReplay:
         records[5].cost += 1e-9
         with pytest.raises(CorruptLogError) as err:
             replay(records, state0)
-        assert err.value.line_number == 6
+        assert err.value.line_number == 7  # the header is line 1
 
-    def test_perturbed_state_detected(self, tmp_path):
+    def test_reset_inside_a_round_is_a_cost_mismatch(self, tmp_path):
+        # Both trades of round 1 priced at theta0, as if the state were reset between them: replay
+        # resets only where the round index goes up, so the second cost does not match.
+        family = family_from_id("categorical:2")
+        first = Market(family, [0.0, 0.0])
+        state0 = first.state_dict()
+        lines = [log_header(first, state_reset=True), first.execute([0.25, 0.0], "a", 1).to_dict(),
+                 Market(family, [0.0, 0.0]).execute([0.0, 0.25], "b", 1).to_dict()]
+        with pytest.raises(CorruptLogError, match="recorded cost") as err:
+            replay(read_trade_log(self.write_log(tmp_path / "trades.jsonl", lines)), state0)
+        assert err.value.line_number == 3
+        lines[2]["round"] = 2  # a new round: now the reset is where the header says
+        rebuilt = replay(read_trade_log(self.write_log(tmp_path / "trades.jsonl", lines)), state0)
+        assert rebuilt.theta.tolist() == [0.0, 0.25]
+
+    def test_jump_back_to_theta0_without_state_reset_is_a_cost_mismatch(self, tmp_path):
+        _, log, state0 = self.run_with_log(tmp_path, state_reset=True)
+        with open(log) as fh:
+            lines = fh.read().splitlines()
+        header = json.loads(lines[0])
+        assert header["state_reset"] is True
+        lines[0] = json.dumps({**header, "state_reset": False}, sort_keys=True)
+        with pytest.raises(CorruptLogError, match="recorded cost") as err:
+            replay(read_trade_log(self.write_log(tmp_path / "no-reset.jsonl", lines)), state0)
+        assert err.value.line_number == 4  # the first trade of round 2, after both of round 1
+
+    def test_decreasing_round_detected(self, tmp_path):
         _, log, state0 = self.run_with_log(tmp_path)
         records = read_trade_log(log)
-        records[3].theta_before = array("d", np.asarray(records[3].theta_before) + 1e-9)
-        records[3].theta_after = array("d", np.asarray(records[3].theta_after) + 1e-9)
-        with pytest.raises(CorruptLogError) as err:
+        assert [r.round for r in records[:5]] == [1, 1, 2, 2, 3]
+        records[4].round = 1
+        with pytest.raises(CorruptLogError, match="round 1 follows round 2") as err:
             replay(records, state0)
+        assert err.value.line_number == 6
+
+    @pytest.mark.parametrize("key,value", [
+        ("family", "categorical:3"), ("theta0", [0.0, 0.5]), ("inv_liquidity", 0.5)])
+    def test_header_that_does_not_match_state0_is_corrupt(self, tmp_path, key, value):
+        _, log, state0 = self.run_with_log(tmp_path)
+        records = read_trade_log(log)
+        records.header = {**records.header, key: value}
+        with pytest.raises(CorruptLogError, match=f"header {key} ") as err:
+            replay(records, state0)
+        assert err.value.line_number == 1
+
+    def test_log_without_a_header_is_refused(self, tmp_path):
+        _, log, state0 = self.run_with_log(tmp_path)
+        records = read_trade_log(log)
+        with open(log) as fh:
+            lines = fh.read().splitlines()
+        for where in (records[:], TradeLog(records)):  # a plain list; a log read from an empty file
+            with pytest.raises(CorruptLogError, match="no format-2 header") as err:
+                replay(where, state0)
+            assert err.value.line_number == 1
+        for first in ([], [json.dumps({**json.loads(lines[0]), "format": 1})], [""], ["[]"]):
+            path = self.write_log(tmp_path / "old.jsonl", first + lines[1:])  # headerless, as before format 2
+            with pytest.raises(CorruptLogError, match="not a format-2 trade log header") as err:
+                read_trade_log(path)
+            assert err.value.line_number == 1
+
+    @pytest.mark.parametrize("header", [
+        {"extra": 1}, {"family": 3}, {"state_reset": 0}, {"theta0": "[0.0, 0.0]"}, {"theta0": [None, 0.0]},
+        {"inv_liquidity": "1.0"}, {"inv_liquidity": math.inf}])
+    def test_mistyped_header_is_corrupt(self, tmp_path, header):
+        market = Market(family_from_id("categorical:2"), [0.0, 0.0])
+        lines = [log_header(market) | header, market.execute([0.25, 0.0], "a", 1).to_dict()]
+        with pytest.raises(CorruptLogError, match="unreadable header") as err:
+            read_trade_log(self.write_log(tmp_path / "trades.jsonl", lines))
+        assert err.value.line_number == 1
+
+    def test_blank_line_is_corrupt_at_its_own_line(self, tmp_path):
+        # Record i is always on line i + 2: a blank line is not skipped, so no later line number shifts.
+        _, log, state0 = self.run_with_log(tmp_path)
+        with open(log) as fh:
+            lines = fh.read().splitlines()
+        for blank_at in (1, 2, len(lines)):  # after the header, between records, at the end
+            path = self.write_log(tmp_path / "blank.jsonl", lines[:blank_at] + ["  "] + lines[blank_at:])
+            with pytest.raises(CorruptLogError, match="blank line") as err:
+                read_trade_log(path)
+            assert err.value.line_number == blank_at + 1
+        with pytest.raises(CorruptLogError) as err:
+            read_trade_log(self.write_log(tmp_path / "blank.jsonl", ["", ""] + lines))
+        assert err.value.line_number == 1
+
+    def test_undecodable_bytes_are_corrupt_at_their_line(self, tmp_path):
+        _, log, _ = self.run_with_log(tmp_path)
+        data = open(log, "rb").read().split(b"\n")
+        data[3] = data[3][:20] + b"\xff" + data[3][20:]
+        (tmp_path / "bad.jsonl").write_bytes(b"\n".join(data))
+        with pytest.raises(CorruptLogError, match="UnicodeDecodeError") as err:
+            read_trade_log(str(tmp_path / "bad.jsonl"))
         assert err.value.line_number == 4
 
     @pytest.mark.parametrize("field,value", [
@@ -608,35 +704,41 @@ class TestReplay:
         ("trader_id", None), ("trader_id", 7),
         ("cost", "0.1"), ("cost", None), ("cost", math.inf), ("cost", math.nan),
         ("delta", ["0.0", "0.25"]), ("delta", [True, 0.25]), ("delta", 0.25),
-        ("theta_before", [None, 0.0]), ("theta_after", "[0.0, 0.25]"), ("theta_after", [[0.0, 0.25]]),
+        ("theta_after", [0.0, 0.25]), ("note", "an extra key"),
     ])
     def test_mistyped_record_field_is_corrupt(self, tmp_path, field, value):
         market = Market(family_from_id("categorical:2"), [0.0, 0.0])
-        lines = [market.execute([0.25, 0.0], "a", 1).to_dict(),
+        lines = [log_header(market), market.execute([0.25, 0.0], "a", 1).to_dict(),
                  {**market.execute([0.0, 0.25], "b", 2).to_dict(), field: value}]
-        log = tmp_path / "trades.jsonl"
-        log.write_text("".join(json.dumps(line) + "\n" for line in lines))
         with pytest.raises(CorruptLogError) as err:
-            read_trade_log(str(log))
+            read_trade_log(self.write_log(tmp_path / "trades.jsonl", lines))
+        assert err.value.line_number == 3
+
+    @pytest.mark.parametrize("missing", ["cost", "delta", "round", "trader_id"])
+    def test_record_missing_a_key_is_corrupt(self, tmp_path, missing):
+        market = Market(family_from_id("categorical:2"), [0.0, 0.0])
+        record = market.execute([0.25, 0.0], "a", 1).to_dict()
+        del record[missing]
+        with pytest.raises(CorruptLogError, match="keys") as err:
+            read_trade_log(self.write_log(tmp_path / "trades.jsonl", [log_header(market), record]))
         assert err.value.line_number == 2
 
     def test_unexecutable_record_detected(self):
         fam = family_from_id("exponential-rate")
         good = Market(fam, -1.0).execute(-0.5, round_index=1)
-        # Consistent states, but the move leaves the domain theta < 0.
-        bad = TradeRecord(2, "b", array("d", [2.0]), 0.0, good.theta_after, array("d", np.asarray(good.theta_after) + 2.0))
+        bad = TradeRecord(2, "b", array("d", [2.0]), 0.0)  # moves theta -1.5 out of the domain theta < 0
+        start = Market(fam, -1.0)
         with pytest.raises(CorruptLogError, match="not executable") as err:
-            replay([good, bad], Market(fam, -1.0).state_dict())
-        assert err.value.line_number == 2
+            replay(TradeLog([good, bad], log_header(start)), start.state_dict())
+        assert err.value.line_number == 3
 
-
-    @pytest.mark.parametrize("delta,theta_after", [([0.5, 0.5], [0.5, 0.5]), ([0.5] * 4, [0.5] * 3)])
-    def test_delta_of_the_wrong_length_is_unexecutable(self, delta, theta_after):
-        # theta_after is theta_before + delta over the shorter of the two, so only the length check stops it.
-        record = TradeRecord(1, "a", array("d", delta), 0.1, array("d", [0.0] * 3), array("d", theta_after))
+    @pytest.mark.parametrize("delta", [[0.5, 0.5], [0.5] * 4])
+    def test_delta_of_the_wrong_length_is_unexecutable(self, delta):
+        record = TradeRecord(1, "a", array("d", delta), 0.1)
+        start = Market(family_from_id("categorical:3"), [0.0] * 3)
         with pytest.raises(CorruptLogError) as err:
-            replay([record], Market(family_from_id("categorical:3"), [0.0] * 3).state_dict())
-        assert str(err.value) == ("trade log line 1: recorded trade is not executable: "
+            replay(TradeLog([record], log_header(start)), start.state_dict())
+        assert str(err.value) == ("trade log line 2: recorded trade is not executable: "
                                   f"delta must be a vector of length 3, got length {len(delta)}")
 
 

@@ -131,8 +131,9 @@ class TestExecute:
         theta = random_natural(family, rng)
         target = random_natural(family, rng)
         market = Market(family, theta)
+        before = market.theta
         record = market.execute(target - theta)
-        recomputed = Market(family, record.theta_after).cost() - Market(family, record.theta_before).cost()
+        recomputed = Market(family, market.theta).cost() - Market(family, before).cost()
         assert record.cost == pytest.approx(recomputed, abs=1e-12)
 
     def test_failed_execute_leaves_state_unchanged(self):

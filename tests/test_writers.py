@@ -3,9 +3,11 @@
 ``SimReport.to_json`` and ``emit_report(..., "json")`` must write the bytes of
 ``json.dumps(report.to_dict(), sort_keys=True, indent=2)`` plus a newline,
 ``TradeRecord.to_json`` those of ``json.dumps(record.to_dict(),
-sort_keys=True)``, and each CSV cell ``repr(float(v))`` of its value.  The
-reports are built by hand, with no sampling, so the file needs only the
-standard library: it runs under pytest or as a script,
+sort_keys=True)``, a trade log's header line those of
+``json.dumps(log_header(...), sort_keys=True)``, and each CSV cell
+``repr(float(v))`` of its value.  The reports are built by hand, with no
+sampling, so the file needs only the standard library: it runs under pytest
+or as a script,
 
     PYTHONPATH=src python tests/test_writers.py
 
@@ -23,8 +25,9 @@ import os
 import tempfile
 from array import array
 
+from expfam_markets.families import family_from_id
 from expfam_markets.harness import SimReport, TradeEvent, emit_report
-from expfam_markets.market import TradeRecord
+from expfam_markets.market import Market, TradeRecord, append_record, log_header
 
 NAN, INF = math.nan, math.inf
 ODD_IDS = ("é", 'say "hi"', "back\\slash", "new\nline")
@@ -93,22 +96,20 @@ CASES = {
                                       inv_liquidity=0.75),
 }
 
-PATH = [array("d", [0.0, -0.0]), array("d", [0.25, 1e-300]), array("d", [NAN, -INF])]
-
 RECORDS = {
-    **{f"chained-{i}": TradeRecord(round=1, trader_id="a", delta=array("d", [0.5, 0.5]), cost=0.5,
-                                   theta_before=before, theta_after=after)  # each before is the last after
-       for i, (before, after) in enumerate(zip(PATH, PATH[1:]))},
-    "plain": TradeRecord(round=3, trader_id="a", delta=array("d", [0.25, -0.25]), cost=0.1,
-                         theta_before=array("d", [0.0, 0.0]), theta_after=array("d", [0.25, -0.25])),
-    "nonfinite": TradeRecord(round=0, trader_id="b", delta=array("d", [NAN, INF, -INF]), cost=-INF,
-                             theta_before=array("d", [1e308, -0.0, 5e-324]), theta_after=array("d", [INF, NAN, 1e-7])),
-    **{f"escaped-{i}": TradeRecord(round=10**12, trader_id=tid, delta=array("d", [1 / 3]), cost=NAN,
-                                   theta_before=array("d", [-1.0]), theta_after=array("d", [-2 / 3]))
+    "plain": TradeRecord(round=3, trader_id="a", delta=array("d", [0.25, -0.25]), cost=0.1),
+    "nonfinite": TradeRecord(round=0, trader_id="b", delta=array("d", [NAN, INF, -INF]), cost=-INF),
+    "tiny-and-signed-zero": TradeRecord(round=-1, trader_id="", delta=array("d", [-0.0, 5e-324, 1e308]), cost=-0.0),
+    **{f"escaped-{i}": TradeRecord(round=10**12, trader_id=tid, delta=array("d", [1 / 3]), cost=NAN)
        for i, tid in enumerate(ODD_IDS)},
 }
 
-
+# Markets whose state starts a log: (family, theta0, inv_liquidity).
+LOG_STARTS = {
+    "categorical-edge-floats": ("categorical:3", [-0.0, 5e-324, 1e308], 0.5),
+    "exponential-rate-tiny-liquidity": ("exponential-rate", [-1e300], 1e-300),
+    "weibull-unit-liquidity": ("weibull-moment:2", [-1 / 3], 1.0),
+}
 def stdlib_json(rep: SimReport) -> str:
     return json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
 
@@ -159,6 +160,35 @@ def test_trade_record_to_json_is_the_stdlib_encoding():
         assert record.to_json() == json.dumps(record.to_dict(), sort_keys=True), name
 
 
+def appended(header: dict, records) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trades.jsonl")
+        for record in records:
+            append_record(path, header, record)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def test_appended_log_is_the_stdlib_encoding():
+    for name, (family, theta0, inv_liquidity) in LOG_STARTS.items():
+        header = log_header(Market(family_from_id(family), theta0, inv_liquidity))
+        expected = [json.dumps(header, sort_keys=True)] + [json.dumps(r.to_dict(), sort_keys=True)
+                                                           for r in RECORDS.values()]
+        assert appended(header, RECORDS.values()) == "".join(line + "\n" for line in expected).encode(), name
+
+
+def test_log_lines_are_pinned():
+    header = log_header(Market(family_from_id("categorical:3"), [-0.0, 5e-324, 1e308], 0.5))
+    assert appended(header, [RECORDS["tiny-and-signed-zero"], RECORDS["escaped-0"]]) == (
+        b'{"family": "categorical:3", "format": 2, "inv_liquidity": 0.5, "state_reset": false, '
+        b'"theta0": [-0.0, 5e-324, 1e+308]}\n'
+        b'{"cost": -0.0, "delta": [-0.0, 5e-324, 1e+308], "round": -1, "trader_id": ""}\n'
+        b'{"cost": NaN, "delta": [0.3333333333333333], "round": 1000000000000, "trader_id": "\\u00e9"}\n')
+    assert json.dumps(log_header(Market(family_from_id("exponential-rate"), [-1e300], 1e-300), True),
+                      sort_keys=True) == ('{"family": "exponential-rate", "format": 2, "inv_liquidity": 1e-300, '
+                                          '"state_reset": true, "theta0": [-1e+300]}')
+
+
 if __name__ == "__main__":
     import sys
 
@@ -167,4 +197,4 @@ if __name__ == "__main__":
         fn()
         print("passed", name)
     print(f"python {sys.version.split()[0]}: {len(tests)} writer-contract tests passed "
-          f"({len(CASES)} reports, {len(RECORDS)} trade records)")
+          f"({len(CASES)} reports, {len(RECORDS)} trade records, {len(LOG_STARTS)} log headers)")
