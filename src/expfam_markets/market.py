@@ -312,7 +312,7 @@ def load_state(path: str) -> Market:
 # ----------------------------------------------------------------------
 
 def log_header(market: Market, state_reset: bool = False) -> dict:
-    """The header of a trade log that starts at the market's current state; its line is ``json.dumps(.., sort_keys=True)``."""
+    """The header of a trade log starting at the market's state; written as ``json.dumps(header, sort_keys=True)``."""
     return {"family": market.family.id, "format": LOG_FORMAT, "inv_liquidity": market.inv_liquidity,
             "state_reset": state_reset, "theta0": market.theta.tolist()}
 
@@ -321,28 +321,24 @@ def check_header(header: dict, expected: dict, keys=("family", "inv_liquidity", 
     """Raise CorruptLogError at line 1 unless ``header`` equals the ``log_header`` ``expected`` at each of ``keys``."""
     for key in keys:
         if header[key] != expected[key]:
-            raise CorruptLogError(1, f"header {key} {header[key]!r} does not match the market state's {expected[key]!r}")
+            raise CorruptLogError(1, f"header {key} {header[key]!r} does not match the market state's "
+                                     f"{expected[key]!r}")
 
 
 def _parse_header(line) -> dict:
-    """A trade log's first line (str or bytes) as a header; raises CorruptLogError at line 1."""
+    """A trade log's first line (str or bytes) as its header; raises CorruptLogError at line 1."""
     try:
         header = json.loads(line)
-    except ValueError:  # invalid JSON or undecodable bytes
-        header = None
-    if not isinstance(header, dict) or header.get("format") != LOG_FORMAT:
-        raise CorruptLogError(1, f"not a format-{LOG_FORMAT} trade log header; a log of an older format has "
-                              f"none and is not read")
-    try:
-        if header.keys() != _HEADER_KEYS:
-            raise ConfigError(f"the keys must be {sorted(_HEADER_KEYS)}, got {sorted(header)}")
-        if not (isinstance(header["family"], str) and isinstance(header["state_reset"], bool)
-                and isinstance(header["theta0"], list)):
-            raise ConfigError("family must be a string, state_reset true or false and theta0 a list of numbers")
+        if not isinstance(header, dict) or header.get("format") != LOG_FORMAT:
+            raise ConfigError("a log of an older format has none and is not read")
+        if header.keys() != _HEADER_KEYS or not (isinstance(header["family"], str) and isinstance(
+                header["state_reset"], bool) and isinstance(header["theta0"], list)):
+            raise ConfigError(f"its keys are {sorted(_HEADER_KEYS)}, with a string family, a boolean "
+                              f"state_reset and a list theta0; got {header!r}")
         return {**header, "inv_liquidity": _number(header["inv_liquidity"], "inv_liquidity"),
                 "theta0": _numbers(header["theta0"], "theta0").tolist()}
-    except ConfigError as exc:
-        raise CorruptLogError(1, f"unreadable header ({exc})") from exc
+    except ValueError as exc:  # ConfigError, invalid JSON and undecodable bytes alike
+        raise CorruptLogError(1, f"not a format-{LOG_FORMAT} trade log header ({exc})") from exc
 
 
 def read_trade_log(path: str) -> TradeLog:

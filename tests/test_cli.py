@@ -433,8 +433,8 @@ class TestReplayCommand:
                             Market(family_from_id("categorical:2"), [0.0, 0.0]).state_dict())
         capsys.readouterr()
         assert main(["replay", "--log", str(log), "--state0", state0]) == 3
-        assert capsys.readouterr().err == ("error: trade log line 1: not a format-2 trade log header; "
-                                           "a log of an older format has none and is not read\n")
+        assert capsys.readouterr().err == ("error: trade log line 1: not a format-2 trade log header "
+                                           "(a log of an older format has none and is not read)\n")
 
     def test_malformed_state0_is_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sim.json", sim_config())

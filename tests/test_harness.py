@@ -575,7 +575,7 @@ class TestReplay:
 
     @staticmethod
     def write_log(path, lines) -> str:
-        """A trade log of the given lines: dicts are written as ``json.dumps(..., sort_keys=True)``, strings as given."""
+        """A trade log of the given lines: a dict as ``json.dumps(..., sort_keys=True)``, a string as given."""
         path.write_text("".join((line if isinstance(line, str) else json.dumps(line, sort_keys=True)) + "\n"
                                 for line in lines))
         return str(path)
@@ -672,7 +672,7 @@ class TestReplay:
     def test_mistyped_header_is_corrupt(self, tmp_path, header):
         market = Market(family_from_id("categorical:2"), [0.0, 0.0])
         lines = [log_header(market) | header, market.execute([0.25, 0.0], "a", 1).to_dict()]
-        with pytest.raises(CorruptLogError, match="unreadable header") as err:
+        with pytest.raises(CorruptLogError, match="not a format-2 trade log header") as err:
             read_trade_log(self.write_log(tmp_path / "trades.jsonl", lines))
         assert err.value.line_number == 1
 
