@@ -42,6 +42,8 @@ def _parse_json_value(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what}: invalid JSON {text!r} ({exc})") from exc
+    except RecursionError as exc:  # the text, thousands of brackets, is left out of the message
+        raise ConfigError(f"{what}: invalid JSON ({exc})") from exc
 
 
 def _cmd_score(args) -> int:

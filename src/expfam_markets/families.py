@@ -227,15 +227,18 @@ class ExpFamily(ABC):
         Returns a single outcome when ``size`` is None, else an ndarray of
         ``size`` outcomes.  Draws are deterministic given the generator state.
         """
-        draws = self._sample(self.check_natural(theta), rng, size)
+        draws = self._sampler(self.check_natural(theta))(rng, size)
         if size is None:
             return draws[0]
         import numpy as np  # only a batch needs numpy; the caller's rng has loaded it already
 
         return np.array(draws)
 
-    def _sample(self, theta: array, rng, size) -> list:
-        """The draws as a list: one item when ``size`` is None."""
+    def _sampler(self, theta: array):
+        """``draw(rng, size)`` for the member at ``theta``: the draws as a list, one item when ``size`` is None.
+
+        Its constants are computed here, once; ``sample`` and ``run_simulation`` both draw through it.
+        """
         raise UnsupportedError(f"{self.id}: sampling is not supported")
 
 
@@ -291,10 +294,10 @@ class Categorical(ExpFamily):
         phi[x - 1] = 1.0
         return phi
 
-    def _sample(self, theta, rng, size):
+    def _sampler(self, theta):
         cdf = list(accumulate(self._mean(theta)))  # left to right, as numpy's cumsum
-        # Searching only the first k-1 bounds caps the outcome at k if the sum rounds below 1.
-        return [bisect_right(cdf, u, 0, self.k - 1) + 1 for u in _draws(rng.random, size)]
+        last = self.k - 1  # searching only the first k-1 bounds caps the outcome at k if the sum rounds below 1
+        return lambda rng, size: [bisect_right(cdf, u, 0, last) + 1 for u in _draws(rng.random, size)]
 
 
 class WeibullMoment(ExpFamily):
@@ -345,13 +348,16 @@ class WeibullMoment(ExpFamily):
         except OverflowError:  # float ** raises where numpy and x*x give inf
             return array("d", (math.inf,))
 
-    def _sample(self, theta, rng, size):
+    def _sampler(self, theta):
         rate = -theta[0]
         power = 1.0 / self.k
-        try:
-            return [(-math.log1p(-u) / rate) ** power for u in _draws(rng.random, size)]
-        except OverflowError as exc:  # a draw beyond the largest float: no outcome can be reported
-            raise DomainError(f"{self.id}: a draw at theta {theta.tolist()} overflows") from exc
+
+        def draw(rng, size):
+            try:
+                return [(-math.log1p(-u) / rate) ** power for u in _draws(rng.random, size)]
+            except OverflowError as exc:  # a draw beyond the largest float: no outcome can be reported
+                raise DomainError(f"{self.id}: a draw at theta {theta.tolist()} overflows") from exc
+        return draw
 
 
 class ExponentialRate(WeibullMoment):
@@ -409,10 +415,10 @@ class GaussianMoments(ExpFamily):
     def _statistic(self, x) -> array:
         return array("d", (x, x * x))
 
-    def _sample(self, theta, rng, size):
+    def _sampler(self, theta):
         m, m2 = self._mean(theta)
         sd = math.sqrt(m2 - m * m)
-        return [m + sd * z for z in _draws(rng.standard_normal, size)]
+        return lambda rng, size: [m + sd * z for z in _draws(rng.standard_normal, size)]
 
 
 def _vmf_mean_ratio(kappa: float) -> float:

@@ -341,9 +341,11 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
         raise ConfigError("simulation requires a seed (config, env, or flag)")
     family = config.family
     market = Market(family, config.theta0, config.inv_liquidity)
-    start = market.theta, market.cost()  # the checked state that state_reset restores
-    header = json.dumps(log_header(market, config.state_reset), sort_keys=True)
+    start = market._state()  # the checked state that state_reset restores, with the quotes made at it
+    if trade_log_path is not None:
+        header = json.dumps(log_header(market, config.state_reset), sort_keys=True)
     rng = np.random.default_rng(config.seed)
+    draw = family._sampler(config.true_theta)  # built once: true_theta is fixed for the run
     # Per-run copies hold the running budget and cash (cumulative payoff -
     # cost), so a config can be rerun.  Both add the same per-trade changes
     # in order, so the budget floor holds in float arithmetic too.
@@ -377,7 +379,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                         log.flush()
                     staged.append((trader, record))
                     path.append((market.theta, market.cost()))
-                outcome = family._sample(config.true_theta, rng, None)[0]
+                outcome = draw(rng, None)[0]
             except (DomainError, ConvergenceError) as exc:
                 valid, error = False, f"round {round_index}: {exc}"
                 vars(market).update(settled)  # an unsettled trade leaves no trace in the report or the log
@@ -450,7 +452,7 @@ def replay(records: TradeLog, state0: dict) -> Market:
     if header is None:
         raise CorruptLogError(1, "the log has no format-2 header")
     check_header(header, log_header(market))
-    start = market.theta, market.cost()  # never written in place: every writer stores anew
+    start = market._state()  # never written in place: every writer stores anew
     reset, last = header["state_reset"], None
     for line, record in enumerate(records, 2):
         if record.round != last:

@@ -19,11 +19,13 @@ exact arithmetic the blow-up of ``C`` at the boundary self-enforces this
 point we reject trades that move ``lam * theta`` within ``1e-9`` of the
 boundary outright, and any state whose cost overflows.  Every writer of
 the share vector (``__init__``, ``_execute``, ``reset_theta``) checks it in
-``_cost_at`` and caches ``C(theta)``, so pricing and settlement run the
-kernels unchecked and a quote evaluates the log partition once; ``_restore``
-returns to a state already checked.  ``execute`` and ``quote`` check
-``delta`` and call the cores ``_execute`` and ``_quote``, which the engine
-and ``replay`` call directly on their own deltas.
+``_cost_at``, caches ``C(theta)`` and starts an empty quote table, so pricing
+and settlement run the kernels unchecked, a quote evaluates the log
+partition once, and a quote made at the same state before is read back from
+the table; ``_restore`` returns to a state already checked, with its cost and
+table.  ``execute`` and ``quote`` check ``delta`` and call the cores
+``_execute`` and ``_quote``, which the engine and ``replay`` call directly on
+their own deltas.
 
 One market instance is single-writer: ``execute`` requires exclusive
 access, while ``quote``/``prices``/``log_loss`` are read-only and may run
@@ -45,6 +47,7 @@ from .errors import ConfigError, CorruptLogError, DomainError
 from .families import ExpFamily, _dot, _scaled, as_params, family_from_id
 
 TRADE_MARGIN = 1e-9
+QUOTE_TABLE_SIZE = 32  # quotes kept per state: the first ones made there, which state_reset runs repeat
 
 
 def _number(value, where: str) -> float:
@@ -150,6 +153,7 @@ class Market:
         theta0 = as_params(theta0, family.dim, "theta0")
         self._cost = self._cost_at(theta0)
         self.theta = theta0
+        self._quotes: dict[bytes, tuple[float, array, float]] = {}
         self.n_trades = int(n_trades)
         self.revenue = float(revenue)
 
@@ -186,14 +190,24 @@ class Market:
         return self._quote(as_params(delta, self.family.dim, "delta"))[0]
 
     def _quote(self, delta: array) -> tuple[float, array, float]:
-        """Cost of a ``delta`` of the market's dimension, with the target share vector and its cost ``C(target)``."""
-        target = array("d", [t + d for t, d in zip(self.theta, delta)])
-        try:
-            target_cost = self._cost_at(target)
-        except DomainError:
-            as_params(delta, self.family.dim, "delta")  # a non-finite delta is refused as itself
-            raise
-        return target_cost - self._cost, target, target_cost
+        """Cost of a ``delta`` of the market's dimension, with the target share vector and its cost ``C(target)``.
+
+        The quote is a pure function of the state and the bytes of ``delta``, so the state's table
+        keeps the first ``QUOTE_TABLE_SIZE`` made at it.  A refused quote is not kept: it raises again.
+        """
+        key = delta.tobytes()
+        quote = self._quotes.get(key)
+        if quote is None:
+            target = array("d", [t + d for t, d in zip(self.theta, delta)])
+            try:
+                target_cost = self._cost_at(target)
+            except DomainError:
+                as_params(delta, self.family.dim, "delta")  # a non-finite delta is refused as itself
+                raise
+            quote = target_cost - self._cost, target, target_cost
+            if len(self._quotes) < QUOTE_TABLE_SIZE:
+                self._quotes[key] = quote
+        return quote
 
     def log_loss(self, x) -> float:
         """Prediction loss ``C(theta) - <theta, phi(x)>`` of the current state.
@@ -257,8 +271,7 @@ class Market:
         """``execute`` without its check of ``delta``, which must have the market's dimension."""
         cost, target, target_cost = self._quote(delta)
         record = TradeRecord(round_index, trader_id, delta, cost)
-        self.theta = target
-        self._cost = target_cost
+        self.theta, self._cost, self._quotes = target, target_cost, {}
         self.n_trades += 1
         self.revenue += cost
         return record
@@ -266,12 +279,16 @@ class Market:
     def reset_theta(self, theta0) -> None:
         """Reset the share vector (a fresh market instance); counters persist."""
         theta0 = as_params(theta0, self.family.dim, "theta0")
-        self._cost = self._cost_at(theta0)  # first, so a refused state changes nothing
-        self.theta = theta0
+        cost = self._cost_at(theta0)  # first, so a refused state changes nothing
+        self.theta, self._cost, self._quotes = theta0, cost, {}
 
-    def _restore(self, theta: array, cost: float) -> None:
-        """``reset_theta`` to a state this market held, with its ``cost()``: unchecked, as no writer edits it in place."""
-        self.theta, self._cost = theta, cost
+    def _state(self) -> tuple[array, float, dict]:
+        """The share vector with its ``cost()`` and quote table, for ``_restore``."""
+        return self.theta, self._cost, self._quotes
+
+    def _restore(self, theta: array, cost: float, quotes: dict) -> None:
+        """``reset_theta`` to a ``_state()`` this market held: unchecked, as no writer edits one in place."""
+        self.theta, self._cost, self._quotes = theta, cost, quotes
 
 
 # ----------------------------------------------------------------------
@@ -294,11 +311,11 @@ def save_state(market: Market, path: str) -> None:
 
 
 def read_json(path: str, what: str):
-    """Parse a JSON file; invalid JSON or undecodable bytes raise ConfigError."""
+    """Parse a JSON file; invalid JSON, undecodable bytes or nesting too deep to parse raise ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # invalid JSON or undecodable bytes
+        except (ValueError, RecursionError) as exc:  # invalid JSON, undecodable bytes, nesting too deep
             raise ConfigError(f"{what} {path}: invalid JSON ({exc})") from exc
 
 
@@ -337,7 +354,7 @@ def _parse_header(line) -> dict:
                               f"state_reset and a list theta0; got {header!r}")
         return {**header, "inv_liquidity": _number(header["inv_liquidity"], "inv_liquidity"),
                 "theta0": _numbers(header["theta0"], "theta0").tolist()}
-    except ValueError as exc:  # ConfigError, invalid JSON and undecodable bytes alike
+    except (ValueError, RecursionError) as exc:  # ConfigError, invalid JSON, undecodable bytes, nesting too deep
         raise CorruptLogError(1, f"not a format-{LOG_FORMAT} trade log header ({exc})") from exc
 
 
@@ -358,7 +375,7 @@ def read_trade_log(path: str) -> TradeLog:
         for line_number, line in enumerate(fh, 2):
             try:
                 log.append(from_dict(json.loads(line.decode())))
-            except ValueError as exc:  # ConfigError, invalid JSON and undecodable bytes alike
+            except (ValueError, RecursionError) as exc:  # ConfigError, invalid JSON, undecodable bytes, nesting
                 what = "blank line" if not line.strip() else f"unreadable record ({type(exc).__name__}: {exc})"
                 raise CorruptLogError(line_number, what) from exc
     return log

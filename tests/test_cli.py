@@ -11,6 +11,7 @@ import pytest
 from conftest import subprocess_env
 from expfam_markets import Market, family_from_id, read_trade_log, save_state
 from expfam_markets.cli import SEED_ENV_VAR, main
+from expfam_markets.market import log_header
 
 
 def write_json(path, payload):
@@ -518,3 +519,39 @@ def test_unusable_json_file_is_config_error(tmp_path, capsys, command, content):
     }[command]
     assert main(argv) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+DEEP = "[" * 200_000  # deeper than the JSON parser's recursion limit on every supported Python
+
+
+@pytest.mark.parametrize("case,code,message", [
+    pytest.param(case, code, message, id=case) for case, code, message in [
+        ("replay-record", 3, "error: trade log line 2: unreadable record (RecursionError: "),
+        ("replay-header", 3, "error: trade log line 1: not a format-2 trade log header ("),
+        ("simulate-config", 2, "config error: config "),
+        ("quote-market", 2, "config error: state "),
+        ("trade-delta", 2, "config error: --delta: invalid JSON ("),
+        ("trade-log-header", 3, "error: trade log line 1: not a format-2 trade log header ("),
+    ]])
+def test_json_nested_too_deep_exits_with_one_line(tmp_path, case, code, message):
+    state = write_json(tmp_path / "state.json", {"family": "categorical:2", "theta": [0.0, 0.0]})
+    before = open(state).read()
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    log = tmp_path / "trades.jsonl"
+    header = json.dumps(log_header(Market(family_from_id("categorical:2"), [0.0, 0.0])), sort_keys=True)
+    log.write_text((header + "\n" if case == "replay-record" else "") + DEEP + "\n")
+    argv = {
+        "replay-record": ["replay", "--log", str(log), "--state0", state],
+        "replay-header": ["replay", "--log", str(log), "--state0", state],
+        "simulate-config": ["simulate", "--config", str(deep), "--out", str(tmp_path / "r.json")],
+        "quote-market": ["quote", "--market", str(deep), "--delta", "[0.1, 0.0]"],
+        "trade-delta": ["trade", "--market", state, "--delta", "[" * 50_000],  # an argument of at most 128 KiB
+        "trade-log-header": ["trade", "--market", state, "--delta", "[0.1, 0.0]", "--log", str(log)],
+    }[case]
+    proc = subprocess.run([sys.executable, "-m", "expfam_markets.cli", *argv],
+                          capture_output=True, text=True, env=subprocess_env(), timeout=120)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(message) and len(proc.stderr.splitlines()) == 1, proc.stderr[-300:]
+    assert proc.stdout == ""
+    assert open(state).read() == before

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     ALL_FAMILY_IDS,
+    SAMPLEABLE_FAMILY_IDS,
     central_diff_grad,
     finite_diff_hessian,
     kl_quadrature,
@@ -360,16 +361,20 @@ class TestSampling:
         b = fam.sample(-1.0, np.random.default_rng(61), size=10)
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("family_id, theta", [
-        ("exponential-rate", -1.5), ("weibull-moment:2", -0.5), ("categorical:3", [0.2, -0.1, 0.4]),
-        ("gaussian-moments", [1.0, -0.5]),
-    ])
-    def test_array_draw_equals_scalar_draws(self, family_id, theta):
+    @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
+    def test_array_draw_equals_scalar_draws(self, family_id):
+        # Three ways to draw the same stream: one batch, one sample call per draw, and the sampler that
+        # run_simulation builds once per run and calls once per round.
         fam = family_from_id(family_id)
+        theta = random_natural(fam, np.random.default_rng(73))
         batch = fam.sample(theta, np.random.default_rng(67), size=2_000)
         rng = np.random.default_rng(67)
         one_by_one = [fam.sample(theta, rng) for _ in range(2_000)]
+        draw, rng = fam._sampler(fam.check_natural(theta)), np.random.default_rng(67)
+        per_run = [draw(rng, None)[0] for _ in range(2_000)]
         assert [float(v).hex() for v in batch] == [float(v).hex() for v in one_by_one]
+        assert [float(v).hex() for v in per_run] == [float(v).hex() for v in one_by_one]
+        assert {type(v) for v in per_run} == {type(v) for v in one_by_one}
 
     def test_vmf3_sampling_unsupported(self):
         fam = family_from_id("vmf3")

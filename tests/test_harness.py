@@ -31,7 +31,7 @@ from expfam_markets import (
 from expfam_markets import families, harness, market, traders
 from expfam_markets.families import Categorical, ExpFamily
 from expfam_markets.harness import parse_belief_theta
-from expfam_markets.market import log_header, log_loss
+from expfam_markets.market import QUOTE_TABLE_SIZE, log_header, log_loss
 
 
 def base_config(**overrides) -> dict:
@@ -455,6 +455,27 @@ class TestTrustedEngine:
             {"id": "t", "model": model, "budget": 1.0, "belief": {"theta": [1e308, 0.0]}}])))
         assert (report.valid, report.error) == (False, "round 1: delta must be finite, got [inf, 0.0]")
 
+    def test_quote_table_stays_at_its_bound_over_a_long_state_reset_run(self, monkeypatch):
+        # Every round quotes at theta0.  A misinformed budget-limited trader's budget shrinks towards
+        # zero, so its scaled trade changes from round to round, and theta0's table meets thousands of
+        # distinct quotes: it keeps the first QUOTE_TABLE_SIZE and grows no further.
+        theta0_quotes, sizes = set(), []
+        real_quote = Market._quote
+
+        def quote(market, delta):
+            result = real_quote(market, delta)
+            if market.theta.tolist() == [0.0, 0.0]:
+                theta0_quotes.add(delta.tobytes())
+            sizes.append(len(market._quotes))
+            return result
+
+        monkeypatch.setattr(Market, "_quote", quote)
+        report = run_simulation(SimConfig.from_dict(base_config(rounds=10_000, state_reset=True, traders=[
+            {"id": "bl", "model": "budget-limited", "budget": 0.2, "belief": {"probs": [0.3, 0.7]}}])))
+        assert report.valid and len(report.events) == 10_000
+        assert len(theta0_quotes) > 100 * QUOTE_TABLE_SIZE
+        assert max(sizes) == QUOTE_TABLE_SIZE
+
 
 def aborts_in_round_2() -> dict:
     """A config whose second trader's move lands within the trading margin of the boundary."""
@@ -605,6 +626,21 @@ class TestReplay:
         with pytest.raises(CorruptLogError) as err:
             replay(records, state0)
         assert err.value.line_number == 7  # the header is line 1
+
+    def test_one_ulp_change_to_a_repeated_record_at_theta0_detected(self, tmp_path):
+        # In a state_reset log the first trade of every round is priced at theta0, and the informed
+        # trader's move there is the same each round: replay prices the repeats from theta0's quote
+        # table, and a one-ulp change to one of them still fails at its line.
+        _, log, state0 = self.run_with_log(tmp_path, state_reset=True)
+        records = read_trade_log(log)
+        assert [r.round for r in records[:5]] == [1, 1, 2, 2, 3]
+        assert records[4].delta.tobytes() == records[2].delta.tobytes() == records[0].delta.tobytes()
+        for direction in (math.inf, -math.inf):
+            tampered = read_trade_log(log)
+            tampered[4].cost = math.nextafter(tampered[4].cost, direction)
+            with pytest.raises(CorruptLogError, match="recorded cost") as err:
+                replay(tampered, state0)
+            assert err.value.line_number == 6
 
     def test_reset_inside_a_round_is_a_cost_mismatch(self, tmp_path):
         # Both trades of round 1 priced at theta0, as if the state were reset between them: replay

@@ -173,27 +173,33 @@ class TestCostCache:
     LAM = 0.75
 
     @staticmethod
-    def assert_quotes_uncached(market, rng):
+    def assert_quotes_uncached(market, rng, deltas=None) -> list:
+        """Quote each delta twice (the second from the state's quote table); both equal the uncached cost."""
         fam, lam, theta = market.family, market.inv_liquidity, np.asarray(market.theta)
-        for _ in range(10):
-            # A step toward a random interior state stays interior.
-            delta = rng.uniform(0.0, 1.0) * (random_natural(fam, rng) / lam - theta)
+        if deltas is None:  # a step toward a random interior state stays interior
+            deltas = [rng.uniform(0.0, 1.0) * (random_natural(fam, rng) / lam - theta) for _ in range(10)]
+        for delta in deltas:
             uncached = float(fam._log_partition(lam * (theta + delta)) / lam - fam._log_partition(lam * theta) / lam)
-            assert market.quote(delta).hex() == uncached.hex()
+            assert market.quote(delta).hex() == market.quote(delta).hex() == uncached.hex()
         assert market.cost().hex() == float(fam._log_partition(lam * theta) / lam).hex()
+        return deltas
 
     @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
     def test_quote_equals_uncached_after_every_writer(self, family_id):
         fam = family_from_id(family_id)
         rng = np.random.default_rng(19)
         market = Market(fam, random_natural(fam, rng) / self.LAM, inv_liquidity=self.LAM)
-        self.assert_quotes_uncached(market, rng)
+        first, deltas = market._state(), self.assert_quotes_uncached(market, rng)
         for _ in range(5):
             market.execute(0.5 * (random_natural(fam, rng) / self.LAM - market.theta))
             self.assert_quotes_uncached(market, rng)
         market.reset_theta(random_natural(fam, rng) / self.LAM)
         self.assert_quotes_uncached(market, rng)
         self.assert_quotes_uncached(Market.from_state_dict(market.state_dict()), rng)
+        market._restore(*first)  # back to the first state, with the table of the quotes made there
+        assert len(first[2]) == len(deltas) + 1  # and the first execute's
+        self.assert_quotes_uncached(market, rng, deltas)
+        self.assert_quotes_uncached(market, rng)
 
     @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
     def test_failed_execute_keeps_the_cache(self, family_id):
@@ -206,8 +212,12 @@ class TestCostCache:
         if not isinstance(fam, Categorical):
             escapes.append(np.full(fam.dim, 10.0))  # past the boundary theta < 0 (gaussian: theta2 < 0)
         for delta in escapes:
-            with pytest.raises(DomainError), np.errstate(over="ignore"):
-                market.execute(delta)
+            messages = set()
+            for _ in range(2):  # a refused quote is not kept in the state's table, so it is refused again
+                with pytest.raises(DomainError) as err, np.errstate(over="ignore"):
+                    market.execute(delta)
+                messages.add(str(err.value))
+            assert len(messages) == 1 and np.asarray(delta, dtype=float).tobytes() not in market._quotes
             assert market.cost() == cost
             self.assert_quotes_uncached(market, rng)
 
