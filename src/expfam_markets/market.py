@@ -47,7 +47,9 @@ from .errors import ConfigError, CorruptLogError, DomainError
 from .families import ExpFamily, _dot, _scaled, as_params, family_from_id
 
 TRADE_MARGIN = 1e-9
-QUOTE_TABLE_SIZE = 32  # quotes kept per state: the first ones made there, which state_reset runs repeat
+# Quotes kept per state: the first ones made there, which state_reset runs repeat.  Five fill CPython's
+# smallest dict; tables of 32 raised replay-audit's peak RSS by 0.8 MB, with no more data alive.
+QUOTE_TABLE_SIZE = 5
 
 
 def _number(value, where: str) -> float:

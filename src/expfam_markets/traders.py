@@ -201,10 +201,14 @@ def budget_limited_trade(market: Market, trader: TraderProfile) -> array:
     scaled move at or below ``alpha`` in exact arithmetic; when rounding
     leaves the quote a hair over, the fraction is halved until the cap holds
     in float comparison.  That is common once the budget is at rounding-noise
-    scale: in the 10,000-round ``sim-long`` benchmark run it first falls to
-    2e-15 in round 76 and is at or below that in 92% of all rounds, and
-    2,950 of the 10,000 calls halve at least once (4,918 of the run's 54,905
-    quotes).  Requires unit inverse liquidity.
+    scale: in the 10,000-round ``sim-long`` benchmark run (seed 1) it first
+    falls to 2e-15 in round 76 and is at or below that in 92% of all rounds,
+    and 3,103 of the 10,000 calls halve at least once.  The calls make 25,163
+    quotes (5,176 of them halvings), each a cost evaluation; the run makes
+    55,163 quotes and 45,410 cost evaluations, because the trade a call
+    returns was quoted at the same state, and its execute reads that quote
+    back from the state's quote table unless the table was full.  Requires
+    unit inverse liquidity.
     """
     if market.inv_liquidity != 1.0:
         raise DomainError("budget_limited_trade requires inv_liquidity == 1")

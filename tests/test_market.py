@@ -17,6 +17,7 @@ from expfam_markets import (
     save_state,
 )
 from expfam_markets.families import as_params
+from expfam_markets.market import QUOTE_TABLE_SIZE
 
 EXPO = family_from_id("exponential-rate")
 
@@ -196,9 +197,9 @@ class TestCostCache:
         market.reset_theta(random_natural(fam, rng) / self.LAM)
         self.assert_quotes_uncached(market, rng)
         self.assert_quotes_uncached(Market.from_state_dict(market.state_dict()), rng)
-        market._restore(*first)  # back to the first state, with the table of the quotes made there
-        assert len(first[2]) == len(deltas) + 1  # and the first execute's
-        self.assert_quotes_uncached(market, rng, deltas)
+        market._restore(*first)  # back to the first state, with the table of the first quotes made there
+        assert list(first[2]) == [as_params(d, fam.dim).tobytes() for d in deltas[:QUOTE_TABLE_SIZE]]
+        self.assert_quotes_uncached(market, rng, deltas)  # the first ones read back, the rest evaluated
         self.assert_quotes_uncached(market, rng)
 
     @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
