@@ -67,8 +67,8 @@ class EquilibriumProblem:
         self.beliefs = [np.asarray(fam.check_natural(b)) for b in self.beliefs]
         self.risk_aversions = [float(a) for a in self.risk_aversions]
         for a in self.risk_aversions:
-            if not a > 0.0:
-                raise DomainError(f"risk aversion must be strictly positive, got {a}")
+            if not (a > 0.0 and 1.0 / a < np.inf):
+                raise DomainError(f"risk aversion must be strictly positive with a finite tolerance 1/a, got {a}")
 
     @property
     def n_traders(self) -> int:

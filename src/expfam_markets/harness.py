@@ -326,11 +326,11 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     partial report with ``valid=False`` and the error message attached.
 
     With ``trade_log_path`` the run owns one handle on its JSON-lines trade
-    log: opened (truncating an older file) at the first trade, where it gets
-    its header (the run's first state and ``state_reset``), flushed after
-    every record and closed when the run ends.  The log holds exactly this
-    run's settled records: an aborting round's trades are taken back out of
-    it and out of the market, so a run with no settled trade leaves no file.
+    log: opened (truncating an older file) when the first round settles, with
+    its header (the run's first state and ``state_reset``), and closed when the
+    run ends.  A round reaches it only once settled, in one write and one flush,
+    so it holds exactly this run's settled records however the run stops; an
+    aborting round is taken back out of the market.  No settled trade, no file.
 
     ``config`` is trusted as ``SimConfig.from_dict`` validated it: the round
     loop runs the unchecked cores and checks only the states trades reach.
@@ -364,27 +364,19 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     try:
         for round_index in range(1, config.rounds + 1):
             settled = vars(market).copy()  # every Market write stores a new object, so this restores it
-            staged: list[tuple[TraderProfile, TradeRecord]] = []
+            turn = turns[(round_index - 1) % len(turns)]
+            records: list[TradeRecord] = []
             try:
                 if config.state_reset and round_index > 1:
                     market._restore(*start)
                 path = [(market.theta, market.cost())]  # the round's price path, each state with C(theta)
-                for trader in turns[(round_index - 1) % len(turns)]:
-                    record = market._execute(_decide(market, trader), trader.id, round_index)
-                    if trade_log_path is not None:
-                        if log is None:
-                            log = open(trade_log_path, "w", encoding="utf-8")
-                            log.write(header + "\n")
-                        log.write(record.to_json() + "\n")
-                        log.flush()
-                    staged.append((trader, record))
+                for trader in turn:
+                    records.append(market._execute(_decide(market, trader), trader.id, round_index))
                     path.append((market.theta, market.cost()))
                 outcome = draw(rng, None)[0]
             except (DomainError, ConvergenceError) as exc:
                 valid, error = False, f"round {round_index}: {exc}"
                 vars(market).update(settled)  # an unsettled trade leaves no trace in the report or the log
-                if log is not None:
-                    log.truncate(log.tell() - sum(len(record.to_json()) + 1 for _, record in staged))
                 break
 
             # Settle along the price path: payoff minus cost is a trader's budget change and log-loss
@@ -392,7 +384,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
             phi = family._statistic(outcome)  # the sampler's own outcome needs no check
             losses = [cost - _dot(theta, phi) for theta, cost in path] if track_loss else [None] * len(path)
             budgets: dict[str, float | None] = {}  # the round's one snapshot, filled once it settles
-            for i, (trader, record) in enumerate(staged):
+            for i, (trader, record) in enumerate(zip(turn, records)):
                 change = _dot(record.delta, phi) - record.cost
                 trader.cash += change
                 if trader.budget is not None:
@@ -405,10 +397,16 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
             budgets.update((tr.id, tr.budget) for tr in traders)
             if track_loss:
                 total_log_loss += losses[-1]
+            if trade_log_path is not None:  # the round has settled: its records reach the log together
+                if log is None:
+                    log = open(trade_log_path, "w", encoding="utf-8")
+                    log.write(header + "\n")
+                log.write("\n".join(map(TradeRecord.to_json, records)) + "\n")
+                log.flush()
     finally:
         if log is not None:
             log.close()
-        if trade_log_path is not None and not market.n_trades and os.path.isfile(trade_log_path):
+        elif trade_log_path is not None and not events and os.path.isfile(trade_log_path):
             os.remove(trade_log_path)  # no settled trade, so no log: not even an older run's
 
     aggregates = {

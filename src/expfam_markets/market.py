@@ -246,8 +246,8 @@ class Market:
             if key not in d:
                 raise ConfigError(f"market state is missing {key!r}")
         n_trades = d.get("n_trades", 0)
-        if isinstance(n_trades, bool) or not isinstance(n_trades, int):
-            raise ConfigError(f"market state n_trades must be an integer, got {n_trades!r}")
+        if isinstance(n_trades, bool) or not isinstance(n_trades, int) or n_trades < 0:
+            raise ConfigError(f"market state n_trades must be a nonnegative integer, got {n_trades!r}")
         return cls(
             family=family_from_id(d["family"]),
             theta0=_numbers(d["theta"], "market state theta"),

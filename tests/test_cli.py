@@ -228,6 +228,7 @@ class TestQuoteAndTrade:
         '{"family": "categorical:2"}',
         '{"family": "categorical:2", "theta": ["a", 0.0]}',
         '{"family": "categorical:2", "theta": [0.0, 0.0], "n_trades": "x"}',
+        '{"family": "categorical:2", "theta": [0.0, 0.0], "n_trades": -5}',
         '{"family": "categorical:2", "theta": [0.0, 0.0], "inv_liquidity": "1"}',
         '{"family": "categorical:2", "theta": [0.0, 0.0], "revenue": null}',
         '{"family": "categorical:2", "theta": [true, 0.0]}',
@@ -475,13 +476,15 @@ class TestEquilibriumCommand:
         assert set(out) == {"theta_eq", "prices_eq", "deltas", "potential_value", "br_rounds"}
         assert out["br_rounds"] >= 1
 
-    def test_risk_neutral_trader_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("risk_aversion", [0.0, 1e-310])  # 1/1e-310 overflows
+    def test_risk_neutral_trader_rejected(self, tmp_path, capsys, risk_aversion):
         problem = write_json(tmp_path / "problem.json", {
             "family": "exponential-rate",
             "theta0": [-1.0],
-            "traders": [{"belief": {"theta": [-2.0]}, "risk_aversion": 0.0}],
+            "traders": [{"belief": {"theta": [-2.0]}, "risk_aversion": risk_aversion}],
         })
         assert main(["equilibrium", "--problem", problem]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     @pytest.mark.parametrize("problem", [
         {"theta0": [0.0, 0.0], "risk_aversion": "x"},

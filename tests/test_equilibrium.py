@@ -99,9 +99,10 @@ class TestClosedForm:
         theta_eq, deltas = closed_form_equilibrium(problem)
         np.testing.assert_allclose(problem.theta0 + sum(deltas), theta_eq, atol=1e-10)
 
-    def test_risk_neutral_trader_rejected(self):
+    @pytest.mark.parametrize("risk_aversion", [0.0, 1e-310, 5e-324])  # the last two: 1/a overflows
+    def test_risk_neutral_trader_rejected(self, risk_aversion):
         with pytest.raises(DomainError):
-            EquilibriumProblem(EXPO, -1.0, [np.array([-2.0])], [0.0])
+            EquilibriumProblem(EXPO, -1.0, [np.array([-2.0])], [risk_aversion])
 
 
 class TestBestResponse:

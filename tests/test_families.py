@@ -448,6 +448,30 @@ class TestVmf3Inversion:
             _invert_monotone(_vmf_mean_resultant, _vmf_mean_resultant_deriv,
                              target=1.0 - 1e-9, x0=1e-6, max_iter=3)
 
+    def test_newton_halves_a_step_that_leaves_the_domain(self):
+        from expfam_markets.families import _invert_monotone
+
+        def f(x):
+            return 1.0 - math.exp(-x)
+
+        # The full Newton step from 5 lands below 0, so only a halved step can be taken.
+        assert 5.0 - (f(5.0) - 0.5) / math.exp(-5.0) < 0.0
+        assert _invert_monotone(f, lambda x: math.exp(-x), target=0.5, x0=5.0) == pytest.approx(math.log(2), abs=1e-11)
+
+    def test_newton_without_an_acceptable_step_raises(self):
+        from expfam_markets.families import _invert_monotone
+
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 - math.exp(-x)
+
+        # From 50 the step is about -2.6e21: 60 halvings leave it negative, so no step is tried.
+        with pytest.raises(ConvergenceError, match="stalled at residual 0.5"):
+            _invert_monotone(f, lambda x: math.exp(-x), target=0.5, x0=50.0)
+        assert calls == [50.0]
+
 
 class TestStatistic:
     def test_length_matches_dimension(self, family):

@@ -3,7 +3,6 @@ replay, and report emission."""
 
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -485,28 +484,54 @@ def aborts_in_round_2() -> dict:
     ])
 
 
+def a_then_b_for_six_rounds() -> dict:
+    return base_config(rounds=6, arrival="fixed-sequence", sequence=["a", "b"], traders=[
+        {"id": "a", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.7, 0.3]}},
+        {"id": "b", "model": "budget-limited", "budget": 0.4, "belief": {"probs": [0.2, 0.8]}},
+    ])
+
+
 class TestTradeLog:
-    def test_each_record_is_in_the_log_right_after_its_execute(self, tmp_path, monkeypatch):
-        log = str(tmp_path / "trades.jsonl")
+    def test_the_log_holds_exactly_the_settled_rounds_at_every_execute(self, tmp_path, monkeypatch):
+        log = tmp_path / "trades.jsonl"
         executed = []
         real_execute = Market._execute
 
         def logged_so_far():
-            return [r.to_json() for r in read_trade_log(log)] if os.path.exists(log) else []
+            return log.read_text(encoding="utf-8").splitlines()[1:] if log.exists() else []
 
-        def execute(market, *args, **kwargs):
-            assert logged_so_far() == [r.to_json() for r in executed]
-            executed.append(real_execute(market, *args, **kwargs))
+        def execute(market, delta, trader_id, round_index):
+            assert logged_so_far() == [r.to_json() for r in executed if r.round < round_index]
+            executed.append(real_execute(market, delta, trader_id, round_index))
             return executed[-1]
 
         monkeypatch.setattr(Market, "_execute", execute)
-        cfg = base_config(rounds=6, arrival="fixed-sequence", sequence=["a", "b"], traders=[
-            {"id": "a", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.7, 0.3]}},
-            {"id": "b", "model": "budget-limited", "budget": 0.4, "belief": {"probs": [0.2, 0.8]}},
-        ])
-        run_simulation(SimConfig.from_dict(cfg), trade_log_path=log)
+        run_simulation(SimConfig.from_dict(a_then_b_for_six_rounds()), trade_log_path=str(log))
         assert len(executed) == 12
         assert logged_so_far() == [r.to_json() for r in executed]
+
+    @pytest.mark.parametrize("interrupted_at, settled", [(2, []), (4, [(1, "a"), (1, "b")])])
+    def test_interrupted_run_leaves_only_settled_rounds(self, tmp_path, monkeypatch, interrupted_at, settled):
+        log = tmp_path / "trades.jsonl"
+        log.write_text("an older run's log\n")
+        executed = []
+        real_execute = Market._execute
+
+        def execute(market, *args):
+            if len(executed) + 1 == interrupted_at:
+                raise KeyboardInterrupt
+            executed.append(real_execute(market, *args))
+            return executed[-1]
+
+        monkeypatch.setattr(Market, "_execute", execute)
+        with pytest.raises(KeyboardInterrupt):
+            run_simulation(SimConfig.from_dict(a_then_b_for_six_rounds()), trade_log_path=str(log))
+        assert [(r.round, r.trader_id) for r in executed] == [(1, "a"), (1, "b"), (2, "a")][:interrupted_at - 1]
+        if not settled:  # no round settled, so no log: not even the older one
+            assert not log.exists()
+            return
+        assert [(r.round, r.trader_id) for r in read_trade_log(str(log))] == settled
+        assert log.read_text(encoding="utf-8").splitlines()[1:] == [r.to_json() for r in executed[:len(settled)]]
 
     def test_rerun_replaces_the_log(self, tmp_path):
         log = tmp_path / "trades.jsonl"
@@ -563,6 +588,18 @@ class TestTradeLog:
         state0 = Market(config.family, config.theta0, config.inv_liquidity).state_dict()
         assert replay(records, state0).state_dict() == {**state0, "theta": agg["final_theta"],
                                                          "n_trades": agg["n_trades"], "revenue": agg["revenue"]}
+
+    def test_log_that_cannot_be_opened_is_left_alone(self, tmp_path, monkeypatch):
+        log = tmp_path / "trades.jsonl"
+        log.write_text("a write-protected log\n")
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("refused")
+
+        monkeypatch.setattr(harness, "open", refuse, raising=False)
+        with pytest.raises(PermissionError):
+            run_simulation(SimConfig.from_dict(base_config()), trade_log_path=str(log))
+        assert log.read_text() == "a write-protected log\n"
 
     def test_runs_leave_no_open_handle(self, tmp_path):
         code = (
