@@ -204,6 +204,10 @@ class ExpFamily(ABC):
     @abstractmethod
     def _statistic(self, x) -> array: ...
 
+    def _pair(self, vec, x) -> float:
+        """``<vec, phi(x)>`` at a trusted outcome, with ``_dot``'s bits; a family may skip building ``phi``."""
+        return _dot(vec, self._statistic(x))
+
     def log_density(self, theta, x) -> float:
         """Log density ``<theta, phi(x)> - T(theta)`` w.r.t. the base measure."""
         theta = self.check_natural(theta)
@@ -294,6 +298,9 @@ class Categorical(ExpFamily):
         phi[x - 1] = 1.0
         return phi
 
+    def _pair(self, vec, x) -> float:
+        return vec[x - 1] + 0.0  # fsum of one nonzero product is it, of zeros +0.0; + 0.0 turns -0.0 into +0.0
+
     def _sampler(self, theta):
         cdf = list(accumulate(self._mean(theta)))  # left to right, as numpy's cumsum
         last = self.k - 1  # searching only the first k-1 bounds caps the outcome at k if the sum rounds below 1
@@ -342,11 +349,17 @@ class WeibullMoment(ExpFamily):
     def _natural(self, mu) -> array:
         return array("d", (-1.0 / mu[0],))
 
-    def _statistic(self, x) -> array:
+    def _moment(self, x) -> float:
         try:
-            return array("d", (x**self.k,))
+            return x**self.k
         except OverflowError:  # float ** raises where numpy and x*x give inf
-            return array("d", (math.inf,))
+            return math.inf
+
+    def _statistic(self, x) -> array:
+        return array("d", (self._moment(x),))
+
+    def _pair(self, vec, x) -> float:
+        return vec[0] * self._moment(x) + 0.0  # fsum of one term is that term, with -0.0 as +0.0
 
     def _sampler(self, theta):
         rate = -theta[0]
@@ -521,7 +534,7 @@ def _invert_monotone(func, deriv, target: float, x0: float,
     """Solve ``func(x) = target`` for x > 0 by damped Newton with step halving."""
     x = max(x0, 1e-12)
     resid = func(x) - target
-    for _ in range(max_iter):
+    for iteration in range(1, max_iter + 1):
         if abs(resid) <= tol:
             return x
         step = -resid / deriv(x)
@@ -535,10 +548,11 @@ def _invert_monotone(func, deriv, target: float, x0: float,
                     break
             scale *= 0.5
         else:
-            break  # no acceptable step; fall through to the error
+            raise ConvergenceError(f"Newton inversion stalled at residual {resid:g} in iteration {iteration}: "
+                                   "no halved step reduced it")
     if abs(resid) <= tol:
         return x
-    raise ConvergenceError(f"Newton inversion stalled at residual {resid:g} after {max_iter} iterations")
+    raise ConvergenceError(f"Newton inversion stalled at residual {resid:g}: reached max_iter ({max_iter} iterations)")
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,10 @@ A simulation runs a single market through ``rounds`` rounds.  Each round:
 1. the scheduled trader(s) compute and execute their trades;
 2. an outcome is drawn from the family member at ``true_theta``;
 3. every trade executed this round settles -- the trader receives the
-   portfolio's payoff and its budget/cash move by ``payoff - cost``, which
-   is exactly the trade's myopic impact on the market's log loss;
+   portfolio's payoff ``<delta, phi(outcome)>`` and its budget/cash move by
+   ``payoff - cost``, which is exactly the trade's myopic impact on the
+   market's log loss.  Each payoff and each log loss along the round's
+   price path is one ``family._pair`` call, and no ``phi`` is built;
 4. the round's log loss (at the end-of-round state) is recorded.
 
 Outcomes pay off and budgets update every round, so each round behaves as
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
-from .families import ExpFamily, VonMisesFisher3, _dot, as_params, family_from_id
+from .families import ExpFamily, VonMisesFisher3, as_params, family_from_id
 from .market import Market, TradeLog, TradeRecord, _json, _number, _numbers, check_header, log_header
 from .scoring import moments_from_mean_variance
 from .traders import TraderProfile, _bayesian_move, _budget_limited_move, _exp_utility_move
@@ -240,7 +242,7 @@ CSV_COLUMNS = (
 _REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 
 
-@dataclass
+@dataclass(slots=True)
 class TradeEvent:
     """One executed-and-settled trade, as reported; the field names are the report keys."""
 
@@ -271,7 +273,7 @@ class SimReport:
     aggregates: dict
 
     def to_dict(self) -> dict:
-        return {**vars(self), "events": [vars(ev) for ev in self.events]}
+        return {**vars(self), "events": [{k: getattr(ev, k) for k in TradeEvent.__slots__} for ev in self.events]}
 
     def to_json(self) -> str:
         """The report's bytes: those of ``json.dumps(to_dict(), sort_keys=True, indent=2)`` and a newline."""
@@ -360,41 +362,39 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     total_log_loss = 0.0 if track_loss else None
     valid, error = True, None
 
+    pair = family._pair  # <vec, phi(outcome)>; the sampler's own outcome needs no check
     log = None
     try:
         for round_index in range(1, config.rounds + 1):
-            settled = vars(market).copy()  # every Market write stores a new object, so this restores it
+            settled, n_trades, revenue = market._state(), market.n_trades, market.revenue
             turn = turns[(round_index - 1) % len(turns)]
             records: list[TradeRecord] = []
             try:
                 if config.state_reset and round_index > 1:
                     market._restore(*start)
-                path = [(market.theta, market.cost())]  # the round's price path, each state with C(theta)
+                path = [market._state()]  # the round's price path, each state with C(theta)
                 for trader in turn:
                     records.append(market._execute(_decide(market, trader), trader.id, round_index))
-                    path.append((market.theta, market.cost()))
+                    path.append(market._state())
                 outcome = draw(rng, None)[0]
             except (DomainError, ConvergenceError) as exc:
                 valid, error = False, f"round {round_index}: {exc}"
-                vars(market).update(settled)  # an unsettled trade leaves no trace in the report or the log
+                market._restore(*settled)  # an unsettled trade leaves no trace in the report or the log
+                market.n_trades, market.revenue = n_trades, revenue
                 break
 
             # Settle along the price path: payoff minus cost is a trader's budget change and log-loss
             # drop.  C(theta) is T(theta) bit for bit at unit liquidity, so each loss reads T from the cache.
-            phi = family._statistic(outcome)  # the sampler's own outcome needs no check
-            losses = [cost - _dot(theta, phi) for theta, cost in path] if track_loss else [None] * len(path)
-            budgets: dict[str, float | None] = {}  # the round's one snapshot, filled once it settles
-            for i, (trader, record) in enumerate(zip(turn, records)):
-                change = _dot(record.delta, phi) - record.cost
+            losses = [cost - pair(theta, outcome) for theta, cost, _ in path] if track_loss else [None] * len(path)
+            changes = [pair(record.delta, outcome) - record.cost for record in records]
+            for trader, change in zip(turn, changes):
                 trader.cash += change
                 if trader.budget is not None:
                     trader.budget += change
-                events.append(TradeEvent(
-                    round=round_index, trader_id=trader.id, delta=record.delta.tolist(),
-                    cost=record.cost, outcome=outcome, log_loss_before=losses[i],
-                    log_loss_after=losses[i + 1], myopic_impact=change, trader_budgets=budgets,
-                ))
-            budgets.update((tr.id, tr.budget) for tr in traders)
+            budgets = {tr.id: tr.budget for tr in traders}  # the round's one snapshot, shared by its events
+            for i, (trader, record, change) in enumerate(zip(turn, records, changes)):
+                events.append(TradeEvent(round_index, trader.id, record.delta.tolist(), record.cost, outcome,
+                                         losses[i], losses[i + 1], change, budgets))
             if track_loss:
                 total_log_loss += losses[-1]
             if trade_log_path is not None:  # the round has settled: its records reach the log together

@@ -2,9 +2,11 @@
 bijections, divergences, domains, and sampling."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     ALL_FAMILY_IDS,
@@ -23,6 +25,7 @@ from expfam_markets import (
     UnsupportedError,
     family_from_id,
 )
+from expfam_markets.families import WeibullMoment, _dot
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -444,7 +447,7 @@ class TestVmf3Inversion:
 
         # A target this close to 1 needs a huge concentration; three
         # iterations from a tiny start cannot reach it.
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=r"reached max_iter \(3 iterations\)"):
             _invert_monotone(_vmf_mean_resultant, _vmf_mean_resultant_deriv,
                              target=1.0 - 1e-9, x0=1e-6, max_iter=3)
 
@@ -468,7 +471,7 @@ class TestVmf3Inversion:
             return 1.0 - math.exp(-x)
 
         # From 50 the step is about -2.6e21: 60 halvings leave it negative, so no step is tried.
-        with pytest.raises(ConvergenceError, match="stalled at residual 0.5"):
+        with pytest.raises(ConvergenceError, match="stalled at residual 0.5 in iteration 1: no halved step"):
             _invert_monotone(f, lambda x: math.exp(-x), target=0.5, x0=50.0)
         assert calls == [50.0]
 
@@ -492,6 +495,62 @@ class TestStatistic:
             assert phi[x - 1] == 1.0
             assert float(np.sum(phi)) == 1.0
             assert np.all((phi == 0.0) | (phi == 1.0))
+
+
+def _bits(call) -> str:
+    """The hex of the float ``call()`` returns, or the name of the error ``fsum`` raises in it."""
+    try:
+        return call().hex()
+    except (OverflowError, ValueError) as exc:  # finite terms whose sum overflows; inf - inf
+        return type(exc).__name__
+
+
+def _outcomes(fam):
+    """Trusted outcomes of ``fam``: Weibull ones up to the largest float, where ``x**k`` can overflow."""
+    if isinstance(fam, Categorical):
+        return st.integers(1, fam.k)
+    if isinstance(fam, WeibullMoment):
+        return st.floats(min_value=0.0, allow_infinity=False)
+    if fam.dim == 2:
+        return st.floats(allow_nan=False, allow_infinity=False)
+    return st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)  # vmf3
+
+
+class TestPair:
+    """``_pair(vec, x)`` gives the bits of ``_dot(vec, _statistic(x))``: settlement pairs through it."""
+
+    @staticmethod
+    def assert_pairs_as_dot(fam, vec, x):
+        vec = array("d", vec)
+        assert _bits(lambda: fam._pair(vec, x)) == _bits(lambda: _dot(vec, fam._statistic(x)))
+
+    @pytest.mark.parametrize("family_id", ALL_FAMILY_IDS + ("categorical:2", "weibull-moment:0.5"))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_random_vectors_and_outcomes(self, family_id, data):
+        fam = family_from_id(family_id)
+        entry = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+        vec = data.draw(st.lists(entry, min_size=fam.dim, max_size=fam.dim))
+        self.assert_pairs_as_dot(fam, vec, data.draw(_outcomes(fam)))
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_every_categorical_outcome_with_signed_zeros(self, k):
+        fam = Categorical(k)
+        for vec in ([-0.0] * k, [0.0] * k, [(-0.0, 0.0)[i % 2] for i in range(k)],
+                    [(-0.0, -1.5, 2.0)[i % 3] for i in range(k)]):
+            for x in range(1, k + 1):
+                self.assert_pairs_as_dot(fam, vec, x)
+
+    @pytest.mark.parametrize("family_id", ["exponential-rate", "weibull-moment:2"])
+    def test_one_dimensional_signed_zeros_and_an_overflowing_moment(self, family_id):
+        fam = family_from_id(family_id)
+        assert fam._statistic(1e200)[0] == (math.inf if fam.k == 2 else 1e200)
+        for vec in ([-0.0], [0.0], [-1.0], [2.5], [1e308]):
+            for x in (0.0, 1.5, 1e200):
+                self.assert_pairs_as_dot(fam, vec, x)
+
+    def test_gaussian_sum_that_overflows_still_raises(self):
+        self.assert_pairs_as_dot(family_from_id("gaussian-moments"), [1e308, 1e308], 1.0)
 
 
 class TestRegistry:

@@ -271,16 +271,17 @@ class TestAccounting:
         assert data["aggregates"]["final_budgets"]["informed"] is None
 
     def test_settlement_evaluates_one_log_loss_per_path_state(self, monkeypatch, tmp_path):
-        # Settlement runs from the round's statistic evaluation to the next quote; in it the
-        # log partition of each path state is read from the market's C(theta) cache.
+        # Settlement runs from the round's first pairing with the outcome to the next quote; in it
+        # the log partition of each path state is read from the market's C(theta) cache.
         settling, settled_partitions, rounds_settled = [False], [], []
-        real_statistic, real_log_partition, real_quote = (
-            Categorical._statistic, Categorical._log_partition, Market._quote)
+        real_pair, real_log_partition, real_quote = (
+            Categorical._pair, Categorical._log_partition, Market._quote)
 
-        def statistic(family, x):
-            settling[0] = True
-            rounds_settled.append(x)
-            return real_statistic(family, x)
+        def pair(family, vec, x):
+            if not settling[0]:
+                settling[0] = True
+                rounds_settled.append(x)
+            return real_pair(family, vec, x)
 
         def log_partition(family, theta):
             if settling[0]:
@@ -291,7 +292,7 @@ class TestAccounting:
             settling[0] = False
             return real_quote(market, delta)
 
-        monkeypatch.setattr(Categorical, "_statistic", statistic)
+        monkeypatch.setattr(Categorical, "_pair", pair)
         monkeypatch.setattr(Categorical, "_log_partition", log_partition)
         monkeypatch.setattr(Market, "_quote", quote)
         rounds, k = 40, 3
@@ -560,24 +561,32 @@ class TestTradeLog:
         assert not report.valid and "round 2" in report.error
         assert [r.trader_id for r in read_trade_log(log)] == ["a"]
 
-    @pytest.mark.parametrize("name", ["draw-overflows-after-a-trade", "second-trade-fails-in-round-1"])
+    @pytest.mark.parametrize("name", ["draw-overflows-after-a-trade", "draw-overflows-after-two-trades",
+                                      "second-trade-fails-in-round-1", "third-trade-fails-in-round-1"])
     def test_aborted_round_leaves_no_unsettled_trade(self, tmp_path, name):
-        if name == "draw-overflows-after-a-trade":  # round 2's trade executes, then its draw overflows
+        if name.startswith("draw"):  # round 2's trades execute, then its draw overflows
             cfg = base_config(family="weibull-moment:0.001", theta0=[-1.0], true_theta=[-0.1], seed=3, rounds=3,
                               state_reset=True, traders=[
                                   {"id": "a", "model": "risk-neutral", "belief": {"theta": [-0.5]}},
                                   {"id": "b", "model": "risk-neutral", "belief": {"theta": [-0.25]}}])
-        else:  # "a" trades, then "edge" moves to the domain boundary
-            cfg = {**aborts_in_round_2(), "arrival": "fixed-sequence", "sequence": ["a", "edge"]}
+            if name.endswith("two-trades"):
+                cfg.update(arrival="fixed-sequence", sequence=["a", "b"])
+        else:  # "a" (and "b") trade, then "edge" moves to the domain boundary
+            cfg = aborts_in_round_2()
+            if name.startswith("third"):
+                cfg["traders"].insert(1, {"id": "b", "model": "risk-neutral", "belief": {"theta": [-0.25]}})
+            cfg.update(arrival="fixed-sequence", sequence=[tr["id"] for tr in cfg["traders"]])
         log = tmp_path / "trades.jsonl"
         log.write_text("an older run's log\n")
         config = SimConfig.from_dict(cfg)
         report = run_simulation(config, trade_log_path=str(log))
         assert not report.valid
         events, agg = report.events, report.aggregates
-        assert [(ev.round, ev.trader_id) for ev in events] == ([(1, "a")] if name.startswith("draw") else [])
+        settled = {"draw-overflows-after-a-trade": [(1, "a")], "draw-overflows-after-two-trades": [(1, "a"), (1, "b")]}
+        assert [(ev.round, ev.trader_id) for ev in events] == settled.get(name, [])
         assert agg["n_trades"] == len(events)
         assert agg["revenue"] == sum(ev.cost for ev in events)
+        assert agg["final_prices"] == Market(config.family, agg["final_theta"]).prices().tolist()
         if not events:
             assert not log.exists()
             assert agg["final_theta"] == config.theta0.tolist()
