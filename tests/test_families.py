@@ -549,7 +549,7 @@ class TestPair:
             for x in (0.0, 1.5, 1e200):
                 self.assert_pairs_as_dot(fam, vec, x)
 
-    def test_gaussian_sum_that_overflows_still_raises(self):
+    def test_gaussian_sum_that_overflows_raises_as_dot_does(self):
         self.assert_pairs_as_dot(family_from_id("gaussian-moments"), [1e308, 1e308], 1.0)
 
 
