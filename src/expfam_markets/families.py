@@ -96,13 +96,11 @@ def _sum(values: list[float]) -> float:
 
 
 def _dot(a, b) -> float:
-    """``<a, b>`` as the correctly rounded sum of the products: the same bits on every machine."""
-    return math.fsum([x * y for x, y in zip(a, b)])
-
-
-def _draws(method, size):
-    """One draw of a ``Generator`` method as a one-item list, or ``size`` draws as a list."""
-    return [method()] if size is None else method(size).tolist()
+    """``<a, b>`` as the correctly rounded sum of the products (the same bits on every machine), or DomainError."""
+    try:
+        return math.fsum([x * y for x, y in zip(a, b)])
+    except (ValueError, OverflowError) as exc:  # inf - inf, or finite products whose sum overflows
+        raise DomainError(f"the inner product of {list(a)} and {list(b)} has no float value ({exc})") from exc
 
 
 def _real_outcome(family: "ExpFamily", x) -> float:
@@ -209,10 +207,9 @@ class ExpFamily(ABC):
         return _dot(vec, self._statistic(x))
 
     def log_density(self, theta, x) -> float:
-        """Log density ``<theta, phi(x)> - T(theta)`` w.r.t. the base measure."""
+        """Log density ``<theta, phi(x)> - T(theta)`` w.r.t. the base measure, paired through ``_pair``."""
         theta = self.check_natural(theta)
-        phi = self.statistic(x)
-        return _dot(theta, phi) - self._log_partition(theta)
+        return self._pair(theta, self.check_outcome(x)) - self._log_partition(theta)
 
     def bregman_divergence(self, theta_a, theta_b) -> float:
         """``T(a) - T(b) - <a - b, grad T(b)>``; nonnegative, zero iff equal.
@@ -228,18 +225,18 @@ class ExpFamily(ABC):
     def sample(self, theta, rng, size: int | None = None):
         """Draw outcomes from the member at ``theta`` using a caller-owned ``numpy.random.Generator``.
 
-        Returns a single outcome when ``size`` is None, else an ndarray of
-        ``size`` outcomes.  Draws are deterministic given the generator state.
+        Returns one call of ``_sampler``'s draw function when ``size`` is None, else an
+        ndarray of ``size`` calls.  Draws are deterministic given the generator state.
         """
-        draws = self._sampler(self.check_natural(theta))(rng, size)
+        draw = self._sampler(self.check_natural(theta))
         if size is None:
-            return draws[0]
+            return draw(rng)
         import numpy as np  # only a batch needs numpy; the caller's rng has loaded it already
 
-        return np.array(draws)
+        return np.array([draw(rng) for _ in range(size)])
 
     def _sampler(self, theta: array):
-        """``draw(rng, size)`` for the member at ``theta``: the draws as a list, one item when ``size`` is None.
+        """``draw(rng)`` for the member at ``theta``: one outcome per call.
 
         Its constants are computed here, once; ``sample`` and ``run_simulation`` both draw through it.
         """
@@ -304,7 +301,7 @@ class Categorical(ExpFamily):
     def _sampler(self, theta):
         cdf = list(accumulate(self._mean(theta)))  # left to right, as numpy's cumsum
         last = self.k - 1  # searching only the first k-1 bounds caps the outcome at k if the sum rounds below 1
-        return lambda rng, size: [bisect_right(cdf, u, 0, last) + 1 for u in _draws(rng.random, size)]
+        return lambda rng: bisect_right(cdf, rng.random(), 0, last) + 1
 
 
 class WeibullMoment(ExpFamily):
@@ -365,9 +362,9 @@ class WeibullMoment(ExpFamily):
         rate = -theta[0]
         power = 1.0 / self.k
 
-        def draw(rng, size):
+        def draw(rng):
             try:
-                return [(-math.log1p(-u) / rate) ** power for u in _draws(rng.random, size)]
+                return (-math.log1p(-rng.random()) / rate) ** power
             except OverflowError as exc:  # a draw beyond the largest float: no outcome can be reported
                 raise DomainError(f"{self.id}: a draw at theta {theta.tolist()} overflows") from exc
         return draw
@@ -431,7 +428,7 @@ class GaussianMoments(ExpFamily):
     def _sampler(self, theta):
         m, m2 = self._mean(theta)
         sd = math.sqrt(m2 - m * m)
-        return lambda rng, size: [m + sd * z for z in _draws(rng.standard_normal, size)]
+        return lambda rng: m + sd * rng.standard_normal()
 
 
 def _vmf_mean_ratio(kappa: float) -> float:

@@ -3,7 +3,8 @@
 A simulation runs a single market through ``rounds`` rounds.  Each round:
 
 1. the scheduled trader(s) compute and execute their trades;
-2. an outcome is drawn from the family member at ``true_theta``;
+2. an outcome is drawn from the family member at ``true_theta``, by one
+   call of the draw function ``family._sampler`` builds once per run;
 3. every trade executed this round settles -- the trader receives the
    portfolio's payoff ``<delta, phi(outcome)>`` and its budget/cash move by
    ``payoff - cost``, which is exactly the trade's myopic impact on the
@@ -248,7 +249,7 @@ class TradeEvent:
 
     round: int
     trader_id: str
-    delta: list[float]
+    delta: array  # the executed portfolio, as the move returned it and the market priced it
     cost: float
     outcome: object
     log_loss_before: float | None
@@ -273,7 +274,8 @@ class SimReport:
     aggregates: dict
 
     def to_dict(self) -> dict:
-        return {**vars(self), "events": [{k: getattr(ev, k) for k in TradeEvent.__slots__} for ev in self.events]}
+        return {**vars(self), "events": [
+            {k: getattr(ev, k) for k in TradeEvent.__slots__} | {"delta": list(ev.delta)} for ev in self.events]}
 
     def to_json(self) -> str:
         """The report's bytes: those of ``json.dumps(to_dict(), sort_keys=True, indent=2)`` and a newline."""
@@ -376,7 +378,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                 for trader in turn:
                     records.append(market._execute(_decide(market, trader), trader.id, round_index))
                     path.append(market._state())
-                outcome = draw(rng, None)[0]
+                outcome = draw(rng)
             except (DomainError, ConvergenceError) as exc:
                 valid, error = False, f"round {round_index}: {exc}"
                 market._restore(*settled)  # an unsettled trade leaves no trace in the report or the log
@@ -393,7 +395,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                     trader.budget += change
             budgets = {tr.id: tr.budget for tr in traders}  # the round's one snapshot, shared by its events
             for i, (trader, record, change) in enumerate(zip(turn, records, changes)):
-                events.append(TradeEvent(round_index, trader.id, record.delta.tolist(), record.cost, outcome,
+                events.append(TradeEvent(round_index, trader.id, record.delta, record.cost, outcome,
                                          losses[i], losses[i + 1], change, budgets))
             if track_loss:
                 total_log_loss += losses[-1]

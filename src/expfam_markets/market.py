@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, CorruptLogError, DomainError
-from .families import ExpFamily, _dot, _scaled, as_params, family_from_id
+from .families import ExpFamily, _scaled, as_params, family_from_id
 
 TRADE_MARGIN = 1e-9
 # Quotes kept per state: the first ones made there, which state_reset runs repeat.  Five fill CPython's
@@ -80,9 +80,9 @@ def _json(value) -> str:
     return _JSON_WORDS.get(text, text)
 
 
-def log_loss(family: ExpFamily, theta: array, phi: array) -> float:
-    """Log loss ``T(theta) - <theta, phi>`` at an interior (unchecked) ``theta``, statistic ``phi``."""
-    return family._log_partition(theta) - _dot(theta, phi)
+def log_loss(family: ExpFamily, theta: array, x) -> float:
+    """Log loss ``T(theta) - <theta, phi(x)>`` at an unchecked interior ``theta`` and a checked outcome ``x``."""
+    return family._log_partition(theta) - family._pair(theta, x)
 
 
 @dataclass
@@ -220,7 +220,7 @@ class Market:
         """
         if self.inv_liquidity != 1.0:
             raise DomainError("log_loss requires inv_liquidity == 1")
-        return log_loss(self.family, self.theta, self.family.statistic(x))
+        return log_loss(self.family, self.theta, self.family.check_outcome(x))
 
     def state_dict(self) -> dict:
         """JSON-ready snapshot of the persistent market state."""

@@ -60,6 +60,15 @@ class TestScore:
         assert main(["score", "--family", "weibull-moment:2", "--report", "1", "--outcome", "1e200"]) == 0
         assert capsys.readouterr().out == "-inf\n"
 
+    def test_unrepresentable_inner_product_exits_3_with_one_line(self, capsys):
+        # <theta, phi(x)> has the terms 1000 * 1e306 = inf and -0.5 * 1e306**2 = -inf, which have no sum.
+        code = main(["score", "--family", "gaussian-moments", "--report", '{"mean": 1000, "variance": 1}',
+                     "--outcome", "1e306"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == ("error: the inner product of [1000.0, -0.5] and [1e+306, inf] has no float value "
+                                "(-inf + inf in fsum)\n")
+
     def test_unknown_family_is_config_error(self, capsys):
         assert main(["score", "--family", "zeta", "--report", "1", "--outcome", "1"]) == 2
 

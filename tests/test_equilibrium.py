@@ -104,6 +104,15 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             EquilibriumProblem(EXPO, -1.0, [np.array([-2.0])], [risk_aversion])
 
+    def test_unequal_list_lengths_rejected(self):
+        with pytest.raises(DomainError, match="equal length"):
+            EquilibriumProblem(EXPO, -1.0, [np.array([-2.0])], [1.0, 2.0])
+
+    def test_wrong_number_of_allocations_rejected(self):
+        problem = EquilibriumProblem(EXPO, -1.0, [np.array([-2.0])], [1.0])
+        with pytest.raises(DomainError, match="expected 1 allocations, got 2"):
+            potential(problem, [[0.1], [0.2]])
+
 
 class TestBestResponse:
     def test_single_trader_converges_in_one_sweep(self):
@@ -139,6 +148,12 @@ class TestBestResponse:
         result = best_response_dynamics(problem)
         trace = np.asarray(result.potentials)
         assert np.all(np.diff(trace) >= -1e-12)
+
+    @pytest.mark.parametrize("options", [{"max_rounds": 0}, {"tol": 0.0}])
+    def test_bad_iteration_options_rejected(self, options):
+        problem = EquilibriumProblem(EXPO, -1.0, [np.array([-2.0])], [1.0])
+        with pytest.raises(DomainError, match=next(iter(options))):
+            best_response_dynamics(problem, **options)
 
     def test_convergence_error_on_tiny_budget(self):
         rng = np.random.default_rng(19)

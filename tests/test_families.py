@@ -2,6 +2,7 @@
 bijections, divergences, domains, and sampling."""
 
 import math
+import re
 from array import array
 
 import numpy as np
@@ -224,6 +225,10 @@ class TestDensities:
         vmf = family_from_id("vmf3")
         with pytest.raises(DomainError):
             vmf.log_density([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+        with pytest.raises(DomainError, match="finite 3-vector"):
+            vmf.log_density([0.0, 0.0, 1.0], [math.nan, 0.0, 1.0])
+        with pytest.raises(DomainError, match="finite real"):
+            family_from_id("gaussian-moments").log_density([0.0, -0.5], math.inf)
 
     def test_numpy_scalar_outcomes_accepted(self):
         cat = family_from_id("categorical:3")
@@ -316,6 +321,7 @@ class TestDomains:
         fam = family_from_id("gaussian-moments")
         with pytest.raises(DomainError):
             fam.log_partition([1.0, -0.5, 3.0])
+        assert not fam.natural_in_domain([[1.0], [-0.5]])
 
     def test_boundary_blowup(self):
         # Legendre behavior: the log partition increases without bound as
@@ -374,7 +380,7 @@ class TestSampling:
         rng = np.random.default_rng(67)
         one_by_one = [fam.sample(theta, rng) for _ in range(2_000)]
         draw, rng = fam._sampler(fam.check_natural(theta)), np.random.default_rng(67)
-        per_run = [draw(rng, None)[0] for _ in range(2_000)]
+        per_run = [draw(rng) for _ in range(2_000)]
         assert [float(v).hex() for v in batch] == [float(v).hex() for v in one_by_one]
         assert [float(v).hex() for v in per_run] == [float(v).hex() for v in one_by_one]
         assert {type(v) for v in per_run} == {type(v) for v in one_by_one}
@@ -552,6 +558,14 @@ class TestPair:
     def test_gaussian_sum_that_overflows_raises_as_dot_does(self):
         self.assert_pairs_as_dot(family_from_id("gaussian-moments"), [1e308, 1e308], 1.0)
 
+    @pytest.mark.parametrize("a, b", [
+        pytest.param([1e308, 1e308], [1.0, 1.0], id="finite-terms-whose-sum-overflows"),
+        pytest.param([1e308, -0.5], [10.0, math.inf], id="inf-minus-inf"),
+    ])
+    def test_sum_without_a_float_value_is_a_domain_error(self, a, b):
+        with pytest.raises(DomainError, match=re.escape(f"the inner product of {a} and {b} has no float value (")):
+            _dot(array("d", a), b)
+
 
 class TestRegistry:
     def test_ids_roundtrip(self):
@@ -560,7 +574,7 @@ class TestRegistry:
 
     def test_bad_ids(self):
         for bad in ("categorical", "categorical:1", "categorical:x", "weibull-moment",
-                    "weibull-moment:-2", "exponential-rate:3", "nope"):
+                    "weibull-moment:-2", "exponential-rate:3", "nope", 3):
             with pytest.raises(DomainError):
                 family_from_id(bad)
 

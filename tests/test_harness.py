@@ -118,6 +118,17 @@ class TestConfigParsing:
          "traders": [{"id": "a", "model": "risk-neutral", "belief": {"mean": "0.5"}}]},
         {"family": "weibull-moment:2", "theta0": [-1.0], "true_theta": [-1.0],
          "traders": [{"id": "a", "model": "risk-neutral", "belief": {"moment": [True]}}]},
+        {"traders": [5]},
+        {"traders": [{"model": "risk-neutral", "belief": {"probs": [0.7, 0.3]}}]},
+        {"traders": [{"id": "", "model": "risk-neutral", "belief": {"probs": [0.7, 0.3]}}]},
+        {"traders": [{"id": "a", "model": "exp-utility", "risk_aversion": -1.0, "belief": {"probs": [0.7, 0.3]}}]},
+        {"traders": [{"id": "b", "model": "bayesian", "sample": {"mean": {"probs": [0.7, 0.3]}, "size": 0}}]},
+        {"inv_liquidity": 0.5,
+         "traders": [{"id": "a", "model": "budget-limited", "budget": 1.0, "belief": {"probs": [0.7, 0.3]}}]},
+        {"arrival": "fixed-sequence", "sequence": []},
+        {"traders": [{"id": "a", "model": "risk-neutral", "belief": {"foo": 1}}]},
+        {"family": "gaussian-moments", "theta0": [0.0, -0.5], "true_theta": [0.0, -0.5],
+         "traders": [{"id": "a", "model": "risk-neutral", "belief": {"variance": 1.0}}]},
         # Finite prices, but theta1**2 / (4 * -theta2) overflows: Market refuses the state, so the config does.
         {"family": "gaussian-moments", "theta0": [1e200, -1e200], "true_theta": [0.0, -0.5],
          "traders": [{"id": "a", "model": "risk-neutral", "belief": {"mean": 0.0, "variance": 1.0}}]},
@@ -135,10 +146,11 @@ class TestConfigParsing:
         assert run_simulation(config).to_json() == run_simulation(plain).to_json()
 
     def test_missing_key_rejected(self):
-        cfg = base_config()
-        del cfg["theta0"]
-        with pytest.raises(ConfigError):
-            SimConfig.from_dict(cfg)
+        for key in ("theta0", "family"):
+            cfg = base_config()
+            del cfg[key]
+            with pytest.raises(ConfigError, match=key):
+                SimConfig.from_dict(cfg)
 
     def test_bayesian_requires_unit_liquidity(self):
         cfg = base_config(
@@ -310,10 +322,9 @@ class TestAccounting:
         family = family_from_id("categorical:2")
         path_market = Market(family, [0.0, 0.0])  # walks the logged states
         for ev, record in zip(report.events, read_trade_log(log), strict=True):
-            phi = family.statistic(ev.outcome)
-            assert ev.log_loss_before.hex() == log_loss(family, path_market.theta, phi).hex()
+            assert ev.log_loss_before.hex() == log_loss(family, path_market.theta, ev.outcome).hex()
             path_market.execute(record.delta)
-            assert ev.log_loss_after.hex() == log_loss(family, path_market.theta, phi).hex()
+            assert ev.log_loss_after.hex() == log_loss(family, path_market.theta, ev.outcome).hex()
         last_after = 0.0
         for r in range(rounds):
             round_events = report.events[r * k:(r + 1) * k]
@@ -593,7 +604,7 @@ class TestTradeLog:
             return
         records = read_trade_log(str(log))
         assert [(r.round, r.trader_id, r.cost, r.delta.tolist()) for r in records] == [
-            (ev.round, ev.trader_id, ev.cost, ev.delta) for ev in events]
+            (ev.round, ev.trader_id, ev.cost, ev.delta.tolist()) for ev in events]
         state0 = Market(config.family, config.theta0, config.inv_liquidity).state_dict()
         assert replay(records, state0).state_dict() == {**state0, "theta": agg["final_theta"],
                                                          "n_trades": agg["n_trades"], "revenue": agg["revenue"]}

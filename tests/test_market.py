@@ -323,6 +323,22 @@ class TestPersistence:
         assert loaded.state_dict() == market.state_dict()
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
+    def test_failed_replace_leaves_the_old_state_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "state.json")
+        save_state(Market(EXPO, -1.5), path)
+        with open(path, "rb") as fh:
+            before = fh.read()
+
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            save_state(Market(EXPO, -2.5), path)
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.listdir(tmp_path) == ["state.json"]
+
     def test_state_file_schema(self, tmp_path):
         market = Market(EXPO, -1.5)
         path = str(tmp_path / "state.json")

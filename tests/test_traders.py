@@ -174,6 +174,12 @@ class TestCertaintyEquivalent:
             certainty_equivalent(market, make_trader(-3.0, a=0.0), 0.0)
 
 
+@pytest.mark.parametrize("field", ["risk_aversion", "budget"])
+def test_negative_risk_aversion_or_budget_rejected(field):
+    with pytest.raises(DomainError, match=f"{field} must be nonnegative"):
+        TraderProfile(id="t", belief_theta=-0.5, **{field: -1.0})
+
+
 def _grid_around(family, delta_star, span, count, rng):
     """Candidate deviations around an optimum, in-domain ones only."""
     if delta_star.size == 1:
