@@ -32,7 +32,8 @@ import sys
 
 from .errors import ConfigError, ConvergenceError, DomainError
 from .families import GaussianMoments, family_from_id
-from .market import _number, _numbers, append_record, load_state, log_header, read_json, read_trade_log, save_state
+from .market import (_check_keys, _number, _numbers, append_record, load_state, log_header, read_json,
+                     read_trade_log, save_state)
 
 SEED_ENV_VAR = "EXPFAM_MARKETS_SEED"
 
@@ -125,13 +126,14 @@ def _cmd_equilibrium(args) -> int:
 
     raw = read_json(args.problem, "problem")
     try:
+        _check_keys(raw, {"family", "theta0", "traders"}, "problem")
         family = family_from_id(raw["family"])
         theta0 = _numbers(raw["theta0"], "theta0")
-        traders = raw["traders"]
-        beliefs = [parse_belief_theta(family, td["belief"] if "belief" in td else td,
-                                      f"traders[{i}]") for i, td in enumerate(traders)]
-        aversions = [_number(td["risk_aversion"], f"traders[{i}]: risk_aversion")
-                     for i, td in enumerate(traders)]
+        beliefs, aversions = [], []
+        for i, td in enumerate(raw["traders"]):
+            _check_keys(td, {"belief", "risk_aversion"}, f"traders[{i}]")
+            beliefs.append(parse_belief_theta(family, td["belief"], f"traders[{i}]"))
+            aversions.append(_number(td["risk_aversion"], f"traders[{i}]: risk_aversion"))
         problem = EquilibriumProblem(family=family, theta0=theta0,
                                      beliefs=beliefs, risk_aversions=aversions)
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers DomainError and ConfigError

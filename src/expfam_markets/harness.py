@@ -6,9 +6,9 @@ A simulation runs a single market through ``rounds`` rounds.  Each round:
 2. an outcome is drawn from the family member at ``true_theta``, by one
    call of the draw function ``family._sampler`` builds once per run;
 3. every trade executed this round settles -- the trader receives the
-   portfolio's payoff ``<delta, phi(outcome)>`` and its budget/cash move by
-   ``payoff - cost``, which is exactly the trade's myopic impact on the
-   market's log loss.  Each payoff and each log loss along the round's
+   portfolio's payoff ``<delta, phi(outcome)>`` and its budget and cash in
+   the run's own books move by ``payoff - cost``, which is exactly the
+   trade's myopic impact on the market's log loss.  Each payoff and each log loss along the round's
    price path is one ``family._pair`` call, and no ``phi`` is built;
 4. the round's log loss (at the end-of-round state) is recorded.
 
@@ -29,6 +29,7 @@ for identical configs and seeds.
 Budgets, cash, and log losses all share one unit: a trade's myopic impact
 IS the trader's budget change, so a trader's cumulative impact equals its
 final budget minus its initial one, and never falls below ``-initial``.
+The config holds only the initial budgets; a run writes nothing of it.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ import csv
 import json
 import os
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
 from .families import ExpFamily, VonMisesFisher3, as_params, family_from_id
-from .market import Market, TradeLog, TradeRecord, _json, _number, _numbers, check_header, log_header
+from .market import Market, TradeLog, TradeRecord, _check_keys, _json, _number, _numbers, check_header, log_header
 from .scoring import moments_from_mean_variance
 from .traders import TraderProfile, _bayesian_move, _budget_limited_move, _exp_utility_move
 # The engine calls the moves; the public rules stay harness attributes, where the benchmark's tracer patches them.
@@ -111,24 +112,27 @@ def parse_belief_theta(family: ExpFamily, value, where: str) -> array:
 
 @dataclass
 class SimConfig:
-    """Validated simulation configuration."""
+    """A validated simulation configuration, which ``run_simulation`` only reads.
+
+    ``from_dict`` is its one constructor: it states every default, and takes no key but a field name.
+    A trader's ``budget`` is its starting budget; a run keeps the running budgets and cash itself.
+    """
 
     family: ExpFamily
     theta0: array
     rounds: int
     true_theta: array
     traders: list[TraderProfile]
-    seed: int | None = None
-    inv_liquidity: float = 1.0
-    arrival: str = "round-robin"
-    sequence: list[str] = field(default_factory=list)
-    state_reset: bool = False
+    seed: int
+    inv_liquidity: float
+    arrival: str
+    sequence: list[str]
+    state_reset: bool
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
         """Build and validate a config from parsed JSON; raises ConfigError.  ``run_simulation`` trusts it."""
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config must be an object, got {type(raw).__name__}")
+        _check_keys(raw, {f.name for f in fields(cls)}, "config")
         try:
             family = family_from_id(raw["family"])
         except KeyError as exc:
@@ -152,7 +156,9 @@ class SimConfig:
             raise ConfigError(f"rounds must be a positive integer, got {rounds!r}")
 
         seed = raw.get("seed")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+        if seed is None:
+            raise ConfigError("simulation requires a seed (config, env, or flag)")
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
         state_reset = raw.get("state_reset", False)
@@ -170,8 +176,7 @@ class SimConfig:
         seen = set()
         for i, td in enumerate(traders_raw):
             where = f"traders[{i}]"
-            if not isinstance(td, dict):
-                raise ConfigError(f"{where}: must be an object")
+            _check_keys(td, {"id", "model", "risk_aversion", "budget", "belief", "sample"}, where)
             tid = td.get("id")
             if not isinstance(tid, str) or not tid:
                 raise ConfigError(f"{where}: needs a nonempty string 'id'")
@@ -194,21 +199,20 @@ class SimConfig:
                 sample = td.get("sample")
                 if not isinstance(sample, dict) or "mean" not in sample:
                     raise ConfigError(f"{where}: bayesian trader needs sample: {{mean, size}}")
+                _check_keys(sample, {"mean", "size"}, f"{where}.sample")
                 sample_mean = parse_mean_params(family, sample["mean"], f"{where}.sample.mean")
                 sample_size = _number(sample.get("size", 1.0), f"{where}: sample size")
                 if not sample_size > 0.0:
                     raise ConfigError(f"{where}: sample size must be positive")
-                if lam != 1.0:
-                    raise ConfigError(f"{where}: bayesian traders require inv_liquidity == 1")
             else:
                 if "belief" not in td:
                     raise ConfigError(f"{where}: model {model!r} needs a belief")
                 belief = parse_belief_theta(family, td["belief"], f"{where}.belief")
                 sample_mean, sample_size = None, 1.0
-                if model == "budget-limited" and lam != 1.0:
-                    raise ConfigError(f"{where}: budget-limited traders require inv_liquidity == 1")
                 if model == "risk-neutral":
                     risk_aversion = 0.0
+            if model in ("bayesian", "budget-limited") and lam != 1.0:
+                raise ConfigError(f"{where}: {model} traders require inv_liquidity == 1")
             traders.append(TraderProfile(
                 id=tid, model=model, belief_theta=belief,
                 risk_aversion=risk_aversion, budget=budget,
@@ -314,11 +318,11 @@ def _report_chunks(report: SimReport):
 # Simulation
 # ----------------------------------------------------------------------
 
-def _decide(market: Market, trader: TraderProfile) -> array:
+def _decide(market: Market, trader: TraderProfile, budget: float | None) -> array:
     if trader.model == "bayesian":
         return _bayesian_move(market, trader.sample_mean, trader.sample_size)
     if trader.model == "budget-limited":
-        return _budget_limited_move(market, trader)
+        return _budget_limited_move(market, trader, budget)
     return _exp_utility_move(market, trader.belief_theta, trader.risk_aversion)  # risk-neutral has 0
 
 
@@ -338,11 +342,11 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
 
     ``config`` is trusted as ``SimConfig.from_dict`` validated it: the round
     loop runs the unchecked cores and checks only the states trades reach.
+    The run keeps each trader's running budget and cash itself and writes
+    nothing of ``config``, so one config can run any number of times.
     """
     import numpy as np  # for the outcome Generator only, so quote and trade never load it
 
-    if config.seed is None:
-        raise ConfigError("simulation requires a seed (config, env, or flag)")
     family = config.family
     market = Market(family, config.theta0, config.inv_liquidity)
     start = market._state()  # the checked state that state_reset restores, with the quotes made at it
@@ -350,14 +354,14 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
         header = json.dumps(log_header(market, config.state_reset), sort_keys=True)
     rng = np.random.default_rng(config.seed)
     draw = family._sampler(config.true_theta)  # built once: true_theta is fixed for the run
-    # Per-run copies hold the running budget and cash (cumulative payoff -
-    # cost), so a config can be rerun.  Both add the same per-trade changes
-    # in order, so the budget floor holds in float arithmetic too.
-    traders = [replace(tr, cash=0.0) for tr in config.traders]
+    # The run's books: cash (cumulative payoff - cost) and running budget per trader id.  Both add the
+    # same per-trade changes in order, so the budget floor holds in float arithmetic too.
+    cash = {tr.id: 0.0 for tr in config.traders}
+    budgets = {tr.id: tr.budget for tr in config.traders}
     if config.arrival == "round-robin":
-        turns = [[tr] for tr in traders]
+        turns = [[tr] for tr in config.traders]
     else:
-        by_id = {tr.id: tr for tr in traders}
+        by_id = {tr.id: tr for tr in config.traders}
         turns = [[by_id[tid] for tid in config.sequence]]
     events: list[TradeEvent] = []
     track_loss = config.inv_liquidity == 1.0
@@ -376,7 +380,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                     market._restore(*start)
                 path = [market._state()]  # the round's price path, each state with C(theta)
                 for trader in turn:
-                    records.append(market._execute(_decide(market, trader), trader.id, round_index))
+                    records.append(market._execute(_decide(market, trader, budgets[trader.id]), trader.id, round_index))
                     path.append(market._state())
                 outcome = draw(rng)
             except (DomainError, ConvergenceError) as exc:
@@ -390,13 +394,13 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
             losses = [cost - pair(theta, outcome) for theta, cost, _ in path] if track_loss else [None] * len(path)
             changes = [pair(record.delta, outcome) - record.cost for record in records]
             for trader, change in zip(turn, changes):
-                trader.cash += change
-                if trader.budget is not None:
-                    trader.budget += change
-            budgets = {tr.id: tr.budget for tr in traders}  # the round's one snapshot, shared by its events
+                cash[trader.id] += change
+                if budgets[trader.id] is not None:
+                    budgets[trader.id] += change
+            snapshot = dict(budgets)  # the round's one snapshot, shared by its events
             for i, (trader, record, change) in enumerate(zip(turn, records, changes)):
                 events.append(TradeEvent(round_index, trader.id, record.delta, record.cost, outcome,
-                                         losses[i], losses[i + 1], change, budgets))
+                                         losses[i], losses[i + 1], change, snapshot))
             if track_loss:
                 total_log_loss += losses[-1]
             if trade_log_path is not None:  # the round has settled: its records reach the log together
@@ -414,8 +418,8 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     aggregates = {
         "completed_rounds": events[-1].round if events else 0,
         "total_log_loss": total_log_loss,
-        "per_trader_impact": {tr.id: tr.cash for tr in traders},
-        "final_budgets": {tr.id: tr.budget for tr in traders},
+        "per_trader_impact": cash,
+        "final_budgets": budgets,
         "final_theta": market.theta.tolist(),
         "final_prices": market.prices().tolist(),
         "revenue": market.revenue,
@@ -490,16 +494,7 @@ def emit_report(report: SimReport, fmt: str, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for ev in report.events:
-            own_budget = ev.trader_budgets.get(ev.trader_id)
-            writer.writerow([
-                ev.round,
-                ev.trader_id,
-                ";".join(map(float.__repr__, ev.delta)),
-                float.__repr__(ev.cost),
-                ev.outcome if isinstance(ev.outcome, int) else float.__repr__(ev.outcome),
-                "" if ev.log_loss_before is None else float.__repr__(ev.log_loss_before),
-                "" if ev.log_loss_after is None else float.__repr__(ev.log_loss_after),
-                float.__repr__(ev.myopic_impact),
-                "" if own_budget is None else float.__repr__(own_budget),
-            ])
+        # csv.writer renders a float as float.__repr__, an int as its digits and None as an empty cell.
+        writer.writerows([ev.round, ev.trader_id, ";".join(map(repr, ev.delta)), ev.cost, ev.outcome,
+                          ev.log_loss_before, ev.log_loss_after, ev.myopic_impact,
+                          ev.trader_budgets.get(ev.trader_id)] for ev in report.events)

@@ -67,6 +67,15 @@ def _numbers(value, where: str) -> array:
     return array("d", [_number(v, where) for v in value])
 
 
+def _check_keys(d, keys: set, where: str) -> None:
+    """Raise ConfigError unless ``d`` is an object with no key outside ``keys``, which no reader would see."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {type(d).__name__}")
+    unknown = d.keys() - keys
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys {sorted(unknown)}; the keys are {sorted(keys)}")
+
+
 _JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null", "True": "true", "False": "false"}
 LOG_FORMAT = 2
 _HEADER_KEYS = frozenset(("family", "format", "inv_liquidity", "state_reset", "theta0"))
@@ -237,11 +246,11 @@ class Market:
         """Rebuild a market from a ``state_dict`` snapshot read from outside.
 
         Raises ConfigError when the snapshot is not an object, lacks
-        ``family`` or ``theta``, or holds a non-numeric value; an unknown
-        family or an out-of-domain share vector raises DomainError.
+        ``family`` or ``theta``, has a key ``state_dict`` does not write, or
+        holds a non-numeric value; an unknown family or an out-of-domain
+        share vector raises DomainError.
         """
-        if not isinstance(d, dict):
-            raise ConfigError(f"market state must be an object, got {type(d).__name__}")
+        _check_keys(d, {"family", "theta", "inv_liquidity", "n_trades", "revenue"}, "market state")
         for key in ("family", "theta"):
             if key not in d:
                 raise ConfigError(f"market state is missing {key!r}")
@@ -386,6 +395,8 @@ def read_trade_log(path: str) -> TradeLog:
 def append_record(path: str, header: dict, record: TradeRecord) -> None:
     """Append one record to a trade log, writing ``header`` first when the file is new or empty.
 
+    The record starts a line of its own: after a last line saved without
+    its newline, a newline comes first, so a torn record stays one bad line.
     Raises CorruptLogError, writing nothing, when the log's first line is
     not a format-2 header for ``header``'s family and ``inv_liquidity``.
     """
@@ -394,5 +405,6 @@ def append_record(path: str, header: dict, record: TradeRecord) -> None:
         first = fh.readline()
         if first:
             check_header(_parse_header(first), header, ("family", "inv_liquidity"))
-        head = "" if first else json.dumps(header, sort_keys=True) + "\n"
+            fh.seek(-1, os.SEEK_END)
+        head = ("" if fh.read(1) == b"\n" else "\n") if first else json.dumps(header, sort_keys=True) + "\n"
         fh.write(f"{head}{record.to_json()}\n".encode("utf-8"))

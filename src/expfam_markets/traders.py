@@ -35,7 +35,7 @@ cost cap -- keeps the trader's budget from ever falling below zero, which
 is what makes the budget a hard ceiling on the damage an ill-informed
 trader can do.
 
-Profiles are plain data owned by the simulation driver; every function here
+Profiles are plain data that the engine only reads; every function here
 is pure given (market, profile) snapshots.  Each public trade rule is its
 checks plus one call to its ``_*_move``, which the engine calls directly.
 """
@@ -53,13 +53,14 @@ from .market import Market
 
 @dataclass
 class TraderProfile:
-    """A trader's behavior model, belief, risk posture, and running account.
+    """A trader's behavior model, belief, risk posture and budget.
 
     A ``bayesian`` trader has no ``belief_theta``; it trades on the mean
-    ``sample_mean`` of its ``sample_size`` points.  ``budget=None`` means
-    unlimited.  ``holdings`` accumulates unsettled purchases (used to form
-    the effective belief on market re-entry); ``cash`` is the cumulative
-    net cash flow from trades and settlements.
+    ``sample_mean`` of its ``sample_size`` points.  ``budget`` is the
+    starting budget in a ``SimConfig`` (the run keeps the running budget
+    and cash itself), and the current budget for ``budget_limited_trade``;
+    ``None`` means unlimited.  ``holdings`` accumulates unsettled purchases
+    (used to form the effective belief on market re-entry).
     """
 
     id: str
@@ -67,7 +68,6 @@ class TraderProfile:
     risk_aversion: float = 0.0
     budget: float | None = None
     holdings: array | None = None
-    cash: float = 0.0
     model: str = "exp-utility"
     sample_mean: array | None = None
     sample_size: float = 1.0
@@ -213,13 +213,13 @@ def budget_limited_trade(market: Market, trader: TraderProfile) -> array:
     if market.inv_liquidity != 1.0:
         raise DomainError("budget_limited_trade requires inv_liquidity == 1")
     market.family.check_natural(trader.belief_theta)
-    return _budget_limited_move(market, trader)
+    return _budget_limited_move(market, trader, trader.budget)
 
 
-def _budget_limited_move(market: Market, trader: TraderProfile) -> array:
+def _budget_limited_move(market: Market, trader: TraderProfile, budget: float | None) -> array:
     move = _unconstrained_move(market, trader)
     move_cost = market._quote(move)[0]
-    alpha = None if trader.budget is None else max(0.0, trader.budget)
+    alpha = None if budget is None else max(0.0, budget)
     if alpha is None or move_cost <= alpha:
         return move
     if alpha == 0.0:

@@ -197,6 +197,20 @@ class TestQuoteAndTrade:
         assert main(["replay", "--log", str(log), "--state0", state0_path]) == 0
         assert json.loads(capsys.readouterr().out) == json.load(open(path))
 
+    def test_trade_log_record_starts_its_own_line(self, tmp_path, capsys):
+        path = self.setup_state(tmp_path)
+        state0_path = write_json(tmp_path / "state0.json", json.load(open(path)))
+        log = tmp_path / "trades.jsonl"
+        for delta, trader in (("-0.5", "a"), ("-0.25", "b")):
+            assert main(["trade", "--market", path, "--delta", delta, "--trader", trader, "--log", str(log)]) == 0
+        log.write_bytes(log.read_bytes().rstrip(b"\n"))  # saved without its last newline
+        assert main(["trade", "--market", path, "--delta", "-0.125", "--trader", "c", "--log", str(log)]) == 0
+        assert log.read_text().count("\n") == 4  # the header and three records, each on its own line
+        assert [r.trader_id for r in read_trade_log(str(log))] == ["a", "b", "c"]
+        capsys.readouterr()
+        assert main(["replay", "--log", str(log), "--state0", state0_path]) == 0
+        assert json.loads(capsys.readouterr().out) == json.load(open(path))
+
     @pytest.mark.parametrize("first_line", [
         '{"cost": 0.1, "delta": [-0.5], "round": 0, "theta_after": [-1.5], "theta_before": [-1.0], "trader_id": "a"}',
         '{"family": "weibull-moment:2", "format": 2, "inv_liquidity": 1.0, "state_reset": false, "theta0": [-1.0]}',
@@ -242,6 +256,7 @@ class TestQuoteAndTrade:
         '{"family": "categorical:2", "theta": [0.0, 0.0], "revenue": null}',
         '{"family": "categorical:2", "theta": [true, 0.0]}',
         '{"family": "categorical:2", "theta": "0.0"}',
+        '{"family": "categorical:2", "theta": [0, 0], "n_trade": 5, "inv_liquidty": 2}',
         "[0.0, 0.0]",
         "{not json",
     ])
@@ -502,14 +517,20 @@ class TestEquilibriumCommand:
         {"theta0": ["0", 0.0], "risk_aversion": 1.0},
         {"theta0": [0.0, 0.0], "risk_aversion": 1.0, "belief": {"theta": ["1.0", 0.0]}},
         {"theta0": [0.0, 0.0], "risk_aversion": 1.0, "belief": {"probs": ["0.7", 0.3]}},
+        {"theta0": [0.0, 0.0], "risk_aversion": 1.0, "extra": {"theta_0": [1.0, 0.0]}},
+        {"theta0": [0.0, 0.0], "trader": {"belief": {"theta": [1.0, 0.0]}, "risk_aversion": 1.0, "risk_aversoin": 2}},
+        {"theta0": [0.0, 0.0], "trader": {"theta": [1.0, 0.0], "risk_aversion": 1.0}},
     ], ids=["string-risk-aversion", "string-theta0", "boolean-risk-aversion",
-            "string-theta0-entry", "string-belief-theta-entry", "string-belief-probs-entry"])
+            "string-theta0-entry", "string-belief-theta-entry", "string-belief-probs-entry",
+            "unknown-problem-key", "unknown-trader-key", "trader-without-belief"])
     def test_bad_problem_value_is_config_error(self, tmp_path, capsys, problem):
+        trader = problem.get("trader") or {"belief": problem.get("belief", {"theta": [1.0, 0.0]}),
+                                           "risk_aversion": problem["risk_aversion"]}
         path = write_json(tmp_path / "problem.json", {
             "family": "categorical:2",
             "theta0": problem["theta0"],
-            "traders": [{"belief": problem.get("belief", {"theta": [1.0, 0.0]}),
-                         "risk_aversion": problem["risk_aversion"]}],
+            "traders": [trader],
+            **problem.get("extra", {}),
         })
         assert main(["equilibrium", "--problem", path]) == 2
         assert "config error:" in capsys.readouterr().err

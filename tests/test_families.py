@@ -457,6 +457,12 @@ class TestVmf3Inversion:
             _invert_monotone(_vmf_mean_resultant, _vmf_mean_resultant_deriv,
                              target=1.0 - 1e-9, x0=1e-6, max_iter=3)
 
+    def test_newton_returns_when_its_last_iteration_reaches_tol(self):
+        from expfam_markets.families import _invert_monotone
+
+        # One step from 0.5 solves x = 1 exactly; the residual is tested only after the loop.
+        assert _invert_monotone(lambda x: x, lambda x: 1.0, target=1.0, x0=0.5, max_iter=1) == 1.0
+
     def test_newton_halves_a_step_that_leaves_the_domain(self):
         from expfam_markets.families import _invert_monotone
 

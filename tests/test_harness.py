@@ -132,6 +132,11 @@ class TestConfigParsing:
         # Finite prices, but theta1**2 / (4 * -theta2) overflows: Market refuses the state, so the config does.
         {"family": "gaussian-moments", "theta0": [1e200, -1e200], "true_theta": [0.0, -0.5],
          "traders": [{"id": "a", "model": "risk-neutral", "belief": {"mean": 0.0, "variance": 1.0}}]},
+        # A key no reader knows, such as a misspelt one, would otherwise be dropped without a word.
+        {"typo_key": 1},
+        {"state_rest": True},
+        {"traders": [{"id": "a", "model": "risk-neutral", "belief": {"probs": [0.7, 0.3]}, "bogus": 1}]},
+        {"traders": [{"id": "b", "model": "bayesian", "sample": {"mean": {"probs": [0.7, 0.3]}, "szie": 2}}]},
     ])
     def test_invalid_configs_rejected(self, corrupt):
         with pytest.raises(ConfigError):
@@ -160,12 +165,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             SimConfig.from_dict(cfg)
 
-    def test_missing_seed_rejected_at_run_time(self):
+    def test_missing_seed_rejected_at_load_time(self):
         cfg = base_config()
         del cfg["seed"]
-        config = SimConfig.from_dict(cfg)
-        with pytest.raises(ConfigError):
-            run_simulation(config)
+        with pytest.raises(ConfigError, match="simulation requires a seed"):
+            SimConfig.from_dict(cfg)
 
     @pytest.mark.parametrize("family, theta, belief, natural", [
         ("exponential-rate", [-1.0], {"mean": 1e13}, "[-1e-13]"),
@@ -380,12 +384,23 @@ class TestDeterminismAndReset:
         assert a == b
 
     def test_rerunning_one_config_is_byte_identical(self):
-        config = SimConfig.from_dict(base_config(rounds=25, traders=[
+        # A run keeps its own books: every profile field, arrays included, reads as before the runs.
+        config = SimConfig.from_dict(base_config(rounds=25, arrival="fixed-sequence", traders=[
             {"id": "a", "model": "budget-limited", "budget": 0.5, "belief": {"probs": [0.7, 0.3]}},
+            {"id": "b", "model": "exp-utility", "risk_aversion": 1.0, "budget": 2.0,
+             "belief": {"probs": [0.4, 0.6]}},
+            {"id": "c", "model": "risk-neutral", "belief": {"probs": [0.6, 0.4]}},
+            {"id": "d", "model": "bayesian", "sample": {"mean": {"probs": [0.3, 0.7]}, "size": 3.0}},
         ]))
+
+        def profiles():
+            return [{k: v.tolist() if isinstance(v, array) else v for k, v in vars(tr).items()}
+                    for tr in config.traders]
+        before = profiles()
         first = run_simulation(config).to_json()
-        assert (config.traders[0].budget, config.traders[0].cash) == (0.5, 0.0)
         assert run_simulation(config).to_json() == first
+        assert profiles() == before
+        assert before[0]["budget"] == 0.5 and before[1]["holdings"] == [0.0, 0.0]
 
     def test_different_seeds_differ(self):
         a = run_simulation(SimConfig.from_dict(base_config(rounds=25, seed=1))).to_json()

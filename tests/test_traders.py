@@ -495,6 +495,11 @@ class TestExpectedProfitBound:
             assert profit >= bound - 1e-10
             assert bound >= -1e-12
 
+    def test_requires_unit_inverse_liquidity(self):
+        market = Market(EXPO, -1.0, inv_liquidity=2.0)
+        with pytest.raises(DomainError, match="requires inv_liquidity == 1"):
+            expected_profit_bound(market, make_trader(-0.5), np.array([0.25]))
+
     def test_off_segment_rejected(self):
         market = Market(family_from_id("gaussian-moments"), [0.0, -0.5])
         trader = make_trader([1.0, -1.0])

@@ -88,6 +88,8 @@ CASES = {
         + shared_round({"a": 1.0, "b": None}, "a", "b")  # equal content, a new snapshot
         + [event(round_index=2, trader_budgets={"a": 0.1 + 0.2, "b": 5e-324})]),
     "one-dimensional-delta": report([event(delta=(-1e-17,)), event(delta=(1.0000000000000002,))]),
+    "signed-zeros": report([event(delta=(-0.0, 0.0), cost=-0.0, outcome=-0.0, log_loss_before=-0.0,
+                                  myopic_impact=-0.0, trader_budgets={"a": -0.0, "b": None})]),
     "chained-log-losses": report(
         chained_round([0.1 + 0.2, 1 / 3, NAN, -INF, 2 / 3])
         + chained_round([0.6, 0.25, 1e-300], round_index=2)
