@@ -43,7 +43,7 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
 from .families import ExpFamily, VonMisesFisher3, as_params, family_from_id
-from .market import Market, TradeLog, TradeRecord, _check_keys, _json, _number, _numbers, check_header, log_header
+from .market import Market, TradeLog, _check_keys, _json, _number, _numbers, _record_json, check_header, log_header
 from .scoring import moments_from_mean_variance
 from .traders import TraderProfile, _bayesian_move, _budget_limited_move, _exp_utility_move
 # The engine calls the moves; the public rules stay harness attributes, where the benchmark's tracer patches them.
@@ -190,6 +190,8 @@ class SimConfig:
             if risk_aversion < 0.0:
                 raise ConfigError(f"{where}: risk_aversion must be nonnegative")
             budget = td.get("budget")
+            if budget is not None and model != "budget-limited":  # it would limit nothing, yet be reported
+                raise ConfigError(f"{where}: trader {tid!r} is {model}; only a budget-limited trader takes a budget")
             if budget is not None:
                 budget = _number(budget, f"{where}: budget")
                 if budget < 0.0:
@@ -374,13 +376,14 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
         for round_index in range(1, config.rounds + 1):
             settled, n_trades, revenue = market._state(), market.n_trades, market.revenue
             turn = turns[(round_index - 1) % len(turns)]
-            records: list[TradeRecord] = []
+            trades: list[tuple[array, float]] = []  # (delta, cost) per trade
             try:
                 if config.state_reset and round_index > 1:
                     market._restore(*start)
                 path = [market._state()]  # the round's price path, each state with C(theta)
                 for trader in turn:
-                    records.append(market._execute(_decide(market, trader, budgets[trader.id]), trader.id, round_index))
+                    delta = _decide(market, trader, budgets[trader.id])
+                    trades.append((delta, market._buy(delta)))
                     path.append(market._state())
                 outcome = draw(rng)
             except (DomainError, ConvergenceError) as exc:
@@ -392,14 +395,14 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
             # Settle along the price path: payoff minus cost is a trader's budget change and log-loss
             # drop.  C(theta) is T(theta) bit for bit at unit liquidity, so each loss reads T from the cache.
             losses = [cost - pair(theta, outcome) for theta, cost, _ in path] if track_loss else [None] * len(path)
-            changes = [pair(record.delta, outcome) - record.cost for record in records]
+            changes = [pair(delta, outcome) - cost for delta, cost in trades]
             for trader, change in zip(turn, changes):
                 cash[trader.id] += change
                 if budgets[trader.id] is not None:
                     budgets[trader.id] += change
             snapshot = dict(budgets)  # the round's one snapshot, shared by its events
-            for i, (trader, record, change) in enumerate(zip(turn, records, changes)):
-                events.append(TradeEvent(round_index, trader.id, record.delta, record.cost, outcome,
+            for i, (trader, (delta, cost), change) in enumerate(zip(turn, trades, changes)):
+                events.append(TradeEvent(round_index, trader.id, delta, cost, outcome,
                                          losses[i], losses[i + 1], change, snapshot))
             if track_loss:
                 total_log_loss += losses[-1]
@@ -407,7 +410,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                 if log is None:
                     log = open(trade_log_path, "w", encoding="utf-8")
                     log.write(header + "\n")
-                log.write("\n".join(map(TradeRecord.to_json, records)) + "\n")
+                log.write("\n".join(map(_record_json, events[len(events) - len(trades):])) + "\n")
                 log.flush()
     finally:
         if log is not None:
@@ -458,6 +461,7 @@ def replay(records: TradeLog, state0: dict) -> Market:
     check_header(header, log_header(market))
     start = market._state()  # never written in place: every writer stores anew
     reset, last = header["state_reset"], None
+    dim, buy = market.family.dim, market._buy
     for line, record in enumerate(records, 2):
         if record.round != last:
             if last is not None and record.round < last:
@@ -466,9 +470,9 @@ def replay(records: TradeLog, state0: dict) -> Market:
                 market._restore(*start)
             last = record.round
         try:
-            if len(record.delta) != market.family.dim:
-                as_params(record.delta, market.family.dim, "delta")  # raises its length message
-            cost = market._execute(record.delta, record.trader_id, record.round).cost
+            if len(record.delta) != dim:
+                as_params(record.delta, dim, "delta")  # raises its length message
+            cost = buy(record.delta)
         except DomainError as exc:
             raise CorruptLogError(line, f"recorded trade is not executable: {exc}") from exc
         if cost != record.cost:

@@ -18,14 +18,16 @@ exact arithmetic the blow-up of ``C`` at the boundary self-enforces this
 (no finite-budget trader buys an infinite-cost portfolio), but in floating
 point we reject trades that move ``lam * theta`` within ``1e-9`` of the
 boundary outright, and any state whose cost overflows.  Every writer of
-the share vector (``__init__``, ``_execute``, ``reset_theta``) checks it in
+the share vector (``__init__``, ``_buy``, ``reset_theta``) checks it in
 ``_cost_at``, caches ``C(theta)`` and starts an empty quote table, so pricing
 and settlement run the kernels unchecked, a quote evaluates the log
 partition once, and a quote made at the same state before is read back from
 the table; ``_restore`` returns to a state already checked, with its cost and
-table.  ``execute`` and ``quote`` check ``delta`` and call the cores
-``_execute`` and ``_quote``, which the engine and ``replay`` call directly on
-their own deltas.
+table.  ``execute`` and ``quote`` check ``delta`` and call the cores ``_buy``
+(which returns only the cost) and ``_quote``, which the engine and ``replay``
+call directly on their own deltas.  ``read_trade_log`` parses a line in one C
+scan and checks a vector in one C pass; Python code runs only to explain a
+refusal, in the words of ``json.loads`` and of the per-entry check.
 
 One market instance is single-writer: ``execute`` requires exclusive
 access, while ``quote``/``prices``/``log_loss`` are read-only and may run
@@ -63,6 +65,11 @@ def _numbers(value, where: str) -> array:
     """A JSON number or list of JSON numbers as a float vector; raises ConfigError for anything else."""
     if not isinstance(value, list):
         return array("d", (_number(value, where),))
+    # Exact floats in one C pass: array("d") would also take a bool, a Decimal, or an int past the largest float.
+    if {*map(type, value)} <= {float}:
+        vec = array("d", value)
+        if all(map(math.isfinite, vec)):
+            return vec
     where = f"{where} entry"
     return array("d", [_number(v, where) for v in value])
 
@@ -81,6 +88,7 @@ LOG_FORMAT = 2
 _HEADER_KEYS = frozenset(("family", "format", "inv_liquidity", "state_reset", "theta0"))
 _RECORD_KEYS = frozenset(("cost", "delta", "round", "trader_id"))
 _RECORD_JSON = '{"cost": %s, "delta": [%s], "round": %d, "trader_id": %s}'
+_scan_once = json.JSONDecoder().scan_once  # json.loads's scanner, without its whitespace and extra-data checks
 
 
 def _json(value) -> str:
@@ -89,12 +97,21 @@ def _json(value) -> str:
     return _JSON_WORDS.get(text, text)
 
 
+def _record_json(record) -> str:
+    """A record as one trade-log line, without its newline: ``json.dumps(record.to_dict(), sort_keys=True)``.
+
+    Any object with a record's four fields renders, so the engine writes its trade events as they are.
+    """
+    return _RECORD_JSON % (_json(record.cost), ", ".join(map(_json, record.delta)), record.round,
+                           encode_basestring_ascii(record.trader_id))
+
+
 def log_loss(family: ExpFamily, theta: array, x) -> float:
     """Log loss ``T(theta) - <theta, phi(x)>`` at an unchecked interior ``theta`` and a checked outcome ``x``."""
     return family._log_partition(theta) - family._pair(theta, x)
 
 
-@dataclass
+@dataclass(slots=True)
 class TradeRecord:
     """One executed trade: its round, trader, portfolio and cost; the field names are the trade-log record keys.
 
@@ -108,12 +125,9 @@ class TradeRecord:
     cost: float
 
     def to_dict(self) -> dict:
-        return {**vars(self), "delta": self.delta.tolist()}
+        return {"round": self.round, "trader_id": self.trader_id, "delta": self.delta.tolist(), "cost": self.cost}
 
-    def to_json(self) -> str:
-        """The record as one trade-log line, without its newline: ``json.dumps(self.to_dict(), sort_keys=True)``."""
-        return _RECORD_JSON % (_json(self.cost), ", ".join(map(_json, self.delta)), self.round,
-                               encode_basestring_ascii(self.trader_id))
+    to_json = _record_json
 
     @classmethod
     def from_dict(cls, d: dict) -> "TradeRecord":
@@ -276,16 +290,16 @@ class Market:
         defaults to the pre-trade trade count.
         """
         delta = as_params(delta, self.family.dim, "delta")
-        return self._execute(delta, trader_id, self.n_trades if round_index is None else int(round_index))
+        round_index = self.n_trades if round_index is None else int(round_index)
+        return TradeRecord(round_index, trader_id, delta, self._buy(delta))
 
-    def _execute(self, delta: array, trader_id: str, round_index: int) -> TradeRecord:
-        """``execute`` without its check of ``delta``, which must have the market's dimension."""
-        cost, target, target_cost = self._quote(delta)
-        record = TradeRecord(round_index, trader_id, delta, cost)
-        self.theta, self._cost, self._quotes = target, target_cost, {}
+    def _buy(self, delta: array) -> float:
+        """``execute`` without its record and its check of ``delta``, which must have the market's dimension."""
+        cost, self.theta, self._cost = self._quote(delta)
+        self._quotes = {}
         self.n_trades += 1
         self.revenue += cost
-        return record
+        return cost
 
     def reset_theta(self, theta0) -> None:
         """Reset the share vector (a fresh market instance); counters persist."""
@@ -382,10 +396,17 @@ def read_trade_log(path: str) -> TradeLog:
         if not first:
             return log
         log.header = _parse_header(first)
-        from_dict = TradeRecord.from_dict
+        scan, from_dict, append = _scan_once, TradeRecord.from_dict, log.append
         for line_number, line in enumerate(fh, 2):
             try:
-                log.append(from_dict(json.loads(line.decode())))
+                text = line.decode()
+                try:
+                    value, end = scan(text, 0)
+                except StopIteration:  # no JSON value starts the line
+                    end = None
+                if end is None or text[end:] not in ("\n", ""):  # json.loads gives the same value or explains the line
+                    value = json.loads(text)
+                append(from_dict(value))
             except (ValueError, RecursionError) as exc:  # ConfigError, invalid JSON, undecodable bytes, nesting
                 what = "blank line" if not line.strip() else f"unreadable record ({type(exc).__name__}: {exc})"
                 raise CorruptLogError(line_number, what) from exc

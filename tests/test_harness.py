@@ -137,6 +137,10 @@ class TestConfigParsing:
         {"state_rest": True},
         {"traders": [{"id": "a", "model": "risk-neutral", "belief": {"probs": [0.7, 0.3]}, "bogus": 1}]},
         {"traders": [{"id": "b", "model": "bayesian", "sample": {"mean": {"probs": [0.7, 0.3]}, "szie": 2}}]},
+        # A budget limits only a budget-limited trader; on any other it would be reported and limit nothing.
+        {"traders": [{"id": "a", "model": "exp-utility", "risk_aversion": 1.0, "budget": 0.01,
+                      "belief": {"probs": [0.7, 0.3]}}]},
+        {"traders": [{"id": "a", "model": "risk-neutral", "budget": 1.0, "belief": {"probs": [0.7, 0.3]}}]},
     ])
     def test_invalid_configs_rejected(self, corrupt):
         with pytest.raises(ConfigError):
@@ -387,8 +391,7 @@ class TestDeterminismAndReset:
         # A run keeps its own books: every profile field, arrays included, reads as before the runs.
         config = SimConfig.from_dict(base_config(rounds=25, arrival="fixed-sequence", traders=[
             {"id": "a", "model": "budget-limited", "budget": 0.5, "belief": {"probs": [0.7, 0.3]}},
-            {"id": "b", "model": "exp-utility", "risk_aversion": 1.0, "budget": 2.0,
-             "belief": {"probs": [0.4, 0.6]}},
+            {"id": "b", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.4, 0.6]}},
             {"id": "c", "model": "risk-neutral", "belief": {"probs": [0.6, 0.4]}},
             {"id": "d", "model": "bayesian", "sample": {"mean": {"probs": [0.3, 0.7]}, "size": 3.0}},
         ]))
@@ -477,8 +480,9 @@ class TestTrustedEngine:
     def test_non_finite_move_is_refused_as_the_delta(self, model):
         # belief - theta0 overflows, so the move is [inf, 0.0]: refused with the message the public
         # execute and quote give it, not as the non-finite target it leads to.
+        budget = {"budget": 1.0} if model == "budget-limited" else {}  # only a budget-limited trader takes one
         report = run_simulation(SimConfig.from_dict(base_config(theta0=[-1e308, 0.0], traders=[
-            {"id": "t", "model": model, "budget": 1.0, "belief": {"theta": [1e308, 0.0]}}])))
+            {"id": "t", "model": model, **budget, "belief": {"theta": [1e308, 0.0]}}])))
         assert (report.valid, report.error) == (False, "round 1: delta must be finite, got [inf, 0.0]")
 
     def test_quote_table_stays_at_its_bound_over_a_long_state_reset_run(self, monkeypatch):
@@ -521,18 +525,19 @@ def a_then_b_for_six_rounds() -> dict:
 class TestTradeLog:
     def test_the_log_holds_exactly_the_settled_rounds_at_every_execute(self, tmp_path, monkeypatch):
         log = tmp_path / "trades.jsonl"
-        executed = []
-        real_execute = Market._execute
+        executed = []  # a TradeRecord per trade; a then b trade in each round, so trade i is in round i // 2 + 1
+        real_buy = Market._buy
 
         def logged_so_far():
             return log.read_text(encoding="utf-8").splitlines()[1:] if log.exists() else []
 
-        def execute(market, delta, trader_id, round_index):
+        def buy(market, delta):
+            round_index, trader_id = len(executed) // 2 + 1, "ab"[len(executed) % 2]
             assert logged_so_far() == [r.to_json() for r in executed if r.round < round_index]
-            executed.append(real_execute(market, delta, trader_id, round_index))
-            return executed[-1]
+            executed.append(TradeRecord(round_index, trader_id, delta, real_buy(market, delta)))
+            return executed[-1].cost
 
-        monkeypatch.setattr(Market, "_execute", execute)
+        monkeypatch.setattr(Market, "_buy", buy)
         run_simulation(SimConfig.from_dict(a_then_b_for_six_rounds()), trade_log_path=str(log))
         assert len(executed) == 12
         assert logged_so_far() == [r.to_json() for r in executed]
@@ -541,16 +546,17 @@ class TestTradeLog:
     def test_interrupted_run_leaves_only_settled_rounds(self, tmp_path, monkeypatch, interrupted_at, settled):
         log = tmp_path / "trades.jsonl"
         log.write_text("an older run's log\n")
-        executed = []
-        real_execute = Market._execute
+        executed = []  # a TradeRecord per trade, with the round and trader of a_then_b_for_six_rounds
+        real_buy = Market._buy
 
-        def execute(market, *args):
+        def buy(market, delta):
             if len(executed) + 1 == interrupted_at:
                 raise KeyboardInterrupt
-            executed.append(real_execute(market, *args))
-            return executed[-1]
+            round_index, trader_id = len(executed) // 2 + 1, "ab"[len(executed) % 2]
+            executed.append(TradeRecord(round_index, trader_id, delta, real_buy(market, delta)))
+            return executed[-1].cost
 
-        monkeypatch.setattr(Market, "_execute", execute)
+        monkeypatch.setattr(Market, "_buy", buy)
         with pytest.raises(KeyboardInterrupt):
             run_simulation(SimConfig.from_dict(a_then_b_for_six_rounds()), trade_log_path=str(log))
         assert [(r.round, r.trader_id) for r in executed] == [(1, "a"), (1, "b"), (2, "a")][:interrupted_at - 1]
@@ -684,6 +690,25 @@ class TestReplay:
         assert rebuilt.state_dict()["theta"] == report.aggregates["final_theta"]
         assert rebuilt.n_trades == report.aggregates["n_trades"]
         assert rebuilt.revenue == report.aggregates["revenue"]
+
+    def test_the_audit_path_builds_no_record_and_parses_only_refused_lines_twice(self, tmp_path, monkeypatch):
+        # run_simulation and replay buy through Market._buy, which makes no TradeRecord; read_trade_log
+        # calls json.loads for the header and for a line its one scan did not accept, and for nothing else.
+        built, loads = [], []
+        real_init, real_loads = TradeRecord.__init__, json.loads
+        monkeypatch.setattr(TradeRecord, "__init__", lambda record, *args: built.append(1) or real_init(record, *args))
+        report, log, state0 = self.run_with_log(tmp_path)
+        assert built == []
+        with open(log) as fh:
+            lines = fh.read().splitlines()
+        lines[3] += "  "  # json.loads reads the same record; the scan leaves it to json.loads
+        monkeypatch.setattr(json, "loads", lambda text: loads.append(text) or real_loads(text))
+        records = read_trade_log(self.write_log(tmp_path / "spaced.jsonl", lines))
+        assert len(loads) == 2 and loads[1] == lines[3] + "\n"
+        assert len(built) == len(records) == len(lines) - 1
+        rebuilt = replay(records, state0)
+        assert len(built) == len(records)
+        assert rebuilt.state_dict()["theta"] == report.aggregates["final_theta"]
 
     def test_replay_handles_state_resets(self, tmp_path):
         report, log, state0 = self.run_with_log(tmp_path, state_reset=True)

@@ -240,7 +240,7 @@ class TestCostCache:
         market = Market(family_from_id("categorical:3"), [-1e308, 0.0, 0.0])
         state = (market.theta, market.cost(), market.n_trades, market.revenue)
         delta = [-1e308, 0.0, 0.0]
-        for execute in (market.execute, lambda d: market._execute(as_params(d, 3), "t", 1)):
+        for execute in (market.execute, lambda d: market._buy(as_params(d, 3))):
             with pytest.raises(DomainError) as refused:
                 execute(delta)
             assert str(refused.value) == "theta must be finite, got [-inf, 0.0, 0.0]"
