@@ -161,7 +161,7 @@ def line_texts(draw) -> str:
     return before + text + after
 
 
-def write_lines(path: str, lines: list[str], last_newline: bool = True) -> str:
+def write_lines(path: str, lines: list[str], last_newline: bool) -> str:
     with open(path, "wb") as fh:
         fh.write((HEADER + "\n" + "\n".join(lines) + ("\n" if last_newline else "")).encode("utf-8"))
     return path
