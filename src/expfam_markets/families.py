@@ -222,18 +222,12 @@ class ExpFamily(ABC):
         return (self._log_partition(theta_a) - self._log_partition(theta_b)
                 - _dot([a - b for a, b in zip(theta_a, theta_b)], self._mean(theta_b)))
 
-    def sample(self, theta, rng, size: int | None = None):
-        """Draw outcomes from the member at ``theta`` using a caller-owned ``numpy.random.Generator``.
+    def sample(self, theta, rng):
+        """Draw one outcome from the member at ``theta`` using a caller-owned ``numpy.random.Generator``.
 
-        Returns one call of ``_sampler``'s draw function when ``size`` is None, else an
-        ndarray of ``size`` calls.  Draws are deterministic given the generator state.
+        Returns one call of ``_sampler``'s draw function; draws are deterministic given the generator state.
         """
-        draw = self._sampler(self.check_natural(theta))
-        if size is None:
-            return draw(rng)
-        import numpy as np  # only a batch needs numpy; the caller's rng has loaded it already
-
-        return np.array([draw(rng) for _ in range(size)])
+        return self._sampler(self.check_natural(theta))(rng)
 
     def _sampler(self, theta: array):
         """``draw(rng)`` for the member at ``theta``: one outcome per call.
@@ -400,7 +394,7 @@ class GaussianMoments(ExpFamily):
         return theta[1] <= -margin and theta[1] < 0.0 and all(map(math.isfinite, self._mean(theta)))
 
     def _mean_interior(self, mu, margin) -> bool:
-        return mu[1] - mu[0] ** 2 >= margin
+        return mu[1] - mu[0] * mu[0] >= margin  # float ** raises OverflowError where * gives inf
 
     def check_outcome(self, x):
         xf = _real_outcome(self, x)

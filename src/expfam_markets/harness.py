@@ -43,7 +43,8 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
 from .families import ExpFamily, VonMisesFisher3, as_params, family_from_id
-from .market import Market, TradeLog, _check_keys, _json, _number, _numbers, _record_json, check_header, log_header
+from .market import (Market, TradeLog, _check_keys, _integer, _json, _number, _numbers, _record_json, check_header,
+                     log_header)
 from .scoring import moments_from_mean_variance
 from .traders import TraderProfile, _bayesian_move, _budget_limited_move, _exp_utility_move
 # The engine calls the moves; the public rules stay harness attributes, where the benchmark's tracer patches them.
@@ -59,54 +60,50 @@ TRADER_MODELS = ("risk-neutral", "bayesian", "exp-utility", "budget-limited")
 def parse_mean_params(family: ExpFamily, value, where: str) -> array:
     """Parse a family-appropriate mean description into a raw mean vector.
 
-    Accepts a raw vector (or scalar for one-dimensional families), a
-    ``{"probs": [...]}`` object for categorical, a ``{"mean", "variance"}``
-    object for gaussian-moments, or ``{"mean": ...}``/``{"moment": ...}``
-    for the remaining families.  Boundary means are admitted (empirical
-    means can sit on the boundary); downstream operations that need
-    interior values will reject them there.
+    A description is a raw vector (or scalar for one-dimensional families),
+    an object with exactly the keys ``mean`` and ``variance`` (for
+    gaussian-moments), or an object with exactly one of the keys ``probs``
+    (for categorical), ``moment`` or ``mean``; anything else, a key beside
+    those included, raises ConfigError.  Boundary means are admitted
+    (empirical means can sit on the boundary); downstream operations that
+    need interior values will reject them there.
     """
     try:
-        if isinstance(value, dict):
-            if "probs" in value:
-                mean = _numbers(value["probs"], f"{where}.probs")
-            elif "variance" in value:
-                mean = moments_from_mean_variance(_number(value["mean"], f"{where}.mean"),
-                                                  _number(value["variance"], f"{where}.variance"))
-            elif "moment" in value:
-                mean = _numbers(value["moment"], f"{where}.moment")
-            elif "mean" in value:
-                mean = _numbers(value["mean"], f"{where}.mean")
-            else:
-                raise ConfigError(f"{where}: unrecognized mean description {value!r}")
-        else:
+        if not isinstance(value, dict):
             mean = _numbers(value, where)
+        elif value.keys() == {"mean", "variance"}:
+            mean = moments_from_mean_variance(_number(value["mean"], f"{where}.mean"),
+                                              _number(value["variance"], f"{where}.variance"))
+        elif len(value) == 1 and value.keys() <= {"probs", "moment", "mean"}:
+            [(key, entries)] = value.items()
+            mean = _numbers(entries, f"{where}.{key}")
+        else:
+            raise ConfigError(f"{where}: a mean is a vector, {{probs}}, {{moment}}, {{mean}} or {{mean, variance}}, "
+                              f"got {value!r}")
         return family.check_mean(mean, margin=0.0)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except DomainError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_belief_theta(family: ExpFamily, value, where: str) -> array:
     """Parse a belief into natural parameters.
 
-    Accepts ``{"theta": [...]}`` directly, or any mean description
-    understood by :func:`parse_mean_params` (converted through the inverse
-    gradient map, so it must be interior).  Either way the natural parameter
-    is checked here, once: the trader moves of ``run_simulation`` trust it.
+    Accepts ``{"theta": [...]}`` (with no other key) directly, or any mean
+    description understood by :func:`parse_mean_params` (converted through
+    the inverse gradient map, so it must be interior).  Either way the
+    natural parameter is checked here, once: the trader moves of
+    ``run_simulation`` trust it.
     """
     try:
         if isinstance(value, dict) and "theta" in value:
+            _check_keys(value, {"theta"}, where)
             theta = _numbers(value["theta"], f"{where}.theta")
         elif isinstance(value, dict):
             theta = family.natural_from_mean(parse_mean_params(family, value, where))
         else:
             theta = _numbers(value, where)
         return family.check_natural(theta)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except DomainError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -135,31 +132,20 @@ class SimConfig:
         _check_keys(raw, {f.name for f in fields(cls)}, "config")
         try:
             family = family_from_id(raw["family"])
-        except KeyError as exc:
-            raise ConfigError("config is missing 'family'") from exc
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-        if isinstance(family, VonMisesFisher3):
-            raise ConfigError("vmf3 outcomes cannot be sampled; simulation unsupported")
-
-        lam = _number(raw.get("inv_liquidity", 1.0), "inv_liquidity")
-        try:
+            if isinstance(family, VonMisesFisher3):
+                raise ConfigError("vmf3 outcomes cannot be sampled; simulation unsupported")
+            lam = _number(raw.get("inv_liquidity", 1.0), "inv_liquidity")
             theta0 = Market(family, _numbers(raw["theta0"], "theta0"), lam).theta  # the checks run_simulation's market makes
             true_theta = family.check_natural(_numbers(raw["true_theta"], "true_theta"))
         except KeyError as exc:
             raise ConfigError(f"config is missing {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
-        rounds = raw.get("rounds")
-        if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 1:
-            raise ConfigError(f"rounds must be a positive integer, got {rounds!r}")
-
-        seed = raw.get("seed")
-        if seed is None:
+        rounds = _integer(raw.get("rounds"), "rounds", 1)
+        if raw.get("seed") is None:
             raise ConfigError("simulation requires a seed (config, env, or flag)")
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+        seed = _integer(raw["seed"], "seed", 0)
 
         state_reset = raw.get("state_reset", False)
         if not isinstance(state_reset, bool):
@@ -168,6 +154,8 @@ class SimConfig:
         arrival = raw.get("arrival", "round-robin")
         if arrival not in ("round-robin", "fixed-sequence"):
             raise ConfigError(f"arrival must be 'round-robin' or 'fixed-sequence', got {arrival!r}")
+        if "sequence" in raw and arrival != "fixed-sequence":  # it would order nothing, yet be accepted
+            raise ConfigError(f"only fixed-sequence arrival reads a 'sequence'; arrival is {arrival!r}")
 
         traders_raw = raw.get("traders")
         if not isinstance(traders_raw, list) or not traders_raw:
@@ -186,50 +174,45 @@ class SimConfig:
             model = td.get("model")
             if model not in TRADER_MODELS:
                 raise ConfigError(f"{where}: model must be one of {TRADER_MODELS}, got {model!r}")
-            risk_aversion = _number(td.get("risk_aversion", 0.0), f"{where}: risk_aversion")
-            if risk_aversion < 0.0:
-                raise ConfigError(f"{where}: risk_aversion must be nonnegative")
             budget = td.get("budget")
             if budget is not None and model != "budget-limited":  # it would limit nothing, yet be reported
                 raise ConfigError(f"{where}: trader {tid!r} is {model}; only a budget-limited trader takes a budget")
-            if budget is not None:
-                budget = _number(budget, f"{where}: budget")
-                if budget < 0.0:
-                    raise ConfigError(f"{where}: budget must be nonnegative")
-            belief = None
-            if model == "bayesian":
-                sample = td.get("sample")
-                if not isinstance(sample, dict) or "mean" not in sample:
-                    raise ConfigError(f"{where}: bayesian trader needs sample: {{mean, size}}")
-                _check_keys(sample, {"mean", "size"}, f"{where}.sample")
-                sample_mean = parse_mean_params(family, sample["mean"], f"{where}.sample.mean")
-                sample_size = _number(sample.get("size", 1.0), f"{where}: sample size")
-                if not sample_size > 0.0:
-                    raise ConfigError(f"{where}: sample size must be positive")
-            else:
-                if "belief" not in td:
-                    raise ConfigError(f"{where}: model {model!r} needs a belief")
-                belief = parse_belief_theta(family, td["belief"], f"{where}.belief")
-                sample_mean, sample_size = None, 1.0
-                if model == "risk-neutral":
-                    risk_aversion = 0.0
             if model in ("bayesian", "budget-limited") and lam != 1.0:
                 raise ConfigError(f"{where}: {model} traders require inv_liquidity == 1")
-            traders.append(TraderProfile(
-                id=tid, model=model, belief_theta=belief,
-                risk_aversion=risk_aversion, budget=budget,
-                sample_mean=sample_mean, sample_size=sample_size,
-            ))
+            try:
+                risk_aversion = _number(td.get("risk_aversion", 0.0), f"{where}: risk_aversion")
+                if budget is not None:
+                    budget = _number(budget, f"{where}: budget")
+                belief = sample_mean = None
+                sample_size = 1.0
+                if model == "bayesian":
+                    sample = td["sample"]
+                    _check_keys(sample, {"mean", "size"}, f"{where}.sample")
+                    sample_mean = parse_mean_params(family, sample["mean"], f"{where}.sample.mean")
+                    sample_size = _number(sample.get("size", 1.0), f"{where}: sample size")
+                else:
+                    belief = parse_belief_theta(family, td["belief"], f"{where}.belief")
+                trader = TraderProfile(
+                    id=tid, model=model, belief_theta=belief,
+                    risk_aversion=risk_aversion, budget=budget,
+                    sample_mean=sample_mean, sample_size=sample_size,
+                )
+            except KeyError as exc:
+                raise ConfigError(f"{where}: model {model!r} needs {exc}") from exc
+            except DomainError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+            if model == "risk-neutral":
+                trader.risk_aversion = 0.0  # checked above, and then ignored
+            traders.append(trader)
 
         sequence = raw.get("sequence", [tr.id for tr in traders])
         if not isinstance(sequence, list) or not all(isinstance(tid, str) for tid in sequence):
             raise ConfigError(f"sequence must be a list of trader ids, got {sequence!r}")
-        if arrival == "fixed-sequence":
-            unknown = [tid for tid in sequence if tid not in seen]
-            if unknown:
-                raise ConfigError(f"sequence references unknown trader ids {unknown}")
-            if not sequence:
-                raise ConfigError("fixed-sequence arrival needs a nonempty sequence")
+        unknown = [tid for tid in sequence if tid not in seen]
+        if unknown:
+            raise ConfigError(f"sequence references unknown trader ids {unknown}")
+        if not sequence:
+            raise ConfigError("fixed-sequence arrival needs a nonempty sequence")
 
         return cls(
             family=family, theta0=theta0, rounds=rounds, true_theta=true_theta,

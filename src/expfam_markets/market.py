@@ -61,6 +61,13 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _integer(value, where: str, low: int) -> int:
+    """A JSON integer of at least ``low``; raises ConfigError for anything else, a bool included."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{where} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def _numbers(value, where: str) -> array:
     """A JSON number or list of JSON numbers as a float vector; raises ConfigError for anything else."""
     if not isinstance(value, list):
@@ -268,9 +275,7 @@ class Market:
         for key in ("family", "theta"):
             if key not in d:
                 raise ConfigError(f"market state is missing {key!r}")
-        n_trades = d.get("n_trades", 0)
-        if isinstance(n_trades, bool) or not isinstance(n_trades, int) or n_trades < 0:
-            raise ConfigError(f"market state n_trades must be a nonnegative integer, got {n_trades!r}")
+        n_trades = _integer(d.get("n_trades", 0), "market state n_trades", 0)
         return cls(
             family=family_from_id(d["family"]),
             theta0=_numbers(d["theta"], "market state theta"),
@@ -283,15 +288,14 @@ class Market:
     # Mutation
     # ------------------------------------------------------------------
 
-    def execute(self, delta, trader_id: str = "", round_index: int | None = None) -> TradeRecord:
+    def execute(self, delta, trader_id: str = "") -> TradeRecord:
         """Buy ``delta``, updating shares, ``C(theta)``, counter and revenue.
 
-        The state is untouched when the quote fails.  ``round_index``
-        defaults to the pre-trade trade count.
+        The state is untouched when the quote fails.  The record's round is
+        the pre-trade trade count.
         """
         delta = as_params(delta, self.family.dim, "delta")
-        round_index = self.n_trades if round_index is None else int(round_index)
-        return TradeRecord(round_index, trader_id, delta, self._buy(delta))
+        return TradeRecord(self.n_trades, trader_id, delta, self._buy(delta))
 
     def _buy(self, delta: array) -> float:
         """``execute`` without its record and its check of ``delta``, which must have the market's dimension."""

@@ -70,6 +70,16 @@ def random_mean(fam: ExpFamily, rng: np.random.Generator) -> np.ndarray:
     return fam.mean_from_natural(random_natural(fam, rng))
 
 
+def sample_batch(fam: ExpFamily, theta, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The outcomes of ``n`` calls of ``fam.sample(theta, rng)``, as an ndarray.
+
+    They are drawn through the sampler ``sample`` builds, built once, so theta is not checked ``n``
+    times; ``test_families.py::TestSampling::test_run_draws_equal_sample_draws`` pins the bits equal.
+    """
+    draw = fam._sampler(fam.check_natural(theta))
+    return np.array([draw(rng) for _ in range(n)])
+
+
 # ----------------------------------------------------------------------
 # Quadrature oracles
 # ----------------------------------------------------------------------

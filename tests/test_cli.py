@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 
@@ -82,6 +84,17 @@ class TestScore:
     def test_report_entries_must_be_json_numbers(self, capsys, family, report):
         assert main(["score", "--family", family, "--report", report, "--outcome", "1"]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,report", [
+        ("categorical:2", '{"probs": [0.7, 0.3], "mean": [0.1, 0.9]}'),  # probs was scored and mean dropped
+        ("gaussian-moments", '{"mean": 0.5, "variance": 2, "moment": [9, 9]}'),
+        ("gaussian-moments", '{"mean": [1e200, 1e300]}'),  # 1e200 ** 2 raised OverflowError
+    ])
+    def test_unusable_report_exits_2_with_one_line(self, capsys, family, report):
+        assert main(["score", "--family", family, "--report", report, "--outcome", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: --report")
+        assert len(captured.err.splitlines()) == 1
 
     def test_bad_report_json_is_config_error(self, capsys):
         assert main(["score", "--family", "exponential-rate", "--report", "oops", "--outcome", "1"]) == 2
@@ -588,3 +601,26 @@ def test_json_nested_too_deep_exits_with_one_line(tmp_path, case, code, message)
     assert proc.stderr.startswith(message) and len(proc.stderr.splitlines()) == 1, proc.stderr[-300:]
     assert proc.stdout == ""
     assert open(state).read() == before
+
+
+def readme_file_format_examples() -> list[str]:
+    """The JSON examples of the README's "File formats" section, in order."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("### File formats\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```json\n(.*?)```", section, re.S)
+
+
+def test_readme_file_format_examples_are_accepted(tmp_path, capsys):
+    # A reader made stricter must not refuse a documented form.
+    state, config, problem, log = readme_file_format_examples()
+    paths = {}
+    for name, text in [("state.json", state), ("config.json", config), ("problem.json", problem),
+                       ("trades.jsonl", log), ("state0.json", '{"family": "categorical:2", "theta": [0, 0]}')]:
+        paths[name] = str(tmp_path / name)
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    assert main(["quote", "--market", paths["state.json"], "--delta", "0.5"]) == 0
+    assert main(["simulate", "--config", paths["config.json"], "--out", str(tmp_path / "report.json")]) == 0
+    assert main(["equilibrium", "--problem", paths["problem.json"]]) == 0
+    assert main(["replay", "--log", paths["trades.jsonl"], "--state0", paths["state0.json"]]) == 0
+    assert capsys.readouterr().err == ""

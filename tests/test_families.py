@@ -18,6 +18,7 @@ from conftest import (
     log_partition_quadrature,
     normalization_quadrature,
     random_natural,
+    sample_batch,
 )
 from expfam_markets import (
     Categorical,
@@ -336,14 +337,14 @@ class TestSampling:
     def test_categorical_near_degenerate(self):
         fam = family_from_id("categorical:2")
         rng = np.random.default_rng(43)
-        draws = fam.sample([50.0, 0.0], rng, size=10_000)
+        draws = sample_batch(fam, [50.0, 0.0], rng, 10_000)
         assert np.mean(draws == 1) > 0.999
 
     def test_exponential_mean_clt(self):
         fam = family_from_id("exponential-rate")
         rng = np.random.default_rng(47)
         n = 100_000
-        draws = fam.sample(-2.0, rng, size=n)
+        draws = sample_batch(fam, -2.0, rng, n)
         se = 0.5 / math.sqrt(n)  # sd of Exp(rate 2) is 1/2
         assert abs(np.mean(draws) - 0.5) < 3 * se
 
@@ -351,7 +352,7 @@ class TestSampling:
         fam = family_from_id("gaussian-moments")
         rng = np.random.default_rng(53)
         n = 100_000
-        draws = fam.sample([1.0, -0.5], rng, size=n)
+        draws = sample_batch(fam, [1.0, -0.5], rng, n)
         # mean 1, variance 1; Var(x^2) = E[x^4] - E[x^2]^2 = 10 - 4 = 6
         assert abs(np.mean(draws) - 1.0) < 3 / math.sqrt(n)
         assert abs(np.mean(draws**2) - 2.0) < 3 * math.sqrt(6.0 / n)
@@ -360,28 +361,25 @@ class TestSampling:
         fam = family_from_id("weibull-moment:2")
         rng = np.random.default_rng(59)
         n = 100_000
-        draws = fam.sample(-0.5, rng, size=n)
+        draws = sample_batch(fam, -0.5, rng, n)
         # x^2 is Exp(rate 1/2): mean 2, sd 2
         assert abs(np.mean(draws**2) - 2.0) < 3 * 2.0 / math.sqrt(n)
 
     def test_deterministic_given_seed(self):
         fam = family_from_id("exponential-rate")
-        a = fam.sample(-1.0, np.random.default_rng(61), size=10)
-        b = fam.sample(-1.0, np.random.default_rng(61), size=10)
-        np.testing.assert_array_equal(a, b)
+        a, b = np.random.default_rng(61), np.random.default_rng(61)
+        assert [fam.sample(-1.0, a) for _ in range(10)] == [fam.sample(-1.0, b) for _ in range(10)]
 
     @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
-    def test_array_draw_equals_scalar_draws(self, family_id):
-        # Three ways to draw the same stream: one batch, one sample call per draw, and the sampler that
-        # run_simulation builds once per run and calls once per round.
+    def test_run_draws_equal_sample_draws(self, family_id):
+        # Two ways to draw the same stream: one sample call per draw, and the sampler that run_simulation
+        # builds once per run and calls once per round (the tests' sample_batch draws through it too).
         fam = family_from_id(family_id)
         theta = random_natural(fam, np.random.default_rng(73))
-        batch = fam.sample(theta, np.random.default_rng(67), size=2_000)
         rng = np.random.default_rng(67)
         one_by_one = [fam.sample(theta, rng) for _ in range(2_000)]
         draw, rng = fam._sampler(fam.check_natural(theta)), np.random.default_rng(67)
         per_run = [draw(rng) for _ in range(2_000)]
-        assert [float(v).hex() for v in batch] == [float(v).hex() for v in one_by_one]
         assert [float(v).hex() for v in per_run] == [float(v).hex() for v in one_by_one]
         assert {type(v) for v in per_run} == {type(v) for v in one_by_one}
 
@@ -410,7 +408,7 @@ class TestWeibullFamily:
         rng = np.random.default_rng(71)
         theta = -1.7
         n = 200_000
-        draws = fam.sample(theta, rng, size=n)
+        draws = sample_batch(fam, theta, rng, n)
         moment = np.mean(draws**3)
         se = np.std(draws**3) / math.sqrt(n)
         assert abs(moment - fam.mean_from_natural(theta)[0]) < 3.5 * se

@@ -141,6 +141,24 @@ class TestConfigParsing:
         {"traders": [{"id": "a", "model": "exp-utility", "risk_aversion": 1.0, "budget": 0.01,
                       "belief": {"probs": [0.7, 0.3]}}]},
         {"traders": [{"id": "a", "model": "risk-neutral", "budget": 1.0, "belief": {"probs": [0.7, 0.3]}}]},
+        # TraderProfile makes the range checks: a budget-limited budget, and a risk-neutral trader's ignored
+        # risk_aversion too.
+        {"traders": [{"id": "a", "model": "budget-limited", "budget": -1.0, "belief": {"probs": [0.7, 0.3]}}]},
+        {"traders": [{"id": "a", "model": "risk-neutral", "risk_aversion": -1.0, "belief": {"probs": [0.7, 0.3]}}]},
+        # A mean description is exactly {mean, variance} or one of probs, moment and mean: no key is dropped.
+        *[{"family": family, "theta0": theta, "true_theta": theta, "traders": [trader]}
+          for family, theta, mean in [
+              ("categorical:2", [0.0, 0.0], {"probs": [0.7, 0.3], "mean": [0.1, 0.9]}),
+              ("categorical:2", [0.0, 0.0], {"probs": [0.7, 0.3], "junk": 1}),
+              ("categorical:2", [0.0, 0.0], {"theta": [1.0, 0.0], "probs": [0.5, 0.5]}),
+              ("gaussian-moments", [0.0, -0.5], {"mean": 0.5, "variance": 2.0, "moment": [9.0, 9.0]}),
+              ("gaussian-moments", [0.0, -0.5], {"mean": [1e200, 1e300]}),  # 1e200 ** 2 overflowed
+          ]
+          for trader in [{"id": "a", "model": "risk-neutral", "belief": mean},
+                         {"id": "b", "model": "bayesian", "sample": {"mean": mean}}]],
+        # Only fixed-sequence arrival reads a sequence.
+        {"arrival": "round-robin", "sequence": ["zz"]},
+        {"sequence": ["alice"]},
     ])
     def test_invalid_configs_rejected(self, corrupt):
         with pytest.raises(ConfigError):
@@ -740,13 +758,13 @@ class TestReplay:
             assert err.value.line_number == 6
 
     def test_reset_inside_a_round_is_a_cost_mismatch(self, tmp_path):
-        # Both trades of round 1 priced at theta0, as if the state were reset between them: replay
+        # Both trades of round 0 priced at theta0, as if the state were reset between them: replay
         # resets only where the round index goes up, so the second cost does not match.
         family = family_from_id("categorical:2")
         first = Market(family, [0.0, 0.0])
         state0 = first.state_dict()
-        lines = [log_header(first, state_reset=True), first.execute([0.25, 0.0], "a", 1).to_dict(),
-                 Market(family, [0.0, 0.0]).execute([0.0, 0.25], "b", 1).to_dict()]
+        lines = [log_header(first, state_reset=True), first.execute([0.25, 0.0], "a").to_dict(),
+                 Market(family, [0.0, 0.0]).execute([0.0, 0.25], "b").to_dict()]
         with pytest.raises(CorruptLogError, match="recorded cost") as err:
             replay(read_trade_log(self.write_log(tmp_path / "trades.jsonl", lines)), state0)
         assert err.value.line_number == 3
@@ -804,7 +822,7 @@ class TestReplay:
         {"inv_liquidity": "1.0"}, {"inv_liquidity": math.inf}])
     def test_mistyped_header_is_corrupt(self, tmp_path, header):
         market = Market(family_from_id("categorical:2"), [0.0, 0.0])
-        lines = [log_header(market) | header, market.execute([0.25, 0.0], "a", 1).to_dict()]
+        lines = [log_header(market) | header, market.execute([0.25, 0.0], "a").to_dict()]
         with pytest.raises(CorruptLogError, match="not a format-2 trade log header") as err:
             read_trade_log(self.write_log(tmp_path / "trades.jsonl", lines))
         assert err.value.line_number == 1
@@ -841,8 +859,8 @@ class TestReplay:
     ])
     def test_mistyped_record_field_is_corrupt(self, tmp_path, field, value):
         market = Market(family_from_id("categorical:2"), [0.0, 0.0])
-        lines = [log_header(market), market.execute([0.25, 0.0], "a", 1).to_dict(),
-                 {**market.execute([0.0, 0.25], "b", 2).to_dict(), field: value}]
+        lines = [log_header(market), market.execute([0.25, 0.0], "a").to_dict(),
+                 {**market.execute([0.0, 0.25], "b").to_dict(), field: value}]
         with pytest.raises(CorruptLogError) as err:
             read_trade_log(self.write_log(tmp_path / "trades.jsonl", lines))
         assert err.value.line_number == 3
@@ -850,7 +868,7 @@ class TestReplay:
     @pytest.mark.parametrize("missing", ["cost", "delta", "round", "trader_id"])
     def test_record_missing_a_key_is_corrupt(self, tmp_path, missing):
         market = Market(family_from_id("categorical:2"), [0.0, 0.0])
-        record = market.execute([0.25, 0.0], "a", 1).to_dict()
+        record = market.execute([0.25, 0.0], "a").to_dict()
         del record[missing]
         with pytest.raises(CorruptLogError, match="keys") as err:
             read_trade_log(self.write_log(tmp_path / "trades.jsonl", [log_header(market), record]))
@@ -858,7 +876,7 @@ class TestReplay:
 
     def test_unexecutable_record_detected(self):
         fam = family_from_id("exponential-rate")
-        good = Market(fam, -1.0).execute(-0.5, round_index=1)
+        good = Market(fam, -1.0).execute(-0.5)
         bad = TradeRecord(2, "b", array("d", [2.0]), 0.0)  # moves theta -1.5 out of the domain theta < 0
         start = Market(fam, -1.0)
         with pytest.raises(CorruptLogError, match="not executable") as err:

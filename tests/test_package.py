@@ -47,12 +47,12 @@ def _numpy_import_scopes(node, scope):
         yield from _numpy_import_scopes(child, scope)
 
 
-def test_numpy_is_imported_at_three_sites_only():
-    # The outcome Generator, a batch of draws and the equilibrium solver; all else runs on array('d') and math.
+def test_numpy_is_imported_at_two_sites_only():
+    # The outcome Generator and the equilibrium solver; all else runs on array('d') and math.
     package = os.path.dirname(expfam_markets.__file__)
     scopes = set()
     for name in os.listdir(package):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 scopes.update(_numpy_import_scopes(ast.parse(fh.read()), name[:-3]))
-    assert scopes == {"harness.run_simulation", "families.ExpFamily.sample", "equilibrium"}
+    assert scopes == {"harness.run_simulation", "equilibrium"}

@@ -8,7 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from conftest import random_natural, subprocess_env
+from conftest import random_natural, sample_batch, subprocess_env
 from expfam_markets import (
     DomainError,
     Market,
@@ -174,10 +174,11 @@ class TestCertaintyEquivalent:
             certainty_equivalent(market, make_trader(-3.0, a=0.0), 0.0)
 
 
-@pytest.mark.parametrize("field", ["risk_aversion", "budget"])
-def test_negative_risk_aversion_or_budget_rejected(field):
-    with pytest.raises(DomainError, match=f"{field} must be nonnegative"):
-        TraderProfile(id="t", belief_theta=-0.5, **{field: -1.0})
+@pytest.mark.parametrize("field, value, rule", [
+    ("risk_aversion", -1.0, "nonnegative"), ("budget", -1.0, "nonnegative"), ("sample_size", 0.0, "positive")])
+def test_out_of_range_profile_number_rejected(field, value, rule):
+    with pytest.raises(DomainError, match=f"{field} must be {rule}"):
+        TraderProfile(id="t", belief_theta=-0.5, **{field: value})
 
 
 def _grid_around(family, delta_star, span, count, rng):
@@ -471,7 +472,7 @@ class TestExpectedProfitBound:
         cost = market.quote(delta)
         rng = np.random.default_rng(43)
         n = 1_000_000
-        draws = EXPO.sample(-0.5, rng, size=n)
+        draws = sample_batch(EXPO, -0.5, rng, n)
         profits = delta[0] * draws - cost
         se = float(np.std(profits)) / math.sqrt(n)
         expected, _ = expected_profit_bound(market, make_trader(-0.5), delta)
