@@ -56,8 +56,8 @@ def _cmd_score(args) -> int:
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     report = _parse_json_value(args.report, "--report")
-    if isinstance(family, GaussianMoments) and not isinstance(report, dict):
-        raise ConfigError("gaussian-moments reports are {\"mean\": m, \"variance\": v}")
+    if isinstance(family, GaussianMoments) and not (isinstance(report, dict) and report.keys() == {"mean", "variance"}):
+        raise ConfigError("--report: gaussian-moments reports are {\"mean\": m, \"variance\": v}")
     mu = parse_mean_params(family, report, "--report")
     outcome = _parse_json_value(args.outcome, "--outcome")
     print(repr(log_score(family, mu, outcome)))

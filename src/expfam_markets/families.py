@@ -53,7 +53,7 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate
 
-from .errors import ConvergenceError, DomainError, UnsupportedError
+from .errors import DomainError, UnsupportedError
 
 BOUNDARY_MARGIN = 1e-12
 
@@ -317,7 +317,8 @@ class WeibullMoment(ExpFamily):
 
     @property
     def id(self) -> str:
-        return f"weibull-moment:{self.k:g}"
+        short = f"{self.k:g}"  # six significant digits: kept only where they read back as k
+        return f"weibull-moment:{short if float(short) == self.k else repr(self.k)}"
 
     def _natural_interior(self, theta, margin) -> bool:
         return theta[0] <= -margin
@@ -445,17 +446,6 @@ def _vmf_mean_resultant(kappa: float) -> float:
     return _vmf_mean_ratio(kappa) * kappa
 
 
-def _vmf_mean_resultant_deriv(kappa: float) -> float:
-    """Derivative of ``coth(k) - 1/k``; positive, so the map is invertible."""
-    if kappa < 1e-2:
-        k2 = kappa * kappa
-        return 1.0 / 3.0 - k2 / 15.0 + 2.0 * k2 * k2 / 189.0 - 7.0 * k2 * k2 * k2 / 4725.0
-    if kappa > 30.0:
-        return 1.0 / (kappa * kappa) - 4.0 * math.exp(-2.0 * kappa)
-    s = math.sinh(kappa)
-    return 1.0 / (kappa * kappa) - 1.0 / (s * s)
-
-
 class VonMisesFisher3(ExpFamily):
     """Unit-sphere outcomes in R^3 with identity statistic.
 
@@ -463,9 +453,10 @@ class VonMisesFisher3(ExpFamily):
     ``k = |theta|`` (half-integer Bessel functions are elementary in three
     dimensions).  A series is used for ``k < 1e-4`` to avoid cancellation.
     Mean parameters fill the open unit ball; the inverse map solves
-    ``coth(k) - 1/k = |mu|`` by damped Newton iteration, which is globally
-    convergent because the left-hand side is increasing.  Sampling is not
-    supported.
+    ``coth(k) - 1/k = |mu|`` by bisection at geometric midpoints on the
+    bracket ``[3|mu|, 1/(1 - |mu|)]``, which always holds the root.  It stops
+    when no midpoint falls strictly inside the bracket, so it has no
+    tolerance, cap or failure path.  Sampling is not supported.
     """
 
     dim = 3
@@ -508,42 +499,22 @@ class VonMisesFisher3(ExpFamily):
         r = math.hypot(*mu)
         if r == 0.0:
             return array("d", (0.0, 0.0, 0.0))
-        kappa = _invert_monotone(
-            _vmf_mean_resultant,
-            _vmf_mean_resultant_deriv,
-            target=r,
-            x0=r * (3.0 - r * r) / (1.0 - r * r),
-        )
-        return _scaled(kappa / r, mu)
+        # A(k) = coth(k) - 1/k is increasing and concave with A'(0) = 1/3, so A(3r) <= r; and coth(k) > 1
+        # gives A(1/(1 - r)) > r.  check_mean keeps r <= 1 - 1e-12, so hi stays below about 1e12.
+        lo, hi = 3.0 * r, 1.0 / (1.0 - r)
+        # Each step halves log(hi/lo) and keeps A(lo) <= r <= A(hi); the loop ends once the midpoint rounds
+        # to an end.  The midpoint is not sqrt(lo * hi), which underflows for a tiny r.
+        kappa = math.sqrt(lo) * math.sqrt(hi)
+        while lo < kappa < hi:
+            if _vmf_mean_resultant(kappa) < r:
+                lo = kappa
+            else:
+                hi = kappa
+            kappa = math.sqrt(lo) * math.sqrt(hi)
+        return _scaled(hi / r, mu)
 
     def _statistic(self, x) -> array:
         return array("d", x)
-
-
-def _invert_monotone(func, deriv, target: float, x0: float,
-                     tol: float = 1e-12, max_iter: int = 100) -> float:
-    """Solve ``func(x) = target`` for x > 0 by damped Newton with step halving."""
-    x = max(x0, 1e-12)
-    resid = func(x) - target
-    for iteration in range(1, max_iter + 1):
-        if abs(resid) <= tol:
-            return x
-        step = -resid / deriv(x)
-        scale = 1.0
-        for _ in range(60):
-            candidate = x + scale * step
-            if candidate > 0.0:
-                new_resid = func(candidate) - target
-                if abs(new_resid) < abs(resid):
-                    x, resid = candidate, new_resid
-                    break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(f"Newton inversion stalled at residual {resid:g} in iteration {iteration}: "
-                                   "no halved step reduced it")
-    if abs(resid) <= tol:
-        return x
-    raise ConvergenceError(f"Newton inversion stalled at residual {resid:g}: reached max_iter ({max_iter} iterations)")
 
 
 # ----------------------------------------------------------------------
@@ -568,16 +539,18 @@ def family_from_id(family_id: str) -> ExpFamily:
         if not sep:
             raise DomainError("categorical requires an outcome count, e.g. 'categorical:3'")
         try:
-            return Categorical(int(arg))
+            count = int(arg)
         except ValueError as exc:
             raise DomainError(f"bad categorical outcome count {arg!r}") from exc
+        return Categorical(count)
     if name == "weibull-moment":
         if not sep:
             raise DomainError("weibull-moment requires a moment order, e.g. 'weibull-moment:2'")
         try:
-            return WeibullMoment(float(arg))
+            order = float(arg)
         except ValueError as exc:
             raise DomainError(f"bad weibull moment order {arg!r}") from exc
+        return WeibullMoment(order)
     if sep:
         raise DomainError(f"family {name!r} takes no parameter, got {family_id!r}")
     if name == "exponential-rate":

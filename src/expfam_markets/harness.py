@@ -41,7 +41,7 @@ from array import array
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
-from .errors import ConfigError, ConvergenceError, CorruptLogError, DomainError
+from .errors import ConfigError, CorruptLogError, DomainError
 from .families import ExpFamily, VonMisesFisher3, as_params, family_from_id
 from .market import (Market, TradeLog, _check_keys, _integer, _json, _number, _numbers, _record_json, check_header,
                      log_header)
@@ -369,7 +369,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                     trades.append((delta, market._buy(delta)))
                     path.append(market._state())
                 outcome = draw(rng)
-            except (DomainError, ConvergenceError) as exc:
+            except DomainError as exc:
                 valid, error = False, f"round {round_index}: {exc}"
                 market._restore(*settled)  # an unsettled trade leaves no trace in the report or the log
                 market.n_trades, market.revenue = n_trades, revenue

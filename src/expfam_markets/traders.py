@@ -60,8 +60,9 @@ class TraderProfile:
     ``sample_mean`` of its ``sample_size`` points.  ``budget`` is the
     starting budget in a ``SimConfig`` (the run keeps the running budget
     and cash itself), and the current budget for ``budget_limited_trade``;
-    ``None`` means unlimited.  ``holdings`` accumulates unsettled purchases
-    (used to form the effective belief on market re-entry).  Construction
+    ``None`` means unlimited.  ``holdings`` (zeros by default) is set by the
+    caller and read only by ``effective_belief``; nothing in the package
+    writes it.  Construction
     raises DomainError for a negative ``risk_aversion`` or ``budget`` or a
     ``sample_size`` that is not positive: the one place these ranges are
     checked, ``SimConfig.from_dict`` included.

@@ -48,9 +48,18 @@ class TestScore:
         out = capsys.readouterr().out.strip()
         assert float(out) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
-    def test_gaussian_raw_vector_report_rejected(self, capsys):
-        code = main(["score", "--family", "gaussian-moments", "--report", "[0.0, 1.0]", "--outcome", "0"])
+    @pytest.mark.parametrize("report", ["[0.0, 1.0]", '{"mean": [0.0, 1.0]}', '{"moment": [0.0, 1.0]}'])
+    def test_gaussian_raw_vector_report_rejected(self, capsys, report):
+        code = main(["score", "--family", "gaussian-moments", "--report", report, "--outcome", "0"])
         assert code == 2
+        assert capsys.readouterr().err.startswith("config error: --report: gaussian-moments reports are")
+
+    def test_vmf3_report(self, capsys):
+        from expfam_markets.scoring import log_score
+
+        args = ["score", "--family", "vmf3", "--report", "[0.0, 0.0, 0.5]", "--outcome", "[0, 0, 1]"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == repr(log_score(family_from_id("vmf3"), [0.0, 0.0, 0.5], [0, 0, 1])) + "\n"
 
     def test_categorical_report(self, capsys):
         assert main(["score", "--family", "categorical:2", "--report", "[0.25, 0.75]", "--outcome", "2"]) == 0
@@ -512,6 +521,22 @@ class TestEquilibriumCommand:
         np.testing.assert_allclose(out["theta_eq"], [1 / 3, 1 / 3], atol=1e-6)
         assert set(out) == {"theta_eq", "prices_eq", "deltas", "potential_value", "br_rounds"}
         assert out["br_rounds"] >= 1
+
+    def test_vmf3_mean_belief(self, tmp_path, capsys):
+        from expfam_markets.equilibrium import EquilibriumProblem, closed_form_equilibrium
+        from expfam_markets.harness import parse_belief_theta
+
+        fam = family_from_id("vmf3")
+        belief = {"mean": [0.0, 0.0, 0.5]}
+        problem = write_json(tmp_path / "problem.json", {
+            "family": "vmf3",
+            "theta0": [0.0, 0.0, 0.0],
+            "traders": [{"belief": belief, "risk_aversion": 2.0}],
+        })
+        assert main(["equilibrium", "--problem", problem]) == 0
+        expected, _ = closed_form_equilibrium(EquilibriumProblem(
+            family=fam, theta0=[0.0, 0.0, 0.0], beliefs=[parse_belief_theta(fam, belief, "b")], risk_aversions=[2.0]))
+        assert json.loads(capsys.readouterr().out)["theta_eq"] == expected.tolist()
 
     @pytest.mark.parametrize("risk_aversion", [0.0, 1e-310])  # 1/1e-310 overflows
     def test_risk_neutral_trader_rejected(self, tmp_path, capsys, risk_aversion):

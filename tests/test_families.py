@@ -22,7 +22,6 @@ from conftest import (
 )
 from expfam_markets import (
     Categorical,
-    ConvergenceError,
     DomainError,
     UnsupportedError,
     family_from_id,
@@ -414,6 +413,17 @@ class TestWeibullFamily:
         assert abs(moment - fam.mean_from_natural(theta)[0]) < 3.5 * se
 
 
+@pytest.fixture(scope="module")
+def vmf3_sweep_means():
+    """10,000 seeded vmf3 means: |mu| log-uniform over [1e-300, 1) for half, 1 - |mu| over [1e-12, 1) for the rest."""
+    rng = np.random.default_rng(2005)
+    exponents = np.concatenate([rng.uniform(-300.0, 0.0, 5000), rng.uniform(-12.0, 0.0, 5000)])
+    norms = np.concatenate([10.0 ** exponents[:5000], 1.0 - 10.0 ** exponents[5000:]])
+    directions = rng.standard_normal((10_000, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return [list(map(float, r * d)) for r, d in zip(norms, directions)]
+
+
 class TestVmf3Inversion:
     def test_high_concentration_roundtrip(self):
         fam = family_from_id("vmf3")
@@ -425,7 +435,38 @@ class TestVmf3Inversion:
         fam = family_from_id("vmf3")
         theta = np.array([1e-6, -2e-6, 3e-6])
         mu = fam.mean_from_natural(theta)
-        np.testing.assert_allclose(fam.natural_from_mean(mu), theta, rtol=1e-6, atol=1e-15)
+        np.testing.assert_allclose(fam.natural_from_mean(mu), theta, rtol=1e-15, atol=0.0)
+
+    def test_tiny_mean_inverts_to_three_times_it(self):
+        # A(k) = k/3 - k**3/45 + ..., so the root is 3e-20; a tolerance on |A(k) - r| of 1e-12 would accept k = 1e-12.
+        kappa = math.hypot(*family_from_id("vmf3").natural_from_mean([1e-20, 0.0, 0.0]))
+        assert abs(kappa - 3e-20) <= 2 * math.ulp(3e-20)
+
+    def test_roundtrip_sweep_within_8_ulps(self, vmf3_sweep_means):
+        fam = family_from_id("vmf3")
+        for mu in vmf3_sweep_means:
+            back = fam.mean_from_natural(fam.natural_from_mean(mu))
+            for a, b in zip(mu, back):
+                assert abs(a - b) <= 8 * math.ulp(a), (mu, back.tolist())
+
+    def test_inverse_evaluates_the_mean_map_at_most_64_times(self, vmf3_sweep_means, monkeypatch):
+        from expfam_markets import families
+
+        calls = []
+        resultant = families._vmf_mean_resultant
+
+        def counted(kappa):
+            calls.append(kappa)
+            return resultant(kappa)
+
+        monkeypatch.setattr(families, "_vmf_mean_resultant", counted)
+        fam = family_from_id("vmf3")
+        most = 0
+        for mu in vmf3_sweep_means:
+            calls.clear()
+            fam.natural_from_mean(mu)
+            most = max(most, len(calls))
+        assert 0 < most <= 64
 
     def test_mean_ratio_within_4_ulps(self):
         # (coth(k) - 1/k) / k against a 60-digit reference, on both sides of the k = 2 switch.
@@ -441,49 +482,6 @@ class TestVmf3Inversion:
                 e2k = (2 * k).exp()
                 reference = float(((e2k + 1) / (e2k - 1) - 1 / k) / k)
                 assert abs(_vmf_mean_ratio(kappa) - reference) <= 4 * math.ulp(reference), kappa
-
-    def test_newton_cap_raises(self):
-        from expfam_markets.families import (
-            _invert_monotone,
-            _vmf_mean_resultant,
-            _vmf_mean_resultant_deriv,
-        )
-
-        # A target this close to 1 needs a huge concentration; three
-        # iterations from a tiny start cannot reach it.
-        with pytest.raises(ConvergenceError, match=r"reached max_iter \(3 iterations\)"):
-            _invert_monotone(_vmf_mean_resultant, _vmf_mean_resultant_deriv,
-                             target=1.0 - 1e-9, x0=1e-6, max_iter=3)
-
-    def test_newton_returns_when_its_last_iteration_reaches_tol(self):
-        from expfam_markets.families import _invert_monotone
-
-        # One step from 0.5 solves x = 1 exactly; the residual is tested only after the loop.
-        assert _invert_monotone(lambda x: x, lambda x: 1.0, target=1.0, x0=0.5, max_iter=1) == 1.0
-
-    def test_newton_halves_a_step_that_leaves_the_domain(self):
-        from expfam_markets.families import _invert_monotone
-
-        def f(x):
-            return 1.0 - math.exp(-x)
-
-        # The full Newton step from 5 lands below 0, so only a halved step can be taken.
-        assert 5.0 - (f(5.0) - 0.5) / math.exp(-5.0) < 0.0
-        assert _invert_monotone(f, lambda x: math.exp(-x), target=0.5, x0=5.0) == pytest.approx(math.log(2), abs=1e-11)
-
-    def test_newton_without_an_acceptable_step_raises(self):
-        from expfam_markets.families import _invert_monotone
-
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return 1.0 - math.exp(-x)
-
-        # From 50 the step is about -2.6e21: 60 halvings leave it negative, so no step is tried.
-        with pytest.raises(ConvergenceError, match="stalled at residual 0.5 in iteration 1: no halved step"):
-            _invert_monotone(f, lambda x: math.exp(-x), target=0.5, x0=50.0)
-        assert calls == [50.0]
 
 
 class TestStatistic:
@@ -585,3 +583,12 @@ class TestRegistry:
     def test_weibull_id_formatting(self):
         assert family_from_id("weibull-moment:2.5").id == "weibull-moment:2.5"
         assert family_from_id("weibull-moment:2.0").id == "weibull-moment:2"
+
+    @pytest.mark.parametrize("order", [0.1234567, 3.14159265])  # more digits than :g keeps
+    def test_weibull_id_reads_back_as_its_order(self, order):
+        fam = WeibullMoment(order)
+        assert family_from_id(fam.id).k == fam.k
+
+    def test_constructor_error_keeps_its_message(self):
+        with pytest.raises(DomainError, match="needs at least 2 outcomes, got 1"):
+            family_from_id("categorical:1")

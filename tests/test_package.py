@@ -1,4 +1,4 @@
-"""The package's public surface: every ``__all__`` name resolves, lazily, to its module's own object; numpy loads at three sites."""
+"""The package's public surface: every ``__all__`` name resolves, lazily, to its module's own object; numpy loads at two sites; one module raises ConvergenceError."""
 
 import ast
 import importlib
@@ -56,3 +56,16 @@ def test_numpy_is_imported_at_two_sites_only():
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 scopes.update(_numpy_import_scopes(ast.parse(fh.read()), name[:-3]))
     assert scopes == {"harness.run_simulation", "equilibrium"}
+
+
+def test_convergence_error_is_raised_in_equilibrium_only():
+    # Only best-response dynamics iterates to a tolerance; every family map ends by construction.
+    package = os.path.dirname(expfam_markets.__file__)
+    raisers = set()
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            raisers.update(name[:-3] for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc is not None
+                           and "ConvergenceError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)})
+    assert raisers == {"equilibrium"}
