@@ -7,7 +7,8 @@ Subcommands:
 * ``trade``       -- execute a portfolio, atomically rewriting the state
                      file and optionally appending to a trade log (started
                      with its header when new; one of another family or
-                     liquidity is refused).
+                     liquidity is refused), under an exclusive lock on the
+                     file ``<state>.lock`` so concurrent trades run in turn.
 * ``simulate``    -- run a configured simulation and write reports.
 * ``replay``      -- verify a trade log against an initial state.
 * ``equilibrium`` -- solve a multi-trader equilibrium problem.
@@ -20,7 +21,9 @@ config file.
 
 ``quote`` and ``trade`` import neither numpy nor the modules that need it:
 the harness, equilibrium and scoring modules load inside the commands that
-use them.
+use them.  Nor do they load ``dataclasses`` or ``inspect``: from the
+standard library they add only ``argparse``, ``json``, ``numbers``,
+``array`` and, for ``trade``, ``fcntl`` to what ``os`` and ``tempfile`` bring.
 """
 
 from __future__ import annotations
@@ -71,13 +74,19 @@ def _cmd_quote(args) -> int:
 
 
 def _cmd_trade(args) -> int:
-    market = load_state(args.market)
-    delta = _numbers(_parse_json_value(args.delta, "--delta"), "--delta")
-    header = log_header(market)  # the pre-trade state: where a new log starts
-    record = market.execute(delta, trader_id=args.trader)
-    if args.log is not None:
-        append_record(args.log, header, record)
-    save_state(market, args.market)
+    import fcntl
+
+    # One trade at a time per state file, from its read to its save: two trades priced from one state would
+    # leave a state and a log that disagree.  quote needs no lock, as save_state replaces the file atomically.
+    with open(args.market + ".lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        market = load_state(args.market)
+        delta = _numbers(_parse_json_value(args.delta, "--delta"), "--delta")
+        header = log_header(market)  # the pre-trade state: where a new log starts
+        record = market.execute(delta, trader_id=args.trader)
+        if args.log is not None:
+            append_record(args.log, header, record)
+        save_state(market, args.market)
     print(record.to_json())
     return 0
 

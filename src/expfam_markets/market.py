@@ -42,7 +42,6 @@ import os
 import sys
 import tempfile
 from array import array
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, CorruptLogError, DomainError
@@ -118,18 +117,31 @@ def log_loss(family: ExpFamily, theta: array, x) -> float:
     return family._log_partition(theta) - family._pair(theta, x)
 
 
-@dataclass(slots=True)
 class TradeRecord:
     """One executed trade: its round, trader, portfolio and cost; the field names are the trade-log record keys.
 
     A record holds only what replay cannot derive: the states a trade bridges follow from the log
-    header's ``theta0`` and the deltas before it.
+    header's ``theta0`` and the deltas before it.  It compares, prints and refuses ``hash`` as a slotted
+    dataclass would, written out because ``dataclasses`` would load ``inspect`` into every ``trade``.
     """
 
-    round: int
-    trader_id: str
-    delta: array
-    cost: float
+    __slots__ = ("round", "trader_id", "delta", "cost")
+
+    def __init__(self, round: int, trader_id: str, delta: array, cost: float):
+        self.round = round
+        self.trader_id = trader_id
+        self.delta = delta
+        self.cost = cost
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.round, self.trader_id, self.delta, self.cost) == (other.round, other.trader_id, other.delta,
+                                                                        other.cost)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(round={self.round!r}, trader_id={self.trader_id!r}, "
+                f"delta={self.delta!r}, cost={self.cost!r})")
 
     def to_dict(self) -> dict:
         return {"round": self.round, "trader_id": self.trader_id, "delta": self.delta.tolist(), "cost": self.cost}

@@ -184,6 +184,64 @@ class TestQuoteAndTrade:
                 outputs[where] = (lines, errors, fh.read(), log.read_bytes())
         assert outputs["fresh"] == outputs["here"]
 
+    def test_scalar_commands_load_only_the_scalar_modules(self, tmp_path):
+        # quote, trade --log and their refusals, in a fresh interpreter without site's start-up imports: only the
+        # package's scalar modules load, and no stdlib module that only the harness side or a dataclass needs.
+        state = write_json(tmp_path / "state.json", {"family": "categorical:3", "theta": [0.0, 0.25, -0.5]})
+        argvs = [["quote", "--market", state, "--delta", "[0.1, -0.2, 0.3]"],
+                 ["quote", "--market", state, "--delta", "[0.1, -0.2]"],
+                 ["trade", "--market", state, "--delta", "[0.1, -0.2, 0.3]", "--log", str(tmp_path / "t.jsonl")],
+                 ["trade", "--market", state, "--delta", "[0.1, -0.2]"]]
+        banned = ["numpy", "dataclasses", "inspect", "csv", "expfam_markets.harness", "expfam_markets.traders",
+                  "expfam_markets.scoring", "expfam_markets.equilibrium"]
+        code = ("import json, sys\nfrom expfam_markets.cli import main\n"
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                "print(json.dumps({'codes': codes, 'loaded': sorted(m for m in sys.modules if m in sys.argv[2:] "
+                "or m.startswith('expfam_markets'))}))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(argvs), *banned], capture_output=True,
+                              text=True, env=subprocess_env(), timeout=120, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == {
+            "codes": [0, 3, 0, 3],
+            "loaded": ["expfam_markets", "expfam_markets.cli", "expfam_markets.errors", "expfam_markets.families",
+                       "expfam_markets.market"]}
+
+    def test_concurrent_trades_are_serialised(self, tmp_path, capsys):
+        # Two writer processes start their loops together on one state and one log.  Every trade is priced from
+        # the state the one before it saved, so the log replays to the final state.
+        n = 40
+        state = write_json(tmp_path / "state.json", {"family": "categorical:3", "theta": [0.0, 0.0, 0.0]})
+        state0 = write_json(tmp_path / "state0.json", {"family": "categorical:3", "theta": [0.0, 0.0, 0.0]})
+        log = str(tmp_path / "trades.jsonl")
+        code = ("import contextlib, io, sys\nfrom expfam_markets.cli import main\n"
+                "print('ready', flush=True)\nsys.stdin.readline()\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    codes = {main(['trade', '--market', sys.argv[1], '--delta', sys.argv[2], '--trader', sys.argv[3],"
+                " '--log', sys.argv[4]]) for _ in range(int(sys.argv[5]))}\n"
+                "print(sorted(codes))")
+        writers = [subprocess.Popen([sys.executable, "-c", code, state, delta, trader, log, str(n)],
+                                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=subprocess_env())
+                   for delta, trader in (("[0.25, 0, -0.125]", "a"), ("[-0.125, 0.0625, 0]", "b"))]
+        try:
+            assert [w.stdout.readline() for w in writers] == ["ready\n", "ready\n"]
+            for w in writers:
+                w.stdin.write("go\n")
+                w.stdin.flush()
+            assert [w.communicate(timeout=120)[0] for w in writers] == ["[0]\n", "[0]\n"]
+        finally:
+            for w in writers:
+                w.kill()
+                w.wait()
+        records = read_trade_log(log)
+        with open(log) as fh:
+            assert len(fh.read().splitlines()) == 1 + 2 * n
+        assert [r.round for r in records] == list(range(2 * n))
+        assert sorted(r.trader_id for r in records) == ["a"] * n + ["b"] * n
+        with open(state) as fh:
+            final = json.load(fh)
+        assert final["n_trades"] == 2 * n
+        assert main(["replay", "--log", log, "--state0", state0]) == 0
+        assert json.loads(capsys.readouterr().out) == final
+
     def test_quote_missing_state_file_is_io_error(self, tmp_path, capsys):
         assert main(["quote", "--market", str(tmp_path / "nope.json"), "--delta", "0.1"]) == 4
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from array import array
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from expfam_markets import (
     save_state,
 )
 from expfam_markets.families import as_params
-from expfam_markets.market import QUOTE_TABLE_SIZE
+from expfam_markets.market import QUOTE_TABLE_SIZE, TradeRecord
 
 EXPO = family_from_id("exponential-rate")
 
@@ -166,6 +167,43 @@ class TestExecute:
             market = Market(family, theta)
             total = sum(market.execute(delta / k).cost for _ in range(k))
             assert total == pytest.approx(single, abs=1e-10), f"{family.id}: {k}-step split"
+
+
+class TestTradeRecord:
+    """A plain slotted class with the constructor, equality, hashing and repr of ``@dataclass(slots=True)``."""
+
+    def record(self, **changes):
+        fields = {"round": 4, "trader_id": "a'b", "delta": array("d", [0.5, -0.0]), "cost": 0.125, **changes}
+        return TradeRecord(**fields)
+
+    def test_keyword_construction_sets_each_field(self):
+        record = self.record()
+        assert (record.round, record.trader_id, record.delta, record.cost) == (4, "a'b", array("d", [0.5, -0.0]), 0.125)
+        assert TradeRecord(4, "a'b", array("d", [0.5, -0.0]), 0.125) == record
+
+    def test_equality_is_by_value(self):
+        assert self.record() == self.record() and not self.record() != self.record()
+        for changes in ({"round": 5}, {"trader_id": "ab"}, {"delta": array("d", [0.5, 0.1])}, {"cost": 0.25}):
+            assert self.record() != self.record(**changes)
+
+    def test_not_equal_to_a_tuple_of_its_fields(self):
+        record = self.record()
+        fields = (record.round, record.trader_id, record.delta, record.cost)
+        assert record != fields and fields != record
+        assert record.__eq__(fields) is NotImplemented
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(self.record())
+
+    def test_repr(self):
+        assert repr(self.record()) == "TradeRecord(round=4, trader_id=\"a'b\", delta=array('d', [0.5, -0.0]), cost=0.125)"
+
+    def test_slots_only(self):
+        record = self.record()
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.price = 1.0
 
 
 class TestCostCache:
