@@ -23,7 +23,7 @@ config file.
 the harness, equilibrium and scoring modules load inside the commands that
 use them.  Nor do they load ``dataclasses`` or ``inspect``: from the
 standard library they add only ``argparse``, ``json``, ``numbers``,
-``array`` and, for ``trade``, ``fcntl`` to what ``os`` and ``tempfile`` bring.
+``array`` and, for ``trade``, ``fcntl`` and ``tempfile`` to what ``os`` brings.
 """
 
 from __future__ import annotations

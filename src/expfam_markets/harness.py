@@ -2,7 +2,8 @@
 
 A simulation runs a single market through ``rounds`` rounds.  Each round:
 
-1. the scheduled trader(s) compute and execute their trades;
+1. the scheduled trader(s) decide, each through its per-run mover, and
+   execute their trades;
 2. an outcome is drawn from the family member at ``true_theta``, by one
    call of the draw function ``family._sampler`` builds once per run;
 3. every trade executed this round settles -- the trader receives the
@@ -46,7 +47,7 @@ from .families import ExpFamily, VonMisesFisher3, as_params, family_from_id
 from .market import (Market, TradeLog, _check_keys, _integer, _json, _number, _numbers, _record_json, check_header,
                      log_header)
 from .scoring import moments_from_mean_variance
-from .traders import TraderProfile, _bayesian_move, _budget_limited_move, _exp_utility_move
+from .traders import TraderProfile, _bayesian_move, _budget_limited_move, _exp_utility_move, _unconstrained_move
 # The engine calls the moves; the public rules stay harness attributes, where the benchmark's tracer patches them.
 from .traders import bayesian_market_trade, budget_limited_trade, exp_utility_trade  # noqa: F401
 
@@ -238,7 +239,7 @@ class TradeEvent:
 
     round: int
     trader_id: str
-    delta: array  # the executed portfolio, as the move returned it and the market priced it
+    delta: array  # the executed portfolio as the move returned it; a trader's events may share one, never written
     cost: float
     outcome: object
     log_loss_before: float | None
@@ -303,12 +304,31 @@ def _report_chunks(report: SimReport):
 # Simulation
 # ----------------------------------------------------------------------
 
-def _decide(market: Market, trader: TraderProfile, budget: float | None) -> array:
-    if trader.model == "bayesian":
-        return _bayesian_move(market, trader.sample_mean, trader.sample_size)
+def _memo(market: Market, compute):
+    """``compute()``, a function of the market's state alone, recomputed only when ``market.theta`` is another object.
+
+    A move depends on the market only through ``theta`` (``inv_liquidity`` is fixed per market), and no
+    writer edits a state in place.  The memo holds its ``theta``, so that object's id is never reused.
+    """
+    theta = move = None
+
+    def move_at() -> array:
+        nonlocal theta, move
+        if market.theta is not theta:
+            move, theta = compute(), market.theta
+        return move
+    return move_at
+
+
+def _mover(market: Market, trader: TraderProfile, budgets: dict):
+    """The trader's decision for one run: ``move()`` returns its delta at the market's current state."""
+    if trader.model == "bayesian":  # its posterior weighs n_trades, which every trade moves: no memo
+        return lambda: _bayesian_move(market, trader.sample_mean, trader.sample_size)
     if trader.model == "budget-limited":
-        return _budget_limited_move(market, trader, budget)
-    return _exp_utility_move(market, trader.belief_theta, trader.risk_aversion)  # risk-neutral has 0
+        unconstrained = _memo(market, lambda: _unconstrained_move(market, trader))
+        return lambda: _budget_limited_move(market, unconstrained(), budgets[trader.id])
+    # exp-utility, and risk-neutral at risk aversion 0
+    return _memo(market, lambda: _exp_utility_move(market, trader.belief_theta, trader.risk_aversion))
 
 
 def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimReport:
@@ -329,6 +349,11 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     loop runs the unchecked cores and checks only the states trades reach.
     The run keeps each trader's running budget and cash itself and writes
     nothing of ``config``, so one config can run any number of times.
+
+    Each trader decides through a mover built once per run (``_mover``).  A
+    non-Bayesian mover recomputes its move only at a new ``theta`` object, so
+    under ``state_reset``, where every round restarts at the one ``theta0``,
+    each such trader computes its move once per run.
     """
     import numpy as np  # for the outcome Generator only, so quote and trade never load it
 
@@ -343,11 +368,11 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     # same per-trade changes in order, so the budget floor holds in float arithmetic too.
     cash = {tr.id: 0.0 for tr in config.traders}
     budgets = {tr.id: tr.budget for tr in config.traders}
+    movers = {tr.id: _mover(market, tr, budgets) for tr in config.traders}
     if config.arrival == "round-robin":
-        turns = [[tr] for tr in config.traders]
+        turns = [[(tid, move)] for tid, move in movers.items()]
     else:
-        by_id = {tr.id: tr for tr in config.traders}
-        turns = [[by_id[tid] for tid in config.sequence]]
+        turns = [[(tid, movers[tid]) for tid in config.sequence]]
     events: list[TradeEvent] = []
     track_loss = config.inv_liquidity == 1.0
     total_log_loss = 0.0 if track_loss else None
@@ -358,16 +383,15 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     try:
         for round_index in range(1, config.rounds + 1):
             settled, n_trades, revenue = market._state(), market.n_trades, market.revenue
-            turn = turns[(round_index - 1) % len(turns)]
-            trades: list[tuple[array, float]] = []  # (delta, cost) per trade
+            trades: list[tuple[str, array, float]] = []  # (trader id, delta, cost) per trade
             try:
                 if config.state_reset and round_index > 1:
                     market._restore(*start)
-                path = [market._state()]  # the round's price path, each state with C(theta)
-                for trader in turn:
-                    delta = _decide(market, trader, budgets[trader.id])
-                    trades.append((delta, market._buy(delta)))
-                    path.append(market._state())
+                path = [(market.theta, market._cost)]  # the round's price path, each state with C(theta)
+                for tid, move in turns[(round_index - 1) % len(turns)]:
+                    delta = move()
+                    trades.append((tid, delta, market._buy(delta)))
+                    path.append((market.theta, market._cost))
                 outcome = draw(rng)
             except DomainError as exc:
                 valid, error = False, f"round {round_index}: {exc}"
@@ -377,16 +401,16 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
 
             # Settle along the price path: payoff minus cost is a trader's budget change and log-loss
             # drop.  C(theta) is T(theta) bit for bit at unit liquidity, so each loss reads T from the cache.
-            losses = [cost - pair(theta, outcome) for theta, cost, _ in path] if track_loss else [None] * len(path)
-            changes = [pair(delta, outcome) - cost for delta, cost in trades]
-            for trader, change in zip(turn, changes):
-                cash[trader.id] += change
-                if budgets[trader.id] is not None:
-                    budgets[trader.id] += change
-            snapshot = dict(budgets)  # the round's one snapshot, shared by its events
-            for i, (trader, (delta, cost), change) in enumerate(zip(turn, trades, changes)):
-                events.append(TradeEvent(round_index, trader.id, delta, cost, outcome,
-                                         losses[i], losses[i + 1], change, snapshot))
+            losses = [cost - pair(theta, outcome) for theta, cost in path] if track_loss else [None] * len(path)
+            snapshot = {}  # the round's one budget snapshot, shared by its events and filled once they settle
+            for i, (tid, delta, cost) in enumerate(trades):
+                change = pair(delta, outcome) - cost
+                cash[tid] += change
+                if budgets[tid] is not None:
+                    budgets[tid] += change
+                events.append(TradeEvent(round_index, tid, delta, cost, outcome, losses[i], losses[i + 1], change,
+                                         snapshot))
+            snapshot.update(budgets)
             if track_loss:
                 total_log_loss += losses[-1]
             if trade_log_path is not None:  # the round has settled: its records reach the log together

@@ -40,7 +40,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from array import array
 from json.encoder import encode_basestring_ascii
 
@@ -338,6 +337,8 @@ class Market:
 
 def save_state(market: Market, path: str) -> None:
     """Write the market state as JSON via an atomic temp-file rename."""
+    import tempfile  # here, not at the top: no quote needs it, nor the random and weakref it loads
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

@@ -38,7 +38,8 @@ trader can do.
 
 Profiles are plain data that the engine only reads; every function here
 is pure given (market, profile) snapshots.  Each public trade rule is its
-checks plus one call to its ``_*_move``, which the engine calls directly.
+checks plus its ``_*_move`` (the budget-limited one applied to
+``_unconstrained_move``), which the engine calls directly.
 """
 
 from __future__ import annotations
@@ -223,11 +224,11 @@ def budget_limited_trade(market: Market, trader: TraderProfile) -> array:
     if market.inv_liquidity != 1.0:
         raise DomainError("budget_limited_trade requires inv_liquidity == 1")
     market.family.check_natural(trader.belief_theta)
-    return _budget_limited_move(market, trader, trader.budget)
+    return _budget_limited_move(market, _unconstrained_move(market, trader), trader.budget)
 
 
-def _budget_limited_move(market: Market, trader: TraderProfile, budget: float | None) -> array:
-    move = _unconstrained_move(market, trader)
+def _budget_limited_move(market: Market, move: array, budget: float | None) -> array:
+    """The chord fraction of ``move``, an ``_unconstrained_move`` at the market's state, within ``budget``."""
     move_cost = market._quote(move)[0]
     alpha = None if budget is None else max(0.0, budget)
     if alpha is None or move_cost <= alpha:

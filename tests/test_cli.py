@@ -205,6 +205,20 @@ class TestQuoteAndTrade:
             "loaded": ["expfam_markets", "expfam_markets.cli", "expfam_markets.errors", "expfam_markets.families",
                        "expfam_markets.market"]}
 
+    def test_quote_loads_no_tempfile(self, tmp_path):
+        # Only save_state needs tempfile (and with it random and weakref), so a quote, refused or not, loads none
+        # of them in a fresh interpreter without site's start-up imports; a trade still loads it.
+        state = write_json(tmp_path / "state.json", {"family": "categorical:3", "theta": [0.0, 0.25, -0.5]})
+        code = ("import json, sys\nfrom expfam_markets.cli import main\n"
+                "codes = [main(['quote', '--market', sys.argv[1], '--delta', d])\n"
+                "         for d in ('[0.1, -0.2, 0.3]', '0.1')]\n"
+                "quoted = 'tempfile' in sys.modules\n"
+                "codes.append(main(['trade', '--market', sys.argv[1], '--delta', '[0.1, -0.2, 0.3]']))\n"
+                "print(json.dumps([codes, quoted, 'tempfile' in sys.modules]))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, state], capture_output=True, text=True,
+                              env=subprocess_env(), timeout=120, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 3, 0], False, True]
+
     def test_concurrent_trades_are_serialised(self, tmp_path, capsys):
         # Two writer processes start their loops together on one state and one log.  Every trade is priced from
         # the state the one before it saved, so the log replays to the final state.

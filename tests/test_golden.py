@@ -18,10 +18,10 @@ behind the ``score`` command on seeded draws, as one JSON object::
 
     PYTHONPATH=src python tests/test_golden.py [--json]
 
-The cross-dispatch tests run that script in child processes under
-environment variables that switch numpy's SIMD loops, OpenBLAS's kernel and
-glibc's libm variant.  The first two must not move a byte of the reports,
-the logs or the score bits.  glibc's non-FMA libm still rounds some
+The cross-dispatch tests run that script in three child processes, started
+together, under environment variables that switch numpy's SIMD loops,
+OpenBLAS's kernel and glibc's libm variant.  The first two must not move a
+byte of the reports, the logs or the score bits.  glibc's non-FMA libm still rounds some
 ``exp``/``log``/``log1p``/``pow`` results differently, so under it each
 report field is compared with the in-process run against a stated bound in
 ulps.
@@ -229,12 +229,31 @@ def ulp_differences(a, b, field: str = "", out: dict | None = None) -> dict[str,
     return out
 
 
-def run_golden_child(env: dict) -> dict:
-    """Digests and reports of every golden config, and the score bits, from a child process with ``env`` added."""
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--json"], capture_output=True,
-                          text=True, env={**subprocess_env(), **env}, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+def start_golden_child(env: dict) -> subprocess.Popen:
+    """A child process running this file with ``--json``, with ``env`` added; ``collect`` reads its output."""
+    return subprocess.Popen([sys.executable, os.path.abspath(__file__), "--json"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env={**subprocess_env(), **env})
+
+
+def collect(child: subprocess.Popen) -> dict:
+    """Digests and reports of every golden config, and the score bits, as a child printed them."""
+    out, err = child.communicate(timeout=300)
+    assert child.returncode == 0, err
+    return json.loads(out)
+
+
+@pytest.fixture(scope="module")
+def golden_children():
+    """One child per dispatch variant and one under the libm variant, all started together.
+
+    Each child computes everything before it prints, so they run side by side while each test collects its own.
+    """
+    children = {name: start_golden_child(env) for name, env in DISPATCH_VARIANTS.items()}
+    children["libm"] = start_golden_child(LIBM_VARIANT)
+    yield children
+    for child in children.values():
+        child.kill()
+        child.communicate()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
@@ -243,14 +262,14 @@ def test_outputs_match_golden_digests(name, tmp_path):
 
 
 @pytest.mark.parametrize("variant", sorted(DISPATCH_VARIANTS))
-def test_digests_hold_across_dispatch_paths(variant):
-    child = run_golden_child(DISPATCH_VARIANTS[variant])
+def test_digests_hold_across_dispatch_paths(variant, golden_children):
+    child = collect(golden_children[variant])
     assert {name: out["digests"] for name, out in child["goldens"].items()} == GOLDEN_DIGESTS
     assert child["scores"] == score_bits()
 
 
-def test_libm_variant_stays_within_stated_ulps(tmp_path):
-    child = run_golden_child(LIBM_VARIANT)["goldens"]
+def test_libm_variant_stays_within_stated_ulps(tmp_path, golden_children):
+    child = collect(golden_children["libm"])["goldens"]
     assert sorted(child) == sorted(GOLDEN_CONFIGS)
     for name in sorted(GOLDEN_CONFIGS):
         differences = ulp_differences(run_golden(name, str(tmp_path))[1], child[name]["report"])

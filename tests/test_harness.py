@@ -494,6 +494,42 @@ class TestTrustedEngine:
         for name in ("as_params", "check_mean"):  # the Bayesian posterior is computed, so it is checked
             assert at_40[name] - at_10[name] <= 30, name
 
+    @pytest.mark.parametrize("state_reset", [False, True])
+    def test_a_state_reset_run_computes_each_move_once(self, monkeypatch, state_reset):
+        # Round-robin under state_reset: every round starts at theta0, so each non-Bayesian trader computes its
+        # move once and reads it back.  Without state_reset each decision meets a new state and computes one.
+        calls = {"_exp_utility_move": 0, "_unconstrained_move": 0}
+
+        def counted(name):
+            real = getattr(harness, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(harness, name, counted(name))
+        raw = {**self.all_models_config(40, state_reset), "arrival": "round-robin"}
+        report = run_simulation(SimConfig.from_dict(raw))
+        assert report.valid and len(report.events) == 40
+        # rn and eu take the exp-utility move, bl the unconstrained one; the Bayesian move calls neither here.
+        assert calls == ({"_exp_utility_move": 2, "_unconstrained_move": 1} if state_reset
+                         else {"_exp_utility_move": 20, "_unconstrained_move": 10})
+
+    def test_a_bayesian_trader_moves_anew_in_every_state_reset_round(self):
+        # by trades second, so each round it meets the one post-trade state that rn's repeated move reaches.
+        # Its posterior weighs n_trades, which grows, so its move still changes round by round, while rn's
+        # events share one delta array.
+        raw = {**self.all_models_config(6, True), "sequence": ["rn", "by"]}
+        raw["traders"] = [tr for tr in raw["traders"] if tr["id"] in raw["sequence"]]
+        report = run_simulation(SimConfig.from_dict(raw))
+        assert report.valid
+        rn = [ev.delta for ev in report.events if ev.trader_id == "rn"]
+        by = [ev.delta.tobytes() for ev in report.events if ev.trader_id == "by"]
+        assert len(rn) == 6 and all(delta is rn[0] for delta in rn)
+        assert len(by) == 6 and len(set(by)) == 6
+
     @pytest.mark.parametrize("model", ["risk-neutral", "budget-limited"])
     def test_non_finite_move_is_refused_as_the_delta(self, model):
         # belief - theta0 overflows, so the move is [inf, 0.0]: refused with the message the public

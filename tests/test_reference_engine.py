@@ -1,0 +1,52 @@
+"""``run_simulation`` against the reference engine of ``reference_engine.py``, bit for bit.
+
+The configs are the golden ones, a ``state_reset`` fixed-sequence run of all four trader models (so
+every trader after the first meets the post-trade state the quote table hands back each round) and a
+``state_reset`` round-robin run of all four models on every sampleable family.
+"""
+
+import pytest
+
+from conftest import SAMPLEABLE_FAMILY_IDS
+from reference_engine import hexed, reference_run
+from test_golden import GOLDEN_CONFIGS
+
+from expfam_markets import SimConfig, run_simulation
+
+# theta0, true_theta, and two mean descriptions per family.
+FAMILY_SETUPS = {
+    "categorical:3": ([0.0, 0.0, 0.0], [0.4, -0.1, -0.3], {"probs": [0.5, 0.3, 0.2]}, {"probs": [0.2, 0.5, 0.3]}),
+    "exponential-rate": ([-1.0], [-0.8], {"mean": 1.4}, {"mean": 0.9}),
+    "gaussian-moments": ([0.0, -0.5], [0.5, -0.5], {"mean": 0.3, "variance": 1.2}, {"mean": 0.6, "variance": 0.9}),
+    "weibull-moment:2": ([-1.0], [-0.5], {"moment": 1.8}, {"moment": 2.5}),
+}
+
+
+def all_models_config(family_id: str, arrival: str, seed: int) -> dict:
+    theta0, true_theta, first, second = FAMILY_SETUPS[family_id]
+    return {
+        "family": family_id, "theta0": theta0, "true_theta": true_theta, "rounds": 120, "seed": seed,
+        "arrival": arrival, "state_reset": True,
+        "traders": [
+            {"id": "eu", "model": "exp-utility", "risk_aversion": 0.8, "belief": first},
+            {"id": "rn", "model": "risk-neutral", "belief": second},
+            {"id": "bl", "model": "budget-limited", "budget": 0.4, "belief": second},
+            {"id": "by", "model": "bayesian", "sample": {"mean": first, "size": 2.0}},
+        ],
+    }
+
+
+CONFIGS = {
+    **{f"golden:{name}": raw for name, raw in GOLDEN_CONFIGS.items()},
+    "state-reset-fixed-sequence:categorical:3": all_models_config("categorical:3", "fixed-sequence", 21),
+    **{f"state-reset-round-robin:{fid}": all_models_config(fid, "round-robin", 22 + i)
+       for i, fid in enumerate(SAMPLEABLE_FAMILY_IDS)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_engine_matches_the_reference_bit_for_bit(name):
+    config = SimConfig.from_dict(CONFIGS[name])
+    expected = reference_run(config)
+    assert expected["events"] or expected["error"], "a valid run with no trade compares nothing"
+    assert hexed(run_simulation(config)) == expected
