@@ -307,12 +307,12 @@ def _report_chunks(report: SimReport):
 def _memo(market: Market, compute):
     """``compute()``, a function of the market's state alone, recomputed only when ``market.theta`` is another object.
 
-    A move depends on the market only through ``theta`` (``inv_liquidity`` is fixed per market), and no
-    writer edits a state in place.  The memo holds its ``theta``, so that object's id is never reused.
+    A move and its quote depend on the market only through ``theta`` (``inv_liquidity`` is fixed per market), and
+    no writer edits a state in place.  The memo holds its ``theta``, so that object's id is never reused.
     """
     theta = move = None
 
-    def move_at() -> array:
+    def move_at():
         nonlocal theta, move
         if market.theta is not theta:
             move, theta = compute(), market.theta
@@ -320,15 +320,20 @@ def _memo(market: Market, compute):
     return move_at
 
 
+def _quoted(market: Market, delta: array) -> tuple:
+    """``delta`` with its ``_quote`` at the market's current state."""
+    return delta, market._quote(delta)
+
+
 def _mover(market: Market, trader: TraderProfile, budgets: dict):
-    """The trader's decision for one run: ``move()`` returns its delta at the market's current state."""
+    """The trader's decision for one run: ``move()`` returns its delta at the current state, with its ``_quote``."""
     if trader.model == "bayesian":  # its posterior weighs n_trades, which every trade moves: no memo
-        return lambda: _bayesian_move(market, trader.sample_mean, trader.sample_size)
+        return lambda: _quoted(market, _bayesian_move(market, trader.sample_mean, trader.sample_size))
     if trader.model == "budget-limited":
-        unconstrained = _memo(market, lambda: _unconstrained_move(market, trader))
-        return lambda: _budget_limited_move(market, unconstrained(), budgets[trader.id])
+        unconstrained = _memo(market, lambda: _quoted(market, _unconstrained_move(market, trader)))
+        return lambda: _budget_limited_move(market, *unconstrained(), budgets[trader.id])
     # exp-utility, and risk-neutral at risk aversion 0
-    return _memo(market, lambda: _exp_utility_move(market, trader.belief_theta, trader.risk_aversion))
+    return _memo(market, lambda: _quoted(market, _exp_utility_move(market, trader.belief_theta, trader.risk_aversion)))
 
 
 def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimReport:
@@ -350,16 +355,17 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     The run keeps each trader's running budget and cash itself and writes
     nothing of ``config``, so one config can run any number of times.
 
-    Each trader decides through a mover built once per run (``_mover``).  A
-    non-Bayesian mover recomputes its move only at a new ``theta`` object, so
-    under ``state_reset``, where every round restarts at the one ``theta0``,
-    each such trader computes its move once per run.
+    Each trader decides through a mover built once per run (``_mover``),
+    which returns its delta with the delta's quote for ``Market._buy``.  A
+    non-Bayesian mover recomputes its move and quote only at a new ``theta``
+    object, so under ``state_reset``, where every round restarts at the one
+    ``theta0``, each such trader computes and prices its move once per run.
     """
     import numpy as np  # for the outcome Generator only, so quote and trade never load it
 
     family = config.family
     market = Market(family, config.theta0, config.inv_liquidity)
-    start = market._state()  # the checked state that state_reset restores, with the quotes made at it
+    start = market._state()  # the checked state that state_reset restores
     if trade_log_path is not None:
         header = json.dumps(log_header(market, config.state_reset), sort_keys=True)
     rng = np.random.default_rng(config.seed)
@@ -389,8 +395,8 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                     market._restore(*start)
                 path = [(market.theta, market._cost)]  # the round's price path, each state with C(theta)
                 for tid, move in turns[(round_index - 1) % len(turns)]:
-                    delta = move()
-                    trades.append((tid, delta, market._buy(delta)))
+                    delta, quote = move()
+                    trades.append((tid, delta, market._buy(quote)))
                     path.append((market.theta, market._cost))
                 outcome = draw(rng)
             except DomainError as exc:
@@ -468,7 +474,7 @@ def replay(records: TradeLog, state0: dict) -> Market:
     check_header(header, log_header(market))
     start = market._state()  # never written in place: every writer stores anew
     reset, last = header["state_reset"], None
-    dim, buy = market.family.dim, market._buy
+    dim, quote, buy = market.family.dim, market._quote, market._buy
     for line, record in enumerate(records, 2):
         if record.round != last:
             if last is not None and record.round < last:
@@ -479,7 +485,7 @@ def replay(records: TradeLog, state0: dict) -> Market:
         try:
             if len(record.delta) != dim:
                 as_params(record.delta, dim, "delta")  # raises its length message
-            cost = buy(record.delta)
+            cost = buy(quote(record.delta))
         except DomainError as exc:
             raise CorruptLogError(line, f"recorded trade is not executable: {exc}") from exc
         if cost != record.cost:

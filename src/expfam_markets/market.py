@@ -18,16 +18,17 @@ exact arithmetic the blow-up of ``C`` at the boundary self-enforces this
 (no finite-budget trader buys an infinite-cost portfolio), but in floating
 point we reject trades that move ``lam * theta`` within ``1e-9`` of the
 boundary outright, and any state whose cost overflows.  Every writer of
-the share vector (``__init__``, ``_buy``, ``reset_theta``) checks it in
-``_cost_at``, caches ``C(theta)`` and starts an empty quote table, so pricing
-and settlement run the kernels unchecked, a quote evaluates the log
-partition once, and a quote made at the same state before is read back from
-the table; ``_restore`` returns to a state already checked, with its cost and
-table.  ``execute`` and ``quote`` check ``delta`` and call the cores ``_buy``
-(which returns only the cost) and ``_quote``, which the engine and ``replay``
-call directly on their own deltas.  ``read_trade_log`` parses a line in one C
-scan and checks a vector in one C pass; Python code runs only to explain a
-refusal, in the words of ``json.loads`` and of the per-entry check.
+the share vector (``__init__``, ``reset_theta``, and ``_quote`` for the
+target that ``_buy`` stores) checks it in ``_cost_at`` and caches
+``C(theta)``, so pricing and settlement run the kernels unchecked and a
+quote evaluates the log partition once; ``_restore`` returns to a state
+already checked, with its cost.  ``quote`` checks ``delta`` and calls the
+core ``_quote``; ``execute`` checks it and buys its ``_quote`` through
+``_buy`` (which returns only the cost).  The engine and ``replay`` call the
+two cores directly: a trader's mover returns its delta with the delta's
+quote, so the engine prices each trade once.  ``read_trade_log`` parses a
+line in one C scan and checks a vector in one C pass; Python code runs only
+to explain a refusal, in the words of ``json.loads`` and of the per-entry check.
 
 One market instance is single-writer: ``execute`` requires exclusive
 access, while ``quote``/``prices``/``log_loss`` are read-only and may run
@@ -47,9 +48,6 @@ from .errors import ConfigError, CorruptLogError, DomainError
 from .families import ExpFamily, _scaled, as_params, family_from_id
 
 TRADE_MARGIN = 1e-9
-# Quotes kept per state: the first ones made there, which state_reset runs repeat.  Five fill CPython's
-# smallest dict; tables of 32 raised replay-audit's peak RSS by 0.8 MB, with no more data alive.
-QUOTE_TABLE_SIZE = 5
 
 
 def _number(value, where: str) -> float:
@@ -196,7 +194,6 @@ class Market:
         theta0 = as_params(theta0, family.dim, "theta0")
         self._cost = self._cost_at(theta0)
         self.theta = theta0
-        self._quotes: dict[bytes, tuple[float, array, float]] = {}
         self.n_trades = int(n_trades)
         self.revenue = float(revenue)
 
@@ -235,22 +232,15 @@ class Market:
     def _quote(self, delta: array) -> tuple[float, array, float]:
         """Cost of a ``delta`` of the market's dimension, with the target share vector and its cost ``C(target)``.
 
-        The quote is a pure function of the state and the bytes of ``delta``, so the state's table
-        keeps the first ``QUOTE_TABLE_SIZE`` made at it.  A refused quote is not kept: it raises again.
+        One cost evaluation, and nothing is written: the quote holds for this state only, where ``_buy`` takes it.
         """
-        key = delta.tobytes()
-        quote = self._quotes.get(key)
-        if quote is None:
-            target = array("d", [t + d for t, d in zip(self.theta, delta)])
-            try:
-                target_cost = self._cost_at(target)
-            except DomainError:
-                as_params(delta, self.family.dim, "delta")  # a non-finite delta is refused as itself
-                raise
-            quote = target_cost - self._cost, target, target_cost
-            if len(self._quotes) < QUOTE_TABLE_SIZE:
-                self._quotes[key] = quote
-        return quote
+        target = array("d", [t + d for t, d in zip(self.theta, delta)])
+        try:
+            target_cost = self._cost_at(target)
+        except DomainError:
+            as_params(delta, self.family.dim, "delta")  # a non-finite delta is refused as itself
+            raise
+        return target_cost - self._cost, target, target_cost
 
     def log_loss(self, x) -> float:
         """Prediction loss ``C(theta) - <theta, phi(x)>`` of the current state.
@@ -306,12 +296,11 @@ class Market:
         the pre-trade trade count.
         """
         delta = as_params(delta, self.family.dim, "delta")
-        return TradeRecord(self.n_trades, trader_id, delta, self._buy(delta))
+        return TradeRecord(self.n_trades, trader_id, delta, self._buy(self._quote(delta)))
 
-    def _buy(self, delta: array) -> float:
-        """``execute`` without its record and its check of ``delta``, which must have the market's dimension."""
-        cost, self.theta, self._cost = self._quote(delta)
-        self._quotes = {}
+    def _buy(self, quote: tuple[float, array, float]) -> float:
+        """``execute`` of a ``_quote`` made at the current state, without a record; returns the cost."""
+        cost, self.theta, self._cost = quote
         self.n_trades += 1
         self.revenue += cost
         return cost
@@ -320,15 +309,15 @@ class Market:
         """Reset the share vector (a fresh market instance); counters persist."""
         theta0 = as_params(theta0, self.family.dim, "theta0")
         cost = self._cost_at(theta0)  # first, so a refused state changes nothing
-        self.theta, self._cost, self._quotes = theta0, cost, {}
+        self.theta, self._cost = theta0, cost
 
-    def _state(self) -> tuple[array, float, dict]:
-        """The share vector with its ``cost()`` and quote table, for ``_restore``."""
-        return self.theta, self._cost, self._quotes
+    def _state(self) -> tuple[array, float]:
+        """The share vector with its ``cost()``, for ``_restore``."""
+        return self.theta, self._cost
 
-    def _restore(self, theta: array, cost: float, quotes: dict) -> None:
+    def _restore(self, theta: array, cost: float) -> None:
         """``reset_theta`` to a ``_state()`` this market held: unchecked, as no writer edits one in place."""
-        self.theta, self._cost, self._quotes = theta, cost, quotes
+        self.theta, self._cost = theta, cost
 
 
 # ----------------------------------------------------------------------

@@ -215,34 +215,36 @@ def budget_limited_trade(market: Market, trader: TraderProfile) -> array:
     scale: in the 10,000-round ``sim-long`` benchmark run (seed 1) it first
     falls to 2e-15 in round 76 and is at or below that in 92% of all rounds,
     and 3,103 of the 10,000 calls halve at least once.  The calls make 25,163
-    quotes (5,176 of them halvings), each a cost evaluation; the run makes
-    55,163 quotes and 45,410 cost evaluations, because the trade a call
-    returns was quoted at the same state, and its execute reads that quote
-    back from the state's quote table unless the table was full.  Requires
-    unit inverse liquidity.
+    quotes (5,176 of them halvings), the full move's included; with the other
+    two traders' 20,000 the run makes 45,163 quotes, each one cost
+    evaluation, as a call returns its trade with the quote that passed it and
+    the engine buys that quote.  Requires unit inverse liquidity.
     """
     if market.inv_liquidity != 1.0:
         raise DomainError("budget_limited_trade requires inv_liquidity == 1")
     market.family.check_natural(trader.belief_theta)
-    return _budget_limited_move(market, _unconstrained_move(market, trader), trader.budget)
+    move = _unconstrained_move(market, trader)
+    return _budget_limited_move(market, move, market._quote(move), trader.budget)[0]
 
 
-def _budget_limited_move(market: Market, move: array, budget: float | None) -> array:
-    """The chord fraction of ``move``, an ``_unconstrained_move`` at the market's state, within ``budget``."""
-    move_cost = market._quote(move)[0]
+def _budget_limited_move(market: Market, move: array, move_quote: tuple, budget: float | None) -> tuple:
+    """The chord fraction of ``move``, an ``_unconstrained_move`` quoted by ``move_quote``, within ``budget``.
+
+    Returns the fraction's delta with the ``_quote`` that passed it, so the trade is priced once.
+    """
     alpha = None if budget is None else max(0.0, budget)
-    if alpha is None or move_cost <= alpha:
-        return move
-    if alpha == 0.0:
-        return _scaled(0.0, move)
-    fraction = alpha / move_cost
-    delta = _scaled(fraction, move)
-    for _ in range(100):
-        if market._quote(delta)[0] <= alpha:
-            return delta
-        fraction *= 0.5
-        delta = _scaled(fraction, move)
-    return _scaled(0.0, move)
+    if alpha is None or move_quote[0] <= alpha:
+        return move, move_quote
+    if alpha > 0.0:
+        fraction = alpha / move_quote[0]
+        for _ in range(100):
+            delta = _scaled(fraction, move)
+            quote = market._quote(delta)
+            if quote[0] <= alpha:
+                return delta, quote
+            fraction *= 0.5
+    delta = _scaled(0.0, move)
+    return delta, market._quote(delta)
 
 
 def _centered(family: ExpFamily, vec):

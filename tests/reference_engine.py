@@ -6,8 +6,8 @@ raises DomainError is dropped by keeping the settled market.  Traders decide thr
 trade rules, the budget-limited one through a profile copy that carries its running budget.  Trades
 run through ``Market.execute`` and outcomes come from ``ExpFamily.sample``; a log loss is
 ``-log_density`` and a payoff is ``_dot`` with ``statistic``.  None of the engine's fast paths (the
-movers and their memo, the quote table kept across rounds, ``_buy``, ``_restore``, the pairing kernels)
-runs here, so ``hexed`` of the two runs must agree bit for bit.
+movers and their memo of each move with its quote, ``_buy``, ``_restore``, the pairing kernels) runs
+here, so ``hexed`` of the two runs must agree bit for bit.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from expfam_markets import (
 from expfam_markets import families, harness, market, traders
 from expfam_markets.families import Categorical, ExpFamily
 from expfam_markets.harness import parse_belief_theta
-from expfam_markets.market import QUOTE_TABLE_SIZE, log_header, log_loss
+from expfam_markets.market import log_header, log_loss
 
 
 def base_config(**overrides) -> dict:
@@ -496,12 +496,14 @@ class TestTrustedEngine:
 
     @pytest.mark.parametrize("state_reset", [False, True])
     def test_a_state_reset_run_computes_each_move_once(self, monkeypatch, state_reset):
-        # Round-robin under state_reset: every round starts at theta0, so each non-Bayesian trader computes its
-        # move once and reads it back.  Without state_reset each decision meets a new state and computes one.
-        calls = {"_exp_utility_move": 0, "_unconstrained_move": 0}
+        # Round-robin under state_reset: every round starts at theta0, so each non-Bayesian trader computes and
+        # quotes its move once and reads both back.  Without state_reset each decision meets a new state and
+        # computes one.  Either way no trade is priced twice: the mover's quote is the one bought.
+        owners = {"_exp_utility_move": harness, "_unconstrained_move": harness, "_quote": Market, "_cost_at": Market}
+        calls = dict.fromkeys(owners, 0)
 
         def counted(name):
-            real = getattr(harness, name)
+            real = getattr(owners[name], name)
 
             def wrapper(*args):
                 calls[name] += 1
@@ -509,13 +511,16 @@ class TestTrustedEngine:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(harness, name, counted(name))
+            monkeypatch.setattr(owners[name], name, counted(name))
         raw = {**self.all_models_config(40, state_reset), "arrival": "round-robin"}
         report = run_simulation(SimConfig.from_dict(raw))
         assert report.valid and len(report.events) == 40
         # rn and eu take the exp-utility move, bl the unconstrained one; the Bayesian move calls neither here.
-        assert calls == ({"_exp_utility_move": 2, "_unconstrained_move": 1} if state_reset
-                         else {"_exp_utility_move": 20, "_unconstrained_move": 10})
+        # by quotes each of its moves, bl its unconstrained move and each fraction it tries.  A cost evaluation
+        # is a quote's, or one of the two markets' (from_dict's and the run's) at theta0.
+        assert calls == ({"_exp_utility_move": 2, "_unconstrained_move": 1, "_quote": 13, "_cost_at": 15}
+                         if state_reset else
+                         {"_exp_utility_move": 20, "_unconstrained_move": 10, "_quote": 49, "_cost_at": 51})
 
     def test_a_bayesian_trader_moves_anew_in_every_state_reset_round(self):
         # by trades second, so each round it meets the one post-trade state that rn's repeated move reaches.
@@ -539,27 +544,6 @@ class TestTrustedEngine:
             {"id": "t", "model": model, **budget, "belief": {"theta": [1e308, 0.0]}}])))
         assert (report.valid, report.error) == (False, "round 1: delta must be finite, got [inf, 0.0]")
 
-    def test_quote_table_stays_at_its_bound_over_a_long_state_reset_run(self, monkeypatch):
-        # Every round quotes at theta0.  A misinformed budget-limited trader's budget shrinks towards
-        # zero, so its scaled trade changes from round to round, and theta0's table meets thousands of
-        # distinct quotes: it keeps the first QUOTE_TABLE_SIZE and grows no further.
-        theta0_quotes, sizes = set(), []
-        real_quote = Market._quote
-
-        def quote(market, delta):
-            result = real_quote(market, delta)
-            if market.theta.tolist() == [0.0, 0.0]:
-                theta0_quotes.add(delta.tobytes())
-            sizes.append(len(market._quotes))
-            return result
-
-        monkeypatch.setattr(Market, "_quote", quote)
-        report = run_simulation(SimConfig.from_dict(base_config(rounds=10_000, state_reset=True, traders=[
-            {"id": "bl", "model": "budget-limited", "budget": 0.2, "belief": {"probs": [0.3, 0.7]}}])))
-        assert report.valid and len(report.events) == 10_000
-        assert len(theta0_quotes) > 100 * QUOTE_TABLE_SIZE
-        assert max(sizes) == QUOTE_TABLE_SIZE
-
 
 def aborts_in_round_2() -> dict:
     """A config whose second trader's move lands within the trading margin of the boundary."""
@@ -576,19 +560,33 @@ def a_then_b_for_six_rounds() -> dict:
     ])
 
 
+def quoted_deltas(monkeypatch) -> dict:
+    """Make ``Market._quote`` note the delta of each quote it returns, in the dict returned, by ``id(quote)``."""
+    real_quote, deltas = Market._quote, {}
+
+    def quote(market, delta):
+        result = real_quote(market, delta)
+        deltas[id(result)] = delta, result  # the quote is held, so its id stays its own
+        return result
+
+    monkeypatch.setattr(Market, "_quote", quote)
+    return deltas
+
+
 class TestTradeLog:
     def test_the_log_holds_exactly_the_settled_rounds_at_every_execute(self, tmp_path, monkeypatch):
         log = tmp_path / "trades.jsonl"
         executed = []  # a TradeRecord per trade; a then b trade in each round, so trade i is in round i // 2 + 1
-        real_buy = Market._buy
+        real_buy, deltas = Market._buy, quoted_deltas(monkeypatch)
 
         def logged_so_far():
             return log.read_text(encoding="utf-8").splitlines()[1:] if log.exists() else []
 
-        def buy(market, delta):
+        def buy(market, quote):
             round_index, trader_id = len(executed) // 2 + 1, "ab"[len(executed) % 2]
             assert logged_so_far() == [r.to_json() for r in executed if r.round < round_index]
-            executed.append(TradeRecord(round_index, trader_id, delta, real_buy(market, delta)))
+            delta = deltas[id(quote)][0]
+            executed.append(TradeRecord(round_index, trader_id, delta, real_buy(market, quote)))
             return executed[-1].cost
 
         monkeypatch.setattr(Market, "_buy", buy)
@@ -601,13 +599,14 @@ class TestTradeLog:
         log = tmp_path / "trades.jsonl"
         log.write_text("an older run's log\n")
         executed = []  # a TradeRecord per trade, with the round and trader of a_then_b_for_six_rounds
-        real_buy = Market._buy
+        real_buy, deltas = Market._buy, quoted_deltas(monkeypatch)
 
-        def buy(market, delta):
+        def buy(market, quote):
             if len(executed) + 1 == interrupted_at:
                 raise KeyboardInterrupt
             round_index, trader_id = len(executed) // 2 + 1, "ab"[len(executed) % 2]
-            executed.append(TradeRecord(round_index, trader_id, delta, real_buy(market, delta)))
+            delta = deltas[id(quote)][0]
+            executed.append(TradeRecord(round_index, trader_id, delta, real_buy(market, quote)))
             return executed[-1].cost
 
         monkeypatch.setattr(Market, "_buy", buy)

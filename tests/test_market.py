@@ -18,7 +18,7 @@ from expfam_markets import (
     save_state,
 )
 from expfam_markets.families import as_params
-from expfam_markets.market import QUOTE_TABLE_SIZE, TradeRecord
+from expfam_markets.market import TradeRecord
 
 EXPO = family_from_id("exponential-rate")
 
@@ -213,7 +213,7 @@ class TestCostCache:
 
     @staticmethod
     def assert_quotes_uncached(market, rng, deltas=None) -> list:
-        """Quote each delta twice (the second from the state's quote table); both equal the uncached cost."""
+        """Quote each delta twice; both equal the uncached cost."""
         fam, lam, theta = market.family, market.inv_liquidity, np.asarray(market.theta)
         if deltas is None:  # a step toward a random interior state stays interior
             deltas = [rng.uniform(0.0, 1.0) * (random_natural(fam, rng) / lam - theta) for _ in range(10)]
@@ -235,9 +235,8 @@ class TestCostCache:
         market.reset_theta(random_natural(fam, rng) / self.LAM)
         self.assert_quotes_uncached(market, rng)
         self.assert_quotes_uncached(Market.from_state_dict(market.state_dict()), rng)
-        market._restore(*first)  # back to the first state, with the table of the first quotes made there
-        assert list(first[2]) == [as_params(d, fam.dim).tobytes() for d in deltas[:QUOTE_TABLE_SIZE]]
-        self.assert_quotes_uncached(market, rng, deltas)  # the first ones read back, the rest evaluated
+        market._restore(*first)  # back to the first state, with its cost
+        self.assert_quotes_uncached(market, rng, deltas)
         self.assert_quotes_uncached(market, rng)
 
     @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
@@ -252,13 +251,29 @@ class TestCostCache:
             escapes.append(np.full(fam.dim, 10.0))  # past the boundary theta < 0 (gaussian: theta2 < 0)
         for delta in escapes:
             messages = set()
-            for _ in range(2):  # a refused quote is not kept in the state's table, so it is refused again
+            for _ in range(2):  # a refused quote is refused again, in the same words
                 with pytest.raises(DomainError) as err, np.errstate(over="ignore"):
                     market.execute(delta)
                 messages.add(str(err.value))
-            assert len(messages) == 1 and np.asarray(delta, dtype=float).tobytes() not in market._quotes
+            assert len(messages) == 1
             assert market.cost() == cost
             self.assert_quotes_uncached(market, rng)
+
+    @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
+    def test_quote_writes_nothing(self, family_id):
+        # quote is read-only: every attribute stays the same object, and a container keeps its contents.
+        fam = family_from_id(family_id)
+        rng = np.random.default_rng(29)
+        market = Market(fam, random_natural(fam, rng) / 2.0, inv_liquidity=2.0)
+        market.execute(0.5 * (random_natural(fam, rng) / 2.0 - market.theta))
+        attributes = dict(vars(market))
+        contents = {name: repr(value) for name, value in attributes.items()}
+        self.assert_quotes_uncached(market, rng)
+        with pytest.raises(DomainError), np.errstate(over="ignore"):
+            market.quote(np.full(fam.dim, 1e308))  # 2 * (theta + delta) overflows
+        assert vars(market).keys() == attributes.keys()
+        assert all(getattr(market, name) is value for name, value in attributes.items())
+        assert {name: repr(value) for name, value in vars(market).items()} == contents
 
     def test_overflowing_cost_rejected_by_every_writer(self):
         # theta1**2 overflows, the prices (m = 5e99) do not.
@@ -278,7 +293,7 @@ class TestCostCache:
         market = Market(family_from_id("categorical:3"), [-1e308, 0.0, 0.0])
         state = (market.theta, market.cost(), market.n_trades, market.revenue)
         delta = [-1e308, 0.0, 0.0]
-        for execute in (market.execute, lambda d: market._buy(as_params(d, 3))):
+        for execute in (market.execute, lambda d: market._buy(market._quote(as_params(d, 3)))):
             with pytest.raises(DomainError) as refused:
                 execute(delta)
             assert str(refused.value) == "theta must be finite, got [-inf, 0.0, 0.0]"

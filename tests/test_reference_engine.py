@@ -1,8 +1,10 @@
 """``run_simulation`` against the reference engine of ``reference_engine.py``, bit for bit.
 
 The configs are the golden ones, a ``state_reset`` fixed-sequence run of all four trader models (so
-every trader after the first meets the post-trade state the quote table hands back each round) and a
-``state_reset`` round-robin run of all four models on every sampleable family.
+every trader after the first meets the post-trade state that the first one's kept quote hands back each
+round), a ``state_reset`` round-robin run of all four models on every sampleable family, and two runs of a
+budget-limited trader whose budget runs low, so that about half its calls halve the fraction: alone under
+``state_reset``, where it halves at the restored ``theta0``, and after an exp-utility trader without it.
 """
 
 import pytest
@@ -36,11 +38,22 @@ def all_models_config(family_id: str, arrival: str, seed: int) -> dict:
     }
 
 
+LOW_BUDGET = {
+    "family": "categorical:2", "theta0": [0.0, 0.0], "true_theta": [0.6, -0.6], "rounds": 200, "seed": 42,
+    "state_reset": True,
+    "traders": [{"id": "bl", "model": "budget-limited", "budget": 0.2, "belief": {"probs": [0.3, 0.7]}}],
+}
+
 CONFIGS = {
     **{f"golden:{name}": raw for name, raw in GOLDEN_CONFIGS.items()},
     "state-reset-fixed-sequence:categorical:3": all_models_config("categorical:3", "fixed-sequence", 21),
     **{f"state-reset-round-robin:{fid}": all_models_config(fid, "round-robin", 22 + i)
        for i, fid in enumerate(SAMPLEABLE_FAMILY_IDS)},
+    "state-reset-low-budget:categorical:2": LOW_BUDGET,  # 97 of 200 calls halve
+    "fixed-sequence-low-budget:categorical:2": {  # 43 of bl's 200 calls halve
+        **LOW_BUDGET, "state_reset": False, "arrival": "fixed-sequence", "traders": [
+            *LOW_BUDGET["traders"],
+            {"id": "eu", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.7, 0.3]}}]},
 }
 
 
