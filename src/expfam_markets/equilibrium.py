@@ -35,7 +35,9 @@ value are still unique, and the deterministic best-response map below
 converges to the closed-form allocation.)
 
 Cyclic best response coordinate-ascends ``Phi`` and serves as an
-independent check of the closed form.  Risk-neutral traders (``a = 0``) are
+independent check of the closed form; each response is the trade the
+simulation engine makes, ``traders._exp_utility_move``, so the check covers
+the engine's decision rule.  Risk-neutral traders (``a = 0``) are
 rejected: the closed form divides by ``a_i``, and a risk-neutral trader has
 no finite-optimum response once another trader disagrees.
 """
@@ -48,6 +50,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .families import ExpFamily, as_params
+from .traders import _exp_utility_move
 
 
 @dataclass
@@ -140,11 +143,13 @@ def best_response_dynamics(problem: EquilibriumProblem, max_rounds: int = 1000,
                            tol: float = 1e-10) -> BestResponseResult:
     """Iterate each trader's best response until allocations stop moving.
 
-    Trader ``i``'s best response against residual state ``theta_rest``
-    (the market with its own position removed) is the exponential-utility
-    optimum ``(theta_hat_i - theta_rest) / (1 + a_i)``.  Sweeps ascend the
-    potential; convergence is declared when no allocation moves more than
-    ``tol`` within a sweep.
+    Trader ``i``'s best response is the engine's exponential-utility move
+    (``traders._exp_utility_move``) at the residual state ``theta_rest``,
+    the market with its own position removed, at unit inverse liquidity:
+    ``(theta_hat_i - theta_rest) / (1 + a_i)``.  Sweeps ascend the
+    potential; convergence is declared when no allocation component moves
+    more than ``tol`` within a sweep.  ``tol`` is absolute, not relative to
+    the scale of the problem.
     """
     if max_rounds < 1:
         raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -158,7 +163,7 @@ def best_response_dynamics(problem: EquilibriumProblem, max_rounds: int = 1000,
         largest_move = 0.0
         for i, (belief, a) in enumerate(zip(problem.beliefs, problem.risk_aversions)):
             theta_rest = theta - deltas[i]
-            response = (belief - theta_rest) / (1.0 + a)
+            response = np.asarray(_exp_utility_move(theta_rest, 1.0, belief, a))
             largest_move = max(largest_move, float(np.max(np.abs(response - deltas[i]))))
             deltas[i] = response
             theta = theta_rest + response

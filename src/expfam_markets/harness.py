@@ -304,18 +304,24 @@ def _report_chunks(report: SimReport):
 # Simulation
 # ----------------------------------------------------------------------
 
-def _memo(market: Market, compute):
-    """``compute()``, a function of the market's state alone, recomputed only when ``market.theta`` is another object.
+def _memo(market: Market, compute, k: int):
+    """``compute()``, a function of the market's state alone, kept for the last ``k`` ``market.theta`` objects it met.
 
-    A move and its quote depend on the market only through ``theta`` (``inv_liquidity`` is fixed per market), and
-    no writer edits a state in place.  The memo holds its ``theta``, so that object's id is never reused.
+    ``k`` entries, each a ``(theta, compute())`` pair: a trader with ``k`` turns per round meets at most ``k`` states
+    per round, so under ``state_reset`` it computes each once per run.  A move and its quote depend on the market only
+    through ``theta`` (``inv_liquidity`` is fixed per market), and no writer edits a state in place.  The memo holds
+    each ``theta`` it keeps, so that object's id is never reused.
     """
-    theta = move = None
+    seen = []  # (theta, compute()) pairs, the latest first
 
     def move_at():
-        nonlocal theta, move
-        if market.theta is not theta:
-            move, theta = compute(), market.theta
+        theta = market.theta
+        for state, move in seen:
+            if state is theta:
+                return move
+        move = compute()
+        seen.insert(0, (theta, move))
+        del seen[k:]
         return move
     return move_at
 
@@ -325,15 +331,16 @@ def _quoted(market: Market, delta: array) -> tuple:
     return delta, market._quote(delta)
 
 
-def _mover(market: Market, trader: TraderProfile, budgets: dict):
+def _mover(market: Market, trader: TraderProfile, budgets: dict, turns: int):
     """The trader's decision for one run: ``move()`` returns its delta at the current state, with its ``_quote``."""
     if trader.model == "bayesian":  # its posterior weighs n_trades, which every trade moves: no memo
         return lambda: _quoted(market, _bayesian_move(market, trader.sample_mean, trader.sample_size))
     if trader.model == "budget-limited":
-        unconstrained = _memo(market, lambda: _quoted(market, _unconstrained_move(market, trader)))
+        unconstrained = _memo(market, lambda: _quoted(market, _unconstrained_move(market, trader)), turns)
         return lambda: _budget_limited_move(market, *unconstrained(), budgets[trader.id])
     # exp-utility, and risk-neutral at risk aversion 0
-    return _memo(market, lambda: _quoted(market, _exp_utility_move(market, trader.belief_theta, trader.risk_aversion)))
+    lam, belief, a = market.inv_liquidity, trader.belief_theta, trader.risk_aversion
+    return _memo(market, lambda: _quoted(market, _exp_utility_move(market.theta, lam, belief, a)), turns)
 
 
 def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimReport:
@@ -357,9 +364,12 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
 
     Each trader decides through a mover built once per run (``_mover``),
     which returns its delta with the delta's quote for ``Market._buy``.  A
-    non-Bayesian mover recomputes its move and quote only at a new ``theta``
-    object, so under ``state_reset``, where every round restarts at the one
-    ``theta0``, each such trader computes and prices its move once per run.
+    non-Bayesian mover keeps its move and quote for the last ``k`` ``theta``
+    objects it met, ``k`` being the trader's count in ``config.sequence``, so
+    under ``state_reset``, where every round restarts at the one ``theta0``,
+    each such trader computes and prices each of its moves once per run, as
+    long as the states it meets recur: a Bayesian move, or a budget-limited
+    trader's capped one, reaches a new state every round.
     """
     import numpy as np  # for the outcome Generator only, so quote and trade never load it
 
@@ -374,7 +384,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     # same per-trade changes in order, so the budget floor holds in float arithmetic too.
     cash = {tr.id: 0.0 for tr in config.traders}
     budgets = {tr.id: tr.budget for tr in config.traders}
-    movers = {tr.id: _mover(market, tr, budgets) for tr in config.traders}
+    movers = {tr.id: _mover(market, tr, budgets, config.sequence.count(tr.id)) for tr in config.traders}
     if config.arrival == "round-robin":
         turns = [[(tid, move)] for tid, move in movers.items()]
     else:

@@ -39,7 +39,12 @@ trader can do.
 Profiles are plain data that the engine only reads; every function here
 is pure given (market, profile) snapshots.  Each public trade rule is its
 checks plus its ``_*_move`` (the budget-limited one applied to
-``_unconstrained_move``), which the engine calls directly.
+``_unconstrained_move``), which the engine calls directly.  The
+exponential-utility formula lives in one function of the state alone,
+``_exp_utility_move(theta, lam, theta_hat, a)``: the Bayesian and
+unconstrained moves, the engine's movers and the best response of
+``equilibrium.best_response_dynamics`` (at the residual state, ``lam = 1``)
+all call it, so the equilibrium check runs the engine's decision rule.
 """
 
 from __future__ import annotations
@@ -118,7 +123,8 @@ def _bayesian_move(market: Market, mu_hat: array, m: float) -> array:
     else:
         weight = n * m
         target = [(weight * p + m * h) / (weight + m) for p, h in zip(market.prices(), mu_hat)]
-    return _exp_utility_move(market, market.family.natural_from_mean(target), 0.0)  # a computed posterior: checked
+    # a computed posterior, so natural_from_mean's check is kept
+    return _exp_utility_move(market.theta, market.inv_liquidity, market.family.natural_from_mean(target), 0.0)
 
 
 def certainty_equivalent(market: Market, trader: TraderProfile, delta) -> float:
@@ -158,12 +164,12 @@ def exp_utility_trade(market: Market, trader: TraderProfile) -> array:
     current state.
     """
     theta_hat = market.family.check_natural(trader.belief_theta)
-    return _exp_utility_move(market, theta_hat, trader.risk_aversion)
+    return _exp_utility_move(market.theta, market.inv_liquidity, theta_hat, trader.risk_aversion)
 
 
-def _exp_utility_move(market: Market, theta_hat: array, a: float) -> array:
-    lam = market.inv_liquidity
-    return array("d", [(h - lam * t) / (lam + a) for h, t in zip(theta_hat, market.theta)])
+def _exp_utility_move(theta, lam: float, theta_hat, a: float) -> array:
+    """The exponential-utility trade at share vector ``theta`` and inverse liquidity ``lam``, unchecked."""
+    return array("d", [(h - lam * t) / (lam + a) for h, t in zip(theta_hat, theta)])
 
 
 def effective_belief(family: ExpFamily, trader: TraderProfile) -> array:
@@ -188,7 +194,7 @@ def _unconstrained_move(market: Market, trader: TraderProfile) -> array:
     least zero and pays at least zero at every outcome, which is what lets
     a budget cap keep the trader's budget from ever going negative.
     """
-    move = _exp_utility_move(market, trader.belief_theta, trader.risk_aversion)
+    move = _exp_utility_move(market.theta, market.inv_liquidity, trader.belief_theta, trader.risk_aversion)
     if isinstance(market.family, Categorical):
         low = min(move)
         move = array("d", [v - low for v in move])

@@ -578,6 +578,26 @@ class TestReplayCommand:
         assert "trade log line 2" in capsys.readouterr().err
 
 
+# name -> (problem, the equilibrium command's stdout as parsed); a problem of None is the README's example.
+PINNED_EQUILIBRIA = {
+    "readme-categorical:2": (None, {
+        "br_rounds": 18, "deltas": [[0.6666666666569654, -0.3333333333139308],
+                                    [-0.3333333333284827, 0.6666666666569654]],
+        "potential_value": -3.079441541679836, "prices_eq": [0.5, 0.5],
+        "theta_eq": [0.3333333333333333, 0.3333333333333333]}),
+    "gaussian-moments-3-traders": ({
+        "family": "gaussian-moments", "theta0": [0.0, -0.5], "traders": [
+            {"belief": {"mean": 0.3, "variance": 1.2}, "risk_aversion": 0.5},
+            {"belief": {"mean": -0.4, "variance": 0.8}, "risk_aversion": 1.0},
+            {"belief": {"mean": 1.1, "variance": 2.0}, "risk_aversion": 2.0}]}, {
+        "br_rounds": 23, "deltas": [[0.37777777777660937, 0.09259259259113443],
+                                    [-0.5611111111172093, -0.16203703703881306],
+                                    [0.24444444444686675, 0.10648148148255948]],
+        "potential_value": -4.317460741977316, "prices_eq": [0.06600000000000002, 1.0843559999999999],
+        "theta_eq": [0.06111111111111113, -0.462962962962963]}),
+}
+
+
 class TestEquilibriumCommand:
     def test_solves_problem(self, tmp_path, capsys):
         problem = write_json(tmp_path / "problem.json", {
@@ -593,6 +613,16 @@ class TestEquilibriumCommand:
         np.testing.assert_allclose(out["theta_eq"], [1 / 3, 1 / 3], atol=1e-6)
         assert set(out) == {"theta_eq", "prices_eq", "deltas", "potential_value", "br_rounds"}
         assert out["br_rounds"] >= 1
+
+    @pytest.mark.parametrize("name", sorted(PINNED_EQUILIBRIA))
+    def test_stdout_is_pinned_byte_for_byte(self, tmp_path, capsys, name):
+        # Each float is pinned by its repr, so a change to the closed form (theta_eq, prices_eq) or to the best
+        # response it is checked by (deltas, potential_value, br_rounds) moves a byte here.
+        problem, expected = PINNED_EQUILIBRIA[name]
+        path = tmp_path / "problem.json"
+        path.write_text(readme_file_format_examples()[2] if problem is None else json.dumps(problem), encoding="utf-8")
+        assert main(["equilibrium", "--problem", str(path)]) == 0
+        assert capsys.readouterr().out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
     def test_vmf3_mean_belief(self, tmp_path, capsys):
         from expfam_markets.equilibrium import EquilibriumProblem, closed_form_equilibrium

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import central_diff_grad, random_natural
+from expfam_markets import equilibrium, traders
 from expfam_markets import (
     ConvergenceError,
     DomainError,
@@ -130,6 +131,26 @@ class TestBestResponse:
             np.testing.assert_allclose(result.theta_eq, theta_eq, atol=1e-6)
             for got, want in zip(result.deltas, deltas):
                 np.testing.assert_allclose(got, want, atol=1e-6)
+
+    def test_each_response_is_the_engines_move_at_the_residual_state(self, monkeypatch):
+        # One decision rule: every response is traders._exp_utility_move at unit liquidity, at the market with the
+        # trader's own position removed, called once per trader per sweep.
+        problem = random_problem(family_from_id("gaussian-moments"), np.random.default_rng(29), 3)
+        calls = []
+
+        def move(theta, lam, theta_hat, a):
+            calls.append((np.array(theta), lam, theta_hat, a))
+            return real(theta, lam, theta_hat, a)
+
+        real = equilibrium._exp_utility_move
+        monkeypatch.setattr(equilibrium, "_exp_utility_move", move)
+        result = best_response_dynamics(problem)
+        assert len(calls) == 3 * result.sweeps
+        for (_, lam, theta_hat, a), i in zip(calls, [0, 1, 2] * result.sweeps):
+            assert (lam, a) == (1.0, problem.risk_aversions[i]) and theta_hat is problem.beliefs[i]
+        theta_rest, _, theta_hat, a = calls[-1]
+        assert result.deltas[2].tolist() == traders._exp_utility_move(theta_rest, 1.0, theta_hat, a).tolist()
+        assert (theta_rest + result.deltas[2]).tolist() == result.theta_eq.tolist()
 
     def test_trader_order_does_not_matter(self):
         rng = np.random.default_rng(13)

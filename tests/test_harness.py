@@ -522,6 +522,16 @@ class TestTrustedEngine:
                          if state_reset else
                          {"_exp_utility_move": 20, "_unconstrained_move": 10, "_quote": 49, "_cost_at": 51})
 
+    @pytest.mark.parametrize("state_reset, quotes", [(False, 30), (True, 3)])
+    def test_a_trader_with_two_turns_keeps_a_move_per_turn(self, monkeypatch, state_reset, quotes):
+        # Sequence [a, b, a]: a meets two states per round, and its memo keeps both.  Under state_reset they are the
+        # same two objects every round (b's kept quote holds the state b reaches), so the run quotes three moves in
+        # all.  Without it every decision meets a new state and is quoted.
+        deltas = quoted_deltas(monkeypatch)
+        report = run_simulation(SimConfig.from_dict(a_b_a_for_ten_rounds(state_reset)))
+        assert report.valid and len(report.events) == 30
+        assert len(deltas) == quotes
+
     def test_a_bayesian_trader_moves_anew_in_every_state_reset_round(self):
         # by trades second, so each round it meets the one post-trade state that rn's repeated move reaches.
         # Its posterior weighs n_trades, which grows, so its move still changes round by round, while rn's
@@ -557,6 +567,13 @@ def a_then_b_for_six_rounds() -> dict:
     return base_config(rounds=6, arrival="fixed-sequence", sequence=["a", "b"], traders=[
         {"id": "a", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.7, 0.3]}},
         {"id": "b", "model": "budget-limited", "budget": 0.4, "belief": {"probs": [0.2, 0.8]}},
+    ])
+
+
+def a_b_a_for_ten_rounds(state_reset: bool) -> dict:
+    return base_config(rounds=10, arrival="fixed-sequence", sequence=["a", "b", "a"], state_reset=state_reset, traders=[
+        {"id": "a", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.7, 0.3]}},
+        {"id": "b", "model": "risk-neutral", "belief": {"probs": [0.4, 0.6]}},
     ])
 
 

@@ -4,7 +4,9 @@ The configs are the golden ones, a ``state_reset`` fixed-sequence run of all fou
 every trader after the first meets the post-trade state that the first one's kept quote hands back each
 round), a ``state_reset`` round-robin run of all four models on every sampleable family, and two runs of a
 budget-limited trader whose budget runs low, so that about half its calls halve the fraction: alone under
-``state_reset``, where it halves at the restored ``theta0``, and after an exp-utility trader without it.
+``state_reset``, where it halves at the restored ``theta0``, and after an exp-utility trader without it.  The
+last is a ``state_reset`` run with sequence ``[a, b, a]``, where ``a``'s mover hands back a kept move at each
+of its two turns.
 """
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from conftest import SAMPLEABLE_FAMILY_IDS
 from reference_engine import hexed, reference_run
 from test_golden import GOLDEN_CONFIGS
+from test_harness import a_b_a_for_ten_rounds
 
 from expfam_markets import SimConfig, run_simulation
 
@@ -54,6 +57,7 @@ CONFIGS = {
         **LOW_BUDGET, "state_reset": False, "arrival": "fixed-sequence", "traders": [
             *LOW_BUDGET["traders"],
             {"id": "eu", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.7, 0.3]}}]},
+    "state-reset-a-b-a:categorical:2": a_b_a_for_ten_rounds(True),  # a's memo keeps two states
 }
 
 
