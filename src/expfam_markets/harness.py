@@ -304,24 +304,18 @@ def _report_chunks(report: SimReport):
 # Simulation
 # ----------------------------------------------------------------------
 
-def _memo(market: Market, compute, k: int):
-    """``compute()``, a function of the market's state alone, kept for the last ``k`` ``market.theta`` objects it met.
+def _memo(market: Market, compute):
+    """``compute()``, a function of the market's state alone, recomputed only when ``market.theta`` is another object.
 
-    ``k`` entries, each a ``(theta, compute())`` pair: a trader with ``k`` turns per round meets at most ``k`` states
-    per round, so under ``state_reset`` it computes each once per run.  A move and its quote depend on the market only
-    through ``theta`` (``inv_liquidity`` is fixed per market), and no writer edits a state in place.  The memo holds
-    each ``theta`` it keeps, so that object's id is never reused.
+    A move and its quote depend on the market only through ``theta`` (``inv_liquidity`` is fixed per market), and
+    no writer edits a state in place.  The memo holds its ``theta``, so that object's id is never reused.
     """
-    seen = []  # (theta, compute()) pairs, the latest first
+    theta = move = None
 
     def move_at():
-        theta = market.theta
-        for state, move in seen:
-            if state is theta:
-                return move
-        move = compute()
-        seen.insert(0, (theta, move))
-        del seen[k:]
+        nonlocal theta, move
+        if market.theta is not theta:
+            move, theta = compute(), market.theta
         return move
     return move_at
 
@@ -331,16 +325,16 @@ def _quoted(market: Market, delta: array) -> tuple:
     return delta, market._quote(delta)
 
 
-def _mover(market: Market, trader: TraderProfile, budgets: dict, turns: int):
+def _mover(market: Market, trader: TraderProfile, budgets: dict):
     """The trader's decision for one run: ``move()`` returns its delta at the current state, with its ``_quote``."""
     if trader.model == "bayesian":  # its posterior weighs n_trades, which every trade moves: no memo
         return lambda: _quoted(market, _bayesian_move(market, trader.sample_mean, trader.sample_size))
     if trader.model == "budget-limited":
-        unconstrained = _memo(market, lambda: _quoted(market, _unconstrained_move(market, trader)), turns)
+        unconstrained = _memo(market, lambda: _quoted(market, _unconstrained_move(market, trader)))
         return lambda: _budget_limited_move(market, *unconstrained(), budgets[trader.id])
     # exp-utility, and risk-neutral at risk aversion 0
     lam, belief, a = market.inv_liquidity, trader.belief_theta, trader.risk_aversion
-    return _memo(market, lambda: _quoted(market, _exp_utility_move(market.theta, lam, belief, a)), turns)
+    return _memo(market, lambda: _quoted(market, _exp_utility_move(market.theta, lam, belief, a)))
 
 
 def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimReport:
@@ -362,14 +356,15 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     The run keeps each trader's running budget and cash itself and writes
     nothing of ``config``, so one config can run any number of times.
 
-    Each trader decides through a mover built once per run (``_mover``),
-    which returns its delta with the delta's quote for ``Market._buy``.  A
-    non-Bayesian mover keeps its move and quote for the last ``k`` ``theta``
-    objects it met, ``k`` being the trader's count in ``config.sequence``, so
-    under ``state_reset``, where every round restarts at the one ``theta0``,
-    each such trader computes and prices each of its moves once per run, as
-    long as the states it meets recur: a Bayesian move, or a budget-limited
-    trader's capped one, reaches a new state every round.
+    Each trader turn decides through a mover built once per run
+    (``_mover``), one per trader under round-robin and one per entry of
+    ``config.sequence`` otherwise, which returns its delta with the delta's
+    quote for ``Market._buy``.  A non-Bayesian mover recomputes its move and
+    quote only at a new ``theta`` object, so under ``state_reset``, where
+    every round restarts at the one ``theta0``, each such turn computes and
+    prices its move once per run, as long as the state it meets recurs: a
+    Bayesian move, or a budget-limited trader's capped one, reaches a new
+    state every round.
     """
     import numpy as np  # for the outcome Generator only, so quote and trade never load it
 
@@ -384,11 +379,11 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     # same per-trade changes in order, so the budget floor holds in float arithmetic too.
     cash = {tr.id: 0.0 for tr in config.traders}
     budgets = {tr.id: tr.budget for tr in config.traders}
-    movers = {tr.id: _mover(market, tr, budgets, config.sequence.count(tr.id)) for tr in config.traders}
     if config.arrival == "round-robin":
-        turns = [[(tid, move)] for tid, move in movers.items()]
-    else:
-        turns = [[(tid, movers[tid]) for tid in config.sequence]]
+        turns = [[(tr.id, _mover(market, tr, budgets))] for tr in config.traders]
+    else:  # a mover per turn, so a trader with two turns per round keeps a move for each
+        by_id = {tr.id: tr for tr in config.traders}
+        turns = [[(tid, _mover(market, by_id[tid], budgets)) for tid in config.sequence]]
     events: list[TradeEvent] = []
     track_loss = config.inv_liquidity == 1.0
     total_log_loss = 0.0 if track_loss else None

@@ -494,11 +494,18 @@ class TestTrustedEngine:
         for name in ("as_params", "check_mean"):  # the Bayesian posterior is computed, so it is checked
             assert at_40[name] - at_10[name] <= 30, name
 
-    @pytest.mark.parametrize("state_reset", [False, True])
-    def test_a_state_reset_run_computes_each_move_once(self, monkeypatch, state_reset):
-        # Round-robin under state_reset: every round starts at theta0, so each non-Bayesian trader computes and
-        # quotes its move once and reads both back.  Without state_reset each decision meets a new state and
-        # computes one.  Either way no trade is priced twice: the mover's quote is the one bought.
+    @pytest.mark.parametrize("config, state_reset, expected", [
+        ("all-models-round-robin", False, {"_exp_utility_move": 20, "_unconstrained_move": 10, "_quote": 49,
+                                           "_cost_at": 51}),
+        ("all-models-round-robin", True, {"_exp_utility_move": 2, "_unconstrained_move": 1, "_quote": 13,
+                                          "_cost_at": 15}),
+        ("a-b-a", False, {"_exp_utility_move": 30, "_unconstrained_move": 0, "_quote": 30, "_cost_at": 32}),
+        ("a-b-a", True, {"_exp_utility_move": 3, "_unconstrained_move": 0, "_quote": 3, "_cost_at": 5}),
+    ])
+    def test_a_state_reset_run_computes_each_move_once(self, monkeypatch, config, state_reset, expected):
+        # Under state_reset every round starts at theta0, so each non-Bayesian turn computes and quotes its move
+        # once and reads both back.  Without state_reset each decision meets a new state and computes one.  Either
+        # way no trade is priced twice: the mover's quote is the one bought.
         owners = {"_exp_utility_move": harness, "_unconstrained_move": harness, "_quote": Market, "_cost_at": Market}
         calls = dict.fromkeys(owners, 0)
 
@@ -512,25 +519,16 @@ class TestTrustedEngine:
 
         for name in calls:
             monkeypatch.setattr(owners[name], name, counted(name))
-        raw = {**self.all_models_config(40, state_reset), "arrival": "round-robin"}
+        raw = ({**self.all_models_config(40, state_reset), "arrival": "round-robin"}
+               if config == "all-models-round-robin" else a_b_a_for_ten_rounds(state_reset))
         report = run_simulation(SimConfig.from_dict(raw))
-        assert report.valid and len(report.events) == 40
-        # rn and eu take the exp-utility move, bl the unconstrained one; the Bayesian move calls neither here.
-        # by quotes each of its moves, bl its unconstrained move and each fraction it tries.  A cost evaluation
-        # is a quote's, or one of the two markets' (from_dict's and the run's) at theta0.
-        assert calls == ({"_exp_utility_move": 2, "_unconstrained_move": 1, "_quote": 13, "_cost_at": 15}
-                         if state_reset else
-                         {"_exp_utility_move": 20, "_unconstrained_move": 10, "_quote": 49, "_cost_at": 51})
-
-    @pytest.mark.parametrize("state_reset, quotes", [(False, 30), (True, 3)])
-    def test_a_trader_with_two_turns_keeps_a_move_per_turn(self, monkeypatch, state_reset, quotes):
-        # Sequence [a, b, a]: a meets two states per round, and its memo keeps both.  Under state_reset they are the
-        # same two objects every round (b's kept quote holds the state b reaches), so the run quotes three moves in
-        # all.  Without it every decision meets a new state and is quoted.
-        deltas = quoted_deltas(monkeypatch)
-        report = run_simulation(SimConfig.from_dict(a_b_a_for_ten_rounds(state_reset)))
-        assert report.valid and len(report.events) == 30
-        assert len(deltas) == quotes
+        assert report.valid and report.aggregates["completed_rounds"] == raw["rounds"]
+        # Round-robin: rn and eu take the exp-utility move, bl the unconstrained one; the Bayesian move calls
+        # neither here.  by quotes each of its moves, bl its unconstrained move and each fraction it tries.
+        # Sequence [a, b, a]: a has a mover per turn, and under state_reset each of the three turns meets the same
+        # state object every round (b's kept quote holds the state b reaches).  A cost evaluation is a quote's, or
+        # one of the two markets' (from_dict's and the run's) at theta0.
+        assert calls == expected
 
     def test_a_bayesian_trader_moves_anew_in_every_state_reset_round(self):
         # by trades second, so each round it meets the one post-trade state that rn's repeated move reaches.

@@ -5,8 +5,8 @@ every trader after the first meets the post-trade state that the first one's kep
 round), a ``state_reset`` round-robin run of all four models on every sampleable family, and two runs of a
 budget-limited trader whose budget runs low, so that about half its calls halve the fraction: alone under
 ``state_reset``, where it halves at the restored ``theta0``, and after an exp-utility trader without it.  The
-last is a ``state_reset`` run with sequence ``[a, b, a]``, where ``a``'s mover hands back a kept move at each
-of its two turns.
+last is a ``state_reset`` run with sequence ``[a, b, a]``, where each of ``a``'s two turns has a mover that
+hands back its kept move.
 """
 
 import pytest
@@ -57,7 +57,7 @@ CONFIGS = {
         **LOW_BUDGET, "state_reset": False, "arrival": "fixed-sequence", "traders": [
             *LOW_BUDGET["traders"],
             {"id": "eu", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.7, 0.3]}}]},
-    "state-reset-a-b-a:categorical:2": a_b_a_for_ten_rounds(True),  # a's memo keeps two states
+    "state-reset-a-b-a:categorical:2": a_b_a_for_ten_rounds(True),  # a has a mover, so a kept move, per turn
 }
 
 
