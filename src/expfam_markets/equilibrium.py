@@ -148,8 +148,8 @@ def best_response_dynamics(problem: EquilibriumProblem, max_rounds: int = 1000,
     the market with its own position removed, at unit inverse liquidity:
     ``(theta_hat_i - theta_rest) / (1 + a_i)``.  Sweeps ascend the
     potential; convergence is declared when no allocation component moves
-    more than ``tol`` within a sweep.  ``tol`` is absolute, not relative to
-    the scale of the problem.
+    more than ``tol`` times the largest absolute component of the share
+    vector and the allocations within a sweep: ``tol`` is relative.
     """
     if max_rounds < 1:
         raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -168,7 +168,7 @@ def best_response_dynamics(problem: EquilibriumProblem, max_rounds: int = 1000,
             deltas[i] = response
             theta = theta_rest + response
         potentials.append(potential(problem, deltas))
-        if largest_move < tol:
+        if largest_move <= tol * float(np.max(np.abs([theta, *deltas]))):
             return BestResponseResult(deltas=deltas, theta_eq=theta, sweeps=sweep, potentials=potentials)
     raise ConvergenceError(
         f"best response dynamics did not converge within {max_rounds} sweeps (last move {largest_move:g})"

@@ -320,21 +320,16 @@ def _memo(market: Market, compute):
     return move_at
 
 
-def _quoted(market: Market, delta: array) -> tuple:
-    """``delta`` with its ``_quote`` at the market's current state."""
-    return delta, market._quote(delta)
-
-
 def _mover(market: Market, trader: TraderProfile, budgets: dict):
-    """The trader's decision for one run: ``move()`` returns its delta at the current state, with its ``_quote``."""
+    """The trader's decision for one run: ``move()`` returns the ``_quote`` of its trade at the current state."""
     if trader.model == "bayesian":  # its posterior weighs n_trades, which every trade moves: no memo
-        return lambda: _quoted(market, _bayesian_move(market, trader.sample_mean, trader.sample_size))
+        return lambda: market._quote(_bayesian_move(market, trader.sample_mean, trader.sample_size))
     if trader.model == "budget-limited":
-        unconstrained = _memo(market, lambda: _quoted(market, _unconstrained_move(market, trader)))
-        return lambda: _budget_limited_move(market, *unconstrained(), budgets[trader.id])
+        unconstrained = _memo(market, lambda: market._quote(_unconstrained_move(market, trader)))
+        return lambda: _budget_limited_move(market, unconstrained(), budgets[trader.id])
     # exp-utility, and risk-neutral at risk aversion 0
     lam, belief, a = market.inv_liquidity, trader.belief_theta, trader.risk_aversion
-    return _memo(market, lambda: _quoted(market, _exp_utility_move(market.theta, lam, belief, a)))
+    return _memo(market, lambda: market._quote(_exp_utility_move(market.theta, lam, belief, a)))
 
 
 def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimReport:
@@ -358,13 +353,14 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
 
     Each trader turn decides through a mover built once per run
     (``_mover``), one per trader under round-robin and one per entry of
-    ``config.sequence`` otherwise, which returns its delta with the delta's
-    quote for ``Market._buy``.  A non-Bayesian mover recomputes its move and
-    quote only at a new ``theta`` object, so under ``state_reset``, where
-    every round restarts at the one ``theta0``, each such turn computes and
-    prices its move once per run, as long as the state it meets recurs: a
-    Bayesian move, or a budget-limited trader's capped one, reaches a new
-    state every round.
+    ``config.sequence`` otherwise, which returns its trade's ``_quote``,
+    ``(delta, cost, target, C(target))``: the round buys it, keeps it, and
+    settles along the targets.  A non-Bayesian mover recomputes its quote
+    only at a new ``theta`` object, so under ``state_reset``, where every
+    round restarts at the one ``theta0``, each such turn computes and prices
+    its move once per run, as long as the state it meets recurs: a Bayesian
+    move, or a budget-limited trader's capped one, reaches a new state every
+    round.
     """
     import numpy as np  # for the outcome Generator only, so quote and trade never load it
 
@@ -394,15 +390,15 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     try:
         for round_index in range(1, config.rounds + 1):
             settled, n_trades, revenue = market._state(), market.n_trades, market.revenue
-            trades: list[tuple[str, array, float]] = []  # (trader id, delta, cost) per trade
+            trades: list[tuple[str, tuple]] = []  # (trader id, the _quote it bought) per trade
             try:
                 if config.state_reset and round_index > 1:
                     market._restore(*start)
-                path = [(market.theta, market._cost)]  # the round's price path, each state with C(theta)
+                theta, theta_cost = market._state()  # the round's first state; a trade's quote holds the next
                 for tid, move in turns[(round_index - 1) % len(turns)]:
-                    delta, quote = move()
-                    trades.append((tid, delta, market._buy(quote)))
-                    path.append((market.theta, market._cost))
+                    quote = move()
+                    market._buy(quote)
+                    trades.append((tid, quote))
                 outcome = draw(rng)
             except DomainError as exc:
                 valid, error = False, f"round {round_index}: {exc}"
@@ -410,20 +406,20 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                 market.n_trades, market.revenue = n_trades, revenue
                 break
 
-            # Settle along the price path: payoff minus cost is a trader's budget change and log-loss
-            # drop.  C(theta) is T(theta) bit for bit at unit liquidity, so each loss reads T from the cache.
-            losses = [cost - pair(theta, outcome) for theta, cost in path] if track_loss else [None] * len(path)
+            # Settle along the price path, each state after a trade read from its quote: payoff minus cost is a
+            # trader's budget change and log-loss drop.  C(theta) is T(theta) bit for bit at unit liquidity.
+            loss = theta_cost - pair(theta, outcome) if track_loss else None
             snapshot = {}  # the round's one budget snapshot, shared by its events and filled once they settle
-            for i, (tid, delta, cost) in enumerate(trades):
+            for tid, (delta, cost, theta, theta_cost) in trades:
                 change = pair(delta, outcome) - cost
                 cash[tid] += change
                 if budgets[tid] is not None:
                     budgets[tid] += change
-                events.append(TradeEvent(round_index, tid, delta, cost, outcome, losses[i], losses[i + 1], change,
-                                         snapshot))
+                before, loss = loss, theta_cost - pair(theta, outcome) if track_loss else None
+                events.append(TradeEvent(round_index, tid, delta, cost, outcome, before, loss, change, snapshot))
             snapshot.update(budgets)
             if track_loss:
-                total_log_loss += losses[-1]
+                total_log_loss += loss
             if trade_log_path is not None:  # the round has settled: its records reach the log together
                 if log is None:
                     log = open(trade_log_path, "w", encoding="utf-8")

@@ -22,13 +22,14 @@ the share vector (``__init__``, ``reset_theta``, and ``_quote`` for the
 target that ``_buy`` stores) checks it in ``_cost_at`` and caches
 ``C(theta)``, so pricing and settlement run the kernels unchecked and a
 quote evaluates the log partition once; ``_restore`` returns to a state
-already checked, with its cost.  ``quote`` checks ``delta`` and calls the
-core ``_quote``; ``execute`` checks it and buys its ``_quote`` through
+already checked, with its cost.  ``_quote(delta)`` returns the trade it
+prices, ``(delta, cost, target, C(target))``; ``quote`` checks ``delta`` and
+returns that cost, and ``execute`` checks it and buys the quote through
 ``_buy`` (which returns only the cost).  The engine and ``replay`` call the
-two cores directly: a trader's mover returns its delta with the delta's
-quote, so the engine prices each trade once.  ``read_trade_log`` parses a
-line in one C scan and checks a vector in one C pass; Python code runs only
-to explain a refusal, in the words of ``json.loads`` and of the per-entry check.
+two cores directly: a mover returns its trade's quote, which the engine buys
+and settles.  ``read_trade_log`` parses a line in one C scan and checks a
+vector in one C pass; Python code runs only to explain a refusal, in the
+words of ``json.loads`` and of the per-entry check.
 
 One market instance is single-writer: ``execute`` requires exclusive
 access, while ``quote``/``prices``/``log_loss`` are read-only and may run
@@ -227,10 +228,10 @@ class Market:
         of (or within ``1e-9`` of) the cost function's domain -- such trades
         are impossible at any price.
         """
-        return self._quote(as_params(delta, self.family.dim, "delta"))[0]
+        return self._quote(as_params(delta, self.family.dim, "delta"))[1]
 
-    def _quote(self, delta: array) -> tuple[float, array, float]:
-        """Cost of a ``delta`` of the market's dimension, with the target share vector and its cost ``C(target)``.
+    def _quote(self, delta: array) -> tuple[array, float, array, float]:
+        """The trade ``(delta, cost, target, C(target))`` for a ``delta`` of the market's dimension.
 
         One cost evaluation, and nothing is written: the quote holds for this state only, where ``_buy`` takes it.
         """
@@ -240,7 +241,7 @@ class Market:
         except DomainError:
             as_params(delta, self.family.dim, "delta")  # a non-finite delta is refused as itself
             raise
-        return target_cost - self._cost, target, target_cost
+        return delta, target_cost - self._cost, target, target_cost
 
     def log_loss(self, x) -> float:
         """Prediction loss ``C(theta) - <theta, phi(x)>`` of the current state.
@@ -298,9 +299,9 @@ class Market:
         delta = as_params(delta, self.family.dim, "delta")
         return TradeRecord(self.n_trades, trader_id, delta, self._buy(self._quote(delta)))
 
-    def _buy(self, quote: tuple[float, array, float]) -> float:
-        """``execute`` of a ``_quote`` made at the current state, without a record; returns the cost."""
-        cost, self.theta, self._cost = quote
+    def _buy(self, quote: tuple[array, float, array, float]) -> float:
+        """``execute`` of a ``_quote`` made at the current state, without a record; returns the quote's cost."""
+        _, cost, self.theta, self._cost = quote
         self.n_trades += 1
         self.revenue += cost
         return cost

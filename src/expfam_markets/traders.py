@@ -223,34 +223,32 @@ def budget_limited_trade(market: Market, trader: TraderProfile) -> array:
     and 3,103 of the 10,000 calls halve at least once.  The calls make 25,163
     quotes (5,176 of them halvings), the full move's included; with the other
     two traders' 20,000 the run makes 45,163 quotes, each one cost
-    evaluation, as a call returns its trade with the quote that passed it and
-    the engine buys that quote.  Requires unit inverse liquidity.
+    evaluation, as a call returns the quote that passed the cap and the
+    engine buys that quote.  Requires unit inverse liquidity.
     """
     if market.inv_liquidity != 1.0:
         raise DomainError("budget_limited_trade requires inv_liquidity == 1")
     market.family.check_natural(trader.belief_theta)
-    move = _unconstrained_move(market, trader)
-    return _budget_limited_move(market, move, market._quote(move), trader.budget)[0]
+    return _budget_limited_move(market, market._quote(_unconstrained_move(market, trader)), trader.budget)[0]
 
 
-def _budget_limited_move(market: Market, move: array, move_quote: tuple, budget: float | None) -> tuple:
-    """The chord fraction of ``move``, an ``_unconstrained_move`` quoted by ``move_quote``, within ``budget``.
+def _budget_limited_move(market: Market, move_quote: tuple, budget: float | None) -> tuple:
+    """The chord fraction, within ``budget``, of the ``_unconstrained_move`` that ``move_quote`` prices.
 
-    Returns the fraction's delta with the ``_quote`` that passed it, so the trade is priced once.
+    Returns the ``_quote`` that passed the cap, which carries the fraction's delta, so the trade is priced once.
     """
     alpha = None if budget is None else max(0.0, budget)
-    if alpha is None or move_quote[0] <= alpha:
-        return move, move_quote
+    move, move_cost, _, _ = move_quote
+    if alpha is None or move_cost <= alpha:
+        return move_quote
     if alpha > 0.0:
-        fraction = alpha / move_quote[0]
+        fraction = alpha / move_cost
         for _ in range(100):
-            delta = _scaled(fraction, move)
-            quote = market._quote(delta)
-            if quote[0] <= alpha:
-                return delta, quote
+            quote = market._quote(_scaled(fraction, move))
+            if quote[1] <= alpha:
+                return quote
             fraction *= 0.5
-    delta = _scaled(0.0, move)
-    return delta, market._quote(delta)
+    return market._quote(_scaled(0.0, move))
 
 
 def _centered(family: ExpFamily, vec):

@@ -132,6 +132,17 @@ class TestBestResponse:
             for got, want in zip(result.deltas, deltas):
                 np.testing.assert_allclose(got, want, atol=1e-6)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e3])
+    def test_stop_is_relative_to_the_problems_scale(self, scale):
+        # An absolute stop (largest move < 1e-10) ends the 1e-6 problem after 8 sweeps, 1.5e-5 off the closed form.
+        beliefs = [np.array([-3.0]) * scale, np.array([-1.0]) * scale]
+        problem = EquilibriumProblem(EXPO, -1.0 * scale, beliefs, [1.0, 1.0])
+        theta_eq, deltas = closed_form_equilibrium(problem)
+        result = best_response_dynamics(problem)
+        assert result.sweeps == 18
+        for got, want in zip([result.theta_eq, *result.deltas], [theta_eq, *deltas]):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
     def test_each_response_is_the_engines_move_at_the_residual_state(self, monkeypatch):
         # One decision rule: every response is traders._exp_utility_move at unit liquidity, at the market with the
         # trader's own position removed, called once per trader per sweep.

@@ -575,24 +575,11 @@ def a_b_a_for_ten_rounds(state_reset: bool) -> dict:
     ])
 
 
-def quoted_deltas(monkeypatch) -> dict:
-    """Make ``Market._quote`` note the delta of each quote it returns, in the dict returned, by ``id(quote)``."""
-    real_quote, deltas = Market._quote, {}
-
-    def quote(market, delta):
-        result = real_quote(market, delta)
-        deltas[id(result)] = delta, result  # the quote is held, so its id stays its own
-        return result
-
-    monkeypatch.setattr(Market, "_quote", quote)
-    return deltas
-
-
 class TestTradeLog:
     def test_the_log_holds_exactly_the_settled_rounds_at_every_execute(self, tmp_path, monkeypatch):
         log = tmp_path / "trades.jsonl"
         executed = []  # a TradeRecord per trade; a then b trade in each round, so trade i is in round i // 2 + 1
-        real_buy, deltas = Market._buy, quoted_deltas(monkeypatch)
+        real_buy = Market._buy
 
         def logged_so_far():
             return log.read_text(encoding="utf-8").splitlines()[1:] if log.exists() else []
@@ -600,8 +587,7 @@ class TestTradeLog:
         def buy(market, quote):
             round_index, trader_id = len(executed) // 2 + 1, "ab"[len(executed) % 2]
             assert logged_so_far() == [r.to_json() for r in executed if r.round < round_index]
-            delta = deltas[id(quote)][0]
-            executed.append(TradeRecord(round_index, trader_id, delta, real_buy(market, quote)))
+            executed.append(TradeRecord(round_index, trader_id, quote[0], real_buy(market, quote)))
             return executed[-1].cost
 
         monkeypatch.setattr(Market, "_buy", buy)
@@ -614,14 +600,13 @@ class TestTradeLog:
         log = tmp_path / "trades.jsonl"
         log.write_text("an older run's log\n")
         executed = []  # a TradeRecord per trade, with the round and trader of a_then_b_for_six_rounds
-        real_buy, deltas = Market._buy, quoted_deltas(monkeypatch)
+        real_buy = Market._buy
 
         def buy(market, quote):
             if len(executed) + 1 == interrupted_at:
                 raise KeyboardInterrupt
             round_index, trader_id = len(executed) // 2 + 1, "ab"[len(executed) % 2]
-            delta = deltas[id(quote)][0]
-            executed.append(TradeRecord(round_index, trader_id, delta, real_buy(market, quote)))
+            executed.append(TradeRecord(round_index, trader_id, quote[0], real_buy(market, quote)))
             return executed[-1].cost
 
         monkeypatch.setattr(Market, "_buy", buy)

@@ -213,13 +213,15 @@ class TestCostCache:
 
     @staticmethod
     def assert_quotes_uncached(market, rng, deltas=None) -> list:
-        """Quote each delta twice; both equal the uncached cost."""
+        """Quote each delta twice; both equal the uncached cost, which ``_quote`` returns with the delta it prices."""
         fam, lam, theta = market.family, market.inv_liquidity, np.asarray(market.theta)
         if deltas is None:  # a step toward a random interior state stays interior
             deltas = [rng.uniform(0.0, 1.0) * (random_natural(fam, rng) / lam - theta) for _ in range(10)]
         for delta in deltas:
             uncached = float(fam._log_partition(lam * (theta + delta)) / lam - fam._log_partition(lam * theta) / lam)
             assert market.quote(delta).hex() == market.quote(delta).hex() == uncached.hex()
+            quote = market._quote(d := as_params(delta, fam.dim))
+            assert quote[0] is d and market.quote(d) == quote[1]
         assert market.cost().hex() == float(fam._log_partition(lam * theta) / lam).hex()
         return deltas
 
