@@ -23,7 +23,7 @@ config file.
 the harness, equilibrium and scoring modules load inside the commands that
 use them.  Nor do they load ``dataclasses`` or ``inspect``: from the
 standard library they add only ``argparse``, ``json``, ``numbers``,
-``array`` and, for ``trade``, ``fcntl`` and ``tempfile`` to what ``os`` brings.
+``array`` and, for ``trade``, ``fcntl`` to what ``os`` brings.
 """
 
 from __future__ import annotations
@@ -138,8 +138,10 @@ def _cmd_equilibrium(args) -> int:
         _check_keys(raw, {"family", "theta0", "traders"}, "problem")
         family = family_from_id(raw["family"])
         theta0 = _numbers(raw["theta0"], "theta0")
-        beliefs, aversions = [], []
-        for i, td in enumerate(raw["traders"]):
+        beliefs, aversions, traders = [], [], raw["traders"]
+        if not isinstance(traders, list):
+            raise ConfigError(f"traders must be a list, got {type(traders).__name__}")
+        for i, td in enumerate(traders):
             _check_keys(td, {"belief", "risk_aversion"}, f"traders[{i}]")
             beliefs.append(parse_belief_theta(family, td["belief"], f"traders[{i}]"))
             aversions.append(_number(td["risk_aversion"], f"traders[{i}]: risk_aversion"))

@@ -45,7 +45,7 @@ from json.encoder import encode_basestring_ascii
 from .errors import ConfigError, CorruptLogError, DomainError
 from .families import ExpFamily, VonMisesFisher3, as_params, family_from_id
 from .market import (Market, TradeLog, _check_keys, _integer, _json, _number, _numbers, _record_json, check_header,
-                     log_header)
+                     log_header, replace_file)
 from .scoring import moments_from_mean_variance
 from .traders import TraderProfile, _bayesian_move, _budget_limited_move, _exp_utility_move, _unconstrained_move
 # The engine calls the moves; the public rules stay harness attributes, where the benchmark's tracer patches them.
@@ -269,7 +269,7 @@ class SimReport:
 
     def to_json(self) -> str:
         """The report's bytes: those of ``json.dumps(to_dict(), sort_keys=True, indent=2)`` and a newline."""
-        return "".join(_report_chunks(self)) + "\n"
+        return "".join(_report_chunks(self))
 
 
 _EVENTS_KEY = '\n  "events": []'  # a newline and two spaces: only a top-level key can match
@@ -282,12 +282,10 @@ _EVENT_JSON = ('\n    {\n      "cost": %s,\n      "delta": [\n        %s\n      
 def _report_chunks(report: SimReport):
     """The report's JSON in pieces: the stdlib encoder writes all but the events, spliced in by one template.
 
-    A round's shared ``trader_budgets`` is rendered once; ``delta`` and ``trader_budgets`` are never empty.
+    The last piece ends with the file's newline.  A round's shared ``trader_budgets`` is rendered once;
+    ``delta`` and ``trader_budgets`` are never empty.
     """
     head, _, tail = _REPORT_ENCODER.encode({**vars(report), "events": []}).partition(_EVENTS_KEY)
-    if not report.events:
-        yield head + _EVENTS_KEY + tail
-        return
     yield head + '\n  "events": ['
     budgets = budgets_json = None
     for i, ev in enumerate(report.events):
@@ -297,7 +295,7 @@ def _report_chunks(report: SimReport):
         yield ("," if i else "") + _EVENT_JSON % (
             _json(ev.cost), _ITEM.join(map(_json, ev.delta)), _json(ev.log_loss_after), _json(ev.log_loss_before),
             _json(ev.myopic_impact), _json(ev.outcome), ev.round, budgets_json, encode_basestring_ascii(ev.trader_id))
-    yield "\n  ]" + tail
+    yield ("\n  ]" if report.events else "]") + tail + "\n"  # an empty list is "[]", as the encoder writes it
 
 
 # ----------------------------------------------------------------------
@@ -494,6 +492,17 @@ def replay(records: TradeLog, state0: dict) -> Market:
     return market
 
 
+def _csv_rows(report: SimReport):
+    """The CSV report's rows, its header first.
+
+    ``csv.writer`` renders a float as ``float.__repr__``, an int as its digits and None as an empty cell.
+    """
+    yield CSV_COLUMNS
+    for ev in report.events:
+        yield [ev.round, ev.trader_id, ";".join(map(repr, ev.delta)), ev.cost, ev.outcome, ev.log_loss_before,
+               ev.log_loss_after, ev.myopic_impact, ev.trader_budgets.get(ev.trader_id)]
+
+
 def emit_report(report: SimReport, fmt: str, path: str) -> None:
     """Write a report as JSON (lossless round trip) or CSV (one row per event).
 
@@ -503,16 +512,8 @@ def emit_report(report: SimReport, fmt: str, path: str) -> None:
     simulation yields a header-only file.
     """
     if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(_report_chunks(report))  # streamed, never held whole
-            fh.write("\n")
-        return
-    if fmt != "csv":
+        replace_file(path, lambda fh: fh.writelines(_report_chunks(report)))  # streamed, never held whole
+    elif fmt == "csv":
+        replace_file(path, lambda fh: csv.writer(fh).writerows(_csv_rows(report)), newline="")
+    else:
         raise ConfigError(f"unknown report format {fmt!r}; use 'json' or 'csv'")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        # csv.writer renders a float as float.__repr__, an int as its digits and None as an empty cell.
-        writer.writerows([ev.round, ev.trader_id, ";".join(map(repr, ev.delta)), ev.cost, ev.outcome,
-                          ev.log_loss_before, ev.log_loss_after, ev.myopic_impact,
-                          ev.trader_budgets.get(ev.trader_id)] for ev in report.events)

@@ -110,11 +110,6 @@ def _record_json(record) -> str:
                            encode_basestring_ascii(record.trader_id))
 
 
-def log_loss(family: ExpFamily, theta: array, x) -> float:
-    """Log loss ``T(theta) - <theta, phi(x)>`` at an unchecked interior ``theta`` and a checked outcome ``x``."""
-    return family._log_partition(theta) - family._pair(theta, x)
-
-
 class TradeRecord:
     """One executed trade: its round, trader, portfolio and cost; the field names are the trade-log record keys.
 
@@ -189,8 +184,8 @@ class Market:
                  n_trades: int = 0, revenue: float = 0.0):
         self.family = family
         lam = float(inv_liquidity)
-        if not lam > 0.0:
-            raise DomainError(f"inv_liquidity must be positive, got {inv_liquidity}")
+        if not 0.0 < lam < math.inf:
+            raise DomainError(f"inv_liquidity must be positive and finite, got {inv_liquidity}")
         self.inv_liquidity = lam
         theta0 = as_params(theta0, family.dim, "theta0")
         self._cost = self._cost_at(theta0)
@@ -252,7 +247,7 @@ class Market:
         """
         if self.inv_liquidity != 1.0:
             raise DomainError("log_loss requires inv_liquidity == 1")
-        return log_loss(self.family, self.theta, self.family.check_outcome(x))
+        return self._cost - self.family._pair(self.theta, self.family.check_outcome(x))
 
     def state_dict(self) -> dict:
         """JSON-ready snapshot of the persistent market state."""
@@ -325,21 +320,35 @@ class Market:
 # Persistence
 # ----------------------------------------------------------------------
 
-def save_state(market: Market, path: str) -> None:
-    """Write the market state as JSON via an atomic temp-file rename."""
-    import tempfile  # here, not at the top: no quote needs it, nor the random and weakref it loads
+def replace_file(path: str, write, newline: str | None = None) -> None:
+    """Write a whole UTF-8 text file as ``open(path, "w", newline=newline)`` would, but replaced, never torn.
 
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    ``write(fh)`` streams the text into a temp file beside the target, which is then renamed over it: a reader,
+    or a kill mid-write, sees the old file or the new one, though a kill can leave the ``*.tmp`` behind.  As
+    with ``open``, a symlink's target is replaced and the link kept, a replaced file keeps its mode, a new
+    one gets 0666 minus the umask, and a path that exists but is not a regular file (a pipe, a terminal)
+    is written in place.  The temp file is removed on any exception.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):  # as given: /dev/stdout reaches a pipe only through /proc
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            write(fh)
+        return
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(market.state_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+            write(fh)
+        if os.path.exists(path):
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)  # the replaced file's permission bits (stat.S_IMODE)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write, the chmod or the rename failed
+            os.unlink(tmp)
+
+
+def save_state(market: Market, path: str) -> None:
+    """Write the market state as JSON, replacing the file whole through ``replace_file``."""
+    replace_file(path, lambda fh: fh.write(json.dumps(market.state_dict(), sort_keys=True, indent=2) + "\n"))
 
 
 def read_json(path: str, what: str):

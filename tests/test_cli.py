@@ -206,8 +206,8 @@ class TestQuoteAndTrade:
                        "expfam_markets.market"]}
 
     def test_quote_loads_no_tempfile(self, tmp_path):
-        # Only save_state needs tempfile (and with it random and weakref), so a quote, refused or not, loads none
-        # of them in a fresh interpreter without site's start-up imports; a trade still loads it.
+        # tempfile would bring random and weakref; a quote, refused or not, loads none of them in a fresh interpreter
+        # without site's start-up imports, and nor does a trade, whose save_state names its temp file itself.
         state = write_json(tmp_path / "state.json", {"family": "categorical:3", "theta": [0.0, 0.25, -0.5]})
         code = ("import json, sys\nfrom expfam_markets.cli import main\n"
                 "codes = [main(['quote', '--market', sys.argv[1], '--delta', d])\n"
@@ -217,7 +217,7 @@ class TestQuoteAndTrade:
                 "print(json.dumps([codes, quoted, 'tempfile' in sys.modules]))")
         proc = subprocess.run([sys.executable, "-S", "-c", code, state], capture_output=True, text=True,
                               env=subprocess_env(), timeout=120, check=True)
-        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 3, 0], False, True]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 3, 0], False, False]
 
     def test_concurrent_trades_are_serialised(self, tmp_path, capsys):
         # Two writer processes start their loops together on one state and one log.  Every trade is priced from
@@ -674,6 +674,13 @@ class TestEquilibriumCommand:
         })
         assert main(["equilibrium", "--problem", path]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("traders", [{}, "ab"], ids=["object", "string"])
+    def test_traders_must_be_a_list(self, tmp_path, capsys, traders):
+        path = write_json(tmp_path / "problem.json", {"family": "categorical:2", "theta0": [0.0, 0.0], "traders": traders})
+        assert main(["equilibrium", "--problem", path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "traders must be a list" in err[0]
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[1, 2]", b'"abc"'],

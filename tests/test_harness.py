@@ -30,7 +30,7 @@ from expfam_markets import (
 from expfam_markets import families, harness, market, traders
 from expfam_markets.families import Categorical, ExpFamily
 from expfam_markets.harness import parse_belief_theta
-from expfam_markets.market import log_header, log_loss
+from expfam_markets.market import log_header
 
 
 def base_config(**overrides) -> dict:
@@ -348,9 +348,9 @@ class TestAccounting:
         family = family_from_id("categorical:2")
         path_market = Market(family, [0.0, 0.0])  # walks the logged states
         for ev, record in zip(report.events, read_trade_log(log), strict=True):
-            assert ev.log_loss_before.hex() == log_loss(family, path_market.theta, ev.outcome).hex()
+            assert ev.log_loss_before.hex() == path_market.log_loss(ev.outcome).hex()
             path_market.execute(record.delta)
-            assert ev.log_loss_after.hex() == log_loss(family, path_market.theta, ev.outcome).hex()
+            assert ev.log_loss_after.hex() == path_market.log_loss(ev.outcome).hex()
         last_after = 0.0
         for r in range(rounds):
             round_events = report.events[r * k:(r + 1) * k]
