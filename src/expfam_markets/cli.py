@@ -130,7 +130,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
-    from .equilibrium import EquilibriumProblem, best_response_dynamics, closed_form_equilibrium, potential
+    from .equilibrium import EquilibriumProblem, best_response_dynamics, closed_form_equilibrium
     from .harness import parse_belief_theta
 
     raw = read_json(args.problem, "problem")
@@ -155,7 +155,7 @@ def _cmd_equilibrium(args) -> int:
         "theta_eq": [float(v) for v in theta_eq],
         "prices_eq": [float(v) for v in family.mean_from_natural(theta_eq)],
         "deltas": [[float(v) for v in d] for d in result.deltas],
-        "potential_value": potential(problem, result.deltas),
+        "potential_value": result.potentials[-1],
         "br_rounds": result.sweeps,
     }
     print(json.dumps(out, sort_keys=True, indent=2))

@@ -35,6 +35,11 @@ Registered families and their id strings:
   ``k = |theta|``, evaluated by a series for small ``k``.  Sampling is not
   supported.
 
+A family's ``id`` is a value, not a method: the three parameterless
+families hold it as a class attribute, ``Categorical`` sets it when built,
+and only ``WeibullMoment`` derives it, from its order.  ``family_from_id``
+looks the parameterless families up in one table keyed by those class ids.
+
 All parameters are ``array('d')`` float64 vectors (scalars are accepted
 for one-dimensional families), so the scalar path imports no numpy.
 Parameters within ``1e-12`` of a domain boundary are rejected: ``T`` blows
@@ -119,11 +124,7 @@ class ExpFamily(ABC):
     """
 
     dim: int
-
-    @property
-    @abstractmethod
-    def id(self) -> str:
-        """The family's registry id, e.g. ``"categorical:3"``."""
+    id: str  # the registry id, e.g. "categorical:3": a class value, or set by the constructor
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.id!r})"
@@ -160,8 +161,8 @@ class ExpFamily(ABC):
             return False
         return self._natural_interior(theta, margin)
 
-    @abstractmethod
-    def _natural_interior(self, theta: array, margin: float) -> bool: ...
+    def _natural_interior(self, theta: array, margin: float) -> bool:
+        return True  # T is finite on all of R^dim (categorical, vmf3); a family with a boundary overrides this
 
     @abstractmethod
     def _mean_interior(self, mu: array, margin: float) -> bool: ...
@@ -252,13 +253,7 @@ class Categorical(ExpFamily):
             raise DomainError(f"categorical needs at least 2 outcomes, got {k}")
         self.k = k
         self.dim = k
-
-    @property
-    def id(self) -> str:
-        return f"categorical:{self.k}"
-
-    def _natural_interior(self, theta, margin) -> bool:
-        return True  # T is finite on all of R^K
+        self.id = f"categorical:{k}"
 
     def _mean_interior(self, mu, margin) -> bool:
         return all(v >= margin for v in mu) and abs(_sum(mu) - 1.0) <= 1e-9
@@ -372,9 +367,7 @@ class ExponentialRate(WeibullMoment):
     exponential with rate ``-theta``.
     """
 
-    @property
-    def id(self) -> str:
-        return "exponential-rate"
+    id = "exponential-rate"  # a class value takes precedence over WeibullMoment's order-derived property
 
 
 class GaussianMoments(ExpFamily):
@@ -384,11 +377,8 @@ class GaussianMoments(ExpFamily):
     realizable set requires positive variance ``mu2 - mu1**2 > 0``.
     """
 
+    id = "gaussian-moments"
     dim = 2
-
-    @property
-    def id(self) -> str:
-        return "gaussian-moments"
 
     def _natural_interior(self, theta, margin) -> bool:
         # Prices (m, m**2 + v) that overflow are as meaningless as a theta at the boundary.
@@ -459,16 +449,10 @@ class VonMisesFisher3(ExpFamily):
     tolerance, cap or failure path.  Sampling is not supported.
     """
 
+    id = "vmf3"
     dim = 3
 
     _SERIES_CUTOFF = 1e-4
-
-    @property
-    def id(self) -> str:
-        return "vmf3"
-
-    def _natural_interior(self, theta, margin) -> bool:
-        return True  # T is finite on all of R^3
 
     def _mean_interior(self, mu, margin) -> bool:
         return math.hypot(*mu) <= 1.0 - margin
@@ -529,6 +513,8 @@ FAMILY_IDS = (
     "vmf3",
 )
 
+_PARAMETERLESS = {cls.id: cls for cls in (ExponentialRate, GaussianMoments, VonMisesFisher3)}
+
 
 def family_from_id(family_id: str) -> ExpFamily:
     """Build a family from its id string, e.g. ``"categorical:3"``."""
@@ -553,10 +539,6 @@ def family_from_id(family_id: str) -> ExpFamily:
         return WeibullMoment(order)
     if sep:
         raise DomainError(f"family {name!r} takes no parameter, got {family_id!r}")
-    if name == "exponential-rate":
-        return ExponentialRate()
-    if name == "gaussian-moments":
-        return GaussianMoments()
-    if name == "vmf3":
-        return VonMisesFisher3()
-    raise DomainError(f"unknown family id {family_id!r}; known: {', '.join(FAMILY_IDS)}")
+    if name not in _PARAMETERLESS:
+        raise DomainError(f"unknown family id {family_id!r}; known: {', '.join(FAMILY_IDS)}")
+    return _PARAMETERLESS[name]()

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,7 +276,7 @@ class TestQuoteAndTrade:
     @pytest.mark.parametrize("existing", [None, ""])
     def test_trade_log_appended_and_flushed_per_trade(self, tmp_path, capsys, existing):
         path = self.setup_state(tmp_path)
-        state0 = open(path).read()
+        state0 = Path(path).read_text()
         log = tmp_path / "trades.jsonl"
         if existing is not None:
             log.write_text(existing)
@@ -289,11 +290,11 @@ class TestQuoteAndTrade:
         assert capsys.readouterr().out.splitlines() == [r.to_json() for r in records]
         state0_path = write_json(tmp_path / "state0.json", json.loads(state0))
         assert main(["replay", "--log", str(log), "--state0", state0_path]) == 0
-        assert json.loads(capsys.readouterr().out) == json.load(open(path))
+        assert json.loads(capsys.readouterr().out) == json.loads(Path(path).read_text())
 
     def test_trade_log_record_starts_its_own_line(self, tmp_path, capsys):
         path = self.setup_state(tmp_path)
-        state0_path = write_json(tmp_path / "state0.json", json.load(open(path)))
+        state0_path = write_json(tmp_path / "state0.json", json.loads(Path(path).read_text()))
         log = tmp_path / "trades.jsonl"
         for delta, trader in (("-0.5", "a"), ("-0.25", "b")):
             assert main(["trade", "--market", path, "--delta", delta, "--trader", trader, "--log", str(log)]) == 0
@@ -303,7 +304,7 @@ class TestQuoteAndTrade:
         assert [r.trader_id for r in read_trade_log(str(log))] == ["a", "b", "c"]
         capsys.readouterr()
         assert main(["replay", "--log", str(log), "--state0", state0_path]) == 0
-        assert json.loads(capsys.readouterr().out) == json.load(open(path))
+        assert json.loads(capsys.readouterr().out) == json.loads(Path(path).read_text())
 
     @pytest.mark.parametrize("first_line", [
         '{"cost": 0.1, "delta": [-0.5], "round": 0, "theta_after": [-1.5], "theta_before": [-1.0], "trader_id": "a"}',
@@ -312,19 +313,19 @@ class TestQuoteAndTrade:
         "", "not json"], ids=["format-1-record", "other-family", "other-liquidity", "blank", "not-json"])
     def test_trade_refuses_a_log_of_another_format_family_or_liquidity(self, tmp_path, capsys, first_line):
         path = self.setup_state(tmp_path)
-        state = open(path, "rb").read()
+        state = Path(path).read_bytes()
         log = tmp_path / "trades.jsonl"
         log.write_text(first_line + "\n")
         assert main(["trade", "--market", path, "--delta", "-0.5", "--trader", "a", "--log", str(log)]) == 3
         assert "trade log line 1: " in capsys.readouterr().err
-        assert open(path, "rb").read() == state and log.read_text() == first_line + "\n"
+        assert Path(path).read_bytes() == state and log.read_text() == first_line + "\n"
 
     def test_non_numeric_delta_is_config_error(self, tmp_path, capsys):
         path = self.setup_state(tmp_path)
-        before = open(path).read()
+        before = Path(path).read_text()
         assert main(["trade", "--market", path, "--delta", '[1, "x"]']) == 2
         assert main(["quote", "--market", path, "--delta", '{"a": 1}']) == 2
-        assert open(path).read() == before
+        assert Path(path).read_text() == before
 
     @pytest.mark.parametrize("argv", [
         ["trade", "--delta", '["0.5", true]'],
@@ -334,10 +335,10 @@ class TestQuoteAndTrade:
     ])
     def test_delta_entries_must_be_json_numbers(self, tmp_path, capsys, argv):
         path = self.setup_state(tmp_path)
-        before = open(path).read()
+        before = Path(path).read_text()
         assert main([*argv, "--market", path]) == 2
         assert "config error:" in capsys.readouterr().err
-        assert open(path).read() == before
+        assert Path(path).read_text() == before
 
     @pytest.mark.parametrize("command", ["quote", "trade"])
     @pytest.mark.parametrize("content", [
@@ -381,9 +382,9 @@ class TestQuoteAndTrade:
 
     def test_failed_trade_leaves_state_file(self, tmp_path, capsys):
         path = self.setup_state(tmp_path)
-        before = open(path).read()
+        before = Path(path).read_text()
         assert main(["trade", "--market", path, "--delta", "5.0"]) == 3
-        assert open(path).read() == before
+        assert Path(path).read_text() == before
 
     @pytest.mark.parametrize("command,theta,delta,message", [
         # theta1**2 / (4 * -theta2) overflows but the prices do not: the state or the target has no finite cost.
@@ -398,7 +399,7 @@ class TestQuoteAndTrade:
     ])
     def test_overflowing_cost_is_domain_error(self, tmp_path, command, theta, delta, message):
         path = write_json(tmp_path / "state.json", {"family": "gaussian-moments", "theta": theta})
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         log = tmp_path / "trades.jsonl"
         argv = [command, "--market", path, "--delta", delta] + (["--log", str(log)] if command == "trade" else [])
         proc = subprocess.run([sys.executable, "-m", "expfam_markets.cli", *argv],
@@ -406,7 +407,7 @@ class TestQuoteAndTrade:
         assert proc.returncode == 3
         assert proc.stderr.startswith(f"error: {message}") and len(proc.stderr.splitlines()) == 1
         assert proc.stdout == ""
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert not log.exists()
 
 
@@ -419,18 +420,18 @@ class TestSimulate:
         code = main(["simulate", "--config", cfg, "--out", out,
                      "--csv", csv_path, "--trade-log", log])
         assert code == 0
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         assert report["valid"] is True
         assert len(report["events"]) == 6
-        assert len(open(csv_path).read().strip().splitlines()) == 7
-        assert len(open(log).read().splitlines()) == 7  # the header, then one line per event
+        assert len(Path(csv_path).read_text().strip().splitlines()) == 7
+        assert len(Path(log).read_text().splitlines()) == 7  # the header, then one line per event
 
     def test_byte_identical_reports_for_same_seed(self, tmp_path):
         cfg = write_json(tmp_path / "sim.json", sim_config())
         out_a, out_b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert main(["simulate", "--config", cfg, "--out", out_a]) == 0
         assert main(["simulate", "--config", cfg, "--out", out_b]) == 0
-        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+        assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
     def test_seed_precedence(self, tmp_path, monkeypatch):
         cfg = write_json(tmp_path / "sim.json", sim_config(seed=1))
@@ -438,14 +439,14 @@ class TestSimulate:
 
         monkeypatch.setenv(SEED_ENV_VAR, "2")
         main(["simulate", "--config", cfg, "--out", out])
-        assert json.load(open(out))["seed"] == 2  # env beats config
+        assert json.loads(Path(out).read_text())["seed"] == 2  # env beats config
 
         main(["simulate", "--config", cfg, "--out", out, "--seed", "3"])
-        assert json.load(open(out))["seed"] == 3  # flag beats env
+        assert json.loads(Path(out).read_text())["seed"] == 3  # flag beats env
 
         monkeypatch.delenv(SEED_ENV_VAR)
         main(["simulate", "--config", cfg, "--out", out])
-        assert json.load(open(out))["seed"] == 1  # config is the fallback
+        assert json.loads(Path(out).read_text())["seed"] == 1  # config is the fallback
 
     def test_bad_env_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
         cfg = write_json(tmp_path / "sim.json", sim_config())
@@ -487,7 +488,7 @@ class TestSimulate:
         path = write_json(tmp_path / "sim.json", cfg)
         out = str(tmp_path / "r.json")
         assert main(["simulate", "--config", path, "--out", out]) == 3
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         assert report["valid"] is False
 
     def test_overflowing_weibull_draw_aborts_and_exits_3(self, tmp_path, capsys):
@@ -526,7 +527,7 @@ class TestReplayCommand:
         capsys.readouterr()  # drop the simulate status line
         assert main(["replay", "--log", log, "--state0", state0]) == 0
         final = json.loads(capsys.readouterr().out)
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         assert final["theta"] == report["aggregates"]["final_theta"]
         assert final["revenue"] == report["aggregates"]["revenue"]
 
@@ -534,11 +535,11 @@ class TestReplayCommand:
         cfg = write_json(tmp_path / "sim.json", sim_config())
         log = str(tmp_path / "trades.jsonl")
         main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.json"), "--trade-log", log])
-        lines = open(log).read().splitlines()
+        lines = Path(log).read_text().splitlines()
         record = json.loads(lines[2])
         record["cost"] += 1e-9
         lines[2] = json.dumps(record)
-        open(log, "w").write("\n".join(lines) + "\n")
+        Path(log).write_text("\n".join(lines) + "\n")
         state0 = write_json(tmp_path / "s0.json",
                             Market(family_from_id("categorical:2"), [0.0, 0.0]).state_dict())
         assert main(["replay", "--log", log, "--state0", state0]) == 3
@@ -568,9 +569,9 @@ class TestReplayCommand:
         cfg = write_json(tmp_path / "sim.json", sim_config())
         log = str(tmp_path / "trades.jsonl")
         main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.json"), "--trade-log", log])
-        lines = open(log).read().splitlines()
+        lines = Path(log).read_text().splitlines()
         lines[1] = bad_line
-        open(log, "w").write("\n".join(lines) + "\n")
+        Path(log).write_text("\n".join(lines) + "\n")
         state0 = write_json(tmp_path / "s0.json",
                             Market(family_from_id("categorical:2"), [0.0, 0.0]).state_dict())
         capsys.readouterr()
@@ -715,7 +716,7 @@ DEEP = "[" * 200_000  # deeper than the JSON parser's recursion limit on every s
     ]])
 def test_json_nested_too_deep_exits_with_one_line(tmp_path, case, code, message):
     state = write_json(tmp_path / "state.json", {"family": "categorical:2", "theta": [0.0, 0.0]})
-    before = open(state).read()
+    before = Path(state).read_text()
     deep = tmp_path / "deep.json"
     deep.write_text(DEEP)
     log = tmp_path / "trades.jsonl"
@@ -734,7 +735,7 @@ def test_json_nested_too_deep_exits_with_one_line(tmp_path, case, code, message)
     assert proc.returncode == code
     assert proc.stderr.startswith(message) and len(proc.stderr.splitlines()) == 1, proc.stderr[-300:]
     assert proc.stdout == ""
-    assert open(state).read() == before
+    assert Path(state).read_text() == before
 
 
 def readme_file_format_examples() -> list[str]:

@@ -574,11 +574,27 @@ class TestRegistry:
         for fid in ALL_FAMILY_IDS:
             assert family_from_id(fid).id == fid
 
-    def test_bad_ids(self):
-        for bad in ("categorical", "categorical:1", "categorical:x", "weibull-moment",
-                    "weibull-moment:-2", "exponential-rate:3", "nope", 3):
-            with pytest.raises(DomainError):
-                family_from_id(bad)
+    @pytest.mark.parametrize("bad, message", [
+        ("categorical", "categorical requires an outcome count, e.g. 'categorical:3'"),
+        ("categorical:1", "categorical needs at least 2 outcomes, got 1"),
+        ("categorical:x", "bad categorical outcome count 'x'"),
+        ("weibull-moment", "weibull-moment requires a moment order, e.g. 'weibull-moment:2'"),
+        ("weibull-moment:-2", "weibull-moment order must be positive, got -2.0"),
+        ("weibull-moment:abc", "bad weibull moment order 'abc'"),
+        ("exponential-rate:3", "family 'exponential-rate' takes no parameter, got 'exponential-rate:3'"),
+        ("vmf3:x", "family 'vmf3' takes no parameter, got 'vmf3:x'"),
+        ("gaussian-moments:", "family 'gaussian-moments' takes no parameter, got 'gaussian-moments:'"),
+        ("nope", "unknown family id 'nope'; known: categorical:K, exponential-rate, gaussian-moments, "
+                 "weibull-moment:k, vmf3"),
+        ("nope:3", "family 'nope' takes no parameter, got 'nope:3'"),
+        ("3", "unknown family id '3'; known: categorical:K, exponential-rate, gaussian-moments, "
+              "weibull-moment:k, vmf3"),
+        (3, "family id must be a string, got 3"),
+    ])
+    def test_bad_ids(self, bad, message):
+        with pytest.raises(DomainError) as excinfo:
+            family_from_id(bad)
+        assert str(excinfo.value) == message
 
     def test_weibull_id_formatting(self):
         assert family_from_id("weibull-moment:2.5").id == "weibull-moment:2.5"

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +99,8 @@ class TestConfigParsing:
                       "belief": {"probs": [0.7, 0.3]}}]},
         {"rounds": True},
         {"sequence": "a"},
+        {"arrival": "fixed-sequence", "sequence": "a"},
+        {"arrival": "fixed-sequence", "sequence": ["a", 1]},
         {"state_reset": "false"},
         {"theta0": "x"},
         {"traders": [{"id": "b", "model": "bayesian",
@@ -878,7 +881,7 @@ class TestReplay:
 
     def test_undecodable_bytes_are_corrupt_at_their_line(self, tmp_path):
         _, log, _ = self.run_with_log(tmp_path)
-        data = open(log, "rb").read().split(b"\n")
+        data = Path(log).read_bytes().split(b"\n")
         data[3] = data[3][:20] + b"\xff" + data[3][20:]
         (tmp_path / "bad.jsonl").write_bytes(b"\n".join(data))
         with pytest.raises(CorruptLogError, match="UnicodeDecodeError") as err:
@@ -958,7 +961,7 @@ class TestEmitReport:
         report = run_simulation(SimConfig.from_dict(cfg))
         path = str(tmp_path / "report.csv")
         emit_report(report, "csv", path)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert "np.float64" not in text and "(" not in text
 
     def test_csv_row_count(self, tmp_path):
