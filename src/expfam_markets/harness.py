@@ -27,9 +27,12 @@ outcome streams -- damage-bound comparisons are paired, not
 variance-dominated.  Reports are pure data and serialize byte-identically
 for identical configs and seeds.
 
-Budgets, cash, and log losses all share one unit: a trade's myopic impact
+Budgets, cash, and log losses (``1/lam`` times the negative log likelihood)
+share one unit at every inverse liquidity ``lam``: a trade's myopic impact
 IS the trader's budget change, so a trader's cumulative impact equals its
-final budget minus its initial one, and never falls below ``-initial``.
+final budget minus its initial one.  It never falls below ``-initial`` for
+a categorical budget-limited trader, whose trades are pure purchases; in
+other families a sell costs less than nothing and its payoff has no floor.
 The config holds only the initial budgets; a run writes nothing of it.
 """
 
@@ -178,8 +181,6 @@ class SimConfig:
             budget = td.get("budget")
             if budget is not None and model != "budget-limited":  # it would limit nothing, yet be reported
                 raise ConfigError(f"{where}: trader {tid!r} is {model}; only a budget-limited trader takes a budget")
-            if model in ("bayesian", "budget-limited") and lam != 1.0:
-                raise ConfigError(f"{where}: {model} traders require inv_liquidity == 1")
             try:
                 risk_aversion = _number(td.get("risk_aversion", 0.0), f"{where}: risk_aversion")
                 if budget is not None:
@@ -242,8 +243,8 @@ class TradeEvent:
     delta: array  # the executed portfolio as the move returned it; a trader's events may share one, never written
     cost: float
     outcome: object
-    log_loss_before: float | None
-    log_loss_after: float | None
+    log_loss_before: float
+    log_loss_after: float
     myopic_impact: float
     trader_budgets: dict[str, float | None]
 
@@ -379,8 +380,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
         by_id = {tr.id: tr for tr in config.traders}
         turns = [[(tid, _mover(market, by_id[tid], budgets)) for tid in config.sequence]]
     events: list[TradeEvent] = []
-    track_loss = config.inv_liquidity == 1.0
-    total_log_loss = 0.0 if track_loss else None
+    total_log_loss = 0.0
     valid, error = True, None
 
     pair = family._pair  # <vec, phi(outcome)>; the sampler's own outcome needs no check
@@ -405,19 +405,19 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                 break
 
             # Settle along the price path, each state after a trade read from its quote: payoff minus cost is a
-            # trader's budget change and log-loss drop.  C(theta) is T(theta) bit for bit at unit liquidity.
-            loss = theta_cost - pair(theta, outcome) if track_loss else None
+            # trader's budget change and log-loss drop.  A loss C(theta) - <theta, phi(x)> is in budget units at
+            # any liquidity: 1/lam times the negative log likelihood of x under the member at lam*theta.
+            loss = theta_cost - pair(theta, outcome)
             snapshot = {}  # the round's one budget snapshot, shared by its events and filled once they settle
             for tid, (delta, cost, theta, theta_cost) in trades:
                 change = pair(delta, outcome) - cost
                 cash[tid] += change
                 if budgets[tid] is not None:
                     budgets[tid] += change
-                before, loss = loss, theta_cost - pair(theta, outcome) if track_loss else None
+                before, loss = loss, theta_cost - pair(theta, outcome)
                 events.append(TradeEvent(round_index, tid, delta, cost, outcome, before, loss, change, snapshot))
             snapshot.update(budgets)
-            if track_loss:
-                total_log_loss += loss
+            total_log_loss += loss
             if trade_log_path is not None:  # the round has settled: its records reach the log together
                 if log is None:
                     log = open(trade_log_path, "w", encoding="utf-8")

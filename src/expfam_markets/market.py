@@ -239,14 +239,11 @@ class Market:
         return delta, target_cost - self._cost, target, target_cost
 
     def log_loss(self, x) -> float:
-        """Prediction loss ``C(theta) - <theta, phi(x)>`` of the current state.
+        """Prediction loss ``C(theta) - <theta, phi(x)>`` of the current state, in budget units.
 
-        Defined only at unit inverse liquidity, where the share vector is
-        the natural parameter of the market's predictive density and the
-        loss is its negative log likelihood.
+        It is ``(1/lam) * -log p(x)``, where ``p`` is the market's predictive density, the member at
+        ``lam * theta``; a trade's payoff minus its cost is the drop in this loss at every ``lam``.
         """
-        if self.inv_liquidity != 1.0:
-            raise DomainError("log_loss requires inv_liquidity == 1")
         return self._cost - self.family._pair(self.theta, self.family.check_outcome(x))
 
     def state_dict(self) -> dict:

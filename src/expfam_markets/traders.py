@@ -24,7 +24,9 @@ profit of ``D(theta, belief) - D(theta', belief) >= f * D(theta, belief)``
 where ``D`` is the Bregman divergence of the cost function -- informative
 traders grow their budgets in expectation, while a trader's cumulative
 round-by-round impact on the market's log loss telescopes to its budget
-change and is therefore bounded below by the budget it started with.
+change.  For a categorical budget-limited trader it is therefore bounded
+below by the budget it started with (see below); in other families a sell
+costs less than nothing and its payoff has no floor.
 
 For the categorical family the indicator statistic is non-minimal: adding
 ``c`` to every component of a target changes neither the distribution nor
@@ -109,8 +111,6 @@ def bayesian_market_trade(market: Market, sample_mean, sample_size: float) -> ar
     sample mean.  Sample means may lie on the boundary of the realizable
     set; the posterior must be interior (it always is once ``n >= 1``).
     """
-    if market.inv_liquidity != 1.0:
-        raise DomainError("bayesian_market_trade requires inv_liquidity == 1")
     if not float(sample_size) > 0.0:
         raise DomainError(f"sample_size must be positive, got {sample_size}")
     return _bayesian_move(market, market.family.check_mean(sample_mean, margin=0.0), float(sample_size))
@@ -128,16 +128,19 @@ def _bayesian_move(market: Market, mu_hat: array, m: float) -> array:
 
 
 def certainty_equivalent(market: Market, trader: TraderProfile, delta) -> float:
-    """Certainty equivalent of the trade's profit under exponential utility.
+    """``log(a) + a*CE`` for the certainty equivalent ``CE`` of the trade's profit under exponential utility.
 
     For a trader with risk aversion ``a > 0`` and belief natural parameter
-    ``theta_hat``, buying ``delta`` at state ``theta``:
+    ``theta_hat``, buying ``delta`` at state ``theta``, this is
+    ``-log(-E[u])`` for ``u(w) = -exp(-a*w)/a``:
 
         log(a) - [T(theta_hat - a*delta) - T(theta_hat)]
                - a * [C(theta + delta) - C(theta)].
 
     The first bracket is the belief's cumulant of the (negated, scaled)
-    payoff; the second is the purchase cost.  Strictly concave in ``delta``.
+    payoff; the second is the purchase cost.  It is a strictly increasing
+    transform of ``CE``, so both have the same maximiser, and it is
+    strictly concave in ``delta``.
     """
     fam = market.family
     a = trader.risk_aversion
@@ -224,10 +227,8 @@ def budget_limited_trade(market: Market, trader: TraderProfile) -> array:
     quotes (5,176 of them halvings), the full move's included; with the other
     two traders' 20,000 the run makes 45,163 quotes, each one cost
     evaluation, as a call returns the quote that passed the cap and the
-    engine buys that quote.  Requires unit inverse liquidity.
+    engine buys that quote.
     """
-    if market.inv_liquidity != 1.0:
-        raise DomainError("budget_limited_trade requires inv_liquidity == 1")
     market.family.check_natural(trader.belief_theta)
     return _budget_limited_move(market, market._quote(_unconstrained_move(market, trader)), trader.budget)[0]
 
@@ -264,21 +265,20 @@ def expected_profit_bound(market: Market, trader: TraderProfile, delta) -> tuple
     """Expected profit of a segment move toward the belief, and its lower bound.
 
     For ``theta' = theta + delta`` at fraction ``f`` along the segment from
-    ``theta`` to the belief, the profit expected under the trader's own
-    belief is ``D(theta, belief) - D(theta', belief)``; convexity of the
-    divergence in its first argument bounds it below by ``f * D(theta,
-    belief) >= 0``.  Returns ``(expected_profit, bound)``.
+    ``theta`` to ``belief / lam``, the profit expected under the trader's own
+    belief is ``(D(lam*theta, belief) - D(lam*theta', belief)) / lam``;
+    convexity of the divergence in its first argument bounds it below by
+    ``f * D(lam*theta, belief) / lam >= 0``.  Returns ``(expected_profit,
+    bound)``.
 
     Raises DomainError when ``delta`` does not lie on the segment (for the
     categorical family: on it modulo the all-ones gauge direction, which
-    changes neither term).  Requires unit inverse liquidity.
+    changes neither term).
     """
-    if market.inv_liquidity != 1.0:
-        raise DomainError("expected_profit_bound requires inv_liquidity == 1")
-    fam = market.family
-    theta = market.theta
+    fam, lam = market.family, market.inv_liquidity
+    theta = _scaled(lam, market.theta)  # the segment and divergences in natural parameters, lam * shares
     theta_hat = fam.check_natural(trader.belief_theta)
-    delta = as_params(delta, fam.dim, "delta")
+    delta = _scaled(lam, as_params(delta, fam.dim, "delta"))
 
     direction = _centered(fam, [h - t for h, t in zip(theta_hat, theta)])
     move = _centered(fam, delta)
@@ -293,8 +293,8 @@ def expected_profit_bound(market: Market, trader: TraderProfile, delta) -> tuple
 
     divergence_start = fam.bregman_divergence(theta, theta_hat)
     divergence_end = fam.bregman_divergence([t + d for t, d in zip(theta, delta)], theta_hat)
-    expected_profit = divergence_start - divergence_end
-    bound = fraction * divergence_start
+    expected_profit = (divergence_start - divergence_end) / lam
+    bound = fraction * divergence_start / lam
     if not (expected_profit >= bound - 1e-9 and bound >= -1e-12):
         raise DomainError(f"expected profit {expected_profit} violates its lower bound {bound}")
     return expected_profit, bound

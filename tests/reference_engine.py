@@ -5,7 +5,7 @@ Each round trades on a fresh ``Market(family, theta, lam, n_trades, revenue)``: 
 raises DomainError is dropped by keeping the settled market.  Traders decide through the three public
 trade rules, the budget-limited one through a profile copy that carries its running budget.  Trades
 run through ``Market.execute`` and outcomes come from ``ExpFamily.sample``; a log loss is
-``-log_density`` and a payoff is ``_dot`` with ``statistic``.  None of the engine's fast paths (the
+``Market.log_loss`` on a fresh market at the state and a payoff is ``_dot`` with ``statistic``.  None of the engine's fast paths (the
 movers and their memo of each move with its quote, ``_buy``, ``_restore``, the pairing kernels) runs
 here, so ``hexed`` of the two runs must agree bit for bit.
 """
@@ -52,7 +52,7 @@ def reference_run(config: SimConfig) -> dict:
     budgets = {tr.id: tr.budget for tr in config.traders}
     turns = [[tr.id] for tr in config.traders] if config.arrival == "round-robin" else [config.sequence]
     events, error = [], None
-    total_log_loss = 0.0 if lam == 1.0 else None
+    total_log_loss = 0.0
     for round_index in range(1, config.rounds + 1):
         theta = config.theta0 if config.state_reset else market.theta
         trial = Market(family, theta, lam, market.n_trades, market.revenue)
@@ -74,7 +74,7 @@ def reference_run(config: SimConfig) -> dict:
             error = f"round {round_index}: {exc}"
             break
         market = trial
-        losses = [-family.log_density(state, outcome) if lam == 1.0 else None for state in states]
+        losses = [Market(family, state, lam).log_loss(outcome) for state in states]
         phi = family.statistic(outcome)
         changes = []
         for record in records:
@@ -87,8 +87,7 @@ def reference_run(config: SimConfig) -> dict:
         for i, (record, change) in enumerate(zip(records, changes)):
             events.append([round_index, record.trader_id, list(record.delta), record.cost, outcome, losses[i],
                            losses[i + 1], change, snapshot])
-        if lam == 1.0:
-            total_log_loss += losses[-1]
+        total_log_loss += losses[-1]
     return _hex({"valid": error is None, "error": error, "events": events, "per_trader_impact": cash,
                  "final_budgets": budgets, "final_theta": market.theta.tolist(), "total_log_loss": total_log_loss,
                  "revenue": market.revenue, "n_trades": market.n_trades})

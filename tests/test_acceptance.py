@@ -283,7 +283,7 @@ def test_criterion_7_equilibrium():
                     assert potential(problem, deviated) <= base + DEVIATION_TOL
 
 
-def _damage_config(budget: float | None, seed: int) -> dict:
+def _damage_config(budget: float | None, seed: int, inv_liquidity: float = 1.0) -> dict:
     fam = family_from_id("categorical:2")
     traders = [{
         "id": "informed", "model": "exp-utility", "risk_aversion": 1.0,
@@ -306,31 +306,33 @@ def _damage_config(budget: float | None, seed: int) -> dict:
         "sequence": sequence,
         "traders": traders,
         "state_reset": True,
+        "inv_liquidity": inv_liquidity,
     }
 
 
 def test_criterion_8_damage_bound():
     with criterion(8, "damage bound"):
         seed = 8808
-        start = time.monotonic()
-        baseline = run_simulation(SimConfig.from_dict(_damage_config(None, seed)))
-        assert time.monotonic() - start < 5.0
-        for alpha in (0.1, 0.5, 2.0):
+        for lam in (1.0, 0.5, 2.0):  # losses and budgets share one unit at every inverse liquidity
             start = time.monotonic()
-            attacked = run_simulation(SimConfig.from_dict(_damage_config(alpha, seed)))
+            baseline = run_simulation(SimConfig.from_dict(_damage_config(None, seed, lam)))
             assert time.monotonic() - start < 5.0
-            assert attacked.valid and baseline.valid
-            # paired runs share the outcome stream byte for byte
-            assert [ev.outcome for ev in baseline.events] == [
-                ev.outcome for ev in attacked.events if ev.trader_id == "informed"
-            ]
-            excess = attacked.aggregates["total_log_loss"] - baseline.aggregates["total_log_loss"]
-            spent = -attacked.aggregates["per_trader_impact"]["adversary"]
-            final_budget = attacked.aggregates["final_budgets"]["adversary"]
-            assert abs(excess - spent) <= DAMAGE_IDENTITY_ATOL  # accounting identity
-            assert excess <= alpha + DAMAGE_IDENTITY_ATOL       # bounded by the budget
-            assert final_budget >= 0.0                          # never goes broke
-            assert final_budget == pytest.approx(alpha - spent, abs=DAMAGE_IDENTITY_ATOL)
+            for alpha in (0.1, 0.5, 2.0):
+                start = time.monotonic()
+                attacked = run_simulation(SimConfig.from_dict(_damage_config(alpha, seed, lam)))
+                assert time.monotonic() - start < 5.0
+                assert attacked.valid and baseline.valid
+                # paired runs share the outcome stream byte for byte
+                assert [ev.outcome for ev in baseline.events] == [
+                    ev.outcome for ev in attacked.events if ev.trader_id == "informed"
+                ]
+                excess = attacked.aggregates["total_log_loss"] - baseline.aggregates["total_log_loss"]
+                spent = -attacked.aggregates["per_trader_impact"]["adversary"]
+                final_budget = attacked.aggregates["final_budgets"]["adversary"]
+                assert abs(excess - spent) <= DAMAGE_IDENTITY_ATOL  # accounting identity
+                assert excess <= alpha + DAMAGE_IDENTITY_ATOL       # bounded by the budget
+                assert final_budget >= 0.0                          # never goes broke
+                assert final_budget == pytest.approx(alpha - spent, abs=DAMAGE_IDENTITY_ATOL)
 
 
 def test_criterion_9_profit_growth():

@@ -8,9 +8,10 @@ config and records in CHANGES.md which config moved, why, and by how many
 ulps at most.
 
 Together the configs cover every sampleable family, both arrival modes,
-``state_reset``, ``inv_liquidity != 1``, a run that aborts with
-``valid=false`` (its trade log is never created, pinned as ``None``) and a
-budget-limited trader with positive risk aversion.
+``state_reset``, ``inv_liquidity != 1`` (with every trader model, and its
+log losses in budget units), a run that aborts with ``valid=false`` (its
+trade log is never created, pinned as ``None``) and a budget-limited trader
+with positive risk aversion.
 
 Run this file as a script to print the digests of the current code, or
 with ``--json`` the digests and reports, plus the bits of the functions
@@ -124,6 +125,21 @@ GOLDEN_CONFIGS = {
              "belief": {"probs": [0.25, 0.4, 0.35]}},
         ],
     },
+    "categorical-inv-liquidity": {
+        "family": "categorical:3",
+        "theta0": [0.0, 0.0, 0.0],
+        "true_theta": [-0.2, 0.5, -0.3],
+        "inv_liquidity": 0.5,
+        "rounds": 100,
+        "seed": 16,
+        "traders": [
+            {"id": "bl", "model": "budget-limited", "risk_aversion": 0.5, "budget": 0.3,
+             "belief": {"probs": [0.2, 0.5, 0.3]}},
+            {"id": "by", "model": "bayesian", "sample": {"mean": {"probs": [0.3, 0.45, 0.25]}, "size": 3.0}},
+            {"id": "eu", "model": "exp-utility", "risk_aversion": 0.8,
+             "belief": {"probs": [0.25, 0.4, 0.35]}},
+        ],
+    },
 }
 
 GOLDEN_DIGESTS = {
@@ -142,14 +158,19 @@ GOLDEN_DIGESTS = {
         "csv": "0b20f6d0ed6e45c854e1594d463097de902ececb27dedf79d5bca152a189e8b2",
         "trade_log": "2c45a686e63c8a022eda2663f282f2972c8250dafd3d7a039036f4db397fee4c",
     },
+    "categorical-inv-liquidity": {
+        "json": "7a45054d5b571bcfa25eb1035191562603aa869e09460c88713e4db66baaa144",
+        "csv": "88fb61861a6c39c5062d8fc88a0e4d9aeb06d492ce93b7c81fe09c7f5b354e75",
+        "trade_log": "7636bd6f661a1c72b46f3081ce360159963ab9b6b9ebc2727371857670e1192f",
+    },
     "exponential-rate-state-reset": {
         "json": "e7d0b1e9116f763460980a0981be8fc96f7fbd48e9a7d5df5adc812819c58728",
         "csv": "453f69283e7e44ba9bec7c732b6021434ed1a4de2818179d09e022cc95e9ca1d",
         "trade_log": "fe69dec7926fab6e39819168fc1d23977a1812899a7001e9cafabb7a3e511d00",
     },
     "gaussian-inv-liquidity": {
-        "json": "3368136277ff778e0c3f80ed5ff769b097f18eac1ddfbe3377eaff129127daf1",
-        "csv": "003e1bef041df75f7a39c8b34aadbfc32fb3771505ee18c2c1a4669a8bfce74b",
+        "json": "5848de9044198e250ba15687600e0f17e5933ce32153bc4e0705a1911bc86466",
+        "csv": "a4c32097760d5a9c964fca7daa2b119eea2729486171e7d0cb5687340410676b",
         "trade_log": "70a4bc766c16ce762756f116f04db90b9e44aaaaf97a819994e8a485004323c8",
     },
     "weibull-round-robin": {

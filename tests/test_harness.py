@@ -126,8 +126,6 @@ class TestConfigParsing:
         {"traders": [{"id": "", "model": "risk-neutral", "belief": {"probs": [0.7, 0.3]}}]},
         {"traders": [{"id": "a", "model": "exp-utility", "risk_aversion": -1.0, "belief": {"probs": [0.7, 0.3]}}]},
         {"traders": [{"id": "b", "model": "bayesian", "sample": {"mean": {"probs": [0.7, 0.3]}, "size": 0}}]},
-        {"inv_liquidity": 0.5,
-         "traders": [{"id": "a", "model": "budget-limited", "budget": 1.0, "belief": {"probs": [0.7, 0.3]}}]},
         {"arrival": "fixed-sequence", "sequence": []},
         {"traders": [{"id": "a", "model": "risk-neutral", "belief": {"foo": 1}}]},
         {"family": "gaussian-moments", "theta0": [0.0, -0.5], "true_theta": [0.0, -0.5],
@@ -182,13 +180,21 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match=key):
                 SimConfig.from_dict(cfg)
 
-    def test_bayesian_requires_unit_liquidity(self):
-        cfg = base_config(
-            inv_liquidity=2.0,
-            traders=[{"id": "b", "model": "bayesian", "sample": {"mean": {"probs": [0.7, 0.3]}, "size": 1}}],
-        )
-        with pytest.raises(ConfigError):
-            SimConfig.from_dict(cfg)
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_bayesian_and_budget_limited_run_at_any_liquidity(self, lam):
+        # The first Bayesian trader moves prices to its own sample mean at every inverse liquidity.
+        cfg = base_config(inv_liquidity=lam, rounds=1, arrival="fixed-sequence", traders=[
+            {"id": "b", "model": "bayesian", "sample": {"mean": {"probs": [0.7, 0.3]}, "size": 1}},
+            {"id": "bl", "model": "budget-limited", "budget": 0.05, "belief": {"probs": [0.2, 0.8]}},
+        ])
+        config = SimConfig.from_dict(cfg)
+        assert config.inv_liquidity == lam
+        report = run_simulation(config)
+        assert report.valid and [ev.trader_id for ev in report.events] == ["b", "bl"]
+        market = Market(config.family, config.theta0, lam)
+        market.execute(report.events[0].delta)
+        np.testing.assert_allclose(market.prices(), [0.7, 0.3], atol=1e-12)
+        assert 0.0 <= report.events[1].cost <= 0.05
 
     def test_missing_seed_rejected_at_load_time(self):
         cfg = base_config()
@@ -260,7 +266,7 @@ class TestAccounting:
         assert payoffs - report.aggregates["revenue"] == pytest.approx(impacts, abs=1e-9)
 
     @staticmethod
-    def family_report(family_id):
+    def family_report(family_id, lam=1.0):
         """Every trader model trading each round on one family, from seeded interior parameters."""
         fam = family_from_id(family_id)
         rng = np.random.default_rng(43)
@@ -269,7 +275,8 @@ class TestAccounting:
             return random_natural(fam, rng).tolist()
 
         report = run_simulation(SimConfig.from_dict(base_config(
-            family=family_id, theta0=theta(), true_theta=theta(), rounds=20, arrival="fixed-sequence",
+            family=family_id, theta0=[t / lam for t in theta()], true_theta=theta(), inv_liquidity=lam, rounds=20,
+            arrival="fixed-sequence",
             traders=[
                 {"id": "eu", "model": "exp-utility", "risk_aversion": 0.5, "belief": {"theta": theta()}},
                 {"id": "rn", "model": "risk-neutral", "belief": {"theta": theta()}},
@@ -286,6 +293,15 @@ class TestAccounting:
             assert ev.myopic_impact == pytest.approx(
                 ev.log_loss_before - ev.log_loss_after, abs=1e-10
             )
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
+    def test_myopic_impact_equals_log_loss_drop_at_inverse_liquidity(self, family_id, lam):
+        report = self.family_report(family_id, lam)
+        for ev in report.events:
+            assert ev.myopic_impact == pytest.approx(ev.log_loss_before - ev.log_loss_after, abs=1e-10)
+        if family_id.startswith("categorical"):  # pure purchases within the cap: the budget floor
+            assert min(ev.trader_budgets["bl"] for ev in report.events) >= -1e-12
 
     @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
     def test_myopic_impact_is_payoff_minus_cost(self, family_id):
@@ -364,14 +380,27 @@ class TestAccounting:
         assert report.aggregates["total_log_loss"] == last_after
         assert report.events[-1].trader_budgets == report.aggregates["final_budgets"]
 
-    def test_liquidity_disables_log_loss_tracking(self):
-        cfg = base_config(inv_liquidity=2.0, rounds=3, traders=[
-            {"id": "a", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.7, 0.3]}},
+    def test_log_losses_at_inverse_liquidity(self):
+        # A loss is C(theta) - <theta, phi(x)>, in budget units, at every inverse liquidity.
+        rounds, lam = 6, 2.0
+        cfg = base_config(inv_liquidity=lam, rounds=rounds, arrival="fixed-sequence", traders=[
+            {"id": "eu", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.7, 0.3]}},
+            {"id": "bl", "model": "budget-limited", "budget": 0.3, "belief": {"probs": [0.2, 0.8]}},
+            {"id": "by", "model": "bayesian", "sample": {"mean": {"probs": [0.6, 0.4]}, "size": 2}},
         ])
         report = run_simulation(SimConfig.from_dict(cfg))
-        assert report.aggregates["total_log_loss"] is None
-        assert all(ev.log_loss_before is None for ev in report.events)
-        assert all(ev.myopic_impact is not None for ev in report.events)
+        assert report.valid and len(report.events) == 3 * rounds
+        family = family_from_id("categorical:2")
+        for ev in report.events:
+            assert isinstance(ev.log_loss_before, float) and isinstance(ev.log_loss_after, float)
+            assert ev.myopic_impact == pytest.approx(ev.log_loss_before - ev.log_loss_after, abs=1e-10)
+        total = 0.0
+        for i in range(2, len(report.events), 3):
+            total += report.events[i].log_loss_after
+        assert report.aggregates["total_log_loss"] == total
+        natural = [lam * t for t in report.aggregates["final_theta"]]  # 1/lam times the predictive density's nats
+        assert report.events[-1].log_loss_after == pytest.approx(
+            -family.log_density(natural, report.events[-1].outcome) / lam, abs=1e-12)
 
 
 class TestBayesianAggregation:

@@ -337,10 +337,15 @@ class TestLogLoss:
             x = fam.sample(theta, rng) if fid != "categorical:3" else 2
             assert market.log_loss(x) == pytest.approx(-fam.log_density(theta, x), abs=1e-12)
 
-    def test_requires_unit_inverse_liquidity(self):
-        market = Market(EXPO, -1.0, inv_liquidity=2.0)
-        with pytest.raises(DomainError):
-            market.log_loss(1.0)
+    def test_scaled_negative_log_density_at_inverse_liquidity(self):
+        # In budget units: 1/lam times the negative log likelihood under the member at lam * theta.
+        rng, lam = np.random.default_rng(19), 0.75
+        for fid in ("categorical:3", "exponential-rate", "gaussian-moments"):
+            fam = family_from_id(fid)
+            theta = random_natural(fam, rng) / lam
+            market = Market(fam, theta, inv_liquidity=lam)
+            x = fam.sample(lam * theta, rng) if fid != "categorical:3" else 1
+            assert market.log_loss(x) == pytest.approx(-fam.log_density(lam * theta, x) / lam, abs=1e-12)
 
 
 class TestRiskNeutralProfitIdentity:

@@ -4,9 +4,10 @@ The configs are the golden ones, a ``state_reset`` fixed-sequence run of all fou
 every trader after the first meets the post-trade state that the first one's kept quote hands back each
 round), a ``state_reset`` round-robin run of all four models on every sampleable family, and two runs of a
 budget-limited trader whose budget runs low, so that about half its calls halve the fraction: alone under
-``state_reset``, where it halves at the restored ``theta0``, and after an exp-utility trader without it.  The
-last is a ``state_reset`` run with sequence ``[a, b, a]``, where each of ``a``'s two turns has a mover that
-hands back its kept move.
+``state_reset``, where it halves at the restored ``theta0``, and after an exp-utility trader without it.  Then
+a ``state_reset`` run with sequence ``[a, b, a]``, where each of ``a``'s two turns has a mover that hands back
+its kept move, and the all-models round-robin run of every sampleable family again at inverse liquidity 0.5
+and 2.
 """
 
 import pytest
@@ -58,6 +59,9 @@ CONFIGS = {
             *LOW_BUDGET["traders"],
             {"id": "eu", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.7, 0.3]}}]},
     "state-reset-a-b-a:categorical:2": a_b_a_for_ten_rounds(True),  # a has a mover, so a kept move, per turn
+    **{f"inv-liquidity-{lam}-round-robin:{fid}": {**all_models_config(fid, "round-robin", 41 + i),
+                                                   "inv_liquidity": lam}
+       for lam in (0.5, 2.0) for i, fid in enumerate(SAMPLEABLE_FAMILY_IDS)},
 }
 
 

@@ -47,10 +47,9 @@ def configs(draw) -> dict:
     inv_liquidity = draw(st.sampled_from((1.0, 0.5, 2.0)))
     traders = [{"id": "rn", "model": "risk-neutral", "belief": {"theta": draw(naturals(family_id))}},
                {"id": "eu", "model": "exp-utility", "risk_aversion": draw(st.floats(0.1, 3.0)),
+                "belief": {"theta": draw(naturals(family_id))}},
+               {"id": "bl", "model": "budget-limited", "budget": draw(st.floats(0.1, 2.0)),
                 "belief": {"theta": draw(naturals(family_id))}}]
-    if inv_liquidity == 1.0:
-        traders.append({"id": "bl", "model": "budget-limited", "budget": draw(st.floats(0.1, 2.0)),
-                        "belief": {"theta": draw(naturals(family_id))}})
     return {"family": family_id, "theta0": draw(naturals(family_id)), "true_theta": draw(naturals(family_id)),
             "inv_liquidity": inv_liquidity, "rounds": draw(st.integers(1, 8)),
             "seed": draw(st.integers(0, 2**31 - 1)), "state_reset": draw(st.booleans()),

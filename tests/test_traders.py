@@ -137,10 +137,14 @@ class TestBayesianMarketTrade:
                 EXPO.natural_from_mean((4 * 1.0 + 2.0) / 5.0)[0] + 1.0, abs=1e-12
             )
 
-    def test_requires_unit_inverse_liquidity(self):
-        market = Market(EXPO, -1.0, inv_liquidity=2.0)
-        with pytest.raises(DomainError):
-            bayesian_market_trade(market, 1.0, 1.0)
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_moves_prices_to_posterior_at_inverse_liquidity(self, lam):
+        market = Market(CAT2, [0.0, 0.0], inv_liquidity=lam)
+        market.execute(bayesian_market_trade(market, [0.7, 0.3], 1.0))
+        np.testing.assert_allclose(market.prices(), [0.7, 0.3], atol=1e-12)
+        market = Market(EXPO, -1.0 / lam, inv_liquidity=lam, n_trades=1)  # prices 1, phantom count 1
+        market.execute(bayesian_market_trade(market, 3.0, 1.0))
+        assert market.prices()[0] == pytest.approx((1.0 + 3.0) / 2.0, abs=1e-12)
 
 
 class TestCertaintyEquivalent:
@@ -397,10 +401,19 @@ class TestBudgetLimitedTrade:
             budget += payoff(fam, record.delta, outcome) - record.cost
             assert budget >= -1e-12
 
-    def test_requires_unit_inverse_liquidity(self):
-        market = Market(EXPO, -1.0, inv_liquidity=2.0)
-        with pytest.raises(DomainError):
-            budget_limited_trade(market, make_trader(-0.5, budget=1.0))
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_budget_feasibility_at_inverse_liquidity(self, lam):
+        rng = np.random.default_rng(37)
+        for fid in ("exponential-rate", "gaussian-moments", "categorical:3"):
+            fam = family_from_id(fid)
+            for _ in range(30):
+                market = Market(fam, random_natural(fam, rng) / lam, inv_liquidity=lam)
+                alpha = rng.uniform(0.0, 0.5)
+                delta = budget_limited_trade(market, make_trader(random_natural(fam, rng), budget=alpha))
+                assert market.quote(delta) <= alpha
+        market = Market(EXPO, -1.0, inv_liquidity=lam)
+        delta = budget_limited_trade(market, make_trader(-0.5, budget=None))
+        assert lam * (market.theta[0] + delta[0]) == pytest.approx(-0.5, abs=1e-12)  # the move to the belief
 
 
 class TestMyopicImpact:
@@ -496,10 +509,20 @@ class TestExpectedProfitBound:
             assert profit >= bound - 1e-10
             assert bound >= -1e-12
 
-    def test_requires_unit_inverse_liquidity(self):
-        market = Market(EXPO, -1.0, inv_liquidity=2.0)
-        with pytest.raises(DomainError, match="requires inv_liquidity == 1"):
-            expected_profit_bound(market, make_trader(-0.5), np.array([0.25]))
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_profit_is_payoff_minus_quote_at_inverse_liquidity(self, family, lam):
+        # Expected payoff <delta, mean(belief)> minus the liquidity-scaled quote, along the segment to belief / lam.
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            theta = random_natural(family, rng) / lam
+            belief = random_natural(family, rng)
+            market = Market(family, theta, inv_liquidity=lam)
+            delta = rng.uniform(0.0, 1.0) * (belief / lam - theta)
+            profit, bound = expected_profit_bound(market, make_trader(belief), delta)
+            direct = float(np.dot(delta, family.mean_from_natural(belief))) - market.quote(delta)
+            assert profit == pytest.approx(direct, abs=1e-10)
+            assert profit >= bound - 1e-10
+            assert bound >= -1e-12
 
     def test_off_segment_rejected(self):
         market = Market(family_from_id("gaussian-moments"), [0.0, -0.5])
