@@ -204,7 +204,7 @@ class ExpFamily(ABC):
     def _statistic(self, x) -> array: ...
 
     def _pair(self, vec, x) -> float:
-        """``<vec, phi(x)>`` at a trusted outcome, with ``_dot``'s bits; a family may skip building ``phi``."""
+        """``<vec, phi(x)>`` at a trusted outcome, with ``_dot``'s bits or DomainError; vmf3 alone keeps it."""
         return _dot(vec, self._statistic(x))
 
     def log_density(self, theta, x) -> float:
@@ -234,6 +234,8 @@ class ExpFamily(ABC):
         """``draw(rng)`` for the member at ``theta``: one outcome per call.
 
         Its constants are computed here, once; ``sample`` and ``run_simulation`` both draw through it.
+        A draw calls only ``rng.random()`` or ``rng.standard_normal()``, one kind per family and with no
+        argument: those two are all that ``run_simulation``'s block-serving stand-in (``harness._served``) has.
         """
         raise UnsupportedError(f"{self.id}: sampling is not supported")
 
@@ -409,6 +411,11 @@ class GaussianMoments(ExpFamily):
 
     def _statistic(self, x) -> array:
         return array("d", (x, x * x))
+
+    def _pair(self, vec, x) -> float:
+        # A finite total is fsum's (the rounded sum of two terms, -0.0 as +0.0); _dot keeps every other case
+        total = vec[0] * x + vec[1] * (x * x) + 0.0
+        return total if math.isfinite(total) else _dot(vec, self._statistic(x))
 
     def _sampler(self, theta):
         m, m2 = self._mean(theta)

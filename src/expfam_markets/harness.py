@@ -5,7 +5,8 @@ A simulation runs a single market through ``rounds`` rounds.  Each round:
 1. the scheduled trader(s) decide, each through its per-run mover, and
    execute their trades;
 2. an outcome is drawn from the family member at ``true_theta``, by one
-   call of the draw function ``family._sampler`` builds once per run;
+   call of the draw function ``family._sampler`` builds once per run, on
+   the run's generator with its variates served from blocks (``_served``);
 3. every trade executed this round settles -- the trader receives the
    portfolio's payoff ``<delta, phi(outcome)>`` and its budget and cash in
    the run's own books move by ``payoff - cost``, which is exactly the
@@ -43,7 +44,9 @@ import json
 import os
 from array import array
 from dataclasses import dataclass, fields
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .errors import ConfigError, CorruptLogError, DomainError
 from .families import ExpFamily, VonMisesFisher3, as_params, family_from_id
@@ -55,6 +58,7 @@ from .traders import TraderProfile, _bayesian_move, _budget_limited_move, _exp_u
 from .traders import bayesian_market_trade, budget_limited_trade, exp_utility_trade  # noqa: F401
 
 TRADER_MODELS = ("risk-neutral", "bayesian", "exp-utility", "budget-limited")
+_BLOCK = 256  # variates per Generator call in a run
 
 
 # ----------------------------------------------------------------------
@@ -331,6 +335,16 @@ def _mover(market: Market, trader: TraderProfile, budgets: dict):
     return _memo(market, lambda: market._quote(_exp_utility_move(market.theta, lam, belief, a)))
 
 
+def _served(rng):
+    """A stand-in for the run's own ``rng`` whose ``random()`` and ``standard_normal()`` serve ``_BLOCK``-long blocks.
+
+    A block holds the values of as many scalar calls, in their order, and is filled once the last is used up.
+    """
+    def served(method):
+        return chain.from_iterable(iter(lambda: method(_BLOCK).tolist(), None)).__next__
+    return SimpleNamespace(random=served(rng.random), standard_normal=served(rng.standard_normal))
+
+
 def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimReport:
     """Run a configured simulation to completion (or to a flagged abort).
 
@@ -360,6 +374,10 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     its move once per run, as long as the state it meets recurs: a Bayesian
     move, or a budget-limited trader's capped one, reaches a new state every
     round.
+
+    The draw function gets ``_served(rng)``, not the seeded ``Generator``:
+    each round still transforms its own variate, so the outcomes and the
+    round at which an overflowing draw aborts are those of scalar calls.
     """
     import numpy as np  # for the outcome Generator only, so quote and trade never load it
 
@@ -368,7 +386,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     start = market._state()  # the checked state that state_reset restores
     if trade_log_path is not None:
         header = json.dumps(log_header(market, config.state_reset), sort_keys=True)
-    rng = np.random.default_rng(config.seed)
+    rng = _served(np.random.default_rng(config.seed))
     draw = family._sampler(config.true_theta)  # built once: true_theta is fixed for the run
     # The run's books: cash (cumulative payoff - cost) and running budget per trader id.  Both add the
     # same per-trade changes in order, so the budget floor holds in float arithmetic too.

@@ -23,10 +23,14 @@ from conftest import (
 from expfam_markets import (
     Categorical,
     DomainError,
+    SimConfig,
     UnsupportedError,
+    families,
     family_from_id,
+    run_simulation,
 )
 from expfam_markets.families import WeibullMoment, _dot
+from test_reference_engine import all_models_config
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -506,11 +510,11 @@ class TestStatistic:
 
 
 def _bits(call) -> str:
-    """The hex of the float ``call()`` returns, or the name of the error ``fsum`` raises in it."""
+    """The hex of the float ``call()`` returns, or the name and message of the error ``fsum`` raises in it."""
     try:
         return call().hex()
     except (OverflowError, ValueError) as exc:  # finite terms whose sum overflows; inf - inf
-        return type(exc).__name__
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _outcomes(fam):
@@ -557,8 +561,20 @@ class TestPair:
             for x in (0.0, 1.5, 1e200):
                 self.assert_pairs_as_dot(fam, vec, x)
 
-    def test_gaussian_sum_that_overflows_raises_as_dot_does(self):
-        self.assert_pairs_as_dot(family_from_id("gaussian-moments"), [1e308, 1e308], 1.0)
+    @pytest.mark.parametrize("vec", [[-0.0, -0.0], [0.0, -0.0], [-1.5, 2.0], [1e308, 1e308], [1e308, -1e308]])
+    @pytest.mark.parametrize("x", [0.0, -0.0, 1.0, 1.5, 1e200, -1e200])
+    def test_gaussian_signed_zeros_and_non_finite_totals(self, vec, x):
+        # the two-term sum, where fsum gives +0.0, and _dot's own bits or DomainError where the total is not finite
+        self.assert_pairs_as_dot(family_from_id("gaussian-moments"), vec, x)
+
+    @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
+    def test_a_run_settles_without_dot(self, family_id, monkeypatch):
+        config = SimConfig.from_dict(all_models_config(family_id, "round-robin", 22))
+        calls, dot = [], families._dot
+        monkeypatch.setattr(families, "_dot", lambda a, b: calls.append((a, b)) or dot(a, b))
+        report = run_simulation(config)
+        assert report.valid and len(report.events) == config.rounds
+        assert calls == []
 
     @pytest.mark.parametrize("a, b", [
         pytest.param([1e308, 1e308], [1.0, 1.0], id="finite-terms-whose-sum-overflows"),

@@ -585,6 +585,22 @@ class TestTrustedEngine:
         assert (report.valid, report.error) == (False, "round 1: delta must be finite, got [inf, 0.0]")
 
 
+class TestServedVariates:
+    """``_served`` serves the bits of one scalar ``Generator`` call per variate, across block edges.
+
+    Each method reads a fresh generator, so a block filled before its first variate is used (by either
+    method) would shift the stream and fail here.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 7, 123456789])
+    @pytest.mark.parametrize("method", ["random", "standard_normal"])
+    def test_blocks_hold_the_scalar_calls_bits(self, seed, method):
+        served = getattr(harness._served(np.random.default_rng(seed)), method)
+        scalar = getattr(np.random.default_rng(seed), method)
+        n = 2 * harness._BLOCK + 3
+        assert [served().hex() for _ in range(n)] == [scalar().hex() for _ in range(n)]
+
+
 def aborts_in_round_2() -> dict:
     """A config whose second trader's move lands within the trading margin of the boundary."""
     return base_config(family="exponential-rate", theta0=[-1.0], true_theta=[-0.8], rounds=3, traders=[

@@ -7,7 +7,9 @@ budget-limited trader whose budget runs low, so that about half its calls halve 
 ``state_reset``, where it halves at the restored ``theta0``, and after an exp-utility trader without it.  Then
 a ``state_reset`` run with sequence ``[a, b, a]``, where each of ``a``'s two turns has a mover that hands back
 its kept move, and the all-models round-robin run of every sampleable family again at inverse liquidity 0.5
-and 2.
+and 2.  Last, a 700-round all-models run of every sampleable family without ``state_reset``: the engine
+serves its variates from blocks of ``harness._BLOCK`` (256), and the reference draws each by a scalar call,
+so these runs cross two block edges; and a Weibull draw that overflows in round 531, within the third block.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from test_golden import GOLDEN_CONFIGS
 from test_harness import a_b_a_for_ten_rounds
 
 from expfam_markets import SimConfig, run_simulation
+from expfam_markets.harness import _BLOCK
 
 # theta0, true_theta, and two mean descriptions per family.
 FAMILY_SETUPS = {
@@ -62,6 +65,14 @@ CONFIGS = {
     **{f"inv-liquidity-{lam}-round-robin:{fid}": {**all_models_config(fid, "round-robin", 41 + i),
                                                    "inv_liquidity": lam}
        for lam in (0.5, 2.0) for i, fid in enumerate(SAMPLEABLE_FAMILY_IDS)},
+    **{f"block-edges-round-robin:{fid}": {**all_models_config(fid, "round-robin", 61 + i), "rounds": 700,
+                                          "state_reset": False}
+       for i, fid in enumerate(SAMPLEABLE_FAMILY_IDS)},
+}
+
+WEIBULL_DRAW_OVERFLOWS = {  # seed 0's 531st variate is the first whose draw at true_theta exceeds the largest float
+    "family": "weibull-moment:0.01", "theta0": [-1.0], "true_theta": [-0.005], "rounds": 600, "seed": 0,
+    "traders": [{"id": "rn", "model": "risk-neutral", "belief": {"moment": 1.5}}],
 }
 
 
@@ -70,4 +81,13 @@ def test_engine_matches_the_reference_bit_for_bit(name):
     config = SimConfig.from_dict(CONFIGS[name])
     expected = reference_run(config)
     assert expected["events"] or expected["error"], "a valid run with no trade compares nothing"
+    assert hexed(run_simulation(config)) == expected
+
+
+def test_a_draw_that_overflows_past_two_blocks_aborts_its_own_round():
+    config = SimConfig.from_dict(WEIBULL_DRAW_OVERFLOWS)
+    expected = reference_run(config)
+    assert 2 * _BLOCK < 531 <= 3 * _BLOCK
+    assert expected["error"] == "round 531: weibull-moment:0.01: a draw at theta [-0.005] overflows"
+    assert len(expected["events"]) == 530
     assert hexed(run_simulation(config)) == expected
