@@ -14,7 +14,7 @@ from importlib import import_module
 _EXPORTS = {
     "equilibrium": ("BestResponseResult", "EquilibriumProblem", "best_response_dynamics",
                     "closed_form_equilibrium", "log_utility", "potential"),
-    "errors": ("ConfigError", "ConvergenceError", "CorruptLogError", "DomainError", "UnsupportedError"),
+    "errors": ("ConfigError", "ConvergenceError", "CorruptLogError", "DomainError"),
     "families": ("Categorical", "ExpFamily", "ExponentialRate", "GaussianMoments", "VonMisesFisher3",
                  "WeibullMoment", "family_from_id"),
     "harness": ("SimConfig", "SimReport", "TradeEvent", "emit_report", "replay", "run_simulation"),

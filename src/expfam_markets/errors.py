@@ -9,10 +9,6 @@ class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
 
-class UnsupportedError(NotImplementedError):
-    """The requested operation is not supported for this family."""
-
-
 class ConfigError(ValueError):
     """A simulation or CLI configuration is malformed or inconsistent."""
 

@@ -32,8 +32,7 @@ Registered families and their id strings:
   ``log_density`` is an honest Lebesgue log density.
 * ``vmf3``              -- outcomes on the unit sphere in R^3, statistic
   ``x``, surface base measure.  ``T(theta) = log(4*pi*sinh(k)/k)`` with
-  ``k = |theta|``, evaluated by a series for small ``k``.  Sampling is not
-  supported.
+  ``k = |theta|``, evaluated by a series for small ``k``.
 
 A family's ``id`` is a value, not a method: the three parameterless
 families hold it as a class attribute, ``Categorical`` sets it when built,
@@ -46,7 +45,7 @@ Parameters within ``1e-12`` of a domain boundary are rejected: ``T`` blows
 up at the boundary, so values there are numerically meaningless.  Family
 objects are immutable after construction and every operation is a pure
 function, safe to share across threads; random sampling uses a caller-owned
-``numpy.random.Generator``.
+``numpy.random.Generator``, and every family samples.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate
 
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError
 
 BOUNDARY_MARGIN = 1e-12
 
@@ -230,6 +229,7 @@ class ExpFamily(ABC):
         """
         return self._sampler(self.check_natural(theta))(rng)
 
+    @abstractmethod
     def _sampler(self, theta: array):
         """``draw(rng)`` for the member at ``theta``: one outcome per call.
 
@@ -237,7 +237,6 @@ class ExpFamily(ABC):
         A draw calls only ``rng.random()`` or ``rng.standard_normal()``, one kind per family and with no
         argument: those two are all that ``run_simulation``'s block-serving stand-in (``harness._served``) has.
         """
-        raise UnsupportedError(f"{self.id}: sampling is not supported")
 
 
 class Categorical(ExpFamily):
@@ -418,8 +417,7 @@ class GaussianMoments(ExpFamily):
         return total if math.isfinite(total) else _dot(vec, self._statistic(x))
 
     def _sampler(self, theta):
-        m, m2 = self._mean(theta)
-        sd = math.sqrt(m2 - m * m)
+        m, sd = self._mean(theta)[0], math.sqrt(-0.5 / theta[1])  # not sqrt(m2 - m*m), which cancels once |m| >> sd
         return lambda rng: m + sd * rng.standard_normal()
 
 
@@ -453,7 +451,12 @@ class VonMisesFisher3(ExpFamily):
     ``coth(k) - 1/k = |mu|`` by bisection at geometric midpoints on the
     bracket ``[3|mu|, 1/(1 - |mu|)]``, which always holds the root.  It stops
     when no midpoint falls strictly inside the bracket, so it has no
-    tolerance, cap or failure path.  Sampling is not supported.
+    tolerance, cap or failure path.
+
+    A draw inverts the cosine's CDF ``expm1(k*(w + 1)) / expm1(2*k)`` at one
+    ``random()`` (Wood 1994), takes a uniform angle from a second, and
+    reflects the point from the pole farther from ``theta`` onto its
+    direction.
     """
 
     id = "vmf3"
@@ -506,6 +509,24 @@ class VonMisesFisher3(ExpFamily):
 
     def _statistic(self, x) -> array:
         return array("d", x)
+
+    def _sampler(self, theta):
+        kappa = math.hypot(*theta)
+        # Below 1e-16 the law is uniform within a draw's rounding, and a subnormal k would throw w below -1.
+        uniform = kappa < 1e-16
+        scale = math.expm1(-2.0 * kappa)  # rounds to -1 above k = 18 or so, where v * scale stays above -1
+        mx, my, mz = (0.0, 0.0, 1.0) if uniform else [t / kappa for t in theta]
+        pole = -1.0 if mz >= 0.0 else 1.0  # the farther pole: u = (mx, my, mz - pole) has |u_z| >= 1, so no cancelling
+
+        def draw(rng):
+            v = rng.random()
+            w = 2.0 * v - 1.0 if uniform else 1.0 + math.log1p(v * scale) / kappa  # the cosine to the mean direction
+            s = math.sqrt(max(0.0, 1.0 - w * w))
+            angle = 2.0 * math.pi * rng.random()
+            a, b = s * math.cos(angle), s * math.sin(angle)
+            c = w - (mx * a + my * b) / (1.0 + abs(mz))  # (a, b, pole*w) reflected in the plane normal to u
+            return array("d", (a + mx * c, b + my * c, pole * (w - c) + mz * c))
+        return draw
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,8 @@ A simulation runs a single market through ``rounds`` rounds.  Each round:
 2. an outcome is drawn from the family member at ``true_theta``, by one
    call of the draw function ``family._sampler`` builds once per run, on
    the run's generator with its variates served from blocks (``_served``);
+   every family draws, a number or (vmf3) a unit 3-vector, which the
+   reports write as they write ``delta``;
 3. every trade executed this round settles -- the trader receives the
    portfolio's payoff ``<delta, phi(outcome)>`` and its budget and cash in
    the run's own books move by ``payoff - cost``, which is exactly the
@@ -49,7 +51,7 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .errors import ConfigError, CorruptLogError, DomainError
-from .families import ExpFamily, VonMisesFisher3, as_params, family_from_id
+from .families import ExpFamily, as_params, family_from_id
 from .market import (Market, TradeLog, _check_keys, _integer, _json, _number, _numbers, _record_json, check_header,
                      log_header, replace_file)
 from .scoring import moments_from_mean_variance
@@ -140,8 +142,6 @@ class SimConfig:
         _check_keys(raw, {f.name for f in fields(cls)}, "config")
         try:
             family = family_from_id(raw["family"])
-            if isinstance(family, VonMisesFisher3):
-                raise ConfigError("vmf3 outcomes cannot be sampled; simulation unsupported")
             lam = _number(raw.get("inv_liquidity", 1.0), "inv_liquidity")
             theta0 = Market(family, _numbers(raw["theta0"], "theta0"), lam).theta  # the checks run_simulation's market makes
             true_theta = family.check_natural(_numbers(raw["true_theta"], "true_theta"))
@@ -269,8 +269,9 @@ class SimReport:
     aggregates: dict
 
     def to_dict(self) -> dict:
-        return {**vars(self), "events": [
-            {k: getattr(ev, k) for k in TradeEvent.__slots__} | {"delta": list(ev.delta)} for ev in self.events]}
+        return {**vars(self), "events": [{k: getattr(ev, k) for k in TradeEvent.__slots__} | {
+            "delta": list(ev.delta), "outcome": list(ev.outcome) if isinstance(ev.outcome, array) else ev.outcome}
+            for ev in self.events]}
 
     def to_json(self) -> str:
         """The report's bytes: those of ``json.dumps(to_dict(), sort_keys=True, indent=2)`` and a newline."""
@@ -278,7 +279,7 @@ class SimReport:
 
 
 _EVENTS_KEY = '\n  "events": []'  # a newline and two spaces: only a top-level key can match
-_ITEM = ",\n        "  # between the items of an event's delta or trader_budgets
+_ITEM = ",\n        "  # between the items of an event's delta, vector outcome or trader_budgets
 _EVENT_JSON = ('\n    {\n      "cost": %s,\n      "delta": [\n        %s\n      ],\n      "log_loss_after": %s,'
                '\n      "log_loss_before": %s,\n      "myopic_impact": %s,\n      "outcome": %s,\n      "round": %d,'
                '\n      "trader_budgets": {\n        %s\n      },\n      "trader_id": %s\n    }')
@@ -288,7 +289,7 @@ def _report_chunks(report: SimReport):
     """The report's JSON in pieces: the stdlib encoder writes all but the events, spliced in by one template.
 
     The last piece ends with the file's newline.  A round's shared ``trader_budgets`` is rendered once;
-    ``delta`` and ``trader_budgets`` are never empty.
+    ``delta``, a vector outcome (an ``array``, as vmf3 draws) and ``trader_budgets`` are never empty.
     """
     head, _, tail = _REPORT_ENCODER.encode({**vars(report), "events": []}).partition(_EVENTS_KEY)
     yield head + '\n  "events": ['
@@ -299,7 +300,9 @@ def _report_chunks(report: SimReport):
             budgets_json = _ITEM.join([f"{encode_basestring_ascii(k)}: {_json(v)}" for k, v in sorted(budgets.items())])
         yield ("," if i else "") + _EVENT_JSON % (
             _json(ev.cost), _ITEM.join(map(_json, ev.delta)), _json(ev.log_loss_after), _json(ev.log_loss_before),
-            _json(ev.myopic_impact), _json(ev.outcome), ev.round, budgets_json, encode_basestring_ascii(ev.trader_id))
+            _json(ev.myopic_impact),  # a vector outcome is a list at delta's indent
+            ("[\n        %s\n      ]" % _ITEM.join(map(_json, ev.outcome)) if isinstance(ev.outcome, array)
+             else _json(ev.outcome)), ev.round, budgets_json, encode_basestring_ascii(ev.trader_id))
     yield ("\n  ]" if report.events else "]") + tail + "\n"  # an empty list is "[]", as the encoder writes it
 
 
@@ -517,7 +520,8 @@ def _csv_rows(report: SimReport):
     """
     yield CSV_COLUMNS
     for ev in report.events:
-        yield [ev.round, ev.trader_id, ";".join(map(repr, ev.delta)), ev.cost, ev.outcome, ev.log_loss_before,
+        outcome = ";".join(map(repr, ev.outcome)) if isinstance(ev.outcome, array) else ev.outcome
+        yield [ev.round, ev.trader_id, ";".join(map(repr, ev.delta)), ev.cost, outcome, ev.log_loss_before,
                ev.log_loss_after, ev.myopic_impact, ev.trader_budgets.get(ev.trader_id)]
 
 
@@ -525,9 +529,9 @@ def emit_report(report: SimReport, fmt: str, path: str) -> None:
     """Write a report as JSON (lossless round trip) or CSV (one row per event).
 
     CSV columns: ``round, trader_id, delta, cost, outcome, log_loss_before,
-    log_loss_after, myopic_impact, budget_after``.  Vector cells are
-    semicolon-joined; an unlimited budget is an empty cell.  A zero-round
-    simulation yields a header-only file.
+    log_loss_after, myopic_impact, budget_after``.  Vector cells (``delta``
+    and a vmf3 outcome) are semicolon-joined; an unlimited budget is an
+    empty cell.  A zero-round simulation yields a header-only file.
     """
     if fmt == "json":
         replace_file(path, lambda fh: fh.writelines(_report_chunks(report)))  # streamed, never held whole

@@ -13,6 +13,7 @@ here, so ``hexed`` of the two runs must agree bit for bit.
 from __future__ import annotations
 
 import dataclasses
+from array import array
 
 import numpy as np
 
@@ -22,12 +23,15 @@ from expfam_markets.families import _dot
 
 
 def _hex(value):
-    """Every float in ``value`` (a float, list or dict of them, or another value) as ``float.hex``."""
+    """Every float in ``value`` (a float, list, array or dict of them, or another value) as ``float.hex``.
+
+    An ``array`` (a vmf3 outcome) is hexed entry by entry: left to ``==``, it would take -0.0 for 0.0.
+    """
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, dict):
         return {k: _hex(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, array)):
         return [_hex(v) for v in value]
     return value
 

@@ -8,10 +8,10 @@ from array import array
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from conftest import (
     ALL_FAMILY_IDS,
-    SAMPLEABLE_FAMILY_IDS,
     central_diff_grad,
     finite_diff_hessian,
     kl_quadrature,
@@ -24,12 +24,12 @@ from expfam_markets import (
     Categorical,
     DomainError,
     SimConfig,
-    UnsupportedError,
     families,
     family_from_id,
     run_simulation,
 )
 from expfam_markets.families import WeibullMoment, _dot
+from reference_engine import _hex
 from test_reference_engine import all_models_config
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -373,7 +373,7 @@ class TestSampling:
         a, b = np.random.default_rng(61), np.random.default_rng(61)
         assert [fam.sample(-1.0, a) for _ in range(10)] == [fam.sample(-1.0, b) for _ in range(10)]
 
-    @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
+    @pytest.mark.parametrize("family_id", ALL_FAMILY_IDS)
     def test_run_draws_equal_sample_draws(self, family_id):
         # Two ways to draw the same stream: one sample call per draw, and the sampler that run_simulation
         # builds once per run and calls once per round (the tests' sample_batch draws through it too).
@@ -383,18 +383,86 @@ class TestSampling:
         one_by_one = [fam.sample(theta, rng) for _ in range(2_000)]
         draw, rng = fam._sampler(fam.check_natural(theta)), np.random.default_rng(67)
         per_run = [draw(rng) for _ in range(2_000)]
-        assert [float(v).hex() for v in per_run] == [float(v).hex() for v in one_by_one]
+        assert _hex(per_run) == _hex(one_by_one)
         assert {type(v) for v in per_run} == {type(v) for v in one_by_one}
 
-    def test_vmf3_sampling_unsupported(self):
-        fam = family_from_id("vmf3")
-        with pytest.raises(UnsupportedError):
-            fam.sample([0.0, 0.0, 1.0], np.random.default_rng(0))
+    def test_gaussian_sd_far_from_the_mean(self):
+        # mean 1e8, variance 1: an sd taken from the mean map, sqrt(m2 - m*m), cancels to 0.0 here
+        n = 10_000
+        draws = sample_batch(family_from_id("gaussian-moments"), [1e8, -0.5], np.random.default_rng(79), n) - 1e8
+        assert abs(np.std(draws) - 1.0) < 3 / math.sqrt(2 * n)
 
     def test_scalar_draw_types(self):
         rng = np.random.default_rng(67)
         assert isinstance(family_from_id("categorical:4").sample([0.0] * 4, rng), int)
         assert isinstance(family_from_id("exponential-rate").sample(-1.0, rng), float)
+
+
+VMF3_DIRECTION = np.array([2.0, -1.0, 2.0]) / 3.0
+VMF3_POLES = {"north": [0.0, 0.0, 1.0], "south": [0.0, 0.0, -1.0],
+              "near-north": [1e-9, 0.0, 1.0], "near-south": [-1e-9, 1e-9, -1.0]}
+VMF3_THETAS = {  # kappa 0 to 1e6 off the poles, and kappa 1 and 1e6 on and within 1e-9 of either pole
+    **{f"kappa-{kappa:g}": kappa * VMF3_DIRECTION for kappa in (0.0, 1e-8, 1.0, 50.0, 1e6)},
+    **{f"kappa-{kappa:g}-{pole}": kappa * np.array(direction) for kappa in (1.0, 1e6)
+       for pole, direction in VMF3_POLES.items()},
+}
+
+
+@pytest.fixture(scope="module")
+def vmf3_draws():
+    """10,000 seeded draws at each of ``VMF3_THETAS``."""
+    fam, rng = family_from_id("vmf3"), np.random.default_rng(83)
+    return {name: sample_batch(fam, theta, rng, 10_000) for name, theta in VMF3_THETAS.items()}
+
+
+def vmf3_cosine_cdf(kappa: float, w):
+    """``expm1(kappa*(w+1)) / expm1(2*kappa)``, the law of the cosine to the mean direction, without overflow."""
+    if kappa == 0.0:
+        return (w + 1.0) / 2.0
+    return np.exp(kappa * (w - 1.0)) * np.expm1(-kappa * (w + 1.0)) / np.expm1(-2.0 * kappa)
+
+
+class TestVmf3Sampling:
+    """The inverse-CDF draw of the cosine, its uniform angle, and the reflection onto the mean direction."""
+
+    @pytest.mark.parametrize("name", sorted(VMF3_THETAS))
+    def test_mean_within_three_standard_errors(self, name, vmf3_draws):
+        draws = vmf3_draws[name]
+        se = np.std(draws, axis=0) / math.sqrt(len(draws))
+        mu = np.array(family_from_id("vmf3").mean_from_natural(VMF3_THETAS[name]))
+        assert np.all(np.abs(np.mean(draws, axis=0) - mu) <= 3.0 * se)
+
+    @pytest.mark.parametrize("name", sorted(VMF3_THETAS))
+    def test_cosine_passes_ks_at_one_percent(self, name, vmf3_draws):
+        theta = VMF3_THETAS[name]
+        kappa = math.hypot(*theta)
+        w = vmf3_draws[name] @ (theta / kappa if kappa else VMF3_DIRECTION)
+        assert stats.kstest(w, lambda t: vmf3_cosine_cdf(kappa, t)).pvalue > 0.01
+
+    def test_kappa_zero_draws_uniformly(self, vmf3_draws):
+        # On the sphere each coordinate is uniform on [-1, 1] (Archimedes), and so is the azimuth on (-pi, pi].
+        draws = vmf3_draws["kappa-0"]
+        for coordinate in draws.T:
+            assert stats.kstest(coordinate, stats.uniform(-1.0, 2.0).cdf).pvalue > 0.01
+        azimuth = np.arctan2(draws[:, 1], draws[:, 0])
+        assert stats.kstest(azimuth, stats.uniform(-math.pi, 2.0 * math.pi).cdf).pvalue > 0.01
+
+    @staticmethod
+    def assert_outcomes(draws):
+        fam = family_from_id("vmf3")
+        for x in draws:
+            fam.check_outcome(x)
+        assert np.max(np.abs(np.linalg.norm(draws, axis=1) - 1.0)) < 1e-15
+
+    def test_every_draw_is_an_outcome(self, vmf3_draws):
+        for draws in vmf3_draws.values():
+            self.assert_outcomes(draws)
+
+    @pytest.mark.parametrize("kappa", [1e-320, 1e-17, 18.5, 1e300])
+    def test_extreme_draws_are_outcomes(self, kappa):
+        # a subnormal norm, one below the uniform cut, one where expm1(-2k) nears -1, and one far past it
+        self.assert_outcomes(sample_batch(family_from_id("vmf3"), kappa * VMF3_DIRECTION, np.random.default_rng(89),
+                                          2_000))
 
 
 class TestWeibullFamily:
@@ -567,14 +635,15 @@ class TestPair:
         # the two-term sum, where fsum gives +0.0, and _dot's own bits or DomainError where the total is not finite
         self.assert_pairs_as_dot(family_from_id("gaussian-moments"), vec, x)
 
-    @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
+    @pytest.mark.parametrize("family_id", ALL_FAMILY_IDS)
     def test_a_run_settles_without_dot(self, family_id, monkeypatch):
         config = SimConfig.from_dict(all_models_config(family_id, "round-robin", 22))
         calls, dot = [], families._dot
         monkeypatch.setattr(families, "_dot", lambda a, b: calls.append((a, b)) or dot(a, b))
         report = run_simulation(config)
         assert report.valid and len(report.events) == config.rounds
-        assert calls == []
+        # vmf3 has no pairing kernel: ExpFamily._pair is _dot
+        assert (calls == []) == (type(config.family)._pair is not families.ExpFamily._pair)
 
     @pytest.mark.parametrize("a, b", [
         pytest.param([1e308, 1e308], [1.0, 1.0], id="finite-terms-whose-sum-overflows"),

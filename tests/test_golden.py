@@ -7,7 +7,7 @@ fails here.  A change that moves bits on purpose re-pins the affected
 config and records in CHANGES.md which config moved, why, and by how many
 ulps at most.
 
-Together the configs cover every sampleable family, both arrival modes,
+Together the configs cover every family, both arrival modes,
 ``state_reset``, ``inv_liquidity != 1`` (with every trader model, and its
 log losses in budget units), a run that aborts with ``valid=false`` (its
 trade log is never created, pinned as ``None``) and a budget-limited trader
@@ -41,7 +41,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from conftest import SAMPLEABLE_FAMILY_IDS, random_natural, subprocess_env
+from conftest import ALL_FAMILY_IDS, random_natural, subprocess_env
 from expfam_markets import SimConfig, emit_report, expected_score, family_from_id, run_simulation
 
 GOLDEN_CONFIGS = {
@@ -140,6 +140,17 @@ GOLDEN_CONFIGS = {
              "belief": {"probs": [0.25, 0.4, 0.35]}},
         ],
     },
+    "vmf3-bayesian-exp-utility": {
+        "family": "vmf3",
+        "theta0": [0.0, 0.0, 0.0],
+        "true_theta": [0.5, 1.0, -2.0],
+        "rounds": 150,
+        "seed": 17,
+        "traders": [
+            {"id": "by", "model": "bayesian", "sample": {"mean": {"mean": [0.2, 0.3, -0.5]}, "size": 3.0}},
+            {"id": "eu", "model": "exp-utility", "risk_aversion": 0.8, "belief": {"mean": [0.1, 0.4, -0.6]}},
+        ],
+    },
 }
 
 GOLDEN_DIGESTS = {
@@ -172,6 +183,11 @@ GOLDEN_DIGESTS = {
         "json": "5848de9044198e250ba15687600e0f17e5933ce32153bc4e0705a1911bc86466",
         "csv": "a4c32097760d5a9c964fca7daa2b119eea2729486171e7d0cb5687340410676b",
         "trade_log": "70a4bc766c16ce762756f116f04db90b9e44aaaaf97a819994e8a485004323c8",
+    },
+    "vmf3-bayesian-exp-utility": {
+        "json": "7518171c3fd716c6b074f4bfe6295879a4e388e162dd5336e8bec095e1969998",
+        "csv": "58527f56d7767af59c9304a21da1ae4239d78426c8e807c2ba0be9424075d41a",
+        "trade_log": "28cffb64e131f6315cfa96e2e000a26e234656a156c39373b9891bec8f5be516",
     },
     "weibull-round-robin": {
         "json": "05082a0b775e56ada44251015416623fa817c73be343cf0b522ac904ca084a7b",
@@ -217,7 +233,7 @@ def score_bits() -> dict[str, list[str]]:
     """``float.hex`` of ``log_density``, ``bregman_divergence`` and ``expected_score`` on 500 seeded draws per family."""
     rng = np.random.default_rng(5)
     out = {"log_density": [], "bregman_divergence": [], "expected_score": []}
-    for family_id in SAMPLEABLE_FAMILY_IDS:
+    for family_id in ALL_FAMILY_IDS:
         fam = family_from_id(family_id)
         for _ in range(500):
             theta, other = random_natural(fam, rng), random_natural(fam, rng)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SAMPLEABLE_FAMILY_IDS, random_natural, subprocess_env
+from conftest import ALL_FAMILY_IDS, random_natural, subprocess_env
 
 from expfam_markets import (
     ConfigError,
@@ -68,7 +68,6 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("corrupt", [
         {"family": "nope"},
-        {"family": "vmf3", "theta0": [0.0, 0.0, 0.1], "true_theta": [0.0, 0.0, 0.1]},
         {"rounds": 0},
         {"rounds": 2.5},
         {"seed": "abc"},
@@ -287,7 +286,7 @@ class TestAccounting:
         assert report.valid and len(report.events) == 80
         return report
 
-    @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
+    @pytest.mark.parametrize("family_id", ALL_FAMILY_IDS)
     def test_myopic_impact_equals_log_loss_drop(self, family_id):
         for ev in self.family_report(family_id).events:
             assert ev.myopic_impact == pytest.approx(
@@ -295,7 +294,7 @@ class TestAccounting:
             )
 
     @pytest.mark.parametrize("lam", [0.5, 2.0])
-    @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
+    @pytest.mark.parametrize("family_id", ALL_FAMILY_IDS)
     def test_myopic_impact_equals_log_loss_drop_at_inverse_liquidity(self, family_id, lam):
         report = self.family_report(family_id, lam)
         for ev in report.events:
@@ -303,7 +302,7 @@ class TestAccounting:
         if family_id.startswith("categorical"):  # pure purchases within the cap: the budget floor
             assert min(ev.trader_budgets["bl"] for ev in report.events) >= -1e-12
 
-    @pytest.mark.parametrize("family_id", SAMPLEABLE_FAMILY_IDS)
+    @pytest.mark.parametrize("family_id", ALL_FAMILY_IDS)
     def test_myopic_impact_is_payoff_minus_cost(self, family_id):
         fam = family_from_id(family_id)
         for ev in self.family_report(family_id).events:

@@ -2,19 +2,19 @@
 
 The configs are the golden ones, a ``state_reset`` fixed-sequence run of all four trader models (so
 every trader after the first meets the post-trade state that the first one's kept quote hands back each
-round), a ``state_reset`` round-robin run of all four models on every sampleable family, and two runs of a
+round), a ``state_reset`` round-robin run of all four models on every family, and two runs of a
 budget-limited trader whose budget runs low, so that about half its calls halve the fraction: alone under
 ``state_reset``, where it halves at the restored ``theta0``, and after an exp-utility trader without it.  Then
 a ``state_reset`` run with sequence ``[a, b, a]``, where each of ``a``'s two turns has a mover that hands back
-its kept move, and the all-models round-robin run of every sampleable family again at inverse liquidity 0.5
-and 2.  Last, a 700-round all-models run of every sampleable family without ``state_reset``: the engine
+its kept move, and the all-models round-robin run of every family again at inverse liquidity 0.5
+and 2.  Last, a 700-round all-models run of every family without ``state_reset``: the engine
 serves its variates from blocks of ``harness._BLOCK`` (256), and the reference draws each by a scalar call,
 so these runs cross two block edges; and a Weibull draw that overflows in round 531, within the third block.
 """
 
 import pytest
 
-from conftest import SAMPLEABLE_FAMILY_IDS
+from conftest import ALL_FAMILY_IDS
 from reference_engine import hexed, reference_run
 from test_golden import GOLDEN_CONFIGS
 from test_harness import a_b_a_for_ten_rounds
@@ -28,6 +28,7 @@ FAMILY_SETUPS = {
     "exponential-rate": ([-1.0], [-0.8], {"mean": 1.4}, {"mean": 0.9}),
     "gaussian-moments": ([0.0, -0.5], [0.5, -0.5], {"mean": 0.3, "variance": 1.2}, {"mean": 0.6, "variance": 0.9}),
     "weibull-moment:2": ([-1.0], [-0.5], {"moment": 1.8}, {"moment": 2.5}),
+    "vmf3": ([0.0, 0.0, 0.0], [0.5, 1.0, -2.0], {"mean": [0.2, 0.3, -0.5]}, {"mean": [0.1, 0.4, -0.6]}),
 }
 
 
@@ -55,7 +56,7 @@ CONFIGS = {
     **{f"golden:{name}": raw for name, raw in GOLDEN_CONFIGS.items()},
     "state-reset-fixed-sequence:categorical:3": all_models_config("categorical:3", "fixed-sequence", 21),
     **{f"state-reset-round-robin:{fid}": all_models_config(fid, "round-robin", 22 + i)
-       for i, fid in enumerate(SAMPLEABLE_FAMILY_IDS)},
+       for i, fid in enumerate(ALL_FAMILY_IDS)},
     "state-reset-low-budget:categorical:2": LOW_BUDGET,  # 97 of 200 calls halve
     "fixed-sequence-low-budget:categorical:2": {  # 43 of bl's 200 calls halve
         **LOW_BUDGET, "state_reset": False, "arrival": "fixed-sequence", "traders": [
@@ -64,10 +65,10 @@ CONFIGS = {
     "state-reset-a-b-a:categorical:2": a_b_a_for_ten_rounds(True),  # a has a mover, so a kept move, per turn
     **{f"inv-liquidity-{lam}-round-robin:{fid}": {**all_models_config(fid, "round-robin", 41 + i),
                                                    "inv_liquidity": lam}
-       for lam in (0.5, 2.0) for i, fid in enumerate(SAMPLEABLE_FAMILY_IDS)},
+       for lam in (0.5, 2.0) for i, fid in enumerate(ALL_FAMILY_IDS)},
     **{f"block-edges-round-robin:{fid}": {**all_models_config(fid, "round-robin", 61 + i), "rounds": 700,
                                           "state_reset": False}
-       for i, fid in enumerate(SAMPLEABLE_FAMILY_IDS)},
+       for i, fid in enumerate(ALL_FAMILY_IDS)},
 }
 
 WEIBULL_DRAW_OVERFLOWS = {  # seed 0's 531st variate is the first whose draw at true_theta exceeds the largest float

@@ -5,7 +5,8 @@
 ``TradeRecord.to_json`` those of ``json.dumps(record.to_dict(),
 sort_keys=True)``, a trade log's header line those of
 ``json.dumps(log_header(...), sort_keys=True)``, and each CSV cell
-``repr(float(v))`` of its value.  The reports are built by hand, with no
+``repr(float(v))`` of its value, or of each entry, ``;``-joined, for a
+vector (``delta``, a vmf3 outcome).  The reports are built by hand, with no
 sampling, so the file needs only the standard library: it runs under pytest
 or as a script,
 
@@ -88,6 +89,10 @@ CASES = {
         + shared_round({"a": 1.0, "b": None}, "a", "b")  # equal content, a new snapshot
         + [event(round_index=2, trader_budgets={"a": 0.1 + 0.2, "b": 5e-324})]),
     "one-dimensional-delta": report([event(delta=(-1e-17,)), event(delta=(1.0000000000000002,))]),
+    "vector-outcomes": report([  # a vmf3 draw is an array, written as delta is
+        event(delta=(0.5, -0.25, 1e-300), outcome=array("d", [0.6, -0.0, 0.8])),
+        event(round_index=2, delta=(1.0, 0.0, -1.0), outcome=array("d", [5e-324, 1.0000000000000002, 1 / 3])),
+        event(round_index=3, outcome=2)]),
     "signed-zeros": report([event(delta=(-0.0, 0.0), cost=-0.0, outcome=-0.0, log_loss_before=-0.0,
                                   myopic_impact=-0.0, trader_budgets={"a": -0.0, "b": None})]),
     "chained-log-losses": report(
@@ -126,7 +131,8 @@ def old_csv(rep: SimReport) -> str:
         own_budget = ev.trader_budgets.get(ev.trader_id)
         writer.writerow([
             ev.round, ev.trader_id, ";".join(repr(float(v)) for v in ev.delta), repr(float(ev.cost)),
-            ev.outcome if isinstance(ev.outcome, int) else repr(float(ev.outcome)),
+            ev.outcome if isinstance(ev.outcome, int) else ";".join(repr(float(v)) for v in ev.outcome)
+            if isinstance(ev.outcome, array) else repr(float(ev.outcome)),
             "" if ev.log_loss_before is None else repr(float(ev.log_loss_before)),
             "" if ev.log_loss_after is None else repr(float(ev.log_loss_after)),
             repr(float(ev.myopic_impact)), "" if own_budget is None else repr(float(own_budget)),
@@ -189,6 +195,15 @@ def test_log_lines_are_pinned():
     assert json.dumps(log_header(Market(family_from_id("exponential-rate"), [-1e300], 1e-300), True),
                       sort_keys=True) == ('{"family": "exponential-rate", "format": 2, "inv_liquidity": 1e-300, '
                                           '"state_reset": true, "theta0": [-1e+300]}')
+
+
+def test_vector_outcome_cells_are_pinned():
+    rep = CASES["vector-outcomes"]
+    assert emitted(rep, "csv").splitlines()[1:3] == [
+        b"1,a,0.5;-0.25;1e-300,0.1,0.6;-0.0;0.8,0.7,0.6,0.05,",
+        b"2,a,1.0;0.0;-1.0,0.1,5e-324;1.0000000000000002;0.3333333333333333,0.7,0.6,0.05,"]
+    assert '      "outcome": [\n        0.6,\n        -0.0,\n        0.8\n      ],\n' in rep.to_json()
+    assert rep.to_dict()["events"][0]["outcome"] == [0.6, -0.0, 0.8]
 
 
 if __name__ == "__main__":
