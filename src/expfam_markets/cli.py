@@ -14,10 +14,8 @@ Subcommands:
 * ``equilibrium`` -- solve a multi-trader equilibrium problem.
 
 Exit codes: 0 success, 2 configuration error (bad flags, malformed JSON,
-invalid config), 3 domain or convergence error, 4 I/O error.  The
-``EXPFAM_MARKETS_SEED`` environment variable supplies a default simulation
-seed; an explicit ``--seed`` flag wins over it, and both win over the
-config file.
+invalid config), 3 domain or convergence error, 4 I/O error.  A run's
+seed is the config's, or ``--seed`` when that flag is given.
 
 ``quote`` and ``trade`` import neither numpy nor the modules that need it:
 the harness, equilibrium and scoring modules load inside the commands that
@@ -30,15 +28,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import ConfigError, ConvergenceError, DomainError
 from .families import GaussianMoments, family_from_id
 from .market import (_check_keys, _number, _numbers, append_record, load_state, log_header, read_json,
                      read_trade_log, save_state)
-
-SEED_ENV_VAR = "EXPFAM_MARKETS_SEED"
 
 
 def _parse_json_value(text: str, what: str):
@@ -91,24 +86,12 @@ def _cmd_trade(args) -> int:
     return 0
 
 
-def _resolve_seed(args, raw_config: dict) -> int | None:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return raw_config.get("seed")
-
-
 def _cmd_simulate(args) -> int:
     from .harness import SimConfig, emit_report, run_simulation
 
     raw = read_json(args.config, "config")
-    if isinstance(raw, dict):  # anything else is rejected by SimConfig.from_dict
-        raw["seed"] = _resolve_seed(args, raw)
+    if args.seed is not None and isinstance(raw, dict):  # anything but an object is rejected by SimConfig.from_dict
+        raw["seed"] = args.seed
     config = SimConfig.from_dict(raw)
     report = run_simulation(config, trade_log_path=args.trade_log)
     emit_report(report, "json", args.out)
@@ -191,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="optional CSV report output path")
     p.add_argument("--trade-log", default=None, help="optional JSON-lines trade log path")
     p.add_argument("--seed", type=int, default=None,
-                   help=f"seed override (wins over ${SEED_ENV_VAR} and the config)")
+                   help="seed override (wins over the config's)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("replay", help="verify a trade log against an initial state")

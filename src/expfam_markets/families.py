@@ -161,7 +161,7 @@ class ExpFamily(ABC):
         return self._natural_interior(theta, margin)
 
     def _natural_interior(self, theta: array, margin: float) -> bool:
-        return True  # T is finite on all of R^dim (categorical, vmf3); a family with a boundary overrides this
+        return True  # T is finite on all of R^dim (categorical); a family with a boundary overrides this
 
     @abstractmethod
     def _mean_interior(self, mu: array, margin: float) -> bool: ...
@@ -447,6 +447,7 @@ class VonMisesFisher3(ExpFamily):
     The log normalizer has the closed form ``log(4*pi*sinh(k)/k)`` with
     ``k = |theta|`` (half-integer Bessel functions are elementary in three
     dimensions).  A series is used for ``k < 1e-4`` to avoid cancellation.
+    A natural parameter is any vector whose norm ``k`` is a finite float.
     Mean parameters fill the open unit ball; the inverse map solves
     ``coth(k) - 1/k = |mu|`` by bisection at geometric midpoints on the
     bracket ``[3|mu|, 1/(1 - |mu|)]``, which always holds the root.  It stops
@@ -463,6 +464,9 @@ class VonMisesFisher3(ExpFamily):
     dim = 3
 
     _SERIES_CUTOFF = 1e-4
+
+    def _natural_interior(self, theta, margin) -> bool:
+        return math.isfinite(math.hypot(*theta))  # every kernel reads k = |theta|, which overflows near 1.8e308
 
     def _mean_interior(self, mu, margin) -> bool:
         return math.hypot(*mu) <= 1.0 - margin

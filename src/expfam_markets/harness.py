@@ -59,7 +59,10 @@ from .traders import TraderProfile, _bayesian_move, _budget_limited_move, _exp_u
 # The engine calls the moves; the public rules stay harness attributes, where the benchmark's tracer patches them.
 from .traders import bayesian_market_trade, budget_limited_trade, exp_utility_trade  # noqa: F401
 
-TRADER_MODELS = ("risk-neutral", "bayesian", "exp-utility", "budget-limited")
+# Each model's keys beside ``id`` and ``model``: the keys it reads, and a trader object takes no other.
+TRADER_KEYS = {"risk-neutral": {"belief"}, "exp-utility": {"belief", "risk_aversion"},
+               "budget-limited": {"belief", "risk_aversion", "budget"}, "bayesian": {"sample"}}
+TRADER_MODELS = tuple(TRADER_KEYS)
 _BLOCK = 256  # variates per Generator call in a run
 
 
@@ -121,7 +124,8 @@ def parse_belief_theta(family: ExpFamily, value, where: str) -> array:
 class SimConfig:
     """A validated simulation configuration, which ``run_simulation`` only reads.
 
-    ``from_dict`` is its one constructor: it states every default, and takes no key but a field name.
+    ``from_dict`` is its one constructor: it states every default, and takes no key but a field name, and
+    in a trader object none but ``id``, ``model`` and the keys its model reads (``TRADER_KEYS[model]``).
     A trader's ``budget`` is its starting budget; a run keeps the running budgets and cash itself.
     """
 
@@ -152,7 +156,7 @@ class SimConfig:
 
         rounds = _integer(raw.get("rounds"), "rounds", 1)
         if raw.get("seed") is None:
-            raise ConfigError("simulation requires a seed (config, env, or flag)")
+            raise ConfigError("simulation requires a seed (config or --seed)")
         seed = _integer(raw["seed"], "seed", 0)
 
         state_reset = raw.get("state_reset", False)
@@ -172,23 +176,21 @@ class SimConfig:
         seen = set()
         for i, td in enumerate(traders_raw):
             where = f"traders[{i}]"
-            _check_keys(td, {"id", "model", "risk_aversion", "budget", "belief", "sample"}, where)
+            if not isinstance(td, dict):
+                raise ConfigError(f"{where} must be an object, got {type(td).__name__}")
+            model = td.get("model")
+            if model not in TRADER_MODELS:
+                raise ConfigError(f"{where}: model must be one of {TRADER_MODELS}, got {model!r}")
+            _check_keys(td, {"id", "model", *TRADER_KEYS[model]}, f"{where} (model {model!r})")
             tid = td.get("id")
             if not isinstance(tid, str) or not tid:
                 raise ConfigError(f"{where}: needs a nonempty string 'id'")
             if tid in seen:
                 raise ConfigError(f"{where}: duplicate trader id {tid!r}")
             seen.add(tid)
-            model = td.get("model")
-            if model not in TRADER_MODELS:
-                raise ConfigError(f"{where}: model must be one of {TRADER_MODELS}, got {model!r}")
-            budget = td.get("budget")
-            if budget is not None and model != "budget-limited":  # it would limit nothing, yet be reported
-                raise ConfigError(f"{where}: trader {tid!r} is {model}; only a budget-limited trader takes a budget")
             try:
                 risk_aversion = _number(td.get("risk_aversion", 0.0), f"{where}: risk_aversion")
-                if budget is not None:
-                    budget = _number(budget, f"{where}: budget")
+                budget = None if td.get("budget") is None else _number(td["budget"], f"{where}: budget")
                 belief = sample_mean = None
                 sample_size = 1.0
                 if model == "bayesian":
@@ -207,8 +209,6 @@ class SimConfig:
                 raise ConfigError(f"{where}: model {model!r} needs {exc}") from exc
             except DomainError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
-            if model == "risk-neutral":
-                trader.risk_aversion = 0.0  # checked above, and then ignored
             traders.append(trader)
 
         sequence = raw.get("sequence", [tr.id for tr in traders])

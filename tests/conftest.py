@@ -33,6 +33,12 @@ ALL_FAMILY_IDS = (
     "vmf3",
 )
 
+# The keys each trader model reads beside ``id`` and ``model``, and a valid value of each for categorical:2.
+TRADER_KEYS = {"risk-neutral": {"belief"}, "exp-utility": {"belief", "risk_aversion"},
+               "budget-limited": {"belief", "risk_aversion", "budget"}, "bayesian": {"sample"}}
+TRADER_KEY_VALUES = {"belief": {"probs": [0.7, 0.3]}, "risk_aversion": 1.0, "budget": 1.0,
+                     "sample": {"mean": {"probs": [0.6, 0.4]}, "size": 2.0}}
+
 
 def subprocess_env() -> dict:
     """Environment for a child Python that imports this same package."""

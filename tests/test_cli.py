@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import subprocess_env
+from conftest import TRADER_KEY_VALUES, TRADER_KEYS, subprocess_env
 from expfam_markets import Market, family_from_id, read_trade_log, save_state
-from expfam_markets.cli import SEED_ENV_VAR, main
+from expfam_markets.cli import main
 from expfam_markets.market import log_header
 
 
@@ -433,25 +433,36 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", out_b]) == 0
         assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
-    def test_seed_precedence(self, tmp_path, monkeypatch):
+    def test_seed_precedence(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sim.json", sim_config(seed=1))
         out = str(tmp_path / "r.json")
 
-        monkeypatch.setenv(SEED_ENV_VAR, "2")
-        main(["simulate", "--config", cfg, "--out", out])
-        assert json.loads(Path(out).read_text())["seed"] == 2  # env beats config
-
         main(["simulate", "--config", cfg, "--out", out, "--seed", "3"])
-        assert json.loads(Path(out).read_text())["seed"] == 3  # flag beats env
+        assert json.loads(Path(out).read_text())["seed"] == 3  # flag beats config
 
-        monkeypatch.delenv(SEED_ENV_VAR)
         main(["simulate", "--config", cfg, "--out", out])
         assert json.loads(Path(out).read_text())["seed"] == 1  # config is the fallback
 
-    def test_bad_env_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
-        cfg = write_json(tmp_path / "sim.json", sim_config())
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+    @pytest.mark.parametrize("value", ["5", "not-a-number"])
+    def test_the_environment_sets_no_seed(self, tmp_path, monkeypatch, capsys, value):
+        # The config file and the command line determine a run; no variable of the shell replaces its seed.
+        monkeypatch.setenv("EXPFAM_MARKETS_SEED", value)
+        cfg = write_json(tmp_path / "sim.json", sim_config(seed=1))
+        out = tmp_path / "r.json"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == 1
+
+    @pytest.mark.parametrize("model, key", [(model, key) for model, keys in TRADER_KEYS.items()
+                                            for key in sorted(TRADER_KEY_VALUES.keys() - keys)])
+    def test_a_trader_key_its_model_does_not_read_exits_2_with_one_line(self, tmp_path, capsys, model, key):
+        trader = {"id": "a", "model": model, **{k: TRADER_KEY_VALUES[k] for k in TRADER_KEYS[model] | {key}}}
+        cfg = write_json(tmp_path / "sim.json", {**sim_config(), "traders": [trader]})
+        out = tmp_path / "r.json"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: traders[0]") and len(err.splitlines()) == 1
+        assert repr(key) in err and repr(model) in err
+        assert not out.exists()
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sim.json", {"family": "categorical:2"})

@@ -317,6 +317,16 @@ class TestDomains:
             fam.natural_from_mean([1.0, 0.0, 0.0])
         np.testing.assert_allclose(fam.natural_from_mean([0.0, 0.0, 0.0]), np.zeros(3))
 
+    def test_vmf3_natural_domain_is_a_finite_norm(self):
+        # Every kernel reads |theta|: where it overflows, log_partition was nan and the mean [0, 0, 0].
+        fam = family_from_id("vmf3")
+        with pytest.raises(DomainError, match=re.escape("vmf3: natural parameter [1.7e+308, 1.7e+308, 1.7e+308]")):
+            fam.check_natural([1.7e308] * 3)
+        assert fam.natural_in_domain([1e308] * 3) and not fam.natural_in_domain([1.1e308] * 3)
+        theta = fam.check_natural([1e308, 0.0, 0.0])
+        assert fam.log_partition(theta) == pytest.approx(1e308)
+        np.testing.assert_allclose(fam.mean_from_natural(theta), [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
+
     def test_non_finite_rejected(self, family):
         with pytest.raises(DomainError):
             family.check_natural([math.nan] * family.dim)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILY_IDS, random_natural, subprocess_env
+from conftest import ALL_FAMILY_IDS, TRADER_KEY_VALUES, TRADER_KEYS, random_natural, subprocess_env
 
 from expfam_markets import (
     ConfigError,
@@ -137,14 +137,14 @@ class TestConfigParsing:
         {"state_rest": True},
         {"traders": [{"id": "a", "model": "risk-neutral", "belief": {"probs": [0.7, 0.3]}, "bogus": 1}]},
         {"traders": [{"id": "b", "model": "bayesian", "sample": {"mean": {"probs": [0.7, 0.3]}, "szie": 2}}]},
-        # A budget limits only a budget-limited trader; on any other it would be reported and limit nothing.
+        # A trader takes only the keys its model reads: a budget on a trader that no budget limits.
         {"traders": [{"id": "a", "model": "exp-utility", "risk_aversion": 1.0, "budget": 0.01,
                       "belief": {"probs": [0.7, 0.3]}}]},
         {"traders": [{"id": "a", "model": "risk-neutral", "budget": 1.0, "belief": {"probs": [0.7, 0.3]}}]},
-        # TraderProfile makes the range checks: a budget-limited budget, and a risk-neutral trader's ignored
-        # risk_aversion too.
+        # TraderProfile makes the range checks: a budget-limited trader's budget and risk_aversion.
         {"traders": [{"id": "a", "model": "budget-limited", "budget": -1.0, "belief": {"probs": [0.7, 0.3]}}]},
-        {"traders": [{"id": "a", "model": "risk-neutral", "risk_aversion": -1.0, "belief": {"probs": [0.7, 0.3]}}]},
+        {"traders": [{"id": "a", "model": "budget-limited", "risk_aversion": -1.0, "budget": 1.0,
+                      "belief": {"probs": [0.7, 0.3]}}]},
         # A mean description is exactly {mean, variance} or one of probs, moment and mean: no key is dropped.
         *[{"family": family, "theta0": theta, "true_theta": theta, "traders": [trader]}
           for family, theta, mean in [
@@ -156,6 +156,9 @@ class TestConfigParsing:
           ]
           for trader in [{"id": "a", "model": "risk-neutral", "belief": mean},
                          {"id": "b", "model": "bayesian", "sample": {"mean": mean}}]],
+        # |true_theta| overflows: every vmf3 draw would be [0, 0, 0], off the sphere.
+        {"family": "vmf3", "theta0": [0.0, 0.0, 0.0], "true_theta": [1.7e308] * 3,
+         "traders": [{"id": "a", "model": "risk-neutral", "belief": {"theta": [0.0, 0.0, 1.0]}}]},
         # Only fixed-sequence arrival reads a sequence.
         {"arrival": "round-robin", "sequence": ["zz"]},
         {"sequence": ["alice"]},
@@ -164,13 +167,34 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             SimConfig.from_dict(base_config(**corrupt))
 
-    def test_risk_neutral_ignores_risk_aversion(self):
-        cfg = base_config(traders=[{"id": "alice", "model": "risk-neutral", "risk_aversion": 3.0,
+    def test_risk_neutral_refuses_risk_aversion(self):
+        # A risk-neutral trader's risk aversion is the profile's default of 0; a configured one would be ignored.
+        assert SimConfig.from_dict(base_config()).traders[0].risk_aversion == 0.0
+        cfg = base_config(traders=[{"id": "alice", "model": "risk-neutral", "risk_aversion": 0.0,
                                     "belief": {"probs": [0.7, 0.3]}}])
-        config = SimConfig.from_dict(cfg)
-        assert config.traders[0].risk_aversion == 0.0
-        plain = SimConfig.from_dict(base_config())
-        assert run_simulation(config).to_json() == run_simulation(plain).to_json()
+        with pytest.raises(ConfigError, match=re.escape("traders[0] (model 'risk-neutral') has unknown keys "
+                                                        "['risk_aversion']; the keys are ['belief', 'id', 'model']")):
+            SimConfig.from_dict(cfg)
+
+    def test_the_table_of_trader_keys(self):
+        assert harness.TRADER_KEYS == TRADER_KEYS and harness.TRADER_MODELS == tuple(TRADER_KEYS)
+
+    @pytest.mark.parametrize("model, key", [(model, key) for model, keys in TRADER_KEYS.items()
+                                            for key in sorted(TRADER_KEY_VALUES.keys() - keys)])
+    def test_a_trader_key_its_model_does_not_read_is_refused(self, model, key):
+        # A key the model does not read would be dropped, or checked and then ignored, without a word.
+        trader = {"id": "a", "model": model, **{k: TRADER_KEY_VALUES[k] for k in TRADER_KEYS[model] | {key}}}
+        with pytest.raises(ConfigError, match=re.escape(f"traders[0] (model {model!r}) has unknown keys [{key!r}]")):
+            SimConfig.from_dict(base_config(traders=[trader]))
+
+    @pytest.mark.parametrize("model", TRADER_KEYS)
+    def test_each_model_loads_with_exactly_its_keys(self, model):
+        trader = {"id": "a", "model": model, **{k: TRADER_KEY_VALUES[k] for k in TRADER_KEYS[model]}}
+        [profile] = SimConfig.from_dict(base_config(traders=[trader])).traders
+        assert profile.model == model
+        assert profile.risk_aversion == trader.get("risk_aversion", 0.0)
+        assert profile.budget == trader.get("budget")
+        assert (profile.belief_theta is None) == (model == "bayesian") == (profile.sample_mean is not None)
 
     def test_missing_key_rejected(self):
         for key in ("theta0", "family"):
@@ -208,8 +232,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize("model", ["exp-utility", "risk-neutral", "budget-limited"])
     def test_belief_given_as_a_mean_is_checked_as_a_natural_parameter(self, family, theta, belief, natural, model):
         # An interior mean can map within 1e-12 of the natural boundary; the run's moves trust the belief.
+        risk_aversion = {} if model == "risk-neutral" else {"risk_aversion": 1.0}
         cfg = base_config(family=family, theta0=theta, true_theta=theta,
-                          traders=[{"id": "a", "model": model, "risk_aversion": 1.0, "belief": belief}])
+                          traders=[{"id": "a", "model": model, **risk_aversion, "belief": belief}])
         message = f"traders[0].belief: {family}: natural parameter {natural} outside the domain (or within 1e-12 "
         with pytest.raises(ConfigError, match=re.escape(message)):
             SimConfig.from_dict(cfg)
