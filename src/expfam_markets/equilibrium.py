@@ -78,11 +78,12 @@ class EquilibriumProblem:
         return len(self.beliefs)
 
 
-def _check_allocation(problem: EquilibriumProblem, deltas) -> list[np.ndarray]:
+def _check_allocation(problem: EquilibriumProblem, deltas) -> tuple[list[np.ndarray], np.ndarray]:
+    """The checked allocations, with the share vector ``theta0 + sum(deltas)`` they lead to."""
     deltas = [np.asarray(as_params(d, problem.family.dim, f"delta[{i}]")) for i, d in enumerate(deltas)]
     if len(deltas) != problem.n_traders:
         raise DomainError(f"expected {problem.n_traders} allocations, got {len(deltas)}")
-    return deltas
+    return deltas, problem.theta0 + sum(deltas, np.zeros(problem.family.dim))
 
 
 def potential(problem: EquilibriumProblem, deltas) -> float:
@@ -90,8 +91,7 @@ def potential(problem: EquilibriumProblem, deltas) -> float:
     exactly the deviating trader's log-utility change, so best responses
     never decrease it and Nash equilibria sit at its optimum."""
     fam = problem.family
-    deltas = _check_allocation(problem, deltas)
-    total = problem.theta0 + sum(deltas, np.zeros(fam.dim))
+    deltas, total = _check_allocation(problem, deltas)
     value = -fam.log_partition(total)
     for belief, a, delta in zip(problem.beliefs, problem.risk_aversions, deltas):
         value -= fam.log_partition(belief - a * delta) / a
@@ -101,8 +101,7 @@ def potential(problem: EquilibriumProblem, deltas) -> float:
 def log_utility(problem: EquilibriumProblem, deltas, i: int) -> float:
     """Trader ``i``'s objective (a monotone transform of expected utility)."""
     fam = problem.family
-    deltas = _check_allocation(problem, deltas)
-    total = problem.theta0 + sum(deltas, np.zeros(fam.dim))
+    deltas, total = _check_allocation(problem, deltas)
     others = total - deltas[i]
     belief, a = problem.beliefs[i], problem.risk_aversions[i]
     return (
@@ -117,13 +116,15 @@ def closed_form_equilibrium(problem: EquilibriumProblem) -> tuple[np.ndarray, li
 
     The share vector is the risk-tolerance-weighted average of the initial
     state and the beliefs; allocations follow from stationarity,
-    ``delta_i = (theta_hat_i - theta_eq) / a_i``.
+    ``delta_i = (theta_hat_i - theta_eq) / a_i``.  A share vector that
+    overflows raises DomainError, with no numpy warning before it.
     """
     tolerances = [1.0 / a for a in problem.risk_aversions]
-    theta_eq = problem.theta0 + sum(
-        t * b for t, b in zip(tolerances, problem.beliefs)
-    )
-    theta_eq = theta_eq / (1.0 + sum(tolerances))
+    with np.errstate(over="ignore", invalid="ignore"):  # check_natural refuses a non-finite theta_eq
+        theta_eq = problem.theta0 + sum(
+            t * b for t, b in zip(tolerances, problem.beliefs)
+        )
+        theta_eq = theta_eq / (1.0 + sum(tolerances))
     problem.family.check_natural(theta_eq)
     deltas = [(b - theta_eq) / a for b, a in zip(problem.beliefs, problem.risk_aversions)]
     return theta_eq, deltas
@@ -139,6 +140,7 @@ class BestResponseResult:
     potentials: list[float]  # potential value after each sweep
 
 
+@np.errstate(over="ignore", invalid="ignore")  # potential refuses a non-finite response or share vector
 def best_response_dynamics(problem: EquilibriumProblem, max_rounds: int = 1000,
                            tol: float = 1e-10) -> BestResponseResult:
     """Iterate each trader's best response until allocations stop moving.
@@ -149,7 +151,9 @@ def best_response_dynamics(problem: EquilibriumProblem, max_rounds: int = 1000,
     ``(theta_hat_i - theta_rest) / (1 + a_i)``.  Sweeps ascend the
     potential; convergence is declared when no allocation component moves
     more than ``tol`` times the largest absolute component of the share
-    vector and the allocations within a sweep: ``tol`` is relative.
+    vector and the allocations within a sweep: ``tol`` is relative.  A
+    response that overflows raises DomainError when ``potential`` checks
+    the sweep, with no numpy warning before it.
     """
     if max_rounds < 1:
         raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")

@@ -46,7 +46,7 @@ import json
 import os
 from array import array
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, cycle
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -371,10 +371,13 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     (``_mover``), one per trader under round-robin and one per entry of
     ``config.sequence`` otherwise, which returns its trade's ``_quote``,
     ``(delta, cost, target, C(target))``: the round buys it, keeps it, and
-    settles along the targets.  A non-Bayesian mover recomputes its quote
-    only at a new ``theta`` object, so under ``state_reset``, where every
-    round restarts at the one ``theta0``, each such turn computes and prices
-    its move once per run, as long as the state it meets recurs: a Bayesian
+    settles along the targets.  Each round begins with one
+    ``Market._restore``: of ``theta0`` under ``state_reset``, else of the
+    ``(target, C(target))`` of the last quote settled, which an aborted
+    round restores too.  A non-Bayesian mover recomputes its quote only at
+    a new ``theta`` object, so under ``state_reset``, where every round
+    restarts at the one ``theta0``, each such turn computes and prices its
+    move once per run, as long as the state it meets recurs: a Bayesian
     move, or a budget-limited trader's capped one, reaches a new state every
     round.
 
@@ -386,7 +389,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
 
     family = config.family
     market = Market(family, config.theta0, config.inv_liquidity)
-    start = market._state()  # the checked state that state_reset restores
+    start = market.theta, market.cost()  # the checked state every state_reset round starts at
     if trade_log_path is not None:
         header = json.dumps(log_header(market, config.state_reset), sort_keys=True)
     rng = _served(np.random.default_rng(config.seed))
@@ -395,26 +398,25 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     # same per-trade changes in order, so the budget floor holds in float arithmetic too.
     cash = {tr.id: 0.0 for tr in config.traders}
     budgets = {tr.id: tr.budget for tr in config.traders}
-    if config.arrival == "round-robin":
-        turns = [[(tr.id, _mover(market, tr, budgets))] for tr in config.traders]
-    else:  # a mover per turn, so a trader with two turns per round keeps a move for each
-        by_id = {tr.id: tr for tr in config.traders}
-        turns = [[(tid, _mover(market, by_id[tid], budgets)) for tid in config.sequence]]
+    by_id = {tr.id: tr for tr in config.traders}
+    order = [[tr.id] for tr in config.traders] if config.arrival == "round-robin" else [config.sequence]
+    # a mover per turn, so a trader with two turns per round keeps a move for each
+    turns = [[(tid, _mover(market, by_id[tid], budgets)) for tid in ids] for ids in order]
     events: list[TradeEvent] = []
     total_log_loss = 0.0
     valid, error = True, None
 
     pair = family._pair  # <vec, phi(outcome)>; the sampler's own outcome needs no check
     log = None
+    settled = start  # the last settled round's end state, (target, C(target)) of its last quote
     try:
-        for round_index in range(1, config.rounds + 1):
-            settled, n_trades, revenue = market._state(), market.n_trades, market.revenue
+        for round_index, turn in zip(range(1, config.rounds + 1), cycle(turns)):
+            theta, theta_cost = start if config.state_reset else settled  # the round's first state
+            market._restore(theta, theta_cost)
+            n_trades, revenue = market.n_trades, market.revenue
             trades: list[tuple[str, tuple]] = []  # (trader id, the _quote it bought) per trade
             try:
-                if config.state_reset and round_index > 1:
-                    market._restore(*start)
-                theta, theta_cost = market._state()  # the round's first state; a trade's quote holds the next
-                for tid, move in turns[(round_index - 1) % len(turns)]:
+                for tid, move in turn:
                     quote = move()
                     market._buy(quote)
                     trades.append((tid, quote))
@@ -439,6 +441,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                 events.append(TradeEvent(round_index, tid, delta, cost, outcome, before, loss, change, snapshot))
             snapshot.update(budgets)
             total_log_loss += loss
+            settled = theta, theta_cost
             if trade_log_path is not None:  # the round has settled: its records reach the log together
                 if log is None:
                     log = open(trade_log_path, "w", encoding="utf-8")
@@ -492,7 +495,7 @@ def replay(records: TradeLog, state0: dict) -> Market:
     if header is None:
         raise CorruptLogError(1, "the log has no format-2 header")
     check_header(header, log_header(market))
-    start = market._state()  # never written in place: every writer stores anew
+    start = market.theta, market.cost()  # never written in place: every writer stores anew
     reset, last = header["state_reset"], None
     dim, quote, buy = market.family.dim, market._quote, market._buy
     for line, record in enumerate(records, 2):

@@ -21,15 +21,17 @@ boundary outright, and any state whose cost overflows.  Every writer of
 the share vector (``__init__``, ``reset_theta``, and ``_quote`` for the
 target that ``_buy`` stores) checks it in ``_cost_at`` and caches
 ``C(theta)``, so pricing and settlement run the kernels unchecked and a
-quote evaluates the log partition once; ``_restore`` returns to a state
-already checked, with its cost.  ``_quote(delta)`` returns the trade it
-prices, ``(delta, cost, target, C(target))``; ``quote`` checks ``delta`` and
-returns that cost, and ``execute`` checks it and buys the quote through
-``_buy`` (which returns only the cost).  The engine and ``replay`` call the
-two cores directly: a mover returns its trade's quote, which the engine buys
-and settles.  ``read_trade_log`` parses a line in one C scan and checks a
-vector in one C pass; Python code runs only to explain a refusal, in the
-words of ``json.loads`` and of the per-entry check.
+quote evaluates the log partition once; ``_restore(theta, C(theta))``
+stores a checked pair unchecked: ``reset_theta``'s, or one the market
+held, which the engine keeps from the last quote it settled.
+``_quote(delta)`` returns the trade it prices, ``(delta, cost, target,
+C(target))``; ``quote`` checks ``delta`` and returns that cost, and
+``execute`` checks it and buys the quote through ``_buy`` (which returns
+only the cost).  The engine and ``replay`` call the two cores directly: a
+mover returns its trade's quote, which the engine buys and settles.
+``read_trade_log`` parses a line in one C scan and checks a vector in one
+C pass; Python code runs only to explain a refusal, in the words of
+``json.loads`` and of the per-entry check.
 
 One market instance is single-writer: ``execute`` requires exclusive
 access, while ``quote``/``prices``/``log_loss`` are read-only and may run
@@ -301,15 +303,10 @@ class Market:
     def reset_theta(self, theta0) -> None:
         """Reset the share vector (a fresh market instance); counters persist."""
         theta0 = as_params(theta0, self.family.dim, "theta0")
-        cost = self._cost_at(theta0)  # first, so a refused state changes nothing
-        self.theta, self._cost = theta0, cost
-
-    def _state(self) -> tuple[array, float]:
-        """The share vector with its ``cost()``, for ``_restore``."""
-        return self.theta, self._cost
+        self._restore(theta0, self._cost_at(theta0))  # checked first, so a refused state changes nothing
 
     def _restore(self, theta: array, cost: float) -> None:
-        """``reset_theta`` to a ``_state()`` this market held: unchecked, as no writer edits one in place."""
+        """Store ``theta`` with its cost, unchecked: a pair ``_cost_at`` checked, which no writer edits in place."""
         self.theta, self._cost = theta, cost
 
 

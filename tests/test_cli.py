@@ -694,6 +694,26 @@ class TestEquilibriumCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "traders must be a list" in err[0]
 
+    @pytest.mark.parametrize("subprocess_run", [False, True], ids=["in-process", "subprocess"])
+    @pytest.mark.parametrize("traders, message", [
+        ([{"belief": {"theta": [1e308, -1e308]}, "risk_aversion": 1e-300}],  # the closed form's t * b overflows
+         "error: theta must be finite, got [inf, -inf]"),
+        ([{"belief": {"theta": [1e308, 0.0]}, "risk_aversion": 0.5},  # a best response overflows
+          {"belief": {"theta": [-1e308, 0.0]}, "risk_aversion": 0.5}],
+         "error: delta[0] must be finite, got [inf, 0.0]"),
+    ], ids=["closed-form-overflow", "best-response-overflow"])
+    def test_overflow_exits_3_with_one_line_and_no_numpy_warning(self, tmp_path, capsys, traders, message,
+                                                                   subprocess_run):
+        # In process, Tier-1 turns a RuntimeWarning into an error; a child process would print it to stderr.
+        path = write_json(tmp_path / "problem.json", {"family": "categorical:2", "theta0": [0, 0], "traders": traders})
+        if subprocess_run:
+            proc = subprocess.run([sys.executable, "-m", "expfam_markets.cli", "equilibrium", "--problem", path],
+                                  capture_output=True, text=True, env=subprocess_env(), timeout=120)
+            code, err = proc.returncode, proc.stderr
+        else:
+            code, err = main(["equilibrium", "--problem", path]), capsys.readouterr().err
+        assert (code, err) == (3, message + "\n")
+
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[1, 2]", b'"abc"'],
                          ids=["utf16-bom", "json-list", "json-string"])

@@ -231,7 +231,7 @@ class TestCostCache:
         fam = family_from_id(family_id)
         rng = np.random.default_rng(19)
         market = Market(fam, random_natural(fam, rng) / self.LAM, inv_liquidity=self.LAM)
-        first, deltas = market._state(), self.assert_quotes_uncached(market, rng)
+        first, deltas = (market.theta, market.cost()), self.assert_quotes_uncached(market, rng)
         for _ in range(5):
             market.execute(0.5 * (random_natural(fam, rng) / self.LAM - market.theta))
             self.assert_quotes_uncached(market, rng)

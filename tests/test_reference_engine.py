@@ -10,16 +10,27 @@ its kept move, and the all-models round-robin run of every family again at inver
 and 2.  Last, a 700-round all-models run of every family without ``state_reset``: the engine
 serves its variates from blocks of ``harness._BLOCK`` (256), and the reference draws each by a scalar call,
 so these runs cross two block edges; and a Weibull draw that overflows in round 531, within the third block.
+
+Beside the fixed configs, generated ones (derandomized and bounded, so deterministic): every family, one to
+four traders of any model, both arrivals with sequences in which a trader may recur, ``state_reset`` on and
+off, inverse liquidity 0.5, 1 and 2, and rounds that abort -- a degenerate Bayesian sample, a belief at the
+domain's edge, and a ``weibull-moment:0.01`` draw that overflows.  Each run's trade log must replay to its
+final state.
 """
 
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ALL_FAMILY_IDS
 from reference_engine import hexed, reference_run
 from test_golden import GOLDEN_CONFIGS
 from test_harness import a_b_a_for_ten_rounds
+from test_trade_log_property import naturals
 
-from expfam_markets import SimConfig, run_simulation
+from expfam_markets import Market, SimConfig, family_from_id, read_trade_log, replay, run_simulation
 from expfam_markets.harness import _BLOCK
 
 # theta0, true_theta, and two mean descriptions per family.
@@ -92,3 +103,74 @@ def test_a_draw_that_overflows_past_two_blocks_aborts_its_own_round():
     assert expected["error"] == "round 531: weibull-moment:0.01: a draw at theta [-0.005] overflows"
     assert len(expected["events"]) == 530
     assert hexed(run_simulation(config)) == expected
+
+
+# ----------------------------------------------------------------------
+# Generated configs
+# ----------------------------------------------------------------------
+
+GENERATED_FAMILIES = (*ALL_FAMILY_IDS, "categorical:2", "weibull-moment:0.01")
+
+
+def beliefs(family_id: str):
+    """A natural parameter as a belief; in the families bounded by ``theta < 0``, sometimes one at the edge.
+
+    A move toward ``-1e-10`` lands within the trading margin of the boundary, so its round aborts.
+    """
+    edge = {"exponential-rate": [-1e-10], "weibull-moment:2": [-1e-10], "gaussian-moments": [0.5, -1e-10]}
+    theta = naturals(family_id)
+    if family_id in edge:
+        theta = st.one_of(theta, st.just(edge[family_id]))
+    return theta.map(lambda t: {"theta": t})
+
+
+@st.composite
+def traders(draw, family_id: str, tid: str) -> dict:
+    model = draw(st.sampled_from(("risk-neutral", "exp-utility", "budget-limited", "bayesian")))
+    if model == "bayesian":
+        family = family_from_id(family_id)
+        mean = family.mean_from_natural(draw(naturals(family_id))).tolist()
+        if family_id.startswith("categorical:") and draw(st.booleans()):
+            mean = [1.0] + [0.0] * (len(mean) - 1)  # degenerate: a first mover's posterior has no natural parameter
+        return {"id": tid, "model": model, "sample": {"mean": mean, "size": draw(st.floats(0.5, 4.0))}}
+    trader = {"id": tid, "model": model, "belief": draw(beliefs(family_id))}
+    if model != "risk-neutral":
+        trader["risk_aversion"] = draw(st.floats(0.0 if model == "budget-limited" else 0.1, 3.0))
+    if model == "budget-limited":
+        trader["budget"] = draw(st.one_of(st.floats(0.0, 2.0), st.just(1e-9)))
+    return trader
+
+
+@st.composite
+def generated_configs(draw) -> dict:
+    family_id = draw(st.sampled_from(GENERATED_FAMILIES))
+    ids = [f"t{i}" for i in range(draw(st.integers(1, 4)))]
+    # At weibull-moment:0.01 a draw overflows with chance exp(1209 * true_theta): 0.09, 0.30 and 0 per round here.
+    true_theta = (st.sampled_from(([-2e-3], [-1e-3], [-0.5])) if family_id == "weibull-moment:0.01"
+                  else naturals(family_id))
+    raw = {"family": family_id, "theta0": draw(naturals(family_id)), "true_theta": draw(true_theta),
+           "inv_liquidity": draw(st.sampled_from((0.5, 1.0, 2.0))), "rounds": draw(st.integers(1, 10)),
+           "seed": draw(st.integers(0, 2**31 - 1)), "state_reset": draw(st.booleans()),
+           "traders": [draw(traders(family_id, tid)) for tid in ids]}
+    if draw(st.booleans()):
+        raw["arrival"] = "fixed-sequence"
+        raw["sequence"] = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=5))
+    return raw
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(raw=generated_configs())
+def test_generated_configs_match_the_reference_and_their_logs_replay(raw):
+    config = SimConfig.from_dict(raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trades.jsonl")
+        report = run_simulation(config, trade_log_path=path)
+        assert hexed(report) == reference_run(config)
+        agg = report.aggregates
+        if not report.events:  # no settled trade, so no log
+            assert not os.path.exists(path) and agg["n_trades"] == 0
+            return
+        state0 = Market(config.family, config.theta0, config.inv_liquidity).state_dict()
+        rebuilt = replay(read_trade_log(path), state0)
+    assert [v.hex() for v in rebuilt.theta] == [v.hex() for v in agg["final_theta"]]
+    assert (rebuilt.revenue.hex(), rebuilt.n_trades) == (agg["revenue"].hex(), agg["n_trades"])

@@ -38,6 +38,10 @@ def naturals(family_id: str):
     if family_id.startswith("categorical:"):
         k = int(family_id.split(":")[1])
         return st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)
+    if family_id == "gaussian-moments":
+        return st.tuples(st.floats(-2.0, 2.0), st.floats(-3.0, -0.3)).map(list)
+    if family_id == "vmf3":
+        return st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
     return st.lists(st.floats(-5.0, -0.2), min_size=1, max_size=1)
 
 
