@@ -114,7 +114,7 @@ def _cmd_replay(args) -> int:
 
 def _cmd_equilibrium(args) -> int:
     from .equilibrium import EquilibriumProblem, best_response_dynamics, closed_form_equilibrium
-    from .harness import parse_belief_theta
+    from .harness import TRADER_KEYS, parse_belief_theta
 
     raw = read_json(args.problem, "problem")
     try:
@@ -125,7 +125,7 @@ def _cmd_equilibrium(args) -> int:
         if not isinstance(traders, list):
             raise ConfigError(f"traders must be a list, got {type(traders).__name__}")
         for i, td in enumerate(traders):
-            _check_keys(td, {"belief", "risk_aversion"}, f"traders[{i}]")
+            _check_keys(td, TRADER_KEYS["exp-utility"], f"traders[{i}]")
             beliefs.append(parse_belief_theta(family, td["belief"], f"traders[{i}]"))
             aversions.append(_number(td["risk_aversion"], f"traders[{i}]: risk_aversion"))
         problem = EquilibriumProblem(family=family, theta0=theta0,

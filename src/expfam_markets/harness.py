@@ -356,11 +356,12 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     partial report with ``valid=False`` and the error message attached.
 
     With ``trade_log_path`` the run owns one handle on its JSON-lines trade
-    log: opened (truncating an older file) when the first round settles, with
-    its header (the run's first state and ``state_reset``), and closed when the
-    run ends.  A round reaches it only once settled, in one write and one flush,
+    log: opened (truncating an older file) and headed (the run's first state
+    and ``state_reset``, flushed) when the run starts, and closed when it
+    ends.  A round reaches it only once settled, in one write and one flush,
     so it holds exactly this run's settled records however the run stops; an
-    aborting round is taken back out of the market.  No settled trade, no file.
+    aborting round is taken back out of the market.  No settled trade, no
+    file, but a kill before the first round settles leaves the header alone.
 
     ``config`` is trusted as ``SimConfig.from_dict`` validated it: the round
     loop runs the unchecked cores and checks only the states trades reach.
@@ -390,8 +391,6 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     family = config.family
     market = Market(family, config.theta0, config.inv_liquidity)
     start = market.theta, market.cost()  # the checked state every state_reset round starts at
-    if trade_log_path is not None:
-        header = json.dumps(log_header(market, config.state_reset), sort_keys=True)
     rng = _served(np.random.default_rng(config.seed))
     draw = family._sampler(config.true_theta)  # built once: true_theta is fixed for the run
     # The run's books: cash (cumulative payoff - cost) and running budget per trader id.  Both add the
@@ -407,9 +406,12 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     valid, error = True, None
 
     pair = family._pair  # <vec, phi(outcome)>; the sampler's own outcome needs no check
-    log = None
     settled = start  # the last settled round's end state, (target, C(target)) of its last quote
+    log = None if trade_log_path is None else open(trade_log_path, "w", encoding="utf-8")
     try:
+        if log is not None:
+            log.write(json.dumps(log_header(market, config.state_reset), sort_keys=True) + "\n")
+            log.flush()
         for round_index, turn in zip(range(1, config.rounds + 1), cycle(turns)):
             theta, theta_cost = start if config.state_reset else settled  # the round's first state
             market._restore(theta, theta_cost)
@@ -442,17 +444,14 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
             snapshot.update(budgets)
             total_log_loss += loss
             settled = theta, theta_cost
-            if trade_log_path is not None:  # the round has settled: its records reach the log together
-                if log is None:
-                    log = open(trade_log_path, "w", encoding="utf-8")
-                    log.write(header + "\n")
+            if log is not None:  # the round has settled: its records reach the log together
                 log.write("\n".join(map(_record_json, events[len(events) - len(trades):])) + "\n")
                 log.flush()
     finally:
         if log is not None:
             log.close()
-        elif trade_log_path is not None and not events and os.path.isfile(trade_log_path):
-            os.remove(trade_log_path)  # no settled trade, so no log: not even an older run's
+            if not events and os.path.isfile(trade_log_path):  # a FIFO or /dev/null stays
+                os.remove(trade_log_path)  # no settled trade, so no log, not even its header
 
     aggregates = {
         "completed_rounds": events[-1].round if events else 0,

@@ -526,6 +526,14 @@ class TestSimulate:
         assert main(["replay", "--log", str(log), "--state0", state0]) == 0
         assert json.loads(capsys.readouterr().out)["n_trades"] == json.loads(out.read_text())["aggregates"]["n_trades"] == 6
 
+    def test_trade_log_that_cannot_be_opened_exits_4_with_one_line(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "sim.json", sim_config())
+        log, out = tmp_path / "missing" / "trades.jsonl", tmp_path / "r.json"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--trade-log", str(log)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and len(err.splitlines()) == 1
+        assert sorted(os.listdir(tmp_path)) == ["sim.json"]
+
 
 class TestReplayCommand:
     def test_replay_round_trip(self, tmp_path, capsys):

@@ -3,7 +3,9 @@ replay, and report emission."""
 
 import json
 import math
+import os
 import re
+import stat
 import subprocess
 import sys
 from array import array
@@ -633,6 +635,13 @@ def aborts_in_round_2() -> dict:
     ])
 
 
+def aborts_before_a_trade() -> dict:
+    """A config whose one trader, Bayesian on a degenerate sample, aborts round 1 before it trades."""
+    return base_config(rounds=2, traders=[
+        {"id": "b", "model": "bayesian", "sample": {"mean": {"probs": [1.0, 0.0]}, "size": 1}},
+    ])
+
+
 def a_then_b_for_six_rounds() -> dict:
     return base_config(rounds=6, arrival="fixed-sequence", sequence=["a", "b"], traders=[
         {"id": "a", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.7, 0.3]}},
@@ -705,12 +714,25 @@ class TestTradeLog:
         log = tmp_path / "trades.jsonl"
         if stale:
             log.write_text("an older run's log\n")
-        cfg = base_config(rounds=2, traders=[
-            {"id": "b", "model": "bayesian", "sample": {"mean": {"probs": [1.0, 0.0]}, "size": 1}},
-        ])
-        report = run_simulation(SimConfig.from_dict(cfg), trade_log_path=str(log))
+        report = run_simulation(SimConfig.from_dict(aborts_before_a_trade()), trade_log_path=str(log))
         assert (report.valid, report.aggregates["n_trades"]) == (False, 0)
         assert not log.exists()
+
+    def test_run_without_a_trade_leaves_a_fifo_in_place(self, tmp_path):
+        # Only a regular file is removed: a FIFO (or /dev/null) named as the log gets the header and stays.
+        fifo = tmp_path / "trades.jsonl"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # open first, so the run's write end does not block
+        config = SimConfig.from_dict(aborts_before_a_trade())
+        try:
+            report = run_simulation(config, trade_log_path=str(fifo))
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert (report.valid, report.aggregates["n_trades"]) == (False, 0)
+        market = Market(config.family, config.theta0, config.inv_liquidity)
+        assert received == (json.dumps(log_header(market, config.state_reset), sort_keys=True) + "\n").encode()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     def test_aborted_run_logs_its_trades(self, tmp_path):
         log = str(tmp_path / "trades.jsonl")

@@ -228,11 +228,13 @@ class TestKill:
         assert read(state) == old
         assert [p.startswith("state.json.") for p in temp_files(tmp_path)] == [True]
 
-    @pytest.mark.parametrize("k", [4, 5, 9])  # the first, second and last trade of a round
+    # the first and last trade of round 1, before any round settles; the first, second and last trade of a round
+    @pytest.mark.parametrize("k", [1, 3, 4, 5, 9])
     def test_kill_at_a_trade_leaves_a_log_of_whole_rounds(self, tmp_path, capsys, k):
         cfg = write_json(tmp_path / "sim.json", sim_config())
         full, log = tmp_path / "full.jsonl", tmp_path / "trades.jsonl"
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "full.json"), "--trade-log", str(full)]) == 0
+        log.write_bytes(read(full))  # an older run's complete log, which the killed rerun must not leave
         run_killed("buy", k, "-", ["simulate", "--config", cfg, "--out", str(tmp_path / "report.json"),
                                    "--trade-log", str(log)])
         settled = (k - 1) // 3
