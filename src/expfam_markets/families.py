@@ -546,6 +546,9 @@ FAMILY_IDS = (
 )
 
 _PARAMETERLESS = {cls.id: cls for cls in (ExponentialRate, GaussianMoments, VonMisesFisher3)}
+# name: (class, parser of the argument, what it requires, an example argument, what a bad argument is)
+_PARAMETERIZED = {"categorical": (Categorical, int, "an outcome count", 3, "categorical outcome count"),
+                  "weibull-moment": (WeibullMoment, float, "a moment order", 2, "weibull moment order")}
 
 
 def family_from_id(family_id: str) -> ExpFamily:
@@ -553,22 +556,15 @@ def family_from_id(family_id: str) -> ExpFamily:
     if not isinstance(family_id, str):
         raise DomainError(f"family id must be a string, got {family_id!r}")
     name, sep, arg = family_id.partition(":")
-    if name == "categorical":
+    if name in _PARAMETERIZED:
+        cls, parse, requires, example, what = _PARAMETERIZED[name]
         if not sep:
-            raise DomainError("categorical requires an outcome count, e.g. 'categorical:3'")
+            raise DomainError(f"{name} requires {requires}, e.g. '{name}:{example}'")
         try:
-            count = int(arg)
+            value = parse(arg)
         except ValueError as exc:
-            raise DomainError(f"bad categorical outcome count {arg!r}") from exc
-        return Categorical(count)
-    if name == "weibull-moment":
-        if not sep:
-            raise DomainError("weibull-moment requires a moment order, e.g. 'weibull-moment:2'")
-        try:
-            order = float(arg)
-        except ValueError as exc:
-            raise DomainError(f"bad weibull moment order {arg!r}") from exc
-        return WeibullMoment(order)
+            raise DomainError(f"bad {what} {arg!r}") from exc
+        return cls(value)
     if sep:
         raise DomainError(f"family {name!r} takes no parameter, got {family_id!r}")
     if name not in _PARAMETERLESS:

@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import chain, cycle
 from json.encoder import encode_basestring_ascii
@@ -359,9 +359,9 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     log: opened (truncating an older file) and headed (the run's first state
     and ``state_reset``, flushed) when the run starts, and closed when it
     ends.  A round reaches it only once settled, in one write and one flush,
-    so it holds exactly this run's settled records however the run stops; an
-    aborting round is taken back out of the market.  No settled trade, no
-    file, but a kill before the first round settles leaves the header alone.
+    and the file is kept as it stands however the run ends: its header and
+    this run's settled rounds, only the header if none settled.  An aborting
+    round is taken back out of the market and never reaches the log.
 
     ``config`` is trusted as ``SimConfig.from_dict`` validated it: the round
     loop runs the unchecked cores and checks only the states trades reach.
@@ -407,8 +407,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
 
     pair = family._pair  # <vec, phi(outcome)>; the sampler's own outcome needs no check
     settled = start  # the last settled round's end state, (target, C(target)) of its last quote
-    log = None if trade_log_path is None else open(trade_log_path, "w", encoding="utf-8")
-    try:
+    with nullcontext() if trade_log_path is None else open(trade_log_path, "w", encoding="utf-8") as log:
         if log is not None:
             log.write(json.dumps(log_header(market, config.state_reset), sort_keys=True) + "\n")
             log.flush()
@@ -447,11 +446,6 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
             if log is not None:  # the round has settled: its records reach the log together
                 log.write("\n".join(map(_record_json, events[len(events) - len(trades):])) + "\n")
                 log.flush()
-    finally:
-        if log is not None:
-            log.close()
-            if not events and os.path.isfile(trade_log_path):  # a FIFO or /dev/null stays
-                os.remove(trade_log_path)  # no settled trade, so no log, not even its header
 
     aggregates = {
         "completed_rounds": events[-1].round if events else 0,

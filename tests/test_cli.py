@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import TRADER_KEY_VALUES, TRADER_KEYS, subprocess_env
-from expfam_markets import Market, family_from_id, read_trade_log, save_state
+from expfam_markets import Market, equilibrium, family_from_id, read_trade_log, save_state
 from expfam_markets.cli import main
+from expfam_markets.errors import ConvergenceError
 from expfam_markets.market import log_header
 
 
@@ -721,6 +722,19 @@ class TestEquilibriumCommand:
         else:
             code, err = main(["equilibrium", "--problem", path]), capsys.readouterr().err
         assert (code, err) == (3, message + "\n")
+
+    def test_unconverged_best_response_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # Pins the exit path, not the sweep limit: the solver is stubbed to give up at once.
+        def give_up(problem):
+            raise ConvergenceError("best response dynamics did not converge within 3 sweeps (last move 0.5)")
+
+        monkeypatch.setattr(equilibrium, "best_response_dynamics", give_up)
+        path = write_json(tmp_path / "problem.json", {"family": "categorical:2", "theta0": [0.0, 0.0], "traders": [
+            {"belief": {"theta": [1.0, 0.0]}, "risk_aversion": 1.0}]})
+        assert main(["equilibrium", "--problem", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: best response dynamics did not converge within 3 sweeps (last move 0.5)\n"
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[1, 2]", b'"abc"'],

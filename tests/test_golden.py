@@ -9,9 +9,9 @@ ulps at most.
 
 Together the configs cover every family, both arrival modes,
 ``state_reset``, ``inv_liquidity != 1`` (with every trader model, and its
-log losses in budget units), a run that aborts with ``valid=false`` (its
-trade log is never created, pinned as ``None``) and a budget-limited trader
-with positive risk aversion.
+log losses in budget units), a run that aborts with ``valid=false`` before
+its first trade settles (its trade log is its header alone) and a
+budget-limited trader with positive risk aversion.
 
 Run this file as a script to print the digests of the current code, or
 with ``--json`` the digests and reports, plus the bits of the functions
@@ -157,7 +157,7 @@ GOLDEN_DIGESTS = {
     "bayesian-degenerate-abort": {
         "json": "66d2a12c37e8c33a7bdc9884a7091009b0d1132c73952248037df447e8ecba35",
         "csv": "c16e429ab4c74165674c5f94981bd801a8c92cba37966207d0a7f5e5f20c95fe",
-        "trade_log": None,
+        "trade_log": "1576a088b319a07a953a9b0181f6f59334af1ac7c5797872b2343a9463bca1d8",
     },
     "budget-limited-risk-averse": {
         "json": "2b4cc99689ecc71705a59cbca84076ac3bdc9fe85e41ba6359dc79774b2f5a04",
@@ -212,14 +212,12 @@ LIBM_ULP_BOUNDS = {
 }
 
 
-def _sha256(path: str) -> str | None:
-    if not os.path.exists(path):
-        return None
+def _sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def run_golden(name: str, directory: str) -> tuple[dict[str, str | None], dict]:
+def run_golden(name: str, directory: str) -> tuple[dict[str, str], dict]:
     """Run one golden config; return the sha256 of its three output files and the report."""
     paths = {kind: os.path.join(directory, f"{name}.{kind}")
              for kind in ("json", "csv", "trade_log")}
@@ -320,7 +318,7 @@ def _print_digests() -> None:
         for golden_name in sorted(GOLDEN_CONFIGS):
             print(f'    "{golden_name}": {{')
             for kind, digest in run_golden(golden_name, tmp)[0].items():
-                print(f'        "{kind}": ' + ("None" if digest is None else f'"{digest}"') + ",")
+                print(f'        "{kind}": "{digest}",')
             print("    },")
 
 

@@ -642,6 +642,12 @@ def aborts_before_a_trade() -> dict:
     ])
 
 
+def header_line(config: SimConfig) -> str:
+    """The first line a run of ``config`` writes to its trade log."""
+    market = Market(config.family, config.theta0, config.inv_liquidity)
+    return json.dumps(log_header(market, config.state_reset), sort_keys=True) + "\n"
+
+
 def a_then_b_for_six_rounds() -> dict:
     return base_config(rounds=6, arrival="fixed-sequence", sequence=["a", "b"], traders=[
         {"id": "a", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.7, 0.3]}},
@@ -691,14 +697,14 @@ class TestTradeLog:
             return executed[-1].cost
 
         monkeypatch.setattr(Market, "_buy", buy)
+        config = SimConfig.from_dict(a_then_b_for_six_rounds())
         with pytest.raises(KeyboardInterrupt):
-            run_simulation(SimConfig.from_dict(a_then_b_for_six_rounds()), trade_log_path=str(log))
+            run_simulation(config, trade_log_path=str(log))
         assert [(r.round, r.trader_id) for r in executed] == [(1, "a"), (1, "b"), (2, "a")][:interrupted_at - 1]
-        if not settled:  # no round settled, so no log: not even the older one
-            assert not log.exists()
-            return
         assert [(r.round, r.trader_id) for r in read_trade_log(str(log))] == settled
-        assert log.read_text(encoding="utf-8").splitlines()[1:] == [r.to_json() for r in executed[:len(settled)]]
+        # the header, then the settled rounds' records: only the header when none settled, never the older log
+        assert log.read_text(encoding="utf-8").splitlines(keepends=True) == [header_line(config)] + [
+            r.to_json() + "\n" for r in executed[:len(settled)]]
 
     def test_rerun_replaces_the_log(self, tmp_path):
         log = tmp_path / "trades.jsonl"
@@ -710,16 +716,19 @@ class TestTradeLog:
         assert len(read_trade_log(str(log))) == 7
 
     @pytest.mark.parametrize("stale", [False, True])
-    def test_run_without_a_trade_leaves_no_log(self, tmp_path, stale):
+    def test_run_without_a_trade_leaves_only_its_header(self, tmp_path, stale):
         log = tmp_path / "trades.jsonl"
         if stale:
             log.write_text("an older run's log\n")
-        report = run_simulation(SimConfig.from_dict(aborts_before_a_trade()), trade_log_path=str(log))
+        config = SimConfig.from_dict(aborts_before_a_trade())
+        report = run_simulation(config, trade_log_path=str(log))
         assert (report.valid, report.aggregates["n_trades"]) == (False, 0)
-        assert not log.exists()
+        assert log.read_text(encoding="utf-8") == header_line(config)
+        state0 = Market(config.family, config.theta0, config.inv_liquidity).state_dict()
+        assert replay(read_trade_log(str(log)), state0).state_dict() == state0
 
     def test_run_without_a_trade_leaves_a_fifo_in_place(self, tmp_path):
-        # Only a regular file is removed: a FIFO (or /dev/null) named as the log gets the header and stays.
+        # A FIFO (or /dev/null) named as the log gets the header, as a regular file does, and stays a FIFO.
         fifo = tmp_path / "trades.jsonl"
         os.mkfifo(fifo)
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # open first, so the run's write end does not block
@@ -766,11 +775,8 @@ class TestTradeLog:
         assert agg["n_trades"] == len(events)
         assert agg["revenue"] == sum(ev.cost for ev in events)
         assert agg["final_prices"] == Market(config.family, agg["final_theta"]).prices().tolist()
-        if not events:
-            assert not log.exists()
-            assert agg["final_theta"] == config.theta0.tolist()
-            return
-        records = read_trade_log(str(log))
+        assert log.read_text(encoding="utf-8").startswith(header_line(config))  # never the older log
+        records = read_trade_log(str(log))  # only the header when no round settled
         assert [(r.round, r.trader_id, r.cost, r.delta.tolist()) for r in records] == [
             (ev.round, ev.trader_id, ev.cost, ev.delta.tolist()) for ev in events]
         state0 = Market(config.family, config.theta0, config.inv_liquidity).state_dict()

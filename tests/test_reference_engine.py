@@ -167,9 +167,6 @@ def test_generated_configs_match_the_reference_and_their_logs_replay(raw):
         report = run_simulation(config, trade_log_path=path)
         assert hexed(report) == reference_run(config)
         agg = report.aggregates
-        if not report.events:  # no settled trade, so no log
-            assert not os.path.exists(path) and agg["n_trades"] == 0
-            return
         state0 = Market(config.family, config.theta0, config.inv_liquidity).state_dict()
         rebuilt = replay(read_trade_log(path), state0)
     assert [v.hex() for v in rebuilt.theta] == [v.hex() for v in agg["final_theta"]]

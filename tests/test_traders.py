@@ -530,6 +530,13 @@ class TestExpectedProfitBound:
         with pytest.raises(DomainError):
             expected_profit_bound(market, trader, np.array([0.5, 0.3]))
 
+    def test_profit_below_its_bound_is_refused(self, monkeypatch):
+        # Every divergence reads 1.0, so the half move earns 1.0 - 1.0 = 0 against a bound of 0.5 * 1.0: a check
+        # that must raise under python -O too, so no assert.
+        monkeypatch.setattr(type(EXPO), "bregman_divergence", lambda fam, theta, other: 1.0)
+        with pytest.raises(DomainError, match=r"^expected profit 0\.0 violates its lower bound 0\.5$"):
+            expected_profit_bound(Market(EXPO, -1.0), make_trader(-0.5), np.array([0.25]))
+
     def test_overshoot_rejected(self):
         market = Market(EXPO, -1.0)
         with pytest.raises(DomainError):
