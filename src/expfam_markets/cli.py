@@ -39,7 +39,7 @@ from .market import (_check_keys, _number, _numbers, append_record, load_state, 
 def _parse_json_value(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or an integer of more digits than int() converts
         raise ConfigError(f"{what}: invalid JSON {text!r} ({exc})") from exc
     except RecursionError as exc:  # the text, thousands of brackets, is left out of the message
         raise ConfigError(f"{what}: invalid JSON ({exc})") from exc

@@ -37,9 +37,11 @@ converges to the closed-form allocation.)
 Cyclic best response coordinate-ascends ``Phi`` and serves as an
 independent check of the closed form; each response is the trade the
 simulation engine makes, ``traders._exp_utility_move``, so the check covers
-the engine's decision rule.  Risk-neutral traders (``a = 0``) are
-rejected: the closed form divides by ``a_i``, and a risk-neutral trader has
-no finite-optimum response once another trader disagrees.
+the engine's decision rule.  Its relative tolerance ``_TOL`` (1e-10) and its
+cap ``_MAX_SWEEPS`` (1,000 sweeps) are constants.  Risk-neutral traders
+(``a = 0``) are rejected: the closed form divides by ``a_i``, and a
+risk-neutral trader has no finite-optimum response once another trader
+disagrees.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .families import ExpFamily, as_params
 from .traders import _exp_utility_move
+
+_MAX_SWEEPS = 1000
+_TOL = 1e-10
 
 
 @dataclass
@@ -73,16 +78,12 @@ class EquilibriumProblem:
             if not (a > 0.0 and 1.0 / a < np.inf):
                 raise DomainError(f"risk aversion must be strictly positive with a finite tolerance 1/a, got {a}")
 
-    @property
-    def n_traders(self) -> int:
-        return len(self.beliefs)
-
 
 def _check_allocation(problem: EquilibriumProblem, deltas) -> tuple[list[np.ndarray], np.ndarray]:
     """The checked allocations, with the share vector ``theta0 + sum(deltas)`` they lead to."""
     deltas = [np.asarray(as_params(d, problem.family.dim, f"delta[{i}]")) for i, d in enumerate(deltas)]
-    if len(deltas) != problem.n_traders:
-        raise DomainError(f"expected {problem.n_traders} allocations, got {len(deltas)}")
+    if len(deltas) != len(problem.beliefs):
+        raise DomainError(f"expected {len(problem.beliefs)} allocations, got {len(deltas)}")
     return deltas, problem.theta0 + sum(deltas, np.zeros(problem.family.dim))
 
 
@@ -141,8 +142,7 @@ class BestResponseResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # potential refuses a non-finite response or share vector
-def best_response_dynamics(problem: EquilibriumProblem, max_rounds: int = 1000,
-                           tol: float = 1e-10) -> BestResponseResult:
+def best_response_dynamics(problem: EquilibriumProblem) -> BestResponseResult:
     """Iterate each trader's best response until allocations stop moving.
 
     Trader ``i``'s best response is the engine's exponential-utility move
@@ -150,20 +150,16 @@ def best_response_dynamics(problem: EquilibriumProblem, max_rounds: int = 1000,
     the market with its own position removed, at unit inverse liquidity:
     ``(theta_hat_i - theta_rest) / (1 + a_i)``.  Sweeps ascend the
     potential; convergence is declared when no allocation component moves
-    more than ``tol`` times the largest absolute component of the share
-    vector and the allocations within a sweep: ``tol`` is relative.  A
-    response that overflows raises DomainError when ``potential`` checks
-    the sweep, with no numpy warning before it.
+    more than ``_TOL`` times the largest absolute component of the share
+    vector and the allocations within a sweep, and ConvergenceError is
+    raised after ``_MAX_SWEEPS`` sweeps without it.  A response that
+    overflows raises DomainError when ``potential`` checks the sweep, with
+    no numpy warning before it.
     """
-    if max_rounds < 1:
-        raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    fam = problem.family
-    deltas = [np.zeros(fam.dim) for _ in range(problem.n_traders)]
+    deltas = [np.zeros(problem.family.dim) for _ in problem.beliefs]
     theta = problem.theta0.copy()
     potentials = []
-    for sweep in range(1, max_rounds + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         largest_move = 0.0
         for i, (belief, a) in enumerate(zip(problem.beliefs, problem.risk_aversions)):
             theta_rest = theta - deltas[i]
@@ -172,8 +168,8 @@ def best_response_dynamics(problem: EquilibriumProblem, max_rounds: int = 1000,
             deltas[i] = response
             theta = theta_rest + response
         potentials.append(potential(problem, deltas))
-        if largest_move <= tol * float(np.max(np.abs([theta, *deltas]))):
+        if largest_move <= _TOL * float(np.max(np.abs([theta, *deltas]))):
             return BestResponseResult(deltas=deltas, theta_eq=theta, sweeps=sweep, potentials=potentials)
     raise ConvergenceError(
-        f"best response dynamics did not converge within {max_rounds} sweeps (last move {largest_move:g})"
+        f"best response dynamics did not converge within {_MAX_SWEEPS} sweeps (last move {largest_move:g})"
     )

@@ -77,7 +77,7 @@ def as_params(value, dim: int, name: str = "params") -> array:
     """Coerce a scalar or a flat sequence of reals to a finite float vector of length ``dim``."""
     try:
         vec = _vector(value)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: an integer beyond the float range
         raise DomainError(f"{name} must be a flat vector of {dim} reals, got {value!r}") from exc
     if len(vec) != dim:
         raise DomainError(f"{name} must be a vector of length {dim}, got length {len(vec)}")
@@ -108,10 +108,13 @@ def _dot(a, b) -> float:
 
 
 def _real_outcome(family: "ExpFamily", x) -> float:
-    """``x`` as a float if it is a real number (not a bool); else DomainError."""
+    """``x`` as a float (±inf past the float range) if it is a real number (not a bool); else DomainError."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise DomainError(f"{family.id}: outcome must be a real number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # an integer such as 10**400: every family's own rule refuses an infinite outcome
+        return math.inf if x > 0 else -math.inf
 
 
 class ExpFamily(ABC):

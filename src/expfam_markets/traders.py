@@ -242,13 +242,12 @@ def _budget_limited_move(market: Market, move_quote: tuple, budget: float | None
     move, move_cost, _, _ = move_quote
     if alpha is None or move_cost <= alpha:
         return move_quote
-    if alpha > 0.0:
-        fraction = alpha / move_cost
-        for _ in range(100):
-            quote = market._quote(_scaled(fraction, move))
-            if quote[1] <= alpha:
-                return quote
-            fraction *= 0.5
+    fraction = alpha / move_cost  # 0.0 at a zero budget: the first quote is the zero trade, which costs 0.0
+    for _ in range(100):
+        quote = market._quote(_scaled(fraction, move))
+        if quote[1] <= alpha:
+            return quote
+        fraction *= 0.5
     return market._quote(_scaled(0.0, move))
 
 

@@ -1,15 +1,18 @@
 """Command-line interface: subcommands, file handling, exit codes."""
 
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import TRADER_KEY_VALUES, TRADER_KEYS, subprocess_env
 from expfam_markets import Market, equilibrium, family_from_id, read_trade_log, save_state
@@ -82,6 +85,23 @@ class TestScore:
         assert captured.err == ("error: the inner product of [1000.0, -0.5] and [1e+306, inf] has no float value "
                                 "(-inf + inf in fsum)\n")
 
+    @pytest.mark.parametrize("family,report,rule", [
+        ("categorical:2", "[0.5, 0.5]", "an integer in 1..2"),
+        ("exponential-rate", "2.0", "a nonnegative real"),
+        ("gaussian-moments", '{"mean": 0.0, "variance": 1.0}', "a finite real"),
+        ("weibull-moment:2", "1.0", "a nonnegative real"),
+        ("vmf3", "[0.0, 0.0, 0.5]", "a finite 3-vector"),
+    ])
+    @pytest.mark.parametrize("outcome", ["1" + "0" * 400, "-1" + "0" * 400], ids=["plus-1e400", "minus-1e400"])
+    def test_outcome_past_the_float_range_exits_3_with_one_line(self, capsys, family, report, rule, outcome):
+        # float() of the integer raised OverflowError, a traceback and exit 1.
+        if family == "vmf3":
+            outcome = f"[{outcome}, 0, 0]"
+        assert main(["score", "--family", family, "--report", report, f"--outcome={outcome}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {family}: outcome must be {rule}, got ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_unknown_family_is_config_error(self, capsys):
         assert main(["score", "--family", "zeta", "--report", "1", "--outcome", "1"]) == 2
 
@@ -109,6 +129,15 @@ class TestScore:
 
     def test_bad_report_json_is_config_error(self, capsys):
         assert main(["score", "--family", "exponential-rate", "--report", "oops", "--outcome", "1"]) == 2
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int() digit limit")
+    def test_integer_past_the_digit_limit_is_config_error_with_one_line(self, capsys):
+        # json.loads raises a ValueError that is not a JSONDecodeError past int()'s digit limit (4,300 by default).
+        outcome = "1" * (sys.get_int_max_str_digits() + 1)
+        assert main(["score", "--family", "categorical:2", "--report", "[0.5, 0.5]", "--outcome", outcome]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: --outcome: invalid JSON ")
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("family,report,outcome", [
         *[(fid, report, outcome)
@@ -812,3 +841,64 @@ def test_readme_file_format_examples_are_accepted(tmp_path, capsys):
     assert main(["equilibrium", "--problem", paths["problem.json"]]) == 0
     assert main(["replay", "--log", paths["trades.jsonl"], "--state0", paths["state0.json"]]) == 0
     assert capsys.readouterr().err == ""
+
+
+# Generated command lines, run in process: every call exits 0, 2, 3 or 4, raises nothing, and a failing call
+# writes exactly one line to stderr.  The examples are derandomized and bounded, so the tests are deterministic.
+BIG = 10**400  # an integer past the float range: float(BIG) raises OverflowError
+JSON_LEAVES = st.one_of(
+    st.sampled_from([BIG, -BIG, True, False, None, math.nan, math.inf, -math.inf, 0, 1, 2, 0.5, [0.0, 0.0, 1.0]]),
+    st.integers(), st.floats(), st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.sampled_from(["probs", "mean", "variance", "moment", "x"]), inner,
+                                            max_size=3)),
+    max_leaves=8,
+)
+SCORE_REPORTS = {  # a report each family accepts, so that generated outcomes reach the family's outcome rule
+    "categorical:2": [0.5, 0.5],
+    "exponential-rate": 2.0,
+    "gaussian-moments": {"mean": 0.0, "variance": 1.0},
+    "vmf3": [0.0, 0.0, 0.5],
+    "weibull-moment:2": 1.0,
+}
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented_exit(code: int, out: str, err: str) -> None:
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == "" and out.count("\n") == 1
+    else:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(family=st.sampled_from(sorted(SCORE_REPORTS)), data=st.data())
+def test_generated_score_command_exits_with_a_documented_code(family, data):
+    report = SCORE_REPORTS[family] if data.draw(st.booleans(), label="accepted report") else data.draw(JSON_VALUES)
+    outcome = data.draw(st.one_of(JSON_LEAVES, JSON_VALUES), label="outcome")
+    # --flag=value: a value such as -Infinity must not read as a flag
+    assert_documented_exit(*run_main(["score", f"--family={family}", f"--report={json.dumps(report)}",
+                                      f"--outcome={json.dumps(outcome)}"]))
+
+
+@pytest.fixture(scope="module")
+def exponential_state(tmp_path_factory) -> str:
+    path = str(tmp_path_factory.mktemp("quote") / "state.json")
+    save_state(Market(family_from_id("exponential-rate"), -1.0), path)
+    return path
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(delta=st.one_of(JSON_VALUES, st.floats(), st.lists(st.floats(), max_size=2)))
+def test_generated_quote_delta_exits_with_a_documented_code(exponential_state, delta):
+    assert_documented_exit(*run_main(["quote", f"--market={exponential_state}", f"--delta={json.dumps(delta)}"]))

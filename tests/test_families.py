@@ -331,6 +331,28 @@ class TestDomains:
         with pytest.raises(DomainError):
             family.check_natural([math.nan] * family.dim)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_outcome_past_the_float_range_is_refused_by_the_family_rule(self, family, sign):
+        # float(10**400) raises OverflowError; the outcome reads as inf, which every family's own rule refuses.
+        rule = {"categorical:3": "an integer in 1..3", "exponential-rate": "a nonnegative real",
+                "gaussian-moments": "a finite real", "weibull-moment:2": "a nonnegative real",
+                "vmf3": "a finite 3-vector"}[family.id]
+        big = sign * 10**400
+        with pytest.raises(DomainError, match=re.escape(f"{family.id}: outcome must be {rule}, got {big!r}")):
+            family.check_outcome(big)
+        if family.id == "vmf3":
+            with pytest.raises(DomainError, match=re.escape(f"vmf3: outcome must be {rule}, got [{big!r}, 0, 0]")):
+                family.check_outcome([big, 0, 0])
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_vector_past_the_float_range_is_refused_as_params_refuses_it(self, family, sign):
+        value = [sign * 10**400] + [0] * (family.dim - 1)
+        message = re.escape(f"theta must be a flat vector of {family.dim} reals, got {value!r}")
+        with pytest.raises(DomainError, match=message):
+            families.as_params(value, family.dim, "theta")
+        with pytest.raises(DomainError, match=message):
+            family.log_partition(value)
+
     def test_shape_mismatch_rejected(self):
         fam = family_from_id("gaussian-moments")
         with pytest.raises(DomainError):

@@ -99,6 +99,19 @@ class TestQuote:
         with pytest.raises(DomainError):
             market.quote(1.0 - 1e-10)  # within the trading margin
 
+    def test_vector_past_the_float_range_is_refused(self):
+        # array("d") raised OverflowError on an integer past the float range.
+        cat = family_from_id("categorical:2")
+        with pytest.raises(DomainError, match=r"theta0 must be a flat vector of 2 reals, got \[1000"):
+            Market(cat, [10**400, 0])
+        market = Market(cat, [0.0, 0.0])
+        for delta in ([10**400, 0], [0, -10**400]):
+            with pytest.raises(DomainError, match=r"delta must be a flat vector of 2 reals"):
+                market.quote(delta)
+            with pytest.raises(DomainError, match=r"delta must be a flat vector of 2 reals"):
+                market.execute(delta)
+        assert list(market.theta) == [0.0, 0.0] and market.n_trades == 0
+
     def test_quote_does_not_mutate(self):
         market = Market(EXPO, -1.0)
         market.quote(0.5)
