@@ -13,9 +13,11 @@ Subcommands:
 * ``replay``      -- verify a trade log against an initial state.
 * ``equilibrium`` -- solve a multi-trader equilibrium problem.
 
-Exit codes: 0 success, 2 configuration error (bad flags, malformed JSON,
-invalid config), 3 domain or convergence error, 4 I/O error.  A run's
-seed is the config's, or ``--seed`` when that flag is given.
+``main`` is the ``expfam-markets`` console script: it picks the handler by
+the subcommand's name and returns the exit code.  Exit codes: 0 success,
+2 configuration error (bad flags, malformed JSON, invalid config), 3 domain
+or convergence error, 4 I/O error.  A run's seed is the config's, or
+``--seed`` when that flag is given.
 
 ``quote`` and ``trade`` import neither numpy nor the modules that need it:
 the harness, equilibrium and scoring modules load inside the commands that
@@ -145,6 +147,10 @@ def _cmd_equilibrium(args) -> int:
     return 0
 
 
+_COMMANDS = {"score": _cmd_score, "quote": _cmd_quote, "trade": _cmd_trade, "simulate": _cmd_simulate,
+             "replay": _cmd_replay, "equilibrium": _cmd_equilibrium}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="expfam-markets",
                                      description="Exponential-family prediction markets")
@@ -154,19 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="family id, e.g. exponential-rate")
     p.add_argument("--report", required=True, help="JSON report (number, vector, or object)")
     p.add_argument("--outcome", required=True, help="JSON outcome")
-    p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("quote", help="price a portfolio against a market state file")
     p.add_argument("--market", required=True, help="market state JSON file")
     p.add_argument("--delta", required=True, help="JSON portfolio vector")
-    p.set_defaults(func=_cmd_quote)
 
     p = sub.add_parser("trade", help="execute a portfolio, updating the state file atomically")
     p.add_argument("--market", required=True, help="market state JSON file (rewritten)")
     p.add_argument("--delta", required=True, help="JSON portfolio vector")
     p.add_argument("--trader", default="", help="trader id recorded in the log")
     p.add_argument("--log", default=None, help="optional JSON-lines trade log to append")
-    p.set_defaults(func=_cmd_trade)
 
     p = sub.add_parser("simulate", help="run a simulation config")
     p.add_argument("--config", required=True, help="simulation config JSON file")
@@ -175,16 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trade-log", default=None, help="optional JSON-lines trade log path")
     p.add_argument("--seed", type=int, default=None,
                    help="seed override (wins over the config's)")
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("replay", help="verify a trade log against an initial state")
     p.add_argument("--log", required=True, help="JSON-lines trade log")
     p.add_argument("--state0", required=True, help="initial market state JSON file")
-    p.set_defaults(func=_cmd_replay)
 
     p = sub.add_parser("equilibrium", help="solve a multi-trader equilibrium problem")
     p.add_argument("--problem", required=True, help="problem JSON file")
-    p.set_defaults(func=_cmd_equilibrium)
 
     return parser
 
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -205,9 +205,5 @@ def main(argv=None) -> int:
         return 4
 
 
-def entrypoint() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    raise SystemExit(main())
