@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .families import ExpFamily, as_params
+from .families import ExpFamily, _float, as_params
 from .traders import _exp_utility_move
 
 _MAX_SWEEPS = 1000
@@ -73,10 +73,10 @@ class EquilibriumProblem:
         if len(self.beliefs) != len(self.risk_aversions):
             raise DomainError("beliefs and risk_aversions must have equal length")
         self.beliefs = [np.asarray(fam.check_natural(b)) for b in self.beliefs]
-        self.risk_aversions = [float(a) for a in self.risk_aversions]
+        self.risk_aversions = [_float(a) for a in self.risk_aversions]
         for a in self.risk_aversions:
-            if not (a > 0.0 and 1.0 / a < np.inf):
-                raise DomainError(f"risk aversion must be strictly positive with a finite tolerance 1/a, got {a}")
+            if not (0.0 < a < np.inf and 1.0 / a < np.inf):
+                raise DomainError(f"risk aversion must be positive and finite, with a finite tolerance 1/a, got {a}")
 
 
 def _check_allocation(problem: EquilibriumProblem, deltas) -> tuple[list[np.ndarray], np.ndarray]:

@@ -107,14 +107,19 @@ def _dot(a, b) -> float:
         raise DomainError(f"the inner product of {list(a)} and {list(b)} has no float value ({exc})") from exc
 
 
+def _float(x) -> float:
+    """``float(x)``, with an integer past the float range (such as 10**400) read as ±inf, which every caller refuses."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _real_outcome(family: "ExpFamily", x) -> float:
     """``x`` as a float (±inf past the float range) if it is a real number (not a bool); else DomainError."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise DomainError(f"{family.id}: outcome must be a real number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:  # an integer such as 10**400: every family's own rule refuses an infinite outcome
-        return math.inf if x > 0 else -math.inf
+    return _float(x)  # an infinite outcome is refused by every family's own rule
 
 
 class ExpFamily(ABC):
@@ -309,7 +314,7 @@ class WeibullMoment(ExpFamily):
     dim = 1
 
     def __init__(self, k: float = 1.0):
-        k = float(k)
+        k = _float(k)
         if not (math.isfinite(k) and k > 0):
             raise DomainError(f"weibull-moment order must be positive, got {k}")
         self.k = k

@@ -48,7 +48,7 @@ from array import array
 from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, CorruptLogError, DomainError
-from .families import ExpFamily, _scaled, as_params, family_from_id
+from .families import ExpFamily, _float, _scaled, as_params, family_from_id
 
 TRADE_MARGIN = 1e-9
 
@@ -185,7 +185,7 @@ class Market:
     def __init__(self, family: ExpFamily, theta0, inv_liquidity: float = 1.0,
                  n_trades: int = 0, revenue: float = 0.0):
         self.family = family
-        lam = float(inv_liquidity)
+        lam = _float(inv_liquidity)
         if not 0.0 < lam < math.inf:
             raise DomainError(f"inv_liquidity must be positive and finite, got {inv_liquidity}")
         self.inv_liquidity = lam

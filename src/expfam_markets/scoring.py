@@ -18,10 +18,11 @@ properness.  For ``gaussian-moments`` the external convention is a
 
 from __future__ import annotations
 
+import math
 from array import array
 
 from .errors import DomainError
-from .families import ExpFamily, _dot
+from .families import ExpFamily, _dot, _float
 
 
 def log_score(family: ExpFamily, report_mu, x) -> float:
@@ -58,9 +59,11 @@ def score_regret(family: ExpFamily, belief_mu, report_mu) -> float:
 
 
 def moments_from_mean_variance(mean: float, variance: float) -> array:
-    """Convert a (mean, variance) report to raw moments ``(m, m**2 + v)``."""
-    mean = float(mean)
-    variance = float(variance)
-    if variance <= 0.0:
-        raise DomainError(f"variance must be positive, got {variance}")
+    """Convert a (mean, variance) report to raw moments ``(m, m**2 + v)``; the mean must be finite, the variance
+    positive and finite."""
+    mean, variance = _float(mean), _float(variance)
+    if not math.isfinite(mean):
+        raise DomainError(f"mean must be finite, got {mean}")
+    if not 0.0 < variance < math.inf:
+        raise DomainError(f"variance must be positive and finite, got {variance}")
     return array("d", (mean, mean * mean + variance))

@@ -53,11 +53,20 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from math import hypot, log
+from math import hypot, inf, log
+from sys import float_info
 
 from .errors import DomainError
-from .families import Categorical, ExpFamily, _dot, _scaled, _sum, _vector, as_params
+from .families import Categorical, ExpFamily, _dot, _float, _scaled, _sum, _vector, as_params
 from .market import Market
+
+
+def _profile_vector(value, name: str) -> array:
+    """``_vector(value)``, with DomainError naming the field for an integer past the float range."""
+    try:
+        return _vector(value)
+    except OverflowError as exc:
+        raise DomainError(f"{name} must be a flat vector of reals, got {value!r}") from exc
 
 
 @dataclass
@@ -71,8 +80,9 @@ class TraderProfile:
     ``None`` means unlimited.  ``holdings`` (zeros by default) is set by the
     caller and read only by ``effective_belief``; nothing in the package
     writes it.  Construction
-    raises DomainError for a negative ``risk_aversion`` or ``budget`` or a
-    ``sample_size`` that is not positive: the one place these ranges are
+    raises DomainError for a negative or infinite ``risk_aversion``, a
+    negative ``budget``, a ``sample_size`` that is not positive, or a vector
+    holding an integer past the float range: the one place these ranges are
     checked, ``SimConfig.from_dict`` included.
     """
 
@@ -87,15 +97,15 @@ class TraderProfile:
 
     def __post_init__(self):
         if self.belief_theta is not None:
-            self.belief_theta = _vector(self.belief_theta)
-        if not self.risk_aversion >= 0.0:
-            raise DomainError(f"risk_aversion must be nonnegative, got {self.risk_aversion}")
+            self.belief_theta = _profile_vector(self.belief_theta, "belief_theta")
+        if not 0.0 <= self.risk_aversion <= float_info.max:  # an int past it would overflow in the trade rules
+            raise DomainError(f"risk_aversion must be nonnegative and finite, got {self.risk_aversion}")
         if self.budget is not None and not self.budget >= 0.0:
             raise DomainError(f"budget must be nonnegative, got {self.budget}")
         if not self.sample_size > 0.0:
             raise DomainError(f"sample_size must be positive, got {self.sample_size}")
         if self.holdings is not None:
-            self.holdings = _vector(self.holdings)
+            self.holdings = _profile_vector(self.holdings, "holdings")
         elif self.belief_theta is not None:
             self.holdings = array("d", (0.0,)) * len(self.belief_theta)
 
@@ -111,9 +121,10 @@ def bayesian_market_trade(market: Market, sample_mean, sample_size: float) -> ar
     sample mean.  Sample means may lie on the boundary of the realizable
     set; the posterior must be interior (it always is once ``n >= 1``).
     """
-    if not float(sample_size) > 0.0:
-        raise DomainError(f"sample_size must be positive, got {sample_size}")
-    return _bayesian_move(market, market.family.check_mean(sample_mean, margin=0.0), float(sample_size))
+    m = _float(sample_size)
+    if not 0.0 < m < inf:
+        raise DomainError(f"sample_size must be positive and finite, got {sample_size}")
+    return _bayesian_move(market, market.family.check_mean(sample_mean, margin=0.0), m)
 
 
 def _bayesian_move(market: Market, mu_hat: array, m: float) -> array:

@@ -713,6 +713,11 @@ class TestRegistry:
             family_from_id(bad)
         assert str(excinfo.value) == message
 
+    def test_weibull_order_past_the_float_range_is_refused(self):
+        # float(10**400) raised OverflowError; inf is refused as family_from_id("weibull-moment:inf") is.
+        with pytest.raises(DomainError, match="weibull-moment order must be positive, got inf"):
+            WeibullMoment(10**400)
+
     def test_weibull_id_formatting(self):
         assert family_from_id("weibull-moment:2.5").id == "weibull-moment:2.5"
         assert family_from_id("weibull-moment:2.0").id == "weibull-moment:2"

@@ -425,7 +425,7 @@ class TestPersistence:
     def test_init_rejects_boundary_state(self):
         with pytest.raises(DomainError):
             Market(EXPO, -1e-10)
-        for lam in (-1.0, math.inf, math.nan):  # named as the bad value, not as the state it would scale
+        for lam in (-1.0, math.inf, math.nan, 10**400):  # named as the bad value, not as the state it would scale
             with pytest.raises(DomainError, match="inv_liquidity must be positive and finite"):
                 Market(family_from_id("categorical:2"), [0.0, 0.0], lam)
 

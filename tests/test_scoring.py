@@ -188,6 +188,14 @@ class TestConversions:
         with pytest.raises(DomainError):
             moments_from_mean_variance(1.0, 0.0)
 
+    @pytest.mark.parametrize("mean, variance, message", [
+        (10**400, 1, "mean must be finite, got inf"), (-10**400, 1, "mean must be finite, got -inf"),
+        (0, 10**400, "variance must be positive and finite, got inf")], ids=["mean", "negative-mean", "variance"])
+    def test_number_past_the_float_range_rejected(self, mean, variance, message):
+        # float() raised OverflowError on these integers.
+        with pytest.raises(DomainError, match=message):
+            moments_from_mean_variance(mean, variance)
+
 
 class TestErrors:
     def test_invalid_report_rejected(self):

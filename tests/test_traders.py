@@ -103,7 +103,7 @@ class TestBayesUpdate:
         assert prices[0] == pytest.approx((0.5 * 1.0 + 0.25 * 2.0) / 0.75, abs=1e-12)
 
     @pytest.mark.parametrize("n_trades", [0, 3])
-    @pytest.mark.parametrize("size", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("size", [0.0, -1.0, math.nan, math.inf, pytest.param(10**400, id="10**400")])
     def test_bad_sizes_rejected(self, n_trades, size):
         market = Market(EXPO, -1.0, n_trades=n_trades)
         with pytest.raises(DomainError):
@@ -179,10 +179,20 @@ class TestCertaintyEquivalent:
 
 
 @pytest.mark.parametrize("field, value, rule", [
-    ("risk_aversion", -1.0, "nonnegative"), ("budget", -1.0, "nonnegative"), ("sample_size", 0.0, "positive")])
+    ("risk_aversion", -1.0, "nonnegative"), ("budget", -1.0, "nonnegative"), ("sample_size", 0.0, "positive"),
+    ("risk_aversion", math.inf, "nonnegative and finite"),
+    pytest.param("risk_aversion", 10**400, "nonnegative and finite", id="risk_aversion-10**400")])  # kept as an int, it overflowed in lam + a
 def test_out_of_range_profile_number_rejected(field, value, rule):
     with pytest.raises(DomainError, match=f"{field} must be {rule}"):
         TraderProfile(id="t", belief_theta=-0.5, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["belief_theta", "holdings"])
+def test_profile_vector_past_the_float_range_rejected(field):
+    # array("d") raised OverflowError on an integer past the float range.
+    vectors = {"belief_theta": [0.0, 0.0], field: [10**400, 0]}
+    with pytest.raises(DomainError, match=rf"{field} must be a flat vector of reals, got \[1000"):
+        TraderProfile(id="t", **vectors)
 
 
 def _grid_around(family, delta_star, span, count, rng):
