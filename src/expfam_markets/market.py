@@ -176,8 +176,8 @@ class Market:
         inv_liquidity: Price responsiveness ``lam > 0``; default 1.
         n_trades: Trade counter (posted so that conjugate-prior traders can
             weigh the prices as a phantom sample).
-        revenue: Cash collected so far; stays equal to the sum of executed
-            trade costs.
+        revenue: Cash collected so far, a finite number; stays equal to the
+            sum of executed trade costs.
 
     The market writes no trade log; the caller of ``execute`` owns it.
     """
@@ -193,7 +193,9 @@ class Market:
         self._cost = self._cost_at(theta0)
         self.theta = theta0
         self.n_trades = int(n_trades)
-        self.revenue = float(revenue)
+        self.revenue = _float(revenue)
+        if not math.isfinite(self.revenue):
+            raise DomainError(f"revenue must be finite, got {revenue}")
 
     # ------------------------------------------------------------------
     # Read-only views
@@ -287,11 +289,15 @@ class Market:
     def execute(self, delta, trader_id: str = "") -> TradeRecord:
         """Buy ``delta``, updating shares, ``C(theta)``, counter and revenue.
 
-        The state is untouched when the quote fails.  The record's round is
-        the pre-trade trade count.
+        The state is untouched when the quote fails, and when the revenue
+        would leave the float range (DomainError).  The record's round is the
+        pre-trade trade count.
         """
         delta = as_params(delta, self.family.dim, "delta")
-        return TradeRecord(self.n_trades, trader_id, delta, self._buy(self._quote(delta)))
+        quote = self._quote(delta)
+        if not math.isfinite(self.revenue + quote[1]):  # _buy adds it unchecked
+            raise DomainError(f"revenue {self.revenue!r} plus cost {quote[1]!r} leaves the float range")
+        return TradeRecord(self.n_trades, trader_id, delta, self._buy(quote))
 
     def _buy(self, quote: tuple[array, float, array, float]) -> float:
         """``execute`` of a ``_quote`` made at the current state, without a record; returns the quote's cost."""

@@ -440,6 +440,21 @@ class TestQuoteAndTrade:
         assert Path(path).read_bytes() == before
         assert not log.exists()
 
+    @pytest.mark.parametrize("state, delta, accepted, terms", [
+        ({"theta": [0.0, 0.0], "revenue": 1e308}, "[1e308, 0]", 0, "1e+308 plus cost 1e+308"),
+        ({"theta": [-1.7e308, -1.7e308], "revenue": 0.0}, "[1.7e308, 1.7e308]", 1, "1.7e+308 plus cost 1.7e+308"),
+    ], ids=["revenue-1e308", "second-trade-from-revenue-0"])
+    def test_trade_whose_revenue_leaves_the_float_range_exits_3(self, tmp_path, state, delta, accepted, terms):
+        # A saved revenue of Infinity would make every later quote and trade on the file exit 2.
+        path = write_json(tmp_path / "state.json", {"family": "categorical:2", **state})
+        log = tmp_path / "trades.jsonl"
+        argv = ["trade", "--market", path, "--delta", delta, "--log", str(log)]
+        for _ in range(accepted):
+            assert run_main(argv)[0] == 0
+        before = Path(path).read_bytes(), log.exists() and log.read_bytes()
+        assert run_main(argv) == (3, "", f"error: revenue {terms} leaves the float range\n")
+        assert (Path(path).read_bytes(), log.exists() and log.read_bytes()) == before
+        assert run_main(["quote", "--market", path, "--delta", "[0, 0]"])[0] == 0
 
 class TestSimulate:
     def test_writes_reports(self, tmp_path, capsys):

@@ -161,6 +161,19 @@ class TestExecute:
         assert np.array_equal(market.theta, before[0])
         assert (market.n_trades, market.revenue) == before[1:]
 
+    @pytest.mark.parametrize("theta, revenue, delta", [
+        ([0.0, 0.0], 1e308, [1e308, 0.0]),
+        ([-1.7e308, -1.7e308], 1.7e308, [1.7e308, 1.7e308]),  # the second of two such trades from revenue 0
+        ([0.0, 0.0], -1e308, [-1e308, -1e308]),
+    ])
+    def test_trade_whose_revenue_leaves_the_float_range_is_refused(self, theta, revenue, delta):
+        # _buy would store revenue +-inf, which no state file can hold.
+        market = Market(family_from_id("categorical:2"), theta, revenue=revenue)
+        before = (market.theta, market.cost(), market.n_trades, market.revenue)
+        with pytest.raises(DomainError, match=r"revenue .* plus cost .* leaves the float range"):
+            market.execute(delta)
+        assert (market.theta, market.cost(), market.n_trades, market.revenue) == before
+
     def test_revenue_is_sum_of_costs(self):
         rng = np.random.default_rng(11)
         fam = family_from_id("categorical:3")
@@ -428,6 +441,11 @@ class TestPersistence:
         for lam in (-1.0, math.inf, math.nan, 10**400):  # named as the bad value, not as the state it would scale
             with pytest.raises(DomainError, match="inv_liquidity must be positive and finite"):
                 Market(family_from_id("categorical:2"), [0.0, 0.0], lam)
+
+    @pytest.mark.parametrize("revenue", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "10**400"])
+    def test_init_rejects_non_finite_revenue(self, revenue):
+        with pytest.raises(DomainError, match="revenue must be finite"):
+            Market(family_from_id("categorical:2"), [0.0, 0.0], revenue=revenue)
 
     def test_liquidity_scales_the_domain_guard(self):
         # lam * theta must stay interior, not theta itself.
