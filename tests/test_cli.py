@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import TRADER_KEY_VALUES, TRADER_KEYS, subprocess_env
 from expfam_markets import Market, equilibrium, family_from_id, read_trade_log, save_state
@@ -917,3 +917,45 @@ def exponential_state(tmp_path_factory) -> str:
 @given(delta=st.one_of(JSON_VALUES, st.floats(), st.lists(st.floats(), max_size=2)))
 def test_generated_quote_delta_exits_with_a_documented_code(exponential_state, delta):
     assert_documented_exit(*run_main(["quote", f"--market={exponential_state}", f"--delta={json.dumps(delta)}"]))
+
+
+STATE_DIMS = {"categorical:2": 2, "exponential-rate": 1, "gaussian-moments": 2, "vmf3": 3, "weibull-moment:2": 1}
+
+
+def loadable_state_and_delta(family: str):
+    """A state object that often loads, with a delta of the family's dimension."""
+    vector = st.lists(st.floats(), min_size=STATE_DIMS[family], max_size=STATE_DIMS[family])
+    numbers = {"inv_liquidity": st.floats(), "n_trades": st.integers(min_value=0), "revenue": st.floats()}
+    return st.tuples(st.fixed_dictionaries({"family": st.just(family), "theta": vector}, optional=numbers), vector)
+
+
+STATE_CASES = st.one_of(  # loadable-shaped states, and objects over the five state keys plus a stray one
+    st.sampled_from(sorted(STATE_DIMS)).flatmap(loadable_state_and_delta),
+    st.tuples(st.fixed_dictionaries({}, optional=dict.fromkeys(
+        ("family", "theta", "inv_liquidity", "n_trades", "revenue", "x"),
+        st.one_of(st.sampled_from(sorted(STATE_DIMS)), JSON_VALUES))), JSON_VALUES),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case=STATE_CASES)
+@example(case=({"family": "categorical:2", "theta": [0.0, 0.0], "inv_liquidity": 1.0, "n_trades": 0, "revenue": 1e308},
+               [1e308, 0]))
+def test_generated_state_file_exits_with_a_documented_code(tmp_path_factory, case):
+    # A trade that exits 0 leaves a state file that quote reads back; a refused one leaves the file and no log.
+    # The example is a trade that took revenue to inf, which no command could read back.
+    state, delta = case
+    directory = tmp_path_factory.mktemp("state")
+    path, log = str(directory / "state.json"), directory / "trades.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(state, fh)
+    before = Path(path).read_bytes()
+    delta = f"--delta={json.dumps(delta)}"
+    assert_documented_exit(*run_main(["quote", f"--market={path}", delta]))
+    code, out, err = run_main(["trade", f"--market={path}", delta, f"--log={log}"])
+    assert_documented_exit(code, out, err)
+    if code == 0:
+        zero = json.dumps([0] * STATE_DIMS[state["family"]])
+        assert run_main(["quote", f"--market={path}", f"--delta={zero}"]) == (0, "0.0\n", "")
+    else:
+        assert Path(path).read_bytes() == before and not log.exists()
