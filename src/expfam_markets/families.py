@@ -108,7 +108,7 @@ def _dot(a, b) -> float:
 
 
 def _float(x) -> float:
-    """``float(x)``, with an integer past the float range (such as 10**400) read as ±inf, which every caller refuses."""
+    """``float(x)``, reading an integer past the float range (such as 10**400) as ±inf, which its callers refuse."""
     try:
         return float(x)
     except OverflowError:

@@ -59,8 +59,7 @@ def score_regret(family: ExpFamily, belief_mu, report_mu) -> float:
 
 
 def moments_from_mean_variance(mean: float, variance: float) -> array:
-    """Convert a (mean, variance) report to raw moments ``(m, m**2 + v)``; the mean must be finite, the variance
-    positive and finite."""
+    """Convert a (mean, variance) report to raw moments ``(m, m**2 + v)``; DomainError unless both are finite, v > 0."""
     mean, variance = _float(mean), _float(variance)
     if not math.isfinite(mean):
         raise DomainError(f"mean must be finite, got {mean}")

@@ -456,6 +456,7 @@ class TestQuoteAndTrade:
         assert (Path(path).read_bytes(), log.exists() and log.read_bytes()) == before
         assert run_main(["quote", "--market", path, "--delta", "[0, 0]"])[0] == 0
 
+
 class TestSimulate:
     def test_writes_reports(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sim.json", sim_config())

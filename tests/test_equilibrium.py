@@ -105,7 +105,8 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             EquilibriumProblem(EXPO, -1.0, [np.array([-2.0])], [risk_aversion])
 
-    @pytest.mark.parametrize("risk_aversion", [np.inf, 10**400], ids=["inf", "10**400"])  # float(10**400) raised OverflowError
+    # float(10**400) raised OverflowError
+    @pytest.mark.parametrize("risk_aversion", [np.inf, 10**400], ids=["inf", "10**400"])
     def test_infinite_risk_aversion_rejected(self, risk_aversion):
         with pytest.raises(DomainError, match="risk aversion must be positive and finite"):
             EquilibriumProblem(EXPO, -1.0, [np.array([-2.0])], [risk_aversion])

@@ -181,7 +181,8 @@ class TestCertaintyEquivalent:
 @pytest.mark.parametrize("field, value, rule", [
     ("risk_aversion", -1.0, "nonnegative"), ("budget", -1.0, "nonnegative"), ("sample_size", 0.0, "positive"),
     ("risk_aversion", math.inf, "nonnegative and finite"),
-    pytest.param("risk_aversion", 10**400, "nonnegative and finite", id="risk_aversion-10**400")])  # kept as an int, it overflowed in lam + a
+    # kept as an int, 10**400 overflowed in the trade rules' lam + a
+    pytest.param("risk_aversion", 10**400, "nonnegative and finite", id="risk_aversion-10**400")])
 def test_out_of_range_profile_number_rejected(field, value, rule):
     with pytest.raises(DomainError, match=f"{field} must be {rule}"):
         TraderProfile(id="t", belief_theta=-0.5, **{field: value})
