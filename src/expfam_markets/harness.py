@@ -43,10 +43,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from itertools import chain, cycle
+from itertools import chain, cycle, repeat
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -240,11 +241,14 @@ _REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 
 @dataclass(slots=True)
 class TradeEvent:
-    """One executed-and-settled trade, as reported; the field names are the report keys."""
+    """One executed-and-settled trade, as reported; the field names are the report keys.
+
+    A report keeps its events in columns (``EventTable``) and builds an event only when it is read.
+    """
 
     round: int
     trader_id: str
-    delta: array  # the executed portfolio as the move returned it; a trader's events may share one, never written
+    delta: array  # the executed portfolio: a fresh array in each event read from a run's report; never written
     cost: float
     outcome: object
     log_loss_before: float
@@ -253,9 +257,98 @@ class TradeEvent:
     trader_budgets: dict[str, float | None]
 
 
+_TYPECODES = {"round": "q", "cost": "d", "log_loss_before": "d", "log_loss_after": "d", "myopic_impact": "d"}
+
+
+def _column(typecode: str, values: list):
+    """``values`` as an array of ``typecode`` if each is an exact float (``d``) or an int it holds (``q``), else as is."""
+    if all(type(v) is (float if typecode == "d" else int) for v in values):
+        try:
+            return array(typecode, values)
+        except OverflowError:  # an int past 64 bits
+            pass
+    return values
+
+
+class EventTable:
+    """A report's trade events in columns: a sequence of ``TradeEvent``, each built only when it is read.
+
+    ``round`` is an ``array('q')``; ``cost``, both log losses and ``myopic_impact`` are ``array('d')``;
+    ``delta`` is one ``array('d')`` of ``dim`` entries per event, end to end.  ``trader_id``, ``outcome``
+    and ``trader_budgets`` are lists of references, so a round's events share its outcome and its one
+    budget snapshot.  Read, an event gets ``delta`` as a fresh array.  ``of`` packs hand-built events the
+    same way, but a column whose values are not all of its type (``None`` log losses, int costs) stays the
+    list of them; so do deltas that are not ``array('d')`` of one length, and ``dim`` is then 0.  It supports
+    ``len``, indexing and slices (which give lists), iteration and ``==`` against a list of events, as that
+    list would.
+    """
+
+    __slots__ = (*TradeEvent.__slots__, "dim")
+
+    def __init__(self, dim: int):
+        self.round, self.trader_id, self.delta, self.dim = array("q"), [], array("d"), dim
+        self.cost, self.outcome, self.trader_budgets = array("d"), [], []
+        self.log_loss_before, self.log_loss_after, self.myopic_impact = array("d"), array("d"), array("d")
+
+    @classmethod
+    def of(cls, events) -> "EventTable":
+        """Hand-built events in columns, each an array where all its values fit one and their list otherwise."""
+        table = cls(0)
+        for name in TradeEvent.__slots__:
+            values = [getattr(ev, name) for ev in events]
+            setattr(table, name, _column(_TYPECODES[name], values) if name in _TYPECODES else values)
+        deltas = table.delta
+        if deltas and all(type(d) is array and d.typecode == "d" and len(d) == len(deltas[0]) > 0 for d in deltas):
+            table.delta, table.dim = array("d", chain.from_iterable(deltas)), len(deltas[0])
+        return table
+
+    def append(self, round, trader_id, delta, cost, outcome, log_loss_before, log_loss_after, myopic_impact,
+               trader_budgets) -> None:
+        """Add one event at the end, its ``dim`` delta entries copied and its other values kept as they are."""
+        self.round.append(round)
+        self.trader_id.append(trader_id)
+        self.delta.extend(delta)
+        self.cost.append(cost)
+        self.outcome.append(outcome)
+        self.log_loss_before.append(log_loss_before)
+        self.log_loss_after.append(log_loss_after)
+        self.myopic_impact.append(myopic_impact)
+        self.trader_budgets.append(trader_budgets)
+
+    def columns(self) -> tuple:
+        """The columns in ``TradeEvent``'s field order, ``delta`` as an iterator of one tuple per event."""
+        dim, delta = self.dim, self.delta
+        return (self.round, self.trader_id, zip(*[iter(delta)] * dim) if dim else delta, self.cost, self.outcome,
+                self.log_loss_before, self.log_loss_after, self.myopic_impact, self.trader_budgets)
+
+    def rows(self):
+        """Each event's values as one tuple in ``TradeEvent``'s field order, ``delta`` a tuple; builds no event."""
+        return zip(*self.columns())
+
+    def __len__(self) -> int:
+        return len(self.trader_id)
+
+    def __getitem__(self, index):  # iteration too: it reads index 0, 1, ... until IndexError
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i, dim = range(len(self))[index], self.dim  # a negative index counts from the end; IndexError past either
+        delta = self.delta[i * dim:i * dim + dim] if dim else self.delta[i]
+        return TradeEvent(self.round[i], self.trader_id[i], delta, self.cost[i], self.outcome[i], self.log_loss_before[i],
+                          self.log_loss_after[i], self.myopic_impact[i], self.trader_budgets[i])
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, EventTable)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class SimReport:
-    """Per-event records plus run-level aggregates; the field names are the report keys."""
+    """Per-event records plus run-level aggregates; the field names are the report keys.
+
+    ``events`` is an ``EventTable``: a list of ``TradeEvent`` given here is packed into one.
+    """
 
     family: str
     seed: int
@@ -265,13 +358,17 @@ class SimReport:
     state_reset: bool
     valid: bool
     error: str | None
-    events: list[TradeEvent]
+    events: EventTable
     aggregates: dict
 
+    def __post_init__(self):
+        if not isinstance(self.events, EventTable):
+            self.events = EventTable.of(self.events)
+
     def to_dict(self) -> dict:
-        return {**vars(self), "events": [{k: getattr(ev, k) for k in TradeEvent.__slots__} | {
-            "delta": list(ev.delta), "outcome": list(ev.outcome) if isinstance(ev.outcome, array) else ev.outcome}
-            for ev in self.events]}
+        return {**vars(self), "events": [dict(zip(TradeEvent.__slots__, row)) | {
+            "delta": list(row[2]), "outcome": list(row[4]) if isinstance(row[4], array) else row[4]}
+            for row in self.events.rows()]}
 
     def to_json(self) -> str:
         """The report's bytes: those of ``json.dumps(to_dict(), sort_keys=True, indent=2)`` and a newline."""
@@ -294,15 +391,16 @@ def _report_chunks(report: SimReport):
     head, _, tail = _REPORT_ENCODER.encode({**vars(report), "events": []}).partition(_EVENTS_KEY)
     yield head + '\n  "events": ['
     budgets = budgets_json = None
-    for i, ev in enumerate(report.events):
-        if ev.trader_budgets is not budgets:
-            budgets = ev.trader_budgets
+    for i, (round_index, trader_id, delta, cost, outcome, before, after, impact, snapshot) in enumerate(
+            report.events.rows()):
+        if snapshot is not budgets:
+            budgets = snapshot
             budgets_json = _ITEM.join([f"{encode_basestring_ascii(k)}: {_json(v)}" for k, v in sorted(budgets.items())])
         yield ("," if i else "") + _EVENT_JSON % (
-            _json(ev.cost), _ITEM.join(map(_json, ev.delta)), _json(ev.log_loss_after), _json(ev.log_loss_before),
-            _json(ev.myopic_impact),  # a vector outcome is a list at delta's indent
-            ("[\n        %s\n      ]" % _ITEM.join(map(_json, ev.outcome)) if isinstance(ev.outcome, array)
-             else _json(ev.outcome)), ev.round, budgets_json, encode_basestring_ascii(ev.trader_id))
+            _json(cost), _ITEM.join(map(_json, delta)), _json(after), _json(before),
+            _json(impact),  # a vector outcome is a list at delta's indent
+            ("[\n        %s\n      ]" % _ITEM.join(map(_json, outcome)) if isinstance(outcome, array)
+             else _json(outcome)), round_index, budgets_json, encode_basestring_ascii(trader_id))
     yield ("\n  ]" if report.events else "]") + tail + "\n"  # an empty list is "[]", as the encoder writes it
 
 
@@ -353,7 +451,13 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
 
     Deterministic given the config seed: reruns produce byte-identical
     reports.  A round-level domain violation stops the run and returns the
-    partial report with ``valid=False`` and the error message attached.
+    partial report with ``valid=False`` and the error message attached;
+    that includes a round whose buys take the market's revenue past the
+    float range, checked once the round's buys are made (``_buy`` adds each
+    cost unchecked) and refused in ``Market.execute``'s words.
+
+    The report's events are one ``EventTable``: each settled trade is
+    appended to its columns, and no ``TradeEvent`` is built.
 
     With ``trade_log_path`` the run owns one handle on its JSON-lines trade
     log: opened (truncating an older file) and headed (the run's first state
@@ -401,7 +505,8 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     order = [[tr.id] for tr in config.traders] if config.arrival == "round-robin" else [config.sequence]
     # a mover per turn, so a trader with two turns per round keeps a move for each
     turns = [[(tid, _mover(market, by_id[tid], budgets)) for tid in ids] for ids in order]
-    events: list[TradeEvent] = []
+    events = EventTable(family.dim)
+    add = events.append
     total_log_loss = 0.0
     valid, error = True, None
 
@@ -421,6 +526,11 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                     quote = move()
                     market._buy(quote)
                     trades.append((tid, quote))
+                if not math.isfinite(market.revenue):  # _buy adds unchecked: refuse the first cost that overflowed
+                    market.revenue = revenue
+                    for _, quote in trades:
+                        market._check_revenue(quote[1])
+                        market.revenue += quote[1]
                 outcome = draw(rng)
             except DomainError as exc:
                 valid, error = False, f"round {round_index}: {exc}"
@@ -439,16 +549,17 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
                 if budgets[tid] is not None:
                     budgets[tid] += change
                 before, loss = loss, theta_cost - pair(theta, outcome)
-                events.append(TradeEvent(round_index, tid, delta, cost, outcome, before, loss, change, snapshot))
+                add(round_index, tid, delta, cost, outcome, before, loss, change, snapshot)
             snapshot.update(budgets)
             total_log_loss += loss
             settled = theta, theta_cost
-            if log is not None:  # the round has settled: its records reach the log together
-                log.write("\n".join(map(_record_json, events[len(events) - len(trades):])) + "\n")
+            if log is not None:  # the round has settled: its records, as bought, reach the log together
+                log.write("\n".join([_record_json(round_index, tid, delta, cost) for tid, (delta, cost, _, _) in trades])
+                          + "\n")
                 log.flush()
 
     aggregates = {
-        "completed_rounds": events[-1].round if events else 0,
+        "completed_rounds": events.round[-1] if events else 0,
         "total_log_loss": total_log_loss,
         "per_trader_impact": cash,
         "final_budgets": budgets,
@@ -477,8 +588,8 @@ def replay(records: TradeLog, state0: dict) -> Market:
     round index must not decrease; when the header's ``state_reset`` is set,
     the share vector returns to ``theta0`` wherever the round index goes up,
     as in a state-reset simulation.  Each record's delta must be executable
-    from the running state, and its cost must equal the cost of re-executing
-    it bit for bit.  Returns the reconstructed market; raises
+    from the running state, with a cost that keeps the revenue in the float
+    range, and its cost must equal the cost of re-executing it bit for bit.  Returns the reconstructed market; raises
     CorruptLogError at the file line of the first offending record (record
     ``i`` is on line ``i + 2``), or at line 1 for a missing or mismatching
     header.
@@ -490,7 +601,7 @@ def replay(records: TradeLog, state0: dict) -> Market:
     check_header(header, log_header(market))
     start = market.theta, market.cost()  # never written in place: every writer stores anew
     reset, last = header["state_reset"], None
-    dim, quote, buy = market.family.dim, market._quote, market._buy
+    dim, quote, check, buy = market.family.dim, market._quote, market._check_revenue, market._buy
     for line, record in enumerate(records, 2):
         if record.round != last:
             if last is not None and record.round < last:
@@ -501,7 +612,9 @@ def replay(records: TradeLog, state0: dict) -> Market:
         try:
             if len(record.delta) != dim:
                 as_params(record.delta, dim, "delta")  # raises its length message
-            cost = buy(quote(record.delta))
+            trade = quote(record.delta)
+            check(trade[1])  # _buy adds it unchecked
+            cost = buy(trade)
         except DomainError as exc:
             raise CorruptLogError(line, f"recorded trade is not executable: {exc}") from exc
         if cost != record.cost:
@@ -510,15 +623,17 @@ def replay(records: TradeLog, state0: dict) -> Market:
 
 
 def _csv_rows(report: SimReport):
-    """The CSV report's rows, its header first.
+    """The CSV report's rows, its header first, zipped from the event columns.
 
-    ``csv.writer`` renders a float as ``float.__repr__``, an int as its digits and None as an empty cell.
+    ``csv.writer`` renders a float as ``float.__repr__``, an int as its digits and None as an empty cell.  A
+    vector cell (``delta``, a vmf3 outcome) is its entries' ``repr`` joined by ``;``.
     """
-    yield CSV_COLUMNS
-    for ev in report.events:
-        outcome = ";".join(map(repr, ev.outcome)) if isinstance(ev.outcome, array) else ev.outcome
-        yield [ev.round, ev.trader_id, ";".join(map(repr, ev.delta)), ev.cost, outcome, ev.log_loss_before,
-               ev.log_loss_after, ev.myopic_impact, ev.trader_budgets.get(ev.trader_id)]
+    round_index, trader_id, deltas, cost, outcome, before, after, impact, budgets = report.events.columns()
+    delta_cells = map(";".join, map(map, repeat(repr), deltas))
+    outcome_cells = (";".join(map(repr, x)) if isinstance(x, array) else x for x in outcome)
+    own_budgets = map(dict.get, budgets, trader_id)
+    return chain([CSV_COLUMNS], zip(round_index, trader_id, delta_cells, cost, outcome_cells, before, after, impact,
+                                    own_budgets))
 
 
 def emit_report(report: SimReport, fmt: str, path: str) -> None:

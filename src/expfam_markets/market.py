@@ -103,13 +103,12 @@ def _json(value) -> str:
     return _JSON_WORDS.get(text, text)
 
 
-def _record_json(record) -> str:
-    """A record as one trade-log line, without its newline: ``json.dumps(record.to_dict(), sort_keys=True)``.
+def _record_json(round: int, trader_id: str, delta, cost: float) -> str:
+    """A record's fields as one trade-log line, without its newline: ``json.dumps(record.to_dict(), sort_keys=True)``.
 
-    Any object with a record's four fields renders, so the engine writes its trade events as they are.
+    The engine writes the trades it settles through it, with no record built.
     """
-    return _RECORD_JSON % (_json(record.cost), ", ".join(map(_json, record.delta)), record.round,
-                           encode_basestring_ascii(record.trader_id))
+    return _RECORD_JSON % (_json(cost), ", ".join(map(_json, delta)), round, encode_basestring_ascii(trader_id))
 
 
 class TradeRecord:
@@ -141,7 +140,8 @@ class TradeRecord:
     def to_dict(self) -> dict:
         return {"round": self.round, "trader_id": self.trader_id, "delta": self.delta.tolist(), "cost": self.cost}
 
-    to_json = _record_json
+    def to_json(self) -> str:
+        return _record_json(self.round, self.trader_id, self.delta, self.cost)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TradeRecord":
@@ -295,9 +295,13 @@ class Market:
         """
         delta = as_params(delta, self.family.dim, "delta")
         quote = self._quote(delta)
-        if not math.isfinite(self.revenue + quote[1]):  # _buy adds it unchecked
-            raise DomainError(f"revenue {self.revenue!r} plus cost {quote[1]!r} leaves the float range")
+        self._check_revenue(quote[1])  # _buy adds it unchecked
         return TradeRecord(self.n_trades, trader_id, delta, self._buy(quote))
+
+    def _check_revenue(self, cost: float) -> None:
+        """Raise DomainError unless the revenue plus ``cost`` stays in the float range."""
+        if not math.isfinite(self.revenue + cost):
+            raise DomainError(f"revenue {self.revenue!r} plus cost {cost!r} leaves the float range")
 
     def _buy(self, quote: tuple[array, float, array, float]) -> float:
         """``execute`` of a ``_quote`` made at the current state, without a record; returns the quote's cost."""

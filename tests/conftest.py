@@ -39,6 +39,21 @@ TRADER_KEYS = {"risk-neutral": {"belief"}, "exp-utility": {"belief", "risk_avers
 TRADER_KEY_VALUES = {"belief": {"probs": [0.7, 0.3]}, "risk_aversion": 1.0, "budget": 1.0,
                      "sample": {"mean": {"probs": [0.6, 0.4]}, "size": 2.0}}
 
+# Two trades of cost 1.7e308 in one round: together they take the market's revenue past the float range.
+REVENUE_OVERFLOW_CONFIG = {
+    "family": "categorical:2", "theta0": [-1.7e308, -1.7e308], "true_theta": [0, 0], "rounds": 1, "seed": 1,
+    "arrival": "fixed-sequence", "sequence": ["a", "b"], "traders": [
+        {"id": "a", "model": "risk-neutral", "belief": {"theta": [0, 0]}},
+        {"id": "b", "model": "risk-neutral", "belief": {"theta": [1.7e308, 1.7e308]}}]}
+# The trade log that run wrote before a round's revenue was checked: its second record overflows the revenue.
+REVENUE_OVERFLOW_LOG = (
+    {"family": "categorical:2", "format": 2, "inv_liquidity": 1.0, "state_reset": False,
+     "theta0": [-1.7e308, -1.7e308]},
+    {"cost": 1.7e308, "delta": [1.7e308, 1.7e308], "round": 1, "trader_id": "a"},
+    {"cost": 1.7e308, "delta": [1.7e308, 1.7e308], "round": 1, "trader_id": "b"},
+)
+REVENUE_OVERFLOW_ERROR = "revenue 1.7e+308 plus cost 1.7e+308 leaves the float range"
+
 
 def subprocess_env() -> dict:
     """Environment for a child Python that imports this same package."""

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import TRADER_KEY_VALUES, TRADER_KEYS, subprocess_env
+from conftest import REVENUE_OVERFLOW_LOG, TRADER_KEY_VALUES, TRADER_KEYS, subprocess_env
 from expfam_markets import Market, equilibrium, family_from_id, read_trade_log, save_state
 from expfam_markets.cli import main
 from expfam_markets.errors import ConvergenceError
@@ -960,3 +960,56 @@ def test_generated_state_file_exits_with_a_documented_code(tmp_path_factory, cas
         assert run_main(["quote", f"--market={path}", f"--delta={zero}"]) == (0, "0.0\n", "")
     else:
         assert Path(path).read_bytes() == before and not log.exists()
+
+
+LOG_STARTS = {"categorical:2": [0.0, 0.0], "exponential-rate": [-1.0], "gaussian-moments": [0.0, -0.5],
+              "vmf3": [0.0, 0.0, 0.0], "weibull-moment:2": [-1.0]}
+PRICED = object()  # a record cost that the test fills in with what replay recomputes, when it can
+
+
+def log_lines(family: str):
+    """Record lines after a header at ``LOG_STARTS[family]``: record-shaped objects, often executable, or any value."""
+    dim = len(LOG_STARTS[family])
+    record = st.fixed_dictionaries({
+        "round": st.one_of(st.integers(0, 2), JSON_VALUES), "trader_id": st.one_of(st.text(max_size=2), JSON_VALUES),
+        "delta": st.one_of(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim), JSON_VALUES),
+        "cost": st.one_of(st.just(PRICED), JSON_VALUES)})
+    return st.tuples(st.just(family), st.just(LOG_STARTS[family]), st.booleans(),
+                     st.lists(st.one_of(record, JSON_VALUES), max_size=4))
+
+
+def priced(family: str, theta0: list, state_reset: bool, lines: list) -> list:
+    """``lines`` with each ``PRICED`` cost the cost of executing its record where replay reaches it, else None."""
+    market, last, out = Market(family_from_id(family), theta0), None, []
+    for line in lines:
+        if isinstance(line, dict) and "cost" in line:
+            try:
+                if state_reset and line["round"] != last:
+                    market.reset_theta(theta0)
+                last = line["round"]
+                cost = market.execute(line["delta"]).cost
+            except (ValueError, TypeError):  # DomainError, ConfigError: replay refuses the record too
+                cost = None
+            line = {**line, "cost": cost} if line["cost"] is PRICED else line
+        out.append(line)
+    return out
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case=st.sampled_from(sorted(LOG_STARTS)).flatmap(log_lines))
+@example(case=("categorical:2", REVENUE_OVERFLOW_LOG[0]["theta0"], False, list(REVENUE_OVERFLOW_LOG[1:])))
+def test_generated_log_replays_with_a_documented_code(tmp_path_factory, case):
+    # A replay that exits 0 prints a state that loads.  The example's second record took the revenue to inf,
+    # which replay printed as a state no command could read back.
+    family, theta0, state_reset, lines = case
+    header = log_header(Market(family_from_id(family), theta0), state_reset)
+    directory = tmp_path_factory.mktemp("replay")
+    log, state0 = str(directory / "trades.jsonl"), str(directory / "state0.json")
+    lines = [header, *priced(family, theta0, state_reset, lines)]
+    with open(log, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+    write_json(state0, {"family": family, "theta": theta0})
+    code, out, err = run_main(["replay", f"--log={log}", f"--state0={state0}"])
+    assert_documented_exit(code, out, err)
+    if code == 0:
+        Market.from_state_dict(json.loads(out))

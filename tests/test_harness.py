@@ -8,13 +8,17 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILY_IDS, TRADER_KEY_VALUES, TRADER_KEYS, random_natural, subprocess_env
+from conftest import (ALL_FAMILY_IDS, REVENUE_OVERFLOW_CONFIG, REVENUE_OVERFLOW_ERROR, REVENUE_OVERFLOW_LOG,
+                      TRADER_KEY_VALUES, TRADER_KEYS, random_natural, subprocess_env)
+from reference_engine import hexed, reference_run
+from test_writers import CASES
 
 from expfam_markets import (
     ConfigError,
@@ -32,7 +36,7 @@ from expfam_markets import (
 )
 from expfam_markets import families, harness, market, traders
 from expfam_markets.families import Categorical, ExpFamily
-from expfam_markets.harness import parse_belief_theta
+from expfam_markets.harness import TradeEvent, parse_belief_theta
 from expfam_markets.market import log_header
 
 
@@ -591,14 +595,14 @@ class TestTrustedEngine:
     def test_a_bayesian_trader_moves_anew_in_every_state_reset_round(self):
         # by trades second, so each round it meets the one post-trade state that rn's repeated move reaches.
         # Its posterior weighs n_trades, which grows, so its move still changes round by round, while rn's
-        # events share one delta array.
+        # events hold one delta's bytes.
         raw = {**self.all_models_config(6, True), "sequence": ["rn", "by"]}
         raw["traders"] = [tr for tr in raw["traders"] if tr["id"] in raw["sequence"]]
         report = run_simulation(SimConfig.from_dict(raw))
         assert report.valid
-        rn = [ev.delta for ev in report.events if ev.trader_id == "rn"]
+        rn = [ev.delta.tobytes() for ev in report.events if ev.trader_id == "rn"]
         by = [ev.delta.tobytes() for ev in report.events if ev.trader_id == "by"]
-        assert len(rn) == 6 and all(delta is rn[0] for delta in rn)
+        assert len(rn) == 6 and len(set(rn)) == 1
         assert len(by) == 6 and len(set(by)) == 6
 
     @pytest.mark.parametrize("model", ["risk-neutral", "budget-limited"])
@@ -782,6 +786,24 @@ class TestTradeLog:
         state0 = Market(config.family, config.theta0, config.inv_liquidity).state_dict()
         assert replay(records, state0).state_dict() == {**state0, "theta": agg["final_theta"],
                                                          "n_trades": agg["n_trades"], "revenue": agg["revenue"]}
+
+    @pytest.mark.parametrize("arrival", ["fixed-sequence", "round-robin"])
+    def test_a_round_whose_revenue_leaves_the_float_range_aborts(self, tmp_path, arrival):
+        # Fixed sequence: a and b trade in round 1, and b's cost takes the revenue to inf.  Round robin: a's
+        # round 1 settles, then b's trade in round 2 does it.  The round is refused in execute's words.
+        log = tmp_path / "trades.jsonl"
+        raw = {**REVENUE_OVERFLOW_CONFIG, "rounds": 3}
+        if arrival == "round-robin":  # the default arrival, which reads no sequence
+            del raw["arrival"], raw["sequence"]
+        config = SimConfig.from_dict(raw)
+        report = run_simulation(config, trade_log_path=str(log))
+        settled = 0 if arrival == "fixed-sequence" else 1
+        assert not report.valid and report.error == f"round {settled + 1}: {REVENUE_OVERFLOW_ERROR}"
+        assert [(ev.round, ev.trader_id) for ev in report.events] == [(1, "a")] * settled
+        assert report.aggregates["revenue"] == 1.7e308 * settled and report.aggregates["n_trades"] == settled
+        assert hexed(report) == reference_run(config)
+        assert log.read_text().splitlines(keepends=True)[:1] == [header_line(config)]
+        assert len(read_trade_log(str(log))) == settled
 
     def test_log_that_cannot_be_opened_is_left_alone(self, tmp_path, monkeypatch):
         log = tmp_path / "trades.jsonl"
@@ -1018,6 +1040,13 @@ class TestReplay:
             replay(TradeLog([good, bad], log_header(start)), start.state_dict())
         assert err.value.line_number == 3
 
+    def test_record_that_takes_the_revenue_past_the_float_range_is_unexecutable(self, tmp_path):
+        header, *records = REVENUE_OVERFLOW_LOG
+        state0 = Market(family_from_id("categorical:2"), header["theta0"]).state_dict()
+        with pytest.raises(CorruptLogError) as err:
+            replay(read_trade_log(self.write_log(tmp_path / "trades.jsonl", [header, *records])), state0)
+        assert str(err.value) == f"trade log line 3: recorded trade is not executable: {REVENUE_OVERFLOW_ERROR}"
+
     @pytest.mark.parametrize("delta", [[0.5, 0.5], [0.5] * 4])
     def test_delta_of_the_wrong_length_is_unexecutable(self, delta):
         record = TradeRecord(1, "a", array("d", delta), 0.1)
@@ -1026,6 +1055,83 @@ class TestReplay:
             replay(TradeLog([record], log_header(start)), start.state_dict())
         assert str(err.value) == ("trade log line 2: recorded trade is not executable: "
                                   f"delta must be a vector of length 3, got length {len(delta)}")
+
+
+def assert_reads_as_its_list(events) -> None:
+    """``events`` answers ``len``, indexing, slices, iteration and ``==`` as ``list(events)`` does.
+
+    Events are compared by ``repr`` (which shows a ``delta``'s type), as two reads of a NaN field are unequal.
+    """
+    listed = list(events)
+    reprs = [repr(ev) for ev in listed]
+    n = len(listed)
+    assert len(events) == n and bool(events) == bool(listed) and all(type(ev) is TradeEvent for ev in listed)
+    assert [repr(ev) for ev in events] == reprs
+    assert [repr(events[i]) for i in range(n)] == reprs == [repr(events[i]) for i in range(-n, 0)]
+    for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2), slice(1, 3), slice(n, None)):
+        assert type(events[cut]) is list and [repr(ev) for ev in events[cut]] == reprs[cut]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            events[i]
+    if "nan" not in "".join(reprs):  # a NaN field, read twice, is two floats that compare unequal
+        assert events == listed
+    assert (events == listed[:-1]) is (events == []) is (n == 0)
+
+
+def traced_bytes_per_event(config: SimConfig) -> float:
+    """The memory a finished run of ``config`` holds, per event, as ``tracemalloc`` counts it."""
+    run_simulation(SimConfig.from_dict({**base_config(), "rounds": 1}))  # imports and caches load outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run_simulation(config)
+        return (tracemalloc.get_traced_memory()[0] - before) / len(report.events)
+    finally:
+        tracemalloc.stop()
+
+
+class TestEventTable:
+    # A report keeps its events in columns and builds each TradeEvent when it is read.
+    @pytest.mark.parametrize("config", [
+        base_config(rounds=8),
+        TestTrustedEngine.all_models_config(12, True),
+        base_config(family="vmf3", theta0=[0.0, 0.0, 0.0], true_theta=[0.5, 1.0, -2.0], rounds=6, traders=[
+            {"id": "a", "model": "risk-neutral", "belief": {"mean": [0.2, 0.3, -0.5]}},
+            {"id": "b", "model": "budget-limited", "budget": 0.3, "belief": {"mean": [0.1, 0.4, -0.6]}}]),
+        aborts_before_a_trade(),
+    ], ids=["categorical", "state-reset", "vmf3", "no-round"])
+    def test_a_run_reads_as_a_list_of_events(self, config):
+        report = run_simulation(SimConfig.from_dict(config))
+        assert_reads_as_its_list(report.events)
+        assert report.valid == bool(report.events)
+        assert [ev.round for ev in report.events] == list(report.events.round)
+        if report.events:  # every read builds anew
+            assert report.events[0].delta is not report.events[0].delta
+            assert type(report.events[-1].delta) is array
+            assert len(report.events[-1].delta) == family_from_id(config["family"]).dim
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_a_hand_built_report_reads_as_a_list_of_events(self, name):
+        assert_reads_as_its_list(CASES[name].events)
+
+    def test_a_hand_built_report_keeps_its_values(self):
+        # Lists and None stay as given; arrays of one length and exact floats are packed, and read back equal.
+        given = [TradeEvent(1, "a", [0.5, -0.5], 0.1, 2, None, 0.25, 0.05, {"a": None}),
+                 TradeEvent(2, "b", array("d", [1.0]), 3, array("d", [0.6, 0.0, 0.8]), 0.5, 0.25, -0.0, {"b": 1.0})]
+        events = SimReport("categorical:2", 1, 2, 1.0, "round-robin", False, True, None, given, {}).events
+        assert list(events) == given and events == given
+        assert events.delta == [[0.5, -0.5], array("d", [1.0])] and events.cost == [0.1, 3]
+        assert type(events.myopic_impact) is array and events.log_loss_before == [None, 0.5]
+        packed = [TradeEvent(r, "a", array("d", [r, -r]), 0.1, 1, 0.5, 0.25, 0.05, {}) for r in (1, 2)]
+        events = SimReport("categorical:2", 1, 2, 1.0, "round-robin", False, True, None, packed, {}).events
+        assert events.dim == 2 and events.delta == array("d", [1.0, -1.0, 2.0, -2.0]) and events == packed
+
+    def test_a_run_holds_at_most_200_bytes_per_event(self):
+        # 2,000 rounds of three categorical:3 trades: each event's fields are packed into columns, and a round's
+        # events share its outcome and its one budget snapshot.  A TradeEvent object kept per trade takes ~377.
+        raw = {**TestTrustedEngine.all_models_config(2000, False), "sequence": ["eu", "bl", "by"]}
+        raw["traders"] = [tr for tr in raw["traders"] if tr["id"] in raw["sequence"]]
+        assert traced_bytes_per_event(SimConfig.from_dict(raw)) <= 200
 
 
 class TestEmitReport:
