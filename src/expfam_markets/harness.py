@@ -42,19 +42,22 @@ The config holds only the initial budgets; a run writes nothing of it.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from itertools import chain, cycle, repeat
+from functools import partial
+from itertools import chain, cycle, groupby, repeat
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .errors import ConfigError, CorruptLogError, DomainError
 from .families import ExpFamily, as_params, family_from_id
-from .market import (Market, TradeLog, _check_keys, _integer, _json, _number, _numbers, _record_json, check_header,
-                     log_header, replace_file)
+from .market import (_JSON_WORDS, Market, TradeLog, _check_keys, _integer, _json, _number, _numbers, _record_json,
+                     check_header, log_header, replace_file)
 from .scoring import moments_from_mean_variance
 from .traders import TraderProfile, _bayesian_move, _budget_limited_move, _exp_utility_move, _unconstrained_move
 # The engine calls the moves; the public rules stay harness attributes, where the benchmark's tracer patches them.
@@ -315,15 +318,11 @@ class EventTable:
         self.myopic_impact.append(myopic_impact)
         self.trader_budgets.append(trader_budgets)
 
-    def columns(self) -> tuple:
-        """The columns in ``TradeEvent``'s field order, ``delta`` as an iterator of one tuple per event."""
-        dim, delta = self.dim, self.delta
-        return (self.round, self.trader_id, zip(*[iter(delta)] * dim) if dim else delta, self.cost, self.outcome,
-                self.log_loss_before, self.log_loss_after, self.myopic_impact, self.trader_budgets)
-
     def rows(self):
         """Each event's values as one tuple in ``TradeEvent``'s field order, ``delta`` a tuple; builds no event."""
-        return zip(*self.columns())
+        dim, delta = self.dim, self.delta
+        return zip(self.round, self.trader_id, zip(*[iter(delta)] * dim) if dim else delta, self.cost, self.outcome,
+                   self.log_loss_before, self.log_loss_after, self.myopic_impact, self.trader_budgets)
 
     def __len__(self) -> int:
         return len(self.trader_id)
@@ -376,31 +375,103 @@ class SimReport:
 
 
 _EVENTS_KEY = '\n  "events": []'  # a newline and two spaces: only a top-level key can match
+_CHUNK = 256  # the events a writer renders at a time, which bounds the text it holds
 _ITEM = ",\n        "  # between the items of an event's delta, vector outcome or trader_budgets
-_EVENT_JSON = ('\n    {\n      "cost": %s,\n      "delta": [\n        %s\n      ],\n      "log_loss_after": %s,'
+_VECTOR = "[\n        %s\n      ]"  # a nonempty delta or vector outcome at an event's indent
+_EVENT_JSON = ('\n    {\n      "cost": %s,\n      "delta": %s,\n      "log_loss_after": %s,'
                '\n      "log_loss_before": %s,\n      "myopic_impact": %s,\n      "outcome": %s,\n      "round": %d,'
-               '\n      "trader_budgets": {\n        %s\n      },\n      "trader_id": %s\n    }')
+               '\n      "trader_budgets": %s,\n      "trader_id": %s\n    }')
+_CSV_WORDS = {"None": ""}  # csv.writer writes None as an empty cell, and a float or int as its repr
+_CSV_ROW = "%s,%s,%s,%s,%s,%s,%s,%s,%s\r\n"
+
+
+def _texts(values, words: dict):
+    """Each value's repr, or the word ``words`` has for that repr, in C: no Python call per value."""
+    texts = list(map(repr, values))
+    return map(words.get, texts, texts)
+
+
+def _vector_json(values) -> str:
+    """A vector as the report's encoder writes it at an event's indent: ``[]`` when it is empty."""
+    return _VECTOR % _ITEM.join(_texts(values, _JSON_WORDS)) if len(values) else "[]"
+
+
+def _value_json(value) -> str:
+    """An outcome, a number or (vmf3) an ``array``, as the report's encoder writes it."""
+    return _vector_json(value) if isinstance(value, array) else _json(value)
+
+
+def _budgets_json(snapshots: list) -> list[str]:
+    """``trader_budgets`` snapshots as the report's encoder writes them: keys sorted, ``{}`` when empty.
+
+    Each run of snapshots with one key order, as all of a run's are, fills one template, and each key's
+    values are rendered by one ``map``.
+    """
+    cells = []
+    for keys, same in groupby(snapshots, tuple):
+        same, keys = list(same), sorted(keys)
+        entries = _ITEM.join([encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys])
+        values = [_texts(map(itemgetter(k), same), _JSON_WORDS) for k in keys]
+        cells += map(("{\n        %s\n      }" % entries).__mod__, zip(*values)) if keys else ["{}"] * len(same)
+    return cells
+
+
+def _value_csv(value) -> str:
+    """An outcome as a CSV cell: its repr, or each entry's ``;``-joined for a vector."""
+    return ";".join(map(repr, value)) if isinstance(value, array) else repr(value)
+
+
+def _csv_cell(text: str) -> str:
+    """A text cell as ``csv.writer`` quotes it inside a row."""
+    out = io.StringIO()
+    csv.writer(out).writerow((text, ""))
+    return out.getvalue()[:-3]  # without the empty last cell's comma and the row's "\r\n"
+
+
+def _once(render, values: list, known: dict):
+    """The text of each of ``values``, each distinct object rendered once; returns the texts and the new ``known``.
+
+    ``render`` takes the list of objects not in ``known`` and returns their texts.  ``known`` maps ``id`` to
+    text for the objects of the last chunk, still held by its table, so a round's shared outcome and
+    snapshot are rendered once even when the round straddles two chunks.
+    """
+    objects = dict(zip(map(id, values), values))
+    fresh = [value for key, value in objects.items() if key not in known]
+    texts = dict(zip(map(id, fresh), render(fresh)))
+    known = {key: known[key] if key in known else texts[key] for key in objects}
+    return map(known.__getitem__, map(id, values)), known
+
+
+def _chunks(events: EventTable):
+    """The columns in ``TradeEvent``'s field order, ``_CHUNK`` events at a time; ``delta`` is flat if ``dim``."""
+    dim = events.dim
+    for i in range(0, len(events), _CHUNK):
+        j = i + _CHUNK
+        yield (events.round[i:j], events.trader_id[i:j], events.delta[i * dim:j * dim] if dim else events.delta[i:j],
+               events.cost[i:j], events.outcome[i:j], events.log_loss_before[i:j], events.log_loss_after[i:j],
+               events.myopic_impact[i:j], events.trader_budgets[i:j])
 
 
 def _report_chunks(report: SimReport):
     """The report's JSON in pieces: the stdlib encoder writes all but the events, spliced in by one template.
 
-    The last piece ends with the file's newline.  A round's shared ``trader_budgets`` is rendered once;
-    ``delta``, a vector outcome (an ``array``, as vmf3 draws) and ``trader_budgets`` are never empty.
+    Each piece is a chunk of at most ``_CHUNK`` events, each of its float columns rendered by one ``map``
+    and its rows by one more; the last piece ends with the file's newline.  Each distinct outcome and
+    budget snapshot is rendered once (``_once``).
     """
     head, _, tail = _REPORT_ENCODER.encode({**vars(report), "events": []}).partition(_EVENTS_KEY)
     yield head + '\n  "events": ['
-    budgets = budgets_json = None
+    dim, outcomes, budgets = report.events.dim, {}, {}
     for i, (round_index, trader_id, delta, cost, outcome, before, after, impact, snapshot) in enumerate(
-            report.events.rows()):
-        if snapshot is not budgets:
-            budgets = snapshot
-            budgets_json = _ITEM.join([f"{encode_basestring_ascii(k)}: {_json(v)}" for k, v in sorted(budgets.items())])
-        yield ("," if i else "") + _EVENT_JSON % (
-            _json(cost), _ITEM.join(map(_json, delta)), _json(after), _json(before),
-            _json(impact),  # a vector outcome is a list at delta's indent
-            ("[\n        %s\n      ]" % _ITEM.join(map(_json, outcome)) if isinstance(outcome, array)
-             else _json(outcome)), round_index, budgets_json, encode_basestring_ascii(trader_id))
+            _chunks(report.events)):
+        deltas = (map(_VECTOR.__mod__, map(_ITEM.join, zip(*[_texts(delta, _JSON_WORDS)] * dim))) if dim
+                  else map(_vector_json, delta))
+        outcome_cells, outcomes = _once(partial(map, _value_json), outcome, outcomes)
+        budget_cells, budgets = _once(_budgets_json, snapshot, budgets)
+        yield ("," if i else "") + ",".join(map(_EVENT_JSON.__mod__, zip(
+            _texts(cost, _JSON_WORDS), deltas, _texts(after, _JSON_WORDS), _texts(before, _JSON_WORDS),
+            _texts(impact, _JSON_WORDS), outcome_cells, round_index, budget_cells,
+            map(encode_basestring_ascii, trader_id))))
     yield ("\n  ]" if report.events else "]") + tail + "\n"  # an empty list is "[]", as the encoder writes it
 
 
@@ -622,18 +693,23 @@ def replay(records: TradeLog, state0: dict) -> Market:
     return market
 
 
-def _csv_rows(report: SimReport):
-    """The CSV report's rows, its header first, zipped from the event columns.
+def _csv_chunks(report: SimReport):
+    """The CSV report in pieces: its header row, then at most ``_CHUNK`` rows at a time, in ``csv.writer``'s bytes.
 
-    ``csv.writer`` renders a float as ``float.__repr__``, an int as its digits and None as an empty cell.  A
-    vector cell (``delta``, a vmf3 outcome) is its entries' ``repr`` joined by ``;``.
+    A float or int cell is its repr and None an empty cell, each column of a chunk rendered by one ``map``; a
+    vector cell (``delta``, a vmf3 outcome) is its entries' ``repr`` joined by ``;``.  Only a trader id can
+    need quoting, and each distinct one goes through ``csv.writer`` once.
     """
-    round_index, trader_id, deltas, cost, outcome, before, after, impact, budgets = report.events.columns()
-    delta_cells = map(";".join, map(map, repeat(repr), deltas))
-    outcome_cells = (";".join(map(repr, x)) if isinstance(x, array) else x for x in outcome)
-    own_budgets = map(dict.get, budgets, trader_id)
-    return chain([CSV_COLUMNS], zip(round_index, trader_id, delta_cells, cost, outcome_cells, before, after, impact,
-                                    own_budgets))
+    yield ",".join(CSV_COLUMNS) + "\r\n"
+    dim, outcomes, ids = report.events.dim, {}, {}
+    for round_index, trader_id, delta, cost, outcome, before, after, impact, budgets in _chunks(report.events):
+        deltas = map(";".join, zip(*[map(repr, delta)] * dim) if dim else map(map, repeat(repr), delta))
+        outcome_cells, outcomes = _once(partial(map, _value_csv), outcome, outcomes)
+        ids.update((tid, _csv_cell(tid)) for tid in set(trader_id) - ids.keys())
+        yield "".join(map(_CSV_ROW.__mod__, zip(
+            round_index, map(ids.__getitem__, trader_id), deltas, _texts(cost, _CSV_WORDS), outcome_cells,
+            _texts(before, _CSV_WORDS), _texts(after, _CSV_WORDS), _texts(impact, _CSV_WORDS),
+            _texts(map(dict.get, budgets, trader_id), _CSV_WORDS))))
 
 
 def emit_report(report: SimReport, fmt: str, path: str) -> None:
@@ -647,6 +723,6 @@ def emit_report(report: SimReport, fmt: str, path: str) -> None:
     if fmt == "json":
         replace_file(path, lambda fh: fh.writelines(_report_chunks(report)))  # streamed, never held whole
     elif fmt == "csv":
-        replace_file(path, lambda fh: csv.writer(fh).writerows(_csv_rows(report)), newline="")
+        replace_file(path, lambda fh: fh.writelines(_csv_chunks(report)), newline="")
     else:
         raise ConfigError(f"unknown report format {fmt!r}; use 'json' or 'csv'")

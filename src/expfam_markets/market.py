@@ -45,6 +45,7 @@ import math
 import os
 import sys
 from array import array
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, CorruptLogError, DomainError
@@ -93,7 +94,7 @@ _JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "nu
 LOG_FORMAT = 2
 _HEADER_KEYS = frozenset(("family", "format", "inv_liquidity", "state_reset", "theta0"))
 _RECORD_KEYS = frozenset(("cost", "delta", "round", "trader_id"))
-_RECORD_JSON = '{"cost": %s, "delta": [%s], "round": %d, "trader_id": %s}'
+_RECORD_JSON = '{"cost": %s, "delta": [%s], "round": %s, "trader_id": %s}'
 _scan_once = json.JSONDecoder().scan_once  # json.loads's scanner, without its whitespace and extra-data checks
 
 
@@ -103,12 +104,23 @@ def _json(value) -> str:
     return _JSON_WORDS.get(text, text)
 
 
+@cache
+def _record_template(dim: int) -> str:
+    """``_RECORD_JSON`` with a ``%r`` for the cost and for each of ``dim`` delta entries."""
+    return _RECORD_JSON % ("%r", ", ".join(["%r"] * dim), "%d", "%s")
+
+
 def _record_json(round: int, trader_id: str, delta, cost: float) -> str:
     """A record's fields as one trade-log line, without its newline: ``json.dumps(record.to_dict(), sort_keys=True)``.
 
-    The engine writes the trades it settles through it, with no record built.
+    The engine writes the trades it settles through it, with no record built.  A float cost and an ``array``
+    delta whose sum is finite, as every engine and ``trade`` record is, fill their dimension's template by
+    ``%r``: a finite float's repr is its JSON.  Any other record goes through ``_json`` value by value.
     """
-    return _RECORD_JSON % (_json(cost), ", ".join(map(_json, delta)), round, encode_basestring_ascii(trader_id))
+    trader_id = encode_basestring_ascii(trader_id)
+    if type(cost) is float and type(delta) is array and math.isfinite(sum(delta, cost)):
+        return _record_template(len(delta)) % (cost, *delta, round, trader_id)
+    return _RECORD_JSON % (_json(cost), ", ".join(map(_json, delta)), round, trader_id)
 
 
 class TradeRecord:

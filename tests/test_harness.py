@@ -433,22 +433,30 @@ class TestAccounting:
             -family.log_density(natural, report.events[-1].outcome) / lam, abs=1e-12)
 
 
+# Per family: a fresh market's theta0 (also the true theta) and four raw sample means for Bayesian traders.
+BAYESIAN_SAMPLES = {
+    "categorical:3": ([0.0, 0.0, 0.0], [[0.6, 0.3, 0.1], [0.2, 0.2, 0.6], [0.1, 0.5, 0.4], [0.3, 0.3, 0.4]]),
+    "exponential-rate": ([-1.0], [[2.0], [0.5], [3.0], [1.25]]),
+    "gaussian-moments": ([0.0, -0.5], [[0.5, 1.25], [-1.0, 3.0], [2.0, 4.5], [0.25, 0.5]]),
+    "weibull-moment:2": ([-1.0], [[1.5], [0.25], [4.0], [2.0]]),
+    "vmf3": ([0.0, 0.0, 0.0], [[0.5, 0.1, -0.2], [-0.3, 0.6, 0.1], [0.1, -0.1, 0.8], [0.2, 0.2, 0.2]]),
+}
+
+
 class TestBayesianAggregation:
-    def test_sequential_traders_average_their_samples(self):
-        sample_means = [[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.5, 0.5]]
-        traders = [
-            {"id": f"b{j}", "model": "bayesian", "sample": {"mean": {"probs": m}, "size": 2}}
-            for j, m in enumerate(sample_means)
-        ]
-        cfg = base_config(rounds=1, arrival="fixed-sequence",
-                          sequence=[t["id"] for t in traders], traders=traders)
-        report = run_simulation(SimConfig.from_dict(cfg))
-        fam = family_from_id("categorical:2")
-        # independent recursion: prices_{t+1} = (t*prices_t + sample_t)/(t+1)
-        prices = np.asarray(fam.mean_from_natural(np.array([0.0, 0.0])))
-        for t, m in enumerate(sample_means):
-            prices = (t * prices + np.asarray(m)) / (t + 1)
-        np.testing.assert_allclose(report.aggregates["final_prices"], prices, atol=1e-12)
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("family_id", ALL_FAMILY_IDS)
+    def test_sequential_traders_average_their_samples(self, family_id, lam):
+        # Trader t meets n_trades = t and weighs the prices as t samples of its own size m against its m: the size
+        # cancels, whatever it is, so the prices after the last trade are the plain mean of the sample means.
+        theta0, sample_means = BAYESIAN_SAMPLES[family_id]
+        traders = [{"id": f"b{j}", "model": "bayesian", "sample": {"mean": m, "size": size}}
+                   for j, (m, size) in enumerate(zip(sample_means, [1.0, 2.5, 7.0, 0.5]))]
+        report = run_simulation(SimConfig.from_dict(base_config(
+            family=family_id, theta0=theta0, true_theta=theta0, inv_liquidity=lam, rounds=1,
+            arrival="fixed-sequence", sequence=[t["id"] for t in traders], traders=traders)))
+        assert report.valid and report.aggregates["n_trades"] == 4
+        np.testing.assert_allclose(report.aggregates["final_prices"], np.mean(sample_means, axis=0), rtol=1e-12)
 
     def test_first_bayesian_with_degenerate_sample_aborts_flagged(self):
         cfg = base_config(rounds=2, traders=[
