@@ -284,12 +284,18 @@ class EventTable:
     list of them; so do deltas that are not ``array('d')`` of one length, and ``dim`` is then 0.  It supports
     ``len``, indexing and slices (which give lists), iteration and ``==`` against a list of events, as that
     list would.
+
+    A table keeps the texts its first writer rendered, so that the next writer of the report renders nothing
+    again: ``_rendered`` maps a chunk's start to its stop and the ``repr``s of its ``cost``, ``delta`` (if
+    ``dim``), log-loss and ``myopic_impact`` values, one newline-joined ``str`` per column (see ``_chunks``).
+    Columns are only appended to, never edited in place: a chunk whose stop moved (an ``append`` after a write)
+    is rendered again, and no other change is seen.
     """
 
-    __slots__ = (*TradeEvent.__slots__, "dim")
+    __slots__ = (*TradeEvent.__slots__, "dim", "_rendered")
 
     def __init__(self, dim: int):
-        self.round, self.trader_id, self.delta, self.dim = array("q"), [], array("d"), dim
+        self.round, self.trader_id, self.delta, self.dim, self._rendered = array("q"), [], array("d"), dim, {}
         self.cost, self.outcome, self.trader_budgets = array("d"), [], []
         self.log_loss_before, self.log_loss_after, self.myopic_impact = array("d"), array("d"), array("d")
 
@@ -385,10 +391,14 @@ _CSV_WORDS = {"None": ""}  # csv.writer writes None as an empty cell, and a floa
 _CSV_ROW = "%s,%s,%s,%s,%s,%s,%s,%s,%s\r\n"
 
 
-def _texts(values, words: dict):
-    """Each value's repr, or the word ``words`` has for that repr, in C: no Python call per value."""
-    texts = list(map(repr, values))
+def _words(texts: list, words: dict):
+    """Each repr in ``texts``, or the word ``words`` has for it, in C: no Python call per value."""
     return map(words.get, texts, texts)
+
+
+def _texts(values, words: dict):
+    """Each value's repr, or the word ``words`` has for that repr (``_words``)."""
+    return _words(list(map(repr, values)), words)
 
 
 def _vector_json(values) -> str:
@@ -443,34 +453,46 @@ def _once(render, values: list, known: dict):
 
 
 def _chunks(events: EventTable):
-    """The columns in ``TradeEvent``'s field order, ``_CHUNK`` events at a time; ``delta`` is flat if ``dim``."""
-    dim = events.dim
+    """The columns in ``TradeEvent``'s field order, ``_CHUNK`` events at a time, each chunk's ``cost``, ``delta``
+    (flat) if ``dim``, log losses and ``myopic_impact`` as lists of their ``repr``s, else sliced.
+
+    Those texts are rendered by one ``map`` per column the first time a chunk is written, and kept in
+    ``events._rendered`` with the chunk's stop; a later writer splits them again, unless the stop moved.
+    """
+    dim, rendered = events.dim, events._rendered
     for i in range(0, len(events), _CHUNK):
-        j = i + _CHUNK
-        yield (events.round[i:j], events.trader_id[i:j], events.delta[i * dim:j * dim] if dim else events.delta[i:j],
-               events.cost[i:j], events.outcome[i:j], events.log_loss_before[i:j], events.log_loss_after[i:j],
-               events.myopic_impact[i:j], events.trader_budgets[i:j])
+        j = min(i + _CHUNK, len(events))
+        kept = rendered.get(i)
+        if kept is not None and kept[0] == j:
+            cost, delta, before, after, impact = [text.split("\n") for text in kept[1:]]
+        else:
+            cost, delta, before, after, impact = texts = [list(map(repr, column)) for column in (
+                events.cost[i:j], events.delta[i * dim:j * dim], events.log_loss_before[i:j],
+                events.log_loss_after[i:j], events.myopic_impact[i:j])]
+            rendered[i] = (j, *map("\n".join, texts))
+        yield (events.round[i:j], events.trader_id[i:j], delta if dim else events.delta[i:j], cost,
+               events.outcome[i:j], before, after, impact, events.trader_budgets[i:j])
 
 
 def _report_chunks(report: SimReport):
     """The report's JSON in pieces: the stdlib encoder writes all but the events, spliced in by one template.
 
-    Each piece is a chunk of at most ``_CHUNK`` events, each of its float columns rendered by one ``map``
-    and its rows by one more; the last piece ends with the file's newline.  Each distinct outcome and
-    budget snapshot is rendered once (``_once``).
+    Each piece is a chunk of at most ``_CHUNK`` events, its float columns the reprs ``_chunks`` keeps, under
+    json's words, and its rows rendered by one ``map``; the last piece ends with the file's newline.  Each
+    distinct outcome and budget snapshot is rendered once (``_once``).
     """
     head, _, tail = _REPORT_ENCODER.encode({**vars(report), "events": []}).partition(_EVENTS_KEY)
     yield head + '\n  "events": ['
     dim, outcomes, budgets = report.events.dim, {}, {}
     for i, (round_index, trader_id, delta, cost, outcome, before, after, impact, snapshot) in enumerate(
             _chunks(report.events)):
-        deltas = (map(_VECTOR.__mod__, map(_ITEM.join, zip(*[_texts(delta, _JSON_WORDS)] * dim))) if dim
+        deltas = (map(_VECTOR.__mod__, map(_ITEM.join, zip(*[_words(delta, _JSON_WORDS)] * dim))) if dim
                   else map(_vector_json, delta))
         outcome_cells, outcomes = _once(partial(map, _value_json), outcome, outcomes)
         budget_cells, budgets = _once(_budgets_json, snapshot, budgets)
         yield ("," if i else "") + ",".join(map(_EVENT_JSON.__mod__, zip(
-            _texts(cost, _JSON_WORDS), deltas, _texts(after, _JSON_WORDS), _texts(before, _JSON_WORDS),
-            _texts(impact, _JSON_WORDS), outcome_cells, round_index, budget_cells,
+            _words(cost, _JSON_WORDS), deltas, _words(after, _JSON_WORDS), _words(before, _JSON_WORDS),
+            _words(impact, _JSON_WORDS), outcome_cells, round_index, budget_cells,
             map(encode_basestring_ascii, trader_id))))
     yield ("\n  ]" if report.events else "]") + tail + "\n"  # an empty list is "[]", as the encoder writes it
 
@@ -696,19 +718,20 @@ def replay(records: TradeLog, state0: dict) -> Market:
 def _csv_chunks(report: SimReport):
     """The CSV report in pieces: its header row, then at most ``_CHUNK`` rows at a time, in ``csv.writer``'s bytes.
 
-    A float or int cell is its repr and None an empty cell, each column of a chunk rendered by one ``map``; a
-    vector cell (``delta``, a vmf3 outcome) is its entries' ``repr`` joined by ``;``.  Only a trader id can
-    need quoting, and each distinct one goes through ``csv.writer`` once.
+    A float or int cell is its repr and None an empty cell, each column of a chunk the reprs ``_chunks`` keeps
+    or, for the budgets, rendered by one ``map``; a vector cell (``delta``, a vmf3 outcome) is its entries'
+    ``repr`` joined by ``;``.  Only a trader id can need quoting, and each distinct one goes through
+    ``csv.writer`` once.
     """
     yield ",".join(CSV_COLUMNS) + "\r\n"
     dim, outcomes, ids = report.events.dim, {}, {}
     for round_index, trader_id, delta, cost, outcome, before, after, impact, budgets in _chunks(report.events):
-        deltas = map(";".join, zip(*[map(repr, delta)] * dim) if dim else map(map, repeat(repr), delta))
+        deltas = map(";".join, zip(*[iter(delta)] * dim) if dim else map(map, repeat(repr), delta))
         outcome_cells, outcomes = _once(partial(map, _value_csv), outcome, outcomes)
         ids.update((tid, _csv_cell(tid)) for tid in set(trader_id) - ids.keys())
         yield "".join(map(_CSV_ROW.__mod__, zip(
-            round_index, map(ids.__getitem__, trader_id), deltas, _texts(cost, _CSV_WORDS), outcome_cells,
-            _texts(before, _CSV_WORDS), _texts(after, _CSV_WORDS), _texts(impact, _CSV_WORDS),
+            round_index, map(ids.__getitem__, trader_id), deltas, _words(cost, _CSV_WORDS), outcome_cells,
+            _words(before, _CSV_WORDS), _words(after, _CSV_WORDS), _words(impact, _CSV_WORDS),
             _texts(map(dict.get, budgets, trader_id), _CSV_WORDS))))
 
 
@@ -719,6 +742,11 @@ def emit_report(report: SimReport, fmt: str, path: str) -> None:
     log_loss_after, myopic_impact, budget_after``.  Vector cells (``delta``
     and a vmf3 outcome) are semicolon-joined; an unlimited budget is an
     empty cell.  A zero-round simulation yields a header-only file.
+
+    The first write of a report renders each of its events' float values
+    once and keeps the texts in ``report.events`` (about 140 bytes per
+    ``categorical:3`` event) while the report lives, so a second write, in
+    either format, renders them no more.
     """
     if fmt == "json":
         replace_file(path, lambda fh: fh.writelines(_report_chunks(report)))  # streamed, never held whole

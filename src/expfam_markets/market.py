@@ -301,12 +301,16 @@ class Market:
     def execute(self, delta, trader_id: str = "") -> TradeRecord:
         """Buy ``delta``, updating shares, ``C(theta)``, counter and revenue.
 
-        The state is untouched when the quote fails, and when the revenue
-        would leave the float range (DomainError).  The record's round is the
-        pre-trade trade count.
+        The state is untouched when the quote fails, when a nonzero ``delta``
+        is lost to rounding entirely (the target equals ``theta``, so the
+        shares would cost 0 and the maker would not hold them), and when the
+        revenue would leave the float range (DomainError).  The record's round
+        is the pre-trade trade count.
         """
         delta = as_params(delta, self.family.dim, "delta")
         quote = self._quote(delta)
+        if quote[2] == self.theta and any(delta):
+            raise DomainError(f"delta {delta.tolist()} does not move the share vector {self.theta.tolist()}")
         self._check_revenue(quote[1])  # _buy adds it unchecked
         return TradeRecord(self.n_trades, trader_id, delta, self._buy(quote))
 

@@ -4,7 +4,9 @@ Each round trades on a fresh ``Market(family, theta, lam, n_trades, revenue)``: 
 ``state_reset``, else at the settled state, with the settled trade count and revenue.  A round that
 raises DomainError is dropped by keeping the settled market.  Traders decide through the three public
 trade rules, the budget-limited one through a profile copy that carries its running budget.  Trades
-run through ``Market.execute`` and outcomes come from ``ExpFamily.sample``; a log loss is
+run through ``Market.execute``, except a nonzero delta that rounds away in ``theta + delta``: ``execute``
+refuses it, but the engine still buys it at its quoted cost of 0.0 and leaves the state as it is, so here
+it is a fresh market at that state, one trade later.  Outcomes come from ``ExpFamily.sample``; a log loss is
 ``Market.log_loss`` on a fresh market at the state and a payoff is ``_dot`` with ``statistic``.  None of the engine's fast paths (the
 movers and their memo of each move with its quote, ``_buy``, ``_restore``, the pairing kernels) runs
 here, so ``hexed`` of the two runs must agree bit for bit.
@@ -17,8 +19,8 @@ from array import array
 
 import numpy as np
 
-from expfam_markets import (DomainError, Market, SimConfig, SimReport, bayesian_market_trade, budget_limited_trade,
-                            exp_utility_trade)
+from expfam_markets import (DomainError, Market, SimConfig, SimReport, TradeRecord, bayesian_market_trade,
+                            budget_limited_trade, exp_utility_trade)
 from expfam_markets.families import _dot
 
 
@@ -71,7 +73,11 @@ def reference_run(config: SimConfig) -> dict:
                     delta = budget_limited_trade(trial, running[tid])
                 else:
                     delta = exp_utility_trade(trial, trader)
-                records.append(trial.execute(delta, tid))
+                if any(delta) and all(t + d == t for t, d in zip(trial.theta, delta)):
+                    records.append(TradeRecord(trial.n_trades, tid, array("d", delta), trial.quote(delta)))
+                    trial = Market(family, trial.theta, lam, trial.n_trades + 1, trial.revenue + records[-1].cost)
+                else:
+                    records.append(trial.execute(delta, tid))
                 states.append(trial.theta)
             outcome = family.sample(config.true_theta, rng)
         except DomainError as exc:

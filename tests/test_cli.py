@@ -456,6 +456,17 @@ class TestQuoteAndTrade:
         assert (Path(path).read_bytes(), log.exists() and log.read_bytes()) == before
         assert run_main(["quote", "--market", path, "--delta", "[0, 0]"])[0] == 0
 
+    def test_trade_lost_to_rounding_exits_3(self, tmp_path):
+        # At 1e15 the increments round away, so the trade would be free: refused, with the files kept.
+        path = write_json(tmp_path / "state.json", {"family": "categorical:2", "theta": [1e15, 1e15]})
+        log = tmp_path / "trades.jsonl"
+        argv = ["trade", "--market", path, "--log", str(log), "--delta"]
+        assert run_main(argv + ["[1, 0]"])[0] == 0
+        before = Path(path).read_bytes(), log.read_bytes()
+        assert run_main(argv + ["[0.06, 0.06]"]) == (
+            3, "", "error: delta [0.06, 0.06] does not move the share vector [1000000000000001.0, 1000000000000000.0]\n")
+        assert (Path(path).read_bytes(), log.read_bytes()) == before
+
 
 class TestSimulate:
     def test_writes_reports(self, tmp_path, capsys):

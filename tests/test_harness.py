@@ -1141,6 +1141,25 @@ class TestEventTable:
         raw["traders"] = [tr for tr in raw["traders"] if tr["id"] in raw["sequence"]]
         assert traced_bytes_per_event(SimConfig.from_dict(raw)) <= 200
 
+    def test_a_written_report_holds_at_most_150_more_bytes_per_event(self, tmp_path):
+        # The same run's JSON and CSV writes: the texts kept for the next writer are seven reprs per event, each
+        # "\n"-joined into one str per column of a 256-event chunk (about 137 bytes here), not a str per float.
+        raw = {**TestTrustedEngine.all_models_config(2000, False), "sequence": ["eu", "bl", "by"]}
+        raw["traders"] = [tr for tr in raw["traders"] if tr["id"] in raw["sequence"]]
+        warm = run_simulation(SimConfig.from_dict({**base_config(), "rounds": 1}))
+        for fmt in ("json", "csv"):  # imports and caches load outside the count
+            emit_report(warm, fmt, str(tmp_path / f"warm.{fmt}"))
+        report = run_simulation(SimConfig.from_dict(raw))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for fmt in ("json", "csv"):
+                emit_report(report, fmt, str(tmp_path / f"report.{fmt}"))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / len(report.events) <= 150
+
 
 class TestEmitReport:
     @pytest.mark.parametrize("config", [

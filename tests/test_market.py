@@ -174,6 +174,18 @@ class TestExecute:
             market.execute(delta)
         assert (market.theta, market.cost(), market.n_trades, market.revenue) == before
 
+    @pytest.mark.parametrize("delta", [[0.06, 0.06], [0.001, 0.05], [-0.06, 0.06]])
+    def test_trade_lost_to_rounding_is_refused(self, delta):
+        # At 1e15 an increment of 0.06 rounds away: the target is theta, so the trade would cost 0.0 while
+        # the trader held shares the maker never issued (a sure 0.06 for nothing, when the entries agree).
+        market = Market(family_from_id("categorical:2"), [1e15, 1e15])
+        before = (market.theta, market.cost(), market.n_trades, market.revenue)
+        with pytest.raises(DomainError, match=r"delta .* does not move the share vector"):
+            market.execute(delta)
+        assert (market.theta, market.cost(), market.n_trades, market.revenue) == before
+        assert market.execute([0.0, -0.0]).cost == 0.0  # a zero trade moves nothing and is still accepted
+        assert market.execute([1.0, 0.0]).cost > 0.0  # an increment theta can hold is still priced
+
     def test_revenue_is_sum_of_costs(self):
         rng = np.random.default_rng(11)
         fam = family_from_id("categorical:3")

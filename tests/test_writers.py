@@ -13,13 +13,17 @@ or as a script,
     PYTHONPATH=src python tests/test_writers.py
 
 which is how the byte contract is checked on interpreters without numpy or
-pytest (json's encoder differs between Python versions).  The one test that
-runs the engine needs numpy, and is skipped without it.
+pytest (json's encoder differs between Python versions).  The two tests that
+run the engine need numpy, and are skipped without it.
+
+A report keeps the float texts its first write rendered, so every write after
+the first, in either format, must keep the bytes of a fresh writer too.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -177,6 +181,30 @@ def emitted(rep: SimReport, fmt: str) -> bytes:
             return fh.read()
 
 
+def written(rep: SimReport, fmt: str) -> bytes:
+    """The bytes of one write of ``rep``: ``emit_report`` in ``fmt``, or ``to_json``."""
+    return rep.to_json().encode("utf-8") if fmt == "to_json" else emitted(rep, fmt)
+
+
+def fresh(rep: SimReport) -> SimReport:
+    """``rep`` with its events packed into a new table, whose texts no writer has rendered yet."""
+    return dataclasses.replace(rep, events=list(rep.events))
+
+
+# Writes one after another on one report: each after the first is served the texts the first rendered.
+WRITE_ORDERS = (("json", "csv"), ("csv", "json"), ("json", "json"), ("json", "to_json"))
+
+
+def assert_kept_texts_keep_the_bytes(rep: SimReport, name: str) -> None:
+    """Each write of each of ``WRITE_ORDERS``, on a fresh copy of ``rep``, has a fresh writer's bytes and the stdlib's."""
+    reference = {"json": stdlib_json(rep).encode("utf-8"), "csv": old_csv(rep).encode("utf-8")}
+    reference["to_json"] = reference["json"]
+    for order in WRITE_ORDERS:
+        rep = fresh(rep)
+        for fmt in order:
+            assert written(rep, fmt) == reference[fmt] == written(fresh(rep), fmt), (name, order, fmt)
+
+
 def test_report_to_json_is_the_stdlib_encoding():
     for name, rep in CASES.items():
         assert rep.to_json() == stdlib_json(rep), name
@@ -243,6 +271,60 @@ def test_chunk_boundaries_keep_the_bytes():
             assert emitted(rep, "csv") == old_csv(rep).encode("utf-8"), dim
     finally:
         harness._budgets_json = render
+
+
+def test_a_second_write_keeps_the_bytes():
+    for name, rep in CASES.items():
+        assert_kept_texts_keep_the_bytes(rep, name)
+    for dim, vector_outcomes in ((3, True), (1, False)):
+        assert_kept_texts_keep_the_bytes(report(chunked_table(dim, vector_outcomes)), dim)
+
+
+def test_an_append_after_a_write_is_rendered_again():
+    # The append grows the last, partial chunk, so the texts kept for it end one event short.
+    for dim, vector_outcomes in ((3, True), (1, False)):
+        table = chunked_table(dim, vector_outcomes)
+        rep = report(table)
+        first = [written(rep, fmt) for fmt in ("json", "csv")]
+        assert len(table._rendered) == 3  # one entry per chunk
+        table.append(999, "z", array("d", [0.5] * dim), 0.25, 1, 0.5, 0.75, -0.25, {"z": 1.0})
+        for fmt, reference, before in zip(("json", "csv"), (stdlib_json(rep), old_csv(rep)), first):
+            assert written(rep, fmt) == reference.encode("utf-8") == written(fresh(rep), fmt) != before, (dim, fmt)
+
+
+ENGINE_CONFIGS = {
+    "categorical:3": {  # 303 events: two chunks, the second partial
+        "family": "categorical:3", "theta0": [0.0, 0.0, 0.0], "true_theta": [0.3, -0.1, -0.2], "rounds": 101,
+        "seed": 5, "arrival": "fixed-sequence", "sequence": ["eu", "bl", "by"], "traders": [
+            {"id": "eu", "model": "exp-utility", "risk_aversion": 0.7, "belief": {"probs": [0.2, 0.5, 0.3]}},
+            {"id": "bl", "model": "budget-limited", "budget": 0.5, "belief": {"probs": [0.3, 0.3, 0.4]}},
+            {"id": "by", "model": "bayesian", "sample": {"mean": {"probs": [0.4, 0.4, 0.2]}, "size": 3}}]},
+    "vmf3": {
+        "family": "vmf3", "theta0": [0.0, 0.0, 0.0], "true_theta": [0.5, 1.0, -2.0], "rounds": 140, "seed": 3,
+        "arrival": "fixed-sequence", "sequence": ["a", "b"], "traders": [
+            {"id": "a", "model": "risk-neutral", "belief": {"mean": [0.2, 0.3, -0.5]}},
+            {"id": "b", "model": "budget-limited", "budget": 0.3, "belief": {"mean": [0.1, 0.4, -0.6]}}]},
+    "state-reset": {
+        "family": "categorical:2", "theta0": [0.0, 0.0], "true_theta": [0.6, -0.6], "rounds": 140, "seed": 42,
+        "state_reset": True, "arrival": "fixed-sequence", "sequence": ["a", "b"], "traders": [
+            {"id": "a", "model": "exp-utility", "risk_aversion": 1.0, "belief": {"probs": [0.7, 0.3]}},
+            {"id": "b", "model": "risk-neutral", "belief": {"probs": [0.4, 0.6]}}]},
+    "aborted": {  # "a" settles round 1, and "edge" moves within the trading margin of the boundary in round 2
+        "family": "exponential-rate", "theta0": [-1.0], "true_theta": [-0.8], "rounds": 3, "seed": 42,
+        "traders": [{"id": "a", "model": "risk-neutral", "belief": {"theta": [-0.5]}},
+                    {"id": "edge", "model": "risk-neutral", "belief": {"theta": [-1e-10]}}]},
+}
+
+
+def test_engine_reports_keep_the_bytes_on_a_second_write():
+    try:
+        import numpy  # noqa: F401  (the engine draws its outcomes with numpy)
+    except ImportError:
+        raise unittest.SkipTest("the engine needs numpy") from None
+    for name, raw in ENGINE_CONFIGS.items():
+        rep = run_simulation(SimConfig.from_dict(raw))
+        assert rep.valid == (name != "aborted") and len(rep.events) > (0 if name == "aborted" else 256), name
+        assert_kept_texts_keep_the_bytes(rep, name)
 
 
 def test_engine_log_lines_are_the_stdlib_encoding():
