@@ -316,7 +316,7 @@ class WeibullMoment(ExpFamily):
     def __init__(self, k: float = 1.0):
         k = _float(k)
         if not (math.isfinite(k) and k > 0):
-            raise DomainError(f"weibull-moment order must be positive, got {k}")
+            raise DomainError(f"weibull-moment order must be positive and finite, got {k}")
         self.k = k
 
     @property

@@ -49,10 +49,11 @@ from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import chain, cycle, groupby, repeat
+from itertools import chain, cycle, groupby
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import ConfigError, CorruptLogError, DomainError
 from .families import ExpFamily, as_params, family_from_id
@@ -242,16 +243,15 @@ CSV_COLUMNS = (
 _REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 
 
-@dataclass(slots=True)
-class TradeEvent:
+class TradeEvent(NamedTuple):
     """One executed-and-settled trade, as reported; the field names are the report keys.
 
-    A report keeps its events in columns (``EventTable``) and builds an event only when it is read.
+    A report keeps its events in columns (``EventTable``) and builds an event only when it is iterated.
     """
 
     round: int
     trader_id: str
-    delta: array  # the executed portfolio: a fresh array in each event read from a run's report; never written
+    delta: array  # the executed portfolio: a fresh array('d') in each event iterated; never written
     cost: float
     outcome: object
     log_loss_before: float
@@ -260,56 +260,28 @@ class TradeEvent:
     trader_budgets: dict[str, float | None]
 
 
-_TYPECODES = {"round": "q", "cost": "d", "log_loss_before": "d", "log_loss_after": "d", "myopic_impact": "d"}
-
-
-def _column(typecode: str, values: list):
-    """``values`` as an array of ``typecode`` if each is an exact float (``d``) or an int it holds (``q``), else as is."""
-    if all(type(v) is (float if typecode == "d" else int) for v in values):
-        try:
-            return array(typecode, values)
-        except OverflowError:  # an int past 64 bits
-            pass
-    return values
-
-
 class EventTable:
-    """A report's trade events in columns: a sequence of ``TradeEvent``, each built only when it is read.
+    """A report's trade events in columns, read by ``len`` and by iteration, which builds each ``TradeEvent``.
 
     ``round`` is an ``array('q')``; ``cost``, both log losses and ``myopic_impact`` are ``array('d')``;
-    ``delta`` is one ``array('d')`` of ``dim`` entries per event, end to end.  ``trader_id``, ``outcome``
-    and ``trader_budgets`` are lists of references, so a round's events share its outcome and its one
-    budget snapshot.  Read, an event gets ``delta`` as a fresh array.  ``of`` packs hand-built events the
-    same way, but a column whose values are not all of its type (``None`` log losses, int costs) stays the
-    list of them; so do deltas that are not ``array('d')`` of one length, and ``dim`` is then 0.  It supports
-    ``len``, indexing and slices (which give lists), iteration and ``==`` against a list of events, as that
-    list would.
+    ``delta`` is one ``array('d')`` of ``dim`` entries per event, end to end, so event ``i``'s is
+    ``delta[i*dim:(i+1)*dim]``.  ``trader_id``, ``outcome`` and ``trader_budgets`` are lists of references,
+    so a round's events share its outcome and its one budget snapshot.  An iterated event gets ``delta`` as
+    a fresh array.
 
     A table keeps the texts its first writer rendered, so that the next writer of the report renders nothing
-    again: ``_rendered`` maps a chunk's start to its stop and the ``repr``s of its ``cost``, ``delta`` (if
-    ``dim``), log-loss and ``myopic_impact`` values, one newline-joined ``str`` per column (see ``_chunks``).
+    again: ``_rendered`` maps a chunk's start to its stop and the ``repr``s of its ``cost``, ``delta``,
+    log-loss and ``myopic_impact`` values, one newline-joined ``str`` per column (see ``_chunks``).
     Columns are only appended to, never edited in place: a chunk whose stop moved (an ``append`` after a write)
     is rendered again, and no other change is seen.
     """
 
-    __slots__ = (*TradeEvent.__slots__, "dim", "_rendered")
+    __slots__ = (*TradeEvent._fields, "dim", "_rendered")
 
     def __init__(self, dim: int):
         self.round, self.trader_id, self.delta, self.dim, self._rendered = array("q"), [], array("d"), dim, {}
         self.cost, self.outcome, self.trader_budgets = array("d"), [], []
         self.log_loss_before, self.log_loss_after, self.myopic_impact = array("d"), array("d"), array("d")
-
-    @classmethod
-    def of(cls, events) -> "EventTable":
-        """Hand-built events in columns, each an array where all its values fit one and their list otherwise."""
-        table = cls(0)
-        for name in TradeEvent.__slots__:
-            values = [getattr(ev, name) for ev in events]
-            setattr(table, name, _column(_TYPECODES[name], values) if name in _TYPECODES else values)
-        deltas = table.delta
-        if deltas and all(type(d) is array and d.typecode == "d" and len(d) == len(deltas[0]) > 0 for d in deltas):
-            table.delta, table.dim = array("d", chain.from_iterable(deltas)), len(deltas[0])
-        return table
 
     def append(self, round, trader_id, delta, cost, outcome, log_loss_before, log_loss_after, myopic_impact,
                trader_budgets) -> None:
@@ -324,35 +296,21 @@ class EventTable:
         self.myopic_impact.append(myopic_impact)
         self.trader_budgets.append(trader_budgets)
 
-    def rows(self):
-        """Each event's values as one tuple in ``TradeEvent``'s field order, ``delta`` a tuple; builds no event."""
-        dim, delta = self.dim, self.delta
-        return zip(self.round, self.trader_id, zip(*[iter(delta)] * dim) if dim else delta, self.cost, self.outcome,
-                   self.log_loss_before, self.log_loss_after, self.myopic_impact, self.trader_budgets)
-
     def __len__(self) -> int:
         return len(self.trader_id)
 
-    def __getitem__(self, index):  # iteration too: it reads index 0, 1, ... until IndexError
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i, dim = range(len(self))[index], self.dim  # a negative index counts from the end; IndexError past either
-        delta = self.delta[i * dim:i * dim + dim] if dim else self.delta[i]
-        return TradeEvent(self.round[i], self.trader_id[i], delta, self.cost[i], self.outcome[i], self.log_loss_before[i],
-                          self.log_loss_after[i], self.myopic_impact[i], self.trader_budgets[i])
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, (list, EventTable)) else NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
+    def __iter__(self):
+        cuts = range(0, len(self) * self.dim + 1, self.dim)
+        return map(TradeEvent._make, zip(
+            self.round, self.trader_id, map(self.delta.__getitem__, map(slice, cuts, cuts[1:])), self.cost,
+            self.outcome, self.log_loss_before, self.log_loss_after, self.myopic_impact, self.trader_budgets))
 
 
 @dataclass
 class SimReport:
     """Per-event records plus run-level aggregates; the field names are the report keys.
 
-    ``events`` is an ``EventTable``: a list of ``TradeEvent`` given here is packed into one.
+    ``events`` is an ``EventTable``, as ``run_simulation`` builds it.
     """
 
     family: str
@@ -366,14 +324,10 @@ class SimReport:
     events: EventTable
     aggregates: dict
 
-    def __post_init__(self):
-        if not isinstance(self.events, EventTable):
-            self.events = EventTable.of(self.events)
-
     def to_dict(self) -> dict:
-        return {**vars(self), "events": [dict(zip(TradeEvent.__slots__, row)) | {
-            "delta": list(row[2]), "outcome": list(row[4]) if isinstance(row[4], array) else row[4]}
-            for row in self.events.rows()]}
+        return {**vars(self), "events": [ev._asdict() | {
+            "delta": list(ev.delta), "outcome": list(ev.outcome) if isinstance(ev.outcome, array) else ev.outcome}
+            for ev in self.events]}
 
     def to_json(self) -> str:
         """The report's bytes: those of ``json.dumps(to_dict(), sort_keys=True, indent=2)`` and a newline."""
@@ -454,7 +408,7 @@ def _once(render, values: list, known: dict):
 
 def _chunks(events: EventTable):
     """The columns in ``TradeEvent``'s field order, ``_CHUNK`` events at a time, each chunk's ``cost``, ``delta``
-    (flat) if ``dim``, log losses and ``myopic_impact`` as lists of their ``repr``s, else sliced.
+    (flat), log losses and ``myopic_impact`` as lists of their ``repr``s, the others sliced.
 
     Those texts are rendered by one ``map`` per column the first time a chunk is written, and kept in
     ``events._rendered`` with the chunk's stop; a later writer splits them again, unless the stop moved.
@@ -470,8 +424,8 @@ def _chunks(events: EventTable):
                 events.cost[i:j], events.delta[i * dim:j * dim], events.log_loss_before[i:j],
                 events.log_loss_after[i:j], events.myopic_impact[i:j])]
             rendered[i] = (j, *map("\n".join, texts))
-        yield (events.round[i:j], events.trader_id[i:j], delta if dim else events.delta[i:j], cost,
-               events.outcome[i:j], before, after, impact, events.trader_budgets[i:j])
+        yield (events.round[i:j], events.trader_id[i:j], delta, cost, events.outcome[i:j], before, after, impact,
+               events.trader_budgets[i:j])
 
 
 def _report_chunks(report: SimReport):
@@ -486,8 +440,7 @@ def _report_chunks(report: SimReport):
     dim, outcomes, budgets = report.events.dim, {}, {}
     for i, (round_index, trader_id, delta, cost, outcome, before, after, impact, snapshot) in enumerate(
             _chunks(report.events)):
-        deltas = (map(_VECTOR.__mod__, map(_ITEM.join, zip(*[_words(delta, _JSON_WORDS)] * dim))) if dim
-                  else map(_vector_json, delta))
+        deltas = map(_VECTOR.__mod__, map(_ITEM.join, zip(*[_words(delta, _JSON_WORDS)] * dim)))
         outcome_cells, outcomes = _once(partial(map, _value_json), outcome, outcomes)
         budget_cells, budgets = _once(_budgets_json, snapshot, budgets)
         yield ("," if i else "") + ",".join(map(_EVENT_JSON.__mod__, zip(
@@ -550,7 +503,8 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
     cost unchecked) and refused in ``Market.execute``'s words.
 
     The report's events are one ``EventTable``: each settled trade is
-    appended to its columns, and no ``TradeEvent`` is built.
+    appended to its columns, and no ``TradeEvent`` is built until the
+    table is iterated.
 
     With ``trade_log_path`` the run owns one handle on its JSON-lines trade
     log: opened (truncating an older file) and headed (the run's first state
@@ -726,7 +680,7 @@ def _csv_chunks(report: SimReport):
     yield ",".join(CSV_COLUMNS) + "\r\n"
     dim, outcomes, ids = report.events.dim, {}, {}
     for round_index, trader_id, delta, cost, outcome, before, after, impact, budgets in _chunks(report.events):
-        deltas = map(";".join, zip(*[iter(delta)] * dim) if dim else map(map, repeat(repr), delta))
+        deltas = map(";".join, zip(*[iter(delta)] * dim))
         outcome_cells, outcomes = _once(partial(map, _value_csv), outcome, outcomes)
         ids.update((tid, _csv_cell(tid)) for tid in set(trader_id) - ids.keys())
         yield "".join(map(_CSV_ROW.__mod__, zip(

@@ -81,7 +81,7 @@ class TraderProfile:
     caller and read only by ``effective_belief``; nothing in the package
     writes it.  Construction
     raises DomainError for a negative or infinite ``risk_aversion``, a
-    negative ``budget``, a ``sample_size`` that is not positive, or a vector
+    negative ``budget``, a ``sample_size`` that is not positive and finite, or a vector
     holding an integer past the float range: the one place these ranges are
     checked, ``SimConfig.from_dict`` included.
     """
@@ -102,8 +102,8 @@ class TraderProfile:
             raise DomainError(f"risk_aversion must be nonnegative and finite, got {self.risk_aversion}")
         if self.budget is not None and not self.budget >= 0.0:
             raise DomainError(f"budget must be nonnegative, got {self.budget}")
-        if not self.sample_size > 0.0:
-            raise DomainError(f"sample_size must be positive, got {self.sample_size}")
+        if not 0.0 < self.sample_size <= float_info.max:  # bayesian_market_trade's range
+            raise DomainError(f"sample_size must be positive and finite, got {self.sample_size}")
         if self.holdings is not None:
             self.holdings = _profile_vector(self.holdings, "holdings")
         elif self.belief_theta is not None:

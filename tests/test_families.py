@@ -696,7 +696,7 @@ class TestRegistry:
         ("categorical:1", "categorical needs at least 2 outcomes, got 1"),
         ("categorical:x", "bad categorical outcome count 'x'"),
         ("weibull-moment", "weibull-moment requires a moment order, e.g. 'weibull-moment:2'"),
-        ("weibull-moment:-2", "weibull-moment order must be positive, got -2.0"),
+        ("weibull-moment:-2", "weibull-moment order must be positive and finite, got -2.0"),
         ("weibull-moment:abc", "bad weibull moment order 'abc'"),
         ("exponential-rate:3", "family 'exponential-rate' takes no parameter, got 'exponential-rate:3'"),
         ("vmf3:x", "family 'vmf3' takes no parameter, got 'vmf3:x'"),
@@ -715,7 +715,7 @@ class TestRegistry:
 
     def test_weibull_order_past_the_float_range_is_refused(self):
         # float(10**400) raised OverflowError; inf is refused as family_from_id("weibull-moment:inf") is.
-        with pytest.raises(DomainError, match="weibull-moment order must be positive, got inf"):
+        with pytest.raises(DomainError, match="weibull-moment order must be positive and finite, got inf"):
             WeibullMoment(10**400)
 
     def test_weibull_id_formatting(self):

@@ -3,6 +3,7 @@ replay, and report emission."""
 
 import json
 import math
+import operator
 import os
 import re
 import stat
@@ -17,7 +18,7 @@ import pytest
 
 from conftest import (ALL_FAMILY_IDS, REVENUE_OVERFLOW_CONFIG, REVENUE_OVERFLOW_ERROR, REVENUE_OVERFLOW_LOG,
                       TRADER_KEY_VALUES, TRADER_KEYS, random_natural, subprocess_env)
-from reference_engine import hexed, reference_run
+from reference_engine import _hex, hexed, reference_run
 from test_writers import CASES
 
 from expfam_markets import (
@@ -36,7 +37,7 @@ from expfam_markets import (
 )
 from expfam_markets import families, harness, market, traders
 from expfam_markets.families import Categorical, ExpFamily
-from expfam_markets.harness import TradeEvent, parse_belief_theta
+from expfam_markets.harness import EventTable, TradeEvent, parse_belief_theta
 from expfam_markets.market import log_header
 
 
@@ -219,11 +220,12 @@ class TestConfigParsing:
         config = SimConfig.from_dict(cfg)
         assert config.inv_liquidity == lam
         report = run_simulation(config)
-        assert report.valid and [ev.trader_id for ev in report.events] == ["b", "bl"]
+        first, second = report.events
+        assert report.valid and (first.trader_id, second.trader_id) == ("b", "bl")
         market = Market(config.family, config.theta0, lam)
-        market.execute(report.events[0].delta)
+        market.execute(first.delta)
         np.testing.assert_allclose(market.prices(), [0.7, 0.3], atol=1e-12)
-        assert 0.0 <= report.events[1].cost <= 0.05
+        assert 0.0 <= second.cost <= 0.05
 
     def test_missing_seed_rejected_at_load_time(self):
         cfg = base_config()
@@ -273,7 +275,7 @@ class TestSingleRound:
         ])
         report = run_simulation(SimConfig.from_dict(cfg))
         assert len(report.events) == 6
-        assert [ev.trader_id for ev in report.events[:2]] == ["b", "a"]
+        assert report.events.trader_id[:2] == ["b", "a"]
 
 
 class TestAccounting:
@@ -400,15 +402,15 @@ class TestAccounting:
             assert ev.log_loss_before.hex() == path_market.log_loss(ev.outcome).hex()
             path_market.execute(record.delta)
             assert ev.log_loss_after.hex() == path_market.log_loss(ev.outcome).hex()
-        last_after = 0.0
+        last_after, events = 0.0, list(report.events)
         for r in range(rounds):
-            round_events = report.events[r * k:(r + 1) * k]
+            round_events = events[r * k:(r + 1) * k]
             for prev, ev in zip(round_events, round_events[1:]):
                 assert ev.log_loss_before == prev.log_loss_after
                 assert ev.trader_budgets == prev.trader_budgets
             last_after += round_events[-1].log_loss_after
         assert report.aggregates["total_log_loss"] == last_after
-        assert report.events[-1].trader_budgets == report.aggregates["final_budgets"]
+        assert events[-1].trader_budgets == report.aggregates["final_budgets"]
 
     def test_log_losses_at_inverse_liquidity(self):
         # A loss is C(theta) - <theta, phi(x)>, in budget units, at every inverse liquidity.
@@ -425,12 +427,12 @@ class TestAccounting:
             assert isinstance(ev.log_loss_before, float) and isinstance(ev.log_loss_after, float)
             assert ev.myopic_impact == pytest.approx(ev.log_loss_before - ev.log_loss_after, abs=1e-10)
         total = 0.0
-        for i in range(2, len(report.events), 3):
-            total += report.events[i].log_loss_after
+        for loss in report.events.log_loss_after[2::3]:
+            total += loss
         assert report.aggregates["total_log_loss"] == total
         natural = [lam * t for t in report.aggregates["final_theta"]]  # 1/lam times the predictive density's nats
-        assert report.events[-1].log_loss_after == pytest.approx(
-            -family.log_density(natural, report.events[-1].outcome) / lam, abs=1e-12)
+        *_, last = report.events
+        assert last.log_loss_after == pytest.approx(-family.log_density(natural, last.outcome) / lam, abs=1e-12)
 
 
 # Per family: a fresh market's theta0 (also the true theta) and four raw sample means for Bayesian traders.
@@ -465,7 +467,7 @@ class TestBayesianAggregation:
         report = run_simulation(SimConfig.from_dict(cfg))
         assert not report.valid
         assert "round 1" in report.error
-        assert report.events == []
+        assert list(report.events) == []
 
 
 class TestDeterminismAndReset:
@@ -1065,25 +1067,24 @@ class TestReplay:
                                   f"delta must be a vector of length 3, got length {len(delta)}")
 
 
-def assert_reads_as_its_list(events) -> None:
-    """``events`` answers ``len``, indexing, slices, iteration and ``==`` as ``list(events)`` does.
+def assert_iterates_its_columns(events: EventTable) -> None:
+    """Iterating ``events`` yields one ``TradeEvent`` per event, its fields the columns' values bit for bit.
 
-    Events are compared by ``repr`` (which shows a ``delta``'s type), as two reads of a NaN field are unequal.
+    Each event's ``delta`` is a fresh ``array('d')`` of ``dim`` entries, the deltas end to end the ``delta``
+    column; the values of the list columns (ids, outcomes, budget snapshots) are the objects the table holds.
     """
-    listed = list(events)
-    reprs = [repr(ev) for ev in listed]
-    n = len(listed)
-    assert len(events) == n and bool(events) == bool(listed) and all(type(ev) is TradeEvent for ev in listed)
-    assert [repr(ev) for ev in events] == reprs
-    assert [repr(events[i]) for i in range(n)] == reprs == [repr(events[i]) for i in range(-n, 0)]
-    for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2), slice(1, 3), slice(n, None)):
-        assert type(events[cut]) is list and [repr(ev) for ev in events[cut]] == reprs[cut]
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            events[i]
-    if "nan" not in "".join(reprs):  # a NaN field, read twice, is two floats that compare unequal
-        assert events == listed
-    assert (events == listed[:-1]) is (events == []) is (n == 0)
+    listed, again = list(events), list(events)
+    assert len(events) == len(listed) and bool(events) == bool(listed)
+    assert all(type(ev) is TradeEvent for ev in listed)
+    for name in TradeEvent._fields:
+        read, column = [getattr(ev, name) for ev in listed], getattr(events, name)
+        if name == "delta":
+            assert all(type(d) is array and d.typecode == "d" and len(d) == events.dim for d in read)
+            assert not any(map(operator.is_, read, [ev.delta for ev in again]))  # every read builds anew
+            read = [x for d in read for x in d]
+        elif type(column) is list:
+            assert all(map(operator.is_, read, column)), name
+        assert _hex(read) == _hex(list(column)), name
 
 
 def traced_bytes_per_event(config: SimConfig) -> float:
@@ -1099,7 +1100,7 @@ def traced_bytes_per_event(config: SimConfig) -> float:
 
 
 class TestEventTable:
-    # A report keeps its events in columns and builds each TradeEvent when it is read.
+    # A report keeps its events in columns and builds each TradeEvent when it is iterated.
     @pytest.mark.parametrize("config", [
         base_config(rounds=8),
         TestTrustedEngine.all_models_config(12, True),
@@ -1108,31 +1109,21 @@ class TestEventTable:
             {"id": "b", "model": "budget-limited", "budget": 0.3, "belief": {"mean": [0.1, 0.4, -0.6]}}]),
         aborts_before_a_trade(),
     ], ids=["categorical", "state-reset", "vmf3", "no-round"])
-    def test_a_run_reads_as_a_list_of_events(self, config):
+    def test_a_run_iterates_its_columns(self, config):
         report = run_simulation(SimConfig.from_dict(config))
-        assert_reads_as_its_list(report.events)
+        assert_iterates_its_columns(report.events)
         assert report.valid == bool(report.events)
-        assert [ev.round for ev in report.events] == list(report.events.round)
-        if report.events:  # every read builds anew
-            assert report.events[0].delta is not report.events[0].delta
-            assert type(report.events[-1].delta) is array
-            assert len(report.events[-1].delta) == family_from_id(config["family"]).dim
+        assert report.events.dim == family_from_id(config["family"]).dim
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_a_hand_built_report_reads_as_a_list_of_events(self, name):
-        assert_reads_as_its_list(CASES[name].events)
+    def test_a_hand_built_report_iterates_its_columns(self, name):
+        assert_iterates_its_columns(CASES[name].events)
 
-    def test_a_hand_built_report_keeps_its_values(self):
-        # Lists and None stay as given; arrays of one length and exact floats are packed, and read back equal.
-        given = [TradeEvent(1, "a", [0.5, -0.5], 0.1, 2, None, 0.25, 0.05, {"a": None}),
-                 TradeEvent(2, "b", array("d", [1.0]), 3, array("d", [0.6, 0.0, 0.8]), 0.5, 0.25, -0.0, {"b": 1.0})]
-        events = SimReport("categorical:2", 1, 2, 1.0, "round-robin", False, True, None, given, {}).events
-        assert list(events) == given and events == given
-        assert events.delta == [[0.5, -0.5], array("d", [1.0])] and events.cost == [0.1, 3]
-        assert type(events.myopic_impact) is array and events.log_loss_before == [None, 0.5]
-        packed = [TradeEvent(r, "a", array("d", [r, -r]), 0.1, 1, 0.5, 0.25, 0.05, {}) for r in (1, 2)]
-        events = SimReport("categorical:2", 1, 2, 1.0, "round-robin", False, True, None, packed, {}).events
-        assert events.dim == 2 and events.delta == array("d", [1.0, -1.0, 2.0, -2.0]) and events == packed
+    def test_iteration_is_the_one_per_event_read(self):
+        events = run_simulation(SimConfig.from_dict(base_config(rounds=2))).events
+        with pytest.raises(TypeError):
+            events[0]
+        assert events != list(events)  # a table is no list
 
     def test_a_run_holds_at_most_200_bytes_per_event(self):
         # 2,000 rounds of three categorical:3 trades: each event's fields are packed into columns, and a round's
@@ -1211,7 +1202,7 @@ class TestEmitReport:
         report = SimReport(
             family="categorical:2", seed=0, rounds=0, inv_liquidity=1.0,
             arrival="round-robin", state_reset=False, valid=True, error=None,
-            events=[], aggregates={},
+            events=EventTable(2), aggregates={},
         )
         path = str(tmp_path / "empty.csv")
         emit_report(report, "csv", path)

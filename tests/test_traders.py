@@ -179,8 +179,11 @@ class TestCertaintyEquivalent:
 
 
 @pytest.mark.parametrize("field, value, rule", [
-    ("risk_aversion", -1.0, "nonnegative"), ("budget", -1.0, "nonnegative"), ("sample_size", 0.0, "positive"),
-    ("risk_aversion", math.inf, "nonnegative and finite"),
+    ("risk_aversion", -1.0, "nonnegative"), ("budget", -1.0, "nonnegative"),
+    ("sample_size", 0.0, "positive and finite"), ("risk_aversion", math.inf, "nonnegative and finite"),
+    # an infinite sample size would abort a run at its second Bayesian trade, on a NaN mean
+    ("sample_size", math.inf, "positive and finite"), ("sample_size", math.nan, "positive and finite"),
+    pytest.param("sample_size", 10**400, "positive and finite", id="sample_size-10**400"),
     # kept as an int, 10**400 overflowed in the trade rules' lam + a
     pytest.param("risk_aversion", 10**400, "nonnegative and finite", id="risk_aversion-10**400")])
 def test_out_of_range_profile_number_rejected(field, value, rule):

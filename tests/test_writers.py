@@ -7,8 +7,9 @@ sort_keys=True)``, a trade log's header line those of
 ``json.dumps(log_header(...), sort_keys=True)``, and each CSV cell
 ``repr(float(v))`` of its value, or of each entry, ``;``-joined, for a
 vector (``delta``, a vmf3 outcome).  The reports are built by hand, with no
-sampling, so the file needs only the standard library: it runs under pytest
-or as a script,
+sampling, each through ``EventTable.append`` with the engine's column types
+and one delta length, so the file needs only the standard library: it runs
+under pytest or as a script,
 
     PYTHONPATH=src python tests/test_writers.py
 
@@ -44,19 +45,29 @@ ODD_IDS = ("é", 'say "hi"', "back\\slash", "new\nline", "50% off")
 
 def event(round_index=1, trader_id="a", delta=(0.25, -0.25), cost=0.1, outcome=1, log_loss_before=0.7,
           log_loss_after=0.6, myopic_impact=0.05, trader_budgets=None) -> TradeEvent:
-    return TradeEvent(round=round_index, trader_id=trader_id, delta=list(delta), cost=cost, outcome=outcome,
+    return TradeEvent(round=round_index, trader_id=trader_id, delta=array("d", delta), cost=cost, outcome=outcome,
                       log_loss_before=log_loss_before, log_loss_after=log_loss_after,
                       myopic_impact=myopic_impact,
                       trader_budgets={"a": None, "b": 1.5} if trader_budgets is None else trader_budgets)
 
 
-def report(events, valid=True, error=None, inv_liquidity=1.0, **aggregates) -> SimReport:
-    budgets = events[-1].trader_budgets if events else {"a": None}
+def table_of(events: list[TradeEvent]) -> EventTable:
+    """``events`` appended to a table, as the engine appends them: every delta has the first one's length."""
+    packed = EventTable(len(events[0].delta) if events else 2)
+    for ev in events:
+        if len(ev.delta) != packed.dim:
+            raise ValueError(f"a table holds deltas of one length, {packed.dim}; got {list(ev.delta)}")
+        packed.append(*ev)
+    return packed
+
+
+def report(events: list[TradeEvent] | EventTable, valid=True, error=None, **aggregates) -> SimReport:
+    events = events if isinstance(events, EventTable) else table_of(events)
+    budgets = events.trader_budgets[-1] if events else {"a": None}
     return SimReport(
-        family="categorical:2", seed=7, rounds=3, inv_liquidity=inv_liquidity, arrival="round-robin",
+        family="categorical:2", seed=7, rounds=3, inv_liquidity=1.0, arrival="round-robin",
         state_reset=False, valid=valid, error=error, events=events,
-        aggregates={"completed_rounds": events[-1].round if events else 0,
-                    "total_log_loss": 1.25 if inv_liquidity == 1.0 else None,
+        aggregates={"completed_rounds": events.round[-1] if events else 0, "total_log_loss": 1.25,
                     "per_trader_impact": {tid: 0.125 for tid in budgets},
                     "final_budgets": dict(budgets), "final_theta": [0.5, -0.5], "final_prices": [0.7, 0.3],
                     "revenue": 0.1 * len(events), "n_trades": len(events), **aggregates},
@@ -86,9 +97,6 @@ CASES = {
               trader_budgets={"a": -INF, "b": None}),
         event(round_index=3, outcome=-INF, cost=INF, delta=(NAN, -INF)),
     ], total_log_loss=NAN, revenue=INF),
-    "none-log-losses": report([event(log_loss_before=None, log_loss_after=None),
-                               event(round_index=2, log_loss_before=None, log_loss_after=None)],
-                              inv_liquidity=0.75),
     "int-and-float-outcomes": report([event(outcome=2), event(round_index=2, outcome=0.5),
                                       event(round_index=3, outcome=-1e-300), event(round_index=4, outcome=1e22)]),
     "escaped-trader-ids": report(shared_round({tid: 0.5 for tid in ODD_IDS}, *ODD_IDS)),
@@ -100,18 +108,15 @@ CASES = {
     "vector-outcomes": report([  # a vmf3 draw is an array, written as delta is
         event(delta=(0.5, -0.25, 1e-300), outcome=array("d", [0.6, -0.0, 0.8])),
         event(round_index=2, delta=(1.0, 0.0, -1.0), outcome=array("d", [5e-324, 1.0000000000000002, 1 / 3])),
-        event(round_index=3, outcome=2)]),
+        event(round_index=3, delta=(0.0, 5e-324, -1e22), outcome=2)]),
     "signed-zeros": report([event(delta=(-0.0, 0.0), cost=-0.0, outcome=-0.0, log_loss_before=-0.0,
                                   myopic_impact=-0.0, trader_budgets={"a": -0.0, "b": None})]),
     "chained-log-losses": report(
         chained_round([0.1 + 0.2, 1 / 3, NAN, -INF, 2 / 3])
         + chained_round([0.6, 0.25, 1e-300], round_index=2)
-        + [event(round_index=3, log_loss_before=0.5, log_loss_after=None)]),
-    "chained-none-log-losses": report(chained_round([None] * 4) + chained_round([None] * 3, round_index=2),
-                                      inv_liquidity=0.75),
+        + [event(round_index=3, log_loss_before=0.5, log_loss_after=1e22)]),
     # empty containers are "{}" and "[]", as the encoder writes them
     "empty-budgets": report([event(trader_budgets={}), event(round_index=2, trader_budgets={})]),
-    "empty-delta": report([event(delta=()), event(round_index=2, delta=())]),
     "empty-vector-outcome": report([event(outcome=array("d")), event(round_index=2, outcome=array("d", [0.5]))]),
 }
 
@@ -142,8 +147,7 @@ def chunked_table(dim: int, vector_outcomes: bool) -> EventTable:
         round_index, turn = divmod(i, 3)
         if turn == 0:
             snapshot = {tid: (None if j == 1 else round_index / 7) for j, tid in enumerate(ODD_IDS)}
-            outcome = (array("d", [1 / (round_index + 3), -0.0, 5e-324]) if vector_outcomes
-                       else (round_index % (dim or 1)))
+            outcome = array("d", [1 / (round_index + 3), -0.0, 5e-324]) if vector_outcomes else round_index % dim
         loss = i / 3 if i < 2 * harness._CHUNK else (NAN, INF, -INF)[i % 3]
         table.append(round_index + 1, next(ids), array("d", [(i + k) / 9 for k in range(dim)]), i * 1e-3, outcome,
                      loss, loss + 0.5, -i / 11, snapshot)
@@ -166,8 +170,7 @@ def old_csv(rep: SimReport) -> str:
             ev.round, ev.trader_id, ";".join(repr(float(v)) for v in ev.delta), repr(float(ev.cost)),
             ev.outcome if isinstance(ev.outcome, int) else ";".join(repr(float(v)) for v in ev.outcome)
             if isinstance(ev.outcome, array) else repr(float(ev.outcome)),
-            "" if ev.log_loss_before is None else repr(float(ev.log_loss_before)),
-            "" if ev.log_loss_after is None else repr(float(ev.log_loss_after)),
+            repr(float(ev.log_loss_before)), repr(float(ev.log_loss_after)),
             repr(float(ev.myopic_impact)), "" if own_budget is None else repr(float(own_budget)),
         ])
     return out.getvalue()
@@ -187,8 +190,11 @@ def written(rep: SimReport, fmt: str) -> bytes:
 
 
 def fresh(rep: SimReport) -> SimReport:
-    """``rep`` with its events packed into a new table, whose texts no writer has rendered yet."""
-    return dataclasses.replace(rep, events=list(rep.events))
+    """``rep`` with its events' columns copied into a new table, whose texts no writer has rendered yet."""
+    events = EventTable(rep.events.dim)
+    for name in TradeEvent._fields:
+        setattr(events, name, getattr(rep.events, name)[:])
+    return dataclasses.replace(rep, events=events)
 
 
 # Writes one after another on one report: each after the first is served the texts the first rendered.
@@ -347,7 +353,7 @@ def test_engine_log_lines_are_the_stdlib_encoding():
             records = list(read_trade_log(path))
         assert len(lines) == len(rep.events) == 6 * len(ODD_IDS), family
         assert lines == [json.dumps(r.to_dict(), sort_keys=True) for r in records], family
-        assert records == [TradeRecord(r, tid, array("d", d), c) for r, tid, d, c, *_ in rep.events.rows()], family
+        assert records == [TradeRecord(r, tid, d, c) for r, tid, d, c, *_ in rep.events], family
 
 
 def test_vector_outcome_cells_are_pinned():
@@ -362,7 +368,12 @@ def test_vector_outcome_cells_are_pinned():
 if __name__ == "__main__":
     import sys
 
-    tests = [(name, fn) for name, fn in sorted(globals().items()) if name.startswith("test_")]
+    checks = globals()
+    if not __debug__:  # python -O strips this file's asserts: compile it again with them, the package still without
+        checks = {"__name__": "test_writers", "__file__": __file__}
+        with open(__file__, encoding="utf-8") as fh:
+            exec(compile(fh.read(), __file__, "exec", optimize=0), checks)
+    tests = [(name, fn) for name, fn in sorted(checks.items()) if name.startswith("test_")]
     skipped = []
     for name, fn in tests:
         try:
