@@ -9,7 +9,10 @@ Subcommands:
                      with its header when new; one of another family or
                      liquidity is refused), under an exclusive lock on the
                      file ``<state>.lock`` so concurrent trades run in turn.
-* ``simulate``    -- run a configured simulation and write reports.
+* ``simulate``    -- run a configured simulation and write reports; two of
+                     ``--config``, ``--out``, ``--csv`` and ``--trade-log``
+                     naming one regular or new file are refused (exit 2),
+                     before anything is read or written.
 * ``replay``      -- verify a trade log against an initial state.
 * ``equilibrium`` -- solve a multi-trader equilibrium problem.
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigError, ConvergenceError, DomainError
@@ -91,6 +95,16 @@ def _cmd_trade(args) -> int:
 def _cmd_simulate(args) -> int:
     from .harness import SimConfig, emit_report, run_simulation
 
+    # Two of these naming one file would overwrite the config, or one output the other.  A FIFO or a device is
+    # written in place, so it may take more than one.
+    flags = {}  # real path -> the flag that named it
+    for flag, path in (("--config", args.config), ("--out", args.out), ("--csv", args.csv),
+                       ("--trade-log", args.trade_log)):
+        if path and (os.path.isfile(path) or not os.path.exists(path)):
+            real = os.path.realpath(path)
+            if real in flags:
+                raise ConfigError(f"{flags[real]} and {flag} name one file, {real}; give each its own")
+            flags[real] = flag
     raw = read_json(args.config, "config")
     if args.seed is not None and isinstance(raw, dict):  # anything but an object is rejected by SimConfig.from_dict
         raw["seed"] = args.seed

@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 from .errors import ConfigError, CorruptLogError, DomainError
 from .families import ExpFamily, as_params, family_from_id
-from .market import (_JSON_WORDS, Market, TradeLog, _check_keys, _integer, _json, _number, _numbers, _record_json,
+from .market import (_JSON_WORDS, _RECORD_JSON, Market, TradeLog, _check_keys, _integer, _json, _number, _numbers,
                      check_header, log_header, replace_file)
 from .scoring import moments_from_mean_variance
 from .traders import TraderProfile, _bayesian_move, _budget_limited_move, _exp_utility_move, _unconstrained_move
@@ -392,18 +392,15 @@ def _csv_cell(text: str) -> str:
     return out.getvalue()[:-3]  # without the empty last cell's comma and the row's "\r\n"
 
 
-def _once(render, values: list, known: dict):
-    """The text of each of ``values``, each distinct object rendered once; returns the texts and the new ``known``.
+def _once(render, values: list):
+    """The text of each of one chunk's ``values``, each distinct object rendered once per chunk.
 
-    ``render`` takes the list of objects not in ``known`` and returns their texts.  ``known`` maps ``id`` to
-    text for the objects of the last chunk, still held by its table, so a round's shared outcome and
-    snapshot are rendered once even when the round straddles two chunks.
+    ``render`` takes the list of distinct objects and returns their texts, so a round's shared outcome and
+    snapshot are rendered once in each chunk that holds its events.
     """
     objects = dict(zip(map(id, values), values))
-    fresh = [value for key, value in objects.items() if key not in known]
-    texts = dict(zip(map(id, fresh), render(fresh)))
-    known = {key: known[key] if key in known else texts[key] for key in objects}
-    return map(known.__getitem__, map(id, values)), known
+    texts = dict(zip(objects, render(list(objects.values()))))
+    return map(texts.__getitem__, map(id, values))
 
 
 def _chunks(events: EventTable):
@@ -433,16 +430,16 @@ def _report_chunks(report: SimReport):
 
     Each piece is a chunk of at most ``_CHUNK`` events, its float columns the reprs ``_chunks`` keeps, under
     json's words, and its rows rendered by one ``map``; the last piece ends with the file's newline.  Each
-    distinct outcome and budget snapshot is rendered once (``_once``).
+    distinct outcome and budget snapshot is rendered once per chunk (``_once``).
     """
     head, _, tail = _REPORT_ENCODER.encode({**vars(report), "events": []}).partition(_EVENTS_KEY)
     yield head + '\n  "events": ['
-    dim, outcomes, budgets = report.events.dim, {}, {}
+    dim = report.events.dim
     for i, (round_index, trader_id, delta, cost, outcome, before, after, impact, snapshot) in enumerate(
             _chunks(report.events)):
         deltas = map(_VECTOR.__mod__, map(_ITEM.join, zip(*[_words(delta, _JSON_WORDS)] * dim)))
-        outcome_cells, outcomes = _once(partial(map, _value_json), outcome, outcomes)
-        budget_cells, budgets = _once(_budgets_json, snapshot, budgets)
+        outcome_cells = _once(partial(map, _value_json), outcome)
+        budget_cells = _once(_budgets_json, snapshot)
         yield ("," if i else "") + ",".join(map(_EVENT_JSON.__mod__, zip(
             _words(cost, _JSON_WORDS), deltas, _words(after, _JSON_WORDS), _words(before, _JSON_WORDS),
             _words(impact, _JSON_WORDS), outcome_cells, round_index, budget_cells,
@@ -563,6 +560,12 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
         if log is not None:
             log.write(json.dumps(log_header(market, config.state_reset), sort_keys=True) + "\n")
             log.flush()
+            # A trade's line, json.dumps(record.to_dict(), sort_keys=True) with its newline, filled by %r, as a
+            # finite float's repr is its JSON: each settled delta is an array of finite floats, since _cost_at
+            # refuses a non-finite target theta + delta, and each cost a finite float, since the revenue check
+            # refuses a non-finite one.
+            line = _RECORD_JSON % ("%r", ", ".join(["%r"] * family.dim), "%d", "%s") + "\n"
+            ids = {tr.id: encode_basestring_ascii(tr.id) for tr in config.traders}
         for round_index, turn in zip(range(1, config.rounds + 1), cycle(turns)):
             theta, theta_cost = start if config.state_reset else settled  # the round's first state
             market._restore(theta, theta_cost)
@@ -601,8 +604,7 @@ def run_simulation(config: SimConfig, trade_log_path: str | None = None) -> SimR
             total_log_loss += loss
             settled = theta, theta_cost
             if log is not None:  # the round has settled: its records, as bought, reach the log together
-                log.write("\n".join([_record_json(round_index, tid, delta, cost) for tid, (delta, cost, _, _) in trades])
-                          + "\n")
+                log.write("".join([line % (cost, *delta, round_index, ids[tid]) for tid, (delta, cost, *_) in trades]))
                 log.flush()
 
     aggregates = {
@@ -678,10 +680,10 @@ def _csv_chunks(report: SimReport):
     ``csv.writer`` once.
     """
     yield ",".join(CSV_COLUMNS) + "\r\n"
-    dim, outcomes, ids = report.events.dim, {}, {}
+    dim, ids = report.events.dim, {}
     for round_index, trader_id, delta, cost, outcome, before, after, impact, budgets in _chunks(report.events):
         deltas = map(";".join, zip(*[iter(delta)] * dim))
-        outcome_cells, outcomes = _once(partial(map, _value_csv), outcome, outcomes)
+        outcome_cells = _once(partial(map, _value_csv), outcome)
         ids.update((tid, _csv_cell(tid)) for tid in set(trader_id) - ids.keys())
         yield "".join(map(_CSV_ROW.__mod__, zip(
             round_index, map(ids.__getitem__, trader_id), deltas, _words(cost, _CSV_WORDS), outcome_cells,

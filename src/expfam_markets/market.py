@@ -45,8 +45,6 @@ import math
 import os
 import sys
 from array import array
-from functools import cache
-from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, CorruptLogError, DomainError
 from .families import ExpFamily, _float, _scaled, as_params, family_from_id
@@ -104,25 +102,6 @@ def _json(value) -> str:
     return _JSON_WORDS.get(text, text)
 
 
-@cache
-def _record_template(dim: int) -> str:
-    """``_RECORD_JSON`` with a ``%r`` for the cost and for each of ``dim`` delta entries."""
-    return _RECORD_JSON % ("%r", ", ".join(["%r"] * dim), "%d", "%s")
-
-
-def _record_json(round: int, trader_id: str, delta, cost: float) -> str:
-    """A record's fields as one trade-log line, without its newline: ``json.dumps(record.to_dict(), sort_keys=True)``.
-
-    The engine writes the trades it settles through it, with no record built.  A float cost and an ``array``
-    delta whose sum is finite, as every engine and ``trade`` record is, fill their dimension's template by
-    ``%r``: a finite float's repr is its JSON.  Any other record goes through ``_json`` value by value.
-    """
-    trader_id = encode_basestring_ascii(trader_id)
-    if type(cost) is float and type(delta) is array and math.isfinite(sum(delta, cost)):
-        return _record_template(len(delta)) % (cost, *delta, round, trader_id)
-    return _RECORD_JSON % (_json(cost), ", ".join(map(_json, delta)), round, trader_id)
-
-
 class TradeRecord:
     """One executed trade: its round, trader, portfolio and cost; the field names are the trade-log record keys.
 
@@ -153,7 +132,7 @@ class TradeRecord:
         return {"round": self.round, "trader_id": self.trader_id, "delta": self.delta.tolist(), "cost": self.cost}
 
     def to_json(self) -> str:
-        return _record_json(self.round, self.trader_id, self.delta, self.cost)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TradeRecord":

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, file handling, exit codes."""
 
 import io
+import itertools
 import json
 import math
 import os
@@ -590,6 +591,31 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and len(err.splitlines()) == 1
         assert sorted(os.listdir(tmp_path)) == ["sim.json"]
+
+    @pytest.mark.parametrize("first, second", itertools.combinations(["--config", "--out", "--csv", "--trade-log"], 2))
+    def test_two_file_flags_naming_one_file_exit_2_and_write_nothing(self, tmp_path, capsys, first, second):
+        # One file would be overwritten by the other: the config by an output, or one output by the next.
+        cfg = write_json(tmp_path / "sim.json", sim_config())
+        config_bytes = Path(cfg).read_bytes()
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        paths = {"--config": cfg, "--out": str(tmp_path / "r.json"), "--csv": str(tmp_path / "r.csv"),
+                 "--trade-log": str(tmp_path / "trades.jsonl")}
+        shared = paths[second] = paths[first]
+        if (first, second) == ("--out", "--trade-log"):  # the same new file, once through a symlinked directory
+            paths[second] = str(tmp_path / "link" / os.path.basename(shared))
+        assert main(["simulate", *itertools.chain.from_iterable(paths.items())]) == 2
+        err = capsys.readouterr().err
+        shared = os.path.realpath(shared)
+        assert err == f"config error: {first} and {second} name one file, {shared}; give each its own\n"
+        assert sorted(os.listdir(tmp_path)) == ["link", "sim.json"]
+        assert Path(cfg).read_bytes() == config_bytes
+
+    def test_two_device_outputs_are_written_in_place(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "sim.json", sim_config())
+        out = tmp_path / "r.json"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--csv", os.devnull,
+                     "--trade-log", os.devnull]) == 0
+        assert len(json.loads(out.read_text())["events"]) == 6
 
 
 class TestReplayCommand:

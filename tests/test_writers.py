@@ -136,13 +136,14 @@ LOG_STARTS = {
 }
 
 
-def chunked_table(dim: int, vector_outcomes: bool) -> EventTable:
-    """``2 * _CHUNK + 3`` events appended with the engine's types, in rounds of three that share one snapshot.
+def chunked_table(dim: int, vector_outcomes: bool, n: int) -> EventTable:
+    """``n`` events appended with the engine's types, in rounds of three that share one snapshot.
 
-    Round 86 takes events 255-257, so its snapshot straddles the first chunk boundary.  The trader ids
-    cycle through ``ODD_IDS``, and only the last chunk holds non-finite log losses.
+    Round 86 takes events 255-257, so its snapshot straddles the first chunk boundary, and at ``n = 2 * _CHUNK
+    + 1`` round 171 straddles the second, the last chunk holding its third event alone.  The trader ids cycle
+    through ``ODD_IDS``, and only the last chunk holds non-finite log losses.
     """
-    table, ids, n = EventTable(dim), cycle(ODD_IDS), 2 * harness._CHUNK + 3
+    table, ids = EventTable(dim), cycle(ODD_IDS)
     for i in range(n):
         round_index, turn = divmod(i, 3)
         if turn == 0:
@@ -152,6 +153,17 @@ def chunked_table(dim: int, vector_outcomes: bool) -> EventTable:
         table.append(round_index + 1, next(ids), array("d", [(i + k) / 9 for k in range(dim)]), i * 1e-3, outcome,
                      loss, loss + 0.5, -i / 11, snapshot)
     return table
+
+
+# (dim, vector outcomes, events): every delta width, on three chunks whose last holds three events or one
+CHUNKED = [(dim, vector_outcomes, n) for dim, vector_outcomes in ((1, False), (2, False), (3, True))
+           for n in (2 * harness._CHUNK + 3, 2 * harness._CHUNK + 1)]
+
+
+def snapshots_per_chunk(table: EventTable) -> int:
+    """The distinct budget snapshots of each chunk of ``table``, summed: a writer renders each once per chunk."""
+    step = harness._CHUNK
+    return sum(len({id(s) for s in table.trader_budgets[i:i + step]}) for i in range(0, len(table), step))
 
 
 def stdlib_json(rep: SimReport) -> str:
@@ -268,13 +280,13 @@ def test_chunk_boundaries_keep_the_bytes():
         return render(snapshots)
     harness._budgets_json = counting
     try:
-        for dim, vector_outcomes in ((3, True), (1, False)):
-            rep = report(chunked_table(dim, vector_outcomes))
+        for case in CHUNKED:
+            rep = report(chunked_table(*case))
             counted.clear()
-            assert rep.to_json() == stdlib_json(rep), dim
-            assert len(counted) == len({id(s) for s in rep.events.trader_budgets}) == 172, dim  # each once
-            assert emitted(rep, "json") == stdlib_json(rep).encode("utf-8"), dim
-            assert emitted(rep, "csv") == old_csv(rep).encode("utf-8"), dim
+            assert rep.to_json() == stdlib_json(rep), case
+            assert len(counted) == snapshots_per_chunk(rep.events), case  # each once per chunk
+            assert emitted(rep, "json") == stdlib_json(rep).encode("utf-8"), case
+            assert emitted(rep, "csv") == old_csv(rep).encode("utf-8"), case
     finally:
         harness._budgets_json = render
 
@@ -282,20 +294,20 @@ def test_chunk_boundaries_keep_the_bytes():
 def test_a_second_write_keeps_the_bytes():
     for name, rep in CASES.items():
         assert_kept_texts_keep_the_bytes(rep, name)
-    for dim, vector_outcomes in ((3, True), (1, False)):
-        assert_kept_texts_keep_the_bytes(report(chunked_table(dim, vector_outcomes)), dim)
+    for case in CHUNKED:
+        assert_kept_texts_keep_the_bytes(report(chunked_table(*case)), case)
 
 
 def test_an_append_after_a_write_is_rendered_again():
     # The append grows the last, partial chunk, so the texts kept for it end one event short.
-    for dim, vector_outcomes in ((3, True), (1, False)):
-        table = chunked_table(dim, vector_outcomes)
+    for dim, vector_outcomes, n in CHUNKED:
+        table = chunked_table(dim, vector_outcomes, n)
         rep = report(table)
         first = [written(rep, fmt) for fmt in ("json", "csv")]
         assert len(table._rendered) == 3  # one entry per chunk
         table.append(999, "z", array("d", [0.5] * dim), 0.25, 1, 0.5, 0.75, -0.25, {"z": 1.0})
         for fmt, reference, before in zip(("json", "csv"), (stdlib_json(rep), old_csv(rep)), first):
-            assert written(rep, fmt) == reference.encode("utf-8") == written(fresh(rep), fmt) != before, (dim, fmt)
+            assert written(rep, fmt) == reference.encode("utf-8") == written(fresh(rep), fmt) != before, (dim, n, fmt)
 
 
 ENGINE_CONFIGS = {
@@ -338,10 +350,14 @@ def test_engine_log_lines_are_the_stdlib_encoding():
         import numpy  # noqa: F401  (the engine draws its outcomes with numpy)
     except ImportError:
         raise unittest.SkipTest("the engine needs numpy") from None
-    for family, theta0, true_theta in (("exponential-rate", [-1.0], [-0.5]),
-                                       ("vmf3", [0.0, 0.0, 0.0], [1.0, 2.0, 0.5])):
+    for family, theta0, true_theta, capped in (("exponential-rate", [-1.0], [-0.5], None),
+                                               ("gaussian-moments", [0.0, -0.5], [0.5, -0.25], None),
+                                               ("vmf3", [0.0, 0.0, 0.0], [1.0, 2.0, 0.5], None),
+                                               ("categorical:3", [0.0, 0.0, 0.0], [0.4, -0.1, -0.3], [2.0, 0.0, -2.0])):
         traders = [{"id": tid, "model": "exp-utility", "risk_aversion": 0.5 + i, "belief": {"theta": true_theta}}
                    for i, tid in enumerate(ODD_IDS)]
+        if capped is not None:  # a categorical budget-limited move is a pure purchase: one delta entry is 0.0
+            traders[0].update(model="budget-limited", budget=0.05, belief={"theta": capped})
         config = SimConfig.from_dict({"family": family, "theta0": theta0, "true_theta": true_theta, "rounds": 6,
                                       "seed": 3, "traders": traders, "arrival": "fixed-sequence",
                                       "sequence": list(ODD_IDS)})
@@ -354,6 +370,8 @@ def test_engine_log_lines_are_the_stdlib_encoding():
         assert len(lines) == len(rep.events) == 6 * len(ODD_IDS), family
         assert lines == [json.dumps(r.to_dict(), sort_keys=True) for r in records], family
         assert records == [TradeRecord(r, tid, d, c) for r, tid, d, c, *_ in rep.events], family
+        assert {len(r.delta) for r in records} == {len(theta0)}, family
+        assert (capped is not None) == any(0.0 in r.delta for r in records), family
 
 
 def test_vector_outcome_cells_are_pinned():
